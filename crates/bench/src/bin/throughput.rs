@@ -10,7 +10,9 @@
 //!    alive exactly so this comparison stays honest;
 //! 2. **campaign** — the full worker-pool loop, single worker and
 //!    multi-worker;
-//! 3. **sharded** — in-process sharding over the campaign loop;
+//! 3. **sharded** — a one-shot sharded campaign, run as a one-generation
+//!    orchestrator fleet over `LocalPoolTransport` (4 leases, one pool
+//!    thread each, 2 campaign workers per lease);
 //! 4. **orchestrated** — the PR-6 merge-then-continue fleet over
 //!    `LocalPoolTransport`, merged tests/sec at 4 workers vs 1 on
 //!    identical work (the merged result is asserted worker-count
@@ -59,7 +61,7 @@ use std::time::Instant;
 use chatfuzz::campaign::{CampaignBuilder, StopCondition};
 use chatfuzz::generator::{LmGenerator, LmGeneratorConfig};
 use chatfuzz::harness::{wrap, HarnessConfig, PrecompiledHarness};
-use chatfuzz::shard::{InProcessRunner, ShardSpec, ShardedCampaign};
+use chatfuzz::shard::ShardSpec;
 use chatfuzz_baselines::{InputGenerator, RandomRegression, Ucb1};
 use chatfuzz_bench::{boom_factory, print_table, rocket_factory};
 use chatfuzz_corpus::{CorpusConfig, CorpusGenerator};
@@ -194,24 +196,23 @@ fn campaign_throughput(
     }
 }
 
-/// Sharded campaign throughput (in-process shards, 2 workers each).
+/// Sharded campaign throughput: a one-generation fleet of `shards`
+/// leases on as many pool threads, 2 campaign workers each.
 fn sharded_throughput(shards: usize, tests_per_shard: usize) -> Measure {
-    let runner = InProcessRunner::new(move |spec: chatfuzz::shard::ShardSpec| {
-        let campaign = CampaignBuilder::from_factory(rocket_factory())
+    let space = rocket_factory()().space().clone();
+    let build = std::sync::Arc::new(|spec: ShardSpec| {
+        CampaignBuilder::from_factory(rocket_factory())
             .batch_size(32)
             .workers(2)
             .generator(RandomRegression::new(spec.seed, 16))
-            .build();
-        (campaign, vec![StopCondition::Tests(tests_per_shard)])
     });
-    let start = Instant::now();
-    let outcome = ShardedCampaign::new(runner, shards, 5).run().expect("sharded run");
-    let dt = start.elapsed().as_secs_f64();
-    let merged = outcome.merged_report();
+    let config =
+        one_shot(FleetConfig::new("rocket-sharded", 5, space, build), shards, tests_per_shard);
+    let (merged, _, dt) = orchestrated_fleet(&config, shards, "sharded");
     Measure {
         tests_per_sec: (shards * tests_per_shard) as f64 / dt,
-        cycles_per_sec: merged.total_cycles as f64 / dt,
-        total_cycles: merged.total_cycles,
+        cycles_per_sec: merged.total_cycles() as f64 / dt,
+        total_cycles: merged.total_cycles(),
         covered_bins: 0,
     }
 }
@@ -289,6 +290,21 @@ fn fleet_lease(spec: ShardSpec) -> CampaignBuilder<'static> {
         .generator(RandomRegression::new(spec.seed, 16))
 }
 
+/// `template` reshaped into a one-shot sharded campaign: `fan_out`
+/// leases of `lease_tests` each, merged once. The checkpoint cadence
+/// sits above the lease's batch count (batches of 32), so no mid-lease
+/// checkpoint write is timed.
+fn one_shot(template: FleetConfig, fan_out: usize, lease_tests: usize) -> FleetConfig {
+    FleetConfig {
+        fan_out,
+        lease_tests,
+        total_tests: fan_out * lease_tests,
+        checkpoint_every: lease_tests / 32 + 1,
+        heartbeat_deadline: std::time::Duration::from_secs(120),
+        ..template
+    }
+}
+
 /// Runs one fleet to completion on a `workers`-wide local pool and
 /// returns (final merged snapshot, generations run, wall seconds).
 fn orchestrated_fleet(
@@ -324,24 +340,23 @@ fn orchestrator_throughput(total_tests: usize, plateau_pct: f64) -> Orchestrator
     // so the comparison actually exercises merge-then-continue.
     let lease_tests = shard_tests / 2;
 
+    let space = rocket_factory()().space().clone();
+    let template =
+        FleetConfig::new("rocket-fleet", base_seed, space, std::sync::Arc::new(fleet_lease));
+
     // One-shot reference: the same per-shard template run straight to
     // the full budget with a single final merge.
-    let runner = InProcessRunner::new(move |spec: ShardSpec| {
-        (fleet_lease(spec).build(), vec![StopCondition::Tests(shard_tests)])
-    });
-    let oneshot = ShardedCampaign::new(runner, fan_out, base_seed)
-        .run()
-        .expect("one-shot sharded run")
-        .merged_report();
+    let (oneshot, _, _) =
+        orchestrated_fleet(&one_shot(template.clone(), fan_out, shard_tests), fan_out, "oneshot");
+    let oneshot = oneshot.report();
 
-    let space = rocket_factory()().space().clone();
     let config = FleetConfig {
         fan_out,
         lease_tests,
         total_tests,
         checkpoint_every: 8,
         heartbeat_deadline: std::time::Duration::from_secs(120),
-        ..FleetConfig::new("rocket-fleet", base_seed, space, std::sync::Arc::new(fleet_lease))
+        ..template
     };
     let (merged4, generations, dt4) = orchestrated_fleet(&config, 4, "w4");
     let (merged1, _, dt1) = orchestrated_fleet(&config, 1, "w1");

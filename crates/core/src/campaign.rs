@@ -22,7 +22,8 @@
 //!
 //! Snapshots capture scheduler state ([`SchedulerState`]) alongside
 //! coverage and mismatch state, persist to disk via [`crate::persist`],
-//! and scale horizontally via [`crate::shard`].
+//! and merge across shards via [`crate::shard::merge_snapshots`] (the
+//! `chatfuzz_orchestrate` fleets run the shards).
 
 use std::path::PathBuf;
 use std::sync::Arc;

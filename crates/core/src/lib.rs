@@ -30,11 +30,12 @@
 //!   crash boundaries, transient io errors, dropped heartbeats,
 //!   duplicated/reordered events) behind the one atomic-write choke
 //!   point the durability layer uses;
-//! * [`shard`] — horizontal scaling: split one campaign into N shard
-//!   sub-campaigns with disjoint RNG streams (in-process or spawned
-//!   sub-processes) and merge the results — coverage maps union,
-//!   evolutionary corpora pool as a fingerprint-deduped union, model
-//!   state carries over from shard 0;
+//! * [`shard`] — the arithmetic of horizontal scaling: disjoint per-shard
+//!   RNG streams, and the merge that folds shard snapshots into one —
+//!   coverage maps union, evolutionary corpora pool as a
+//!   fingerprint-deduped union, model weights carry over from shard 0
+//!   while the learner pools what the other shards found. The shards
+//!   themselves run as leases of a `chatfuzz_orchestrate` fleet;
 //! * [`pipeline`] — the three-step training pipeline (paper Fig. 1b);
 //! * [`generator`] — the LLM-based Input Generator with online
 //!   coverage-reward training (paper Fig. 1a) and KV-cached sampling,
@@ -123,7 +124,4 @@ pub use pipeline::{
     train_chatfuzz, ChatFuzzModel, CleanupPoint, ModelScale, OptimizePoint, PipelineConfig,
     PipelineReport,
 };
-pub use shard::{
-    resplit_snapshot, shard_seed, InProcessRunner, ProcessShardRunner, ShardError, ShardRunner,
-    ShardSpec, ShardedCampaign, ShardedOutcome, WorkerRequest,
-};
+pub use shard::{merge_snapshots, resplit_snapshot, shard_seed, MergeError, ShardSpec};

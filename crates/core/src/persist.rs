@@ -1549,26 +1549,33 @@ pub fn lineage_path(path: &Path, depth: usize) -> std::path::PathBuf {
 }
 
 /// [`save_snapshot`] with checkpoint lineage: before the new document
-/// is written, the existing one is rotated to `{path}.1`, the previous
-/// `{path}.1` to `{path}.2`, and so on, keeping up to `keep` rotated
-/// generations (the oldest is renamed over, not deleted early — with
-/// `keep = 0` this degrades to a plain overwriting [`save_snapshot`]).
-/// A crash anywhere in the rotation leaves a gap at worst;
-/// [`load_latest_valid`] scans past gaps.
+/// is written, `{path}.1` moves to `{path}.2` and so on, keeping up to
+/// `keep` rotated generations (the oldest is renamed over, not deleted
+/// early — with `keep = 0` this degrades to a plain overwriting
+/// [`save_snapshot`]), and the existing document is hard-linked to
+/// `{path}.1`. Linking instead of renaming means `path` keeps naming the
+/// previous complete snapshot until the atomic rename inside
+/// [`save_snapshot`] replaces it, so a crash mid-checkpoint never leaves
+/// the live file missing. A crash anywhere in the rotation leaves a gap
+/// deeper in the lineage at worst; [`load_latest_valid`] scans past
+/// gaps.
 pub fn save_snapshot_rotated(path: &Path, snapshot: &CampaignSnapshot, keep: usize) -> Result<()> {
-    let rotate = |from: std::path::PathBuf, to: std::path::PathBuf| -> Result<()> {
-        match std::fs::rename(&from, &to) {
-            Ok(()) => Ok(()),
-            // Nothing at this depth yet — early in a campaign's life.
-            Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(()),
-            Err(e) => Err(PersistError::from(e).at(&from)),
+    // Nothing at a depth yet — early in a campaign's life — is no error.
+    let absent_ok = |result: io::Result<()>, at: &Path| -> Result<()> {
+        match result {
+            Err(e) if e.kind() != io::ErrorKind::NotFound => Err(PersistError::from(e).at(at)),
+            _ => Ok(()),
         }
     };
     for depth in (1..keep).rev() {
-        rotate(lineage_path(path, depth), lineage_path(path, depth + 1))?;
+        let from = lineage_path(path, depth);
+        absent_ok(std::fs::rename(&from, lineage_path(path, depth + 1)), &from)?;
     }
     if keep > 0 {
-        rotate(path.to_path_buf(), lineage_path(path, 1))?;
+        // `.1` is already gone unless `keep == 1` (no deeper shift).
+        let first = lineage_path(path, 1);
+        absent_ok(std::fs::remove_file(&first), &first)?;
+        absent_ok(std::fs::hard_link(path, &first), path)?;
     }
     save_snapshot(path, snapshot)
 }

@@ -3,9 +3,10 @@
 //! One fuzzing campaign becomes N *shard* sub-campaigns that run the same
 //! DUT with disjoint input streams and merge their results — the TheHuzz
 //! scaling recipe ("many simulator instances, one coverage report")
-//! lifted above the single-process worker pool that [`Campaign`] already
-//! owns. Shards are embarrassingly parallel: no coordination during the
-//! run, one deterministic merge at the end.
+//! lifted above the single-process worker pool that
+//! [`Campaign`](crate::Campaign) already owns. Shards are embarrassingly
+//! parallel: no coordination during the run, one deterministic merge at
+//! the end.
 //!
 //! # RNG stream scheme
 //!
@@ -20,23 +21,9 @@
 //!   re-runs the first N shards identically and coverage is monotone in
 //!   the shard count.
 //!
-//! # Process model
-//!
-//! [`ShardRunner`] abstracts *where* a shard runs. [`InProcessRunner`]
-//! builds and drives a [`Campaign`] on a thread in this process (the
-//! default; cheapest). [`ProcessShardRunner`] spawns a worker
-//! sub-process per shard via `std::process::Command` and hands it the
-//! shard assignment through the `CHATFUZZ_SHARD_*` environment variables
-//! (not argv, so even a libtest binary can be a worker); the worker runs
-//! the shard and writes its [`CampaignSnapshot`] with [`crate::persist`],
-//! which the parent loads back. [`WorkerRequest::from_env`] is the
-//! worker-side half of the protocol; both halves encode and decode
-//! through the one [`proto::Assignment`] struct, which other carriers
-//! (the orchestrator's filesystem-spool leases) reuse.
-//!
 //! # Merging
 //!
-//! [`ShardedOutcome::merged_snapshot`] folds the shard snapshots into one
+//! [`merge_snapshots`] folds the shard snapshots into one
 //! resume-compatible [`CampaignSnapshot`]: coverage maps union
 //! ([`CovMap::union`]), mismatch clusters merge with summed counts,
 //! per-generator statistics sum, counters sum, wall-clock takes the
@@ -58,131 +45,23 @@
 //!
 //! # Merge-then-continue
 //!
-//! Long-lived fleets (the `chatfuzz_orchestrate` crate) don't merge
-//! once — they merge on a cadence and keep going. Two more pieces serve
-//! that loop: [`ShardedOutcome::merged_snapshot_over_base`] merges
-//! shards that all *continued from* a common base snapshot without
-//! double-counting the shared prefix, and [`resplit_snapshot`] derives
-//! per-lease continuation snapshots from a merged one, reseeding every
-//! persisted RNG stream so the new fan-out diverges instead of replaying
-//! one stream N times.
+//! Shards are run by the `chatfuzz_orchestrate` crate, whose fleets
+//! merge on a cadence and keep going; a one-shot sharded campaign is a
+//! one-generation fleet. Two more pieces serve that loop: given a base,
+//! [`merge_snapshots`] merges shards that all *continued from* that
+//! common snapshot without double-counting the shared prefix, and
+//! [`resplit_snapshot`] derives per-lease continuation snapshots from a
+//! merged one, reseeding every persisted RNG stream so the new fan-out
+//! diverges instead of replaying one stream N times.
 
 use std::fmt;
-use std::io;
-use std::path::{Path, PathBuf};
-use std::process::Command;
-use std::sync::Arc;
-use std::time::Duration;
 
 use chatfuzz_baselines::{CorpusSeedState, PendingRollout};
-use chatfuzz_coverage::{Calculator, CovMap, Space};
+use chatfuzz_coverage::{Calculator, CovMap};
 use chatfuzz_lm::tokenizer::TokenizerKind;
 use chatfuzz_lm::Tokenizer;
 
-use crate::campaign::{Campaign, CampaignReport, CampaignSnapshot, CoveragePoint, StopCondition};
-use crate::persist::{self, PersistError};
-
-pub use proto::{ENV_SHARD_COUNT, ENV_SHARD_INDEX, ENV_SHARD_OUT, ENV_SHARD_SEED};
-
-pub mod proto {
-    //! The `CHATFUZZ_SHARD_*` worker-assignment protocol, in one place.
-    //!
-    //! A shard assignment travels from the coordinating process to a
-    //! worker as four key/value pairs: index, count, seed, and the path
-    //! the worker must write its snapshot to. [`Assignment`] owns both
-    //! directions — [`Assignment::pairs`] is the single encoder (applied
-    //! to a child's environment by [`Assignment::apply`], or written
-    //! into a lease file by a transport), and [`Assignment::from_lookup`]
-    //! is the single decoder ([`Assignment::from_env`] for the
-    //! environment-variable carrier). Keeping encode and decode on one
-    //! struct means a new carrier — e.g. the orchestrator's
-    //! filesystem-spool leases — cannot drift from the runner protocol.
-
-    use std::path::{Path, PathBuf};
-    use std::process::Command;
-
-    use super::ShardSpec;
-
-    /// Key carrying the worker's shard index.
-    pub const ENV_SHARD_INDEX: &str = "CHATFUZZ_SHARD_INDEX";
-    /// Key carrying the total shard count.
-    pub const ENV_SHARD_COUNT: &str = "CHATFUZZ_SHARD_COUNT";
-    /// Key carrying the shard's derived generator seed.
-    pub const ENV_SHARD_SEED: &str = "CHATFUZZ_SHARD_SEED";
-    /// Key carrying the path the worker must write its snapshot to.
-    pub const ENV_SHARD_OUT: &str = "CHATFUZZ_SHARD_OUT";
-
-    /// One worker assignment: the shard spec plus the snapshot output
-    /// path — everything a worker needs to run its slice.
-    #[derive(Debug, Clone, PartialEq, Eq)]
-    pub struct Assignment {
-        /// The assigned shard.
-        pub spec: ShardSpec,
-        /// Where the worker must write its finished snapshot.
-        pub out: PathBuf,
-    }
-
-    impl Assignment {
-        /// Pairs up a spec with its output path.
-        pub fn new(spec: ShardSpec, out: impl Into<PathBuf>) -> Assignment {
-            Assignment { spec, out: out.into() }
-        }
-
-        /// The four protocol pairs, in canonical order. Every carrier —
-        /// environment variables, lease files — encodes exactly these.
-        pub fn pairs(&self) -> [(&'static str, String); 4] {
-            [
-                (ENV_SHARD_INDEX, self.spec.index.to_string()),
-                (ENV_SHARD_COUNT, self.spec.shards.to_string()),
-                (ENV_SHARD_SEED, self.spec.seed.to_string()),
-                (ENV_SHARD_OUT, self.out.display().to_string()),
-            ]
-        }
-
-        /// Applies the assignment to a child process's environment.
-        pub fn apply(&self, command: &mut Command) {
-            for (key, value) in self.pairs() {
-                command.env(key, value);
-            }
-        }
-
-        /// Decodes an assignment from any key→value carrier. Returns
-        /// `None` when [`ENV_SHARD_INDEX`] is absent (the carrier holds
-        /// no assignment at all).
-        ///
-        /// # Panics
-        ///
-        /// Panics if the carrier holds a partial or malformed
-        /// assignment — encoder and decoder disagree about the
-        /// protocol, which no in-band recovery fixes.
-        pub fn from_lookup(get: impl Fn(&str) -> Option<String>) -> Option<Assignment> {
-            let index = get(ENV_SHARD_INDEX)?;
-            let read = |key: &str| {
-                get(key).unwrap_or_else(|| panic!("worker assignment incomplete: {key} missing"))
-            };
-            let parse = |key: &str, value: String| {
-                value.parse::<u64>().unwrap_or_else(|_| panic!("bad {key}: `{value}`"))
-            };
-            let spec = ShardSpec {
-                index: parse(ENV_SHARD_INDEX, index) as usize,
-                shards: parse(ENV_SHARD_COUNT, read(ENV_SHARD_COUNT)) as usize,
-                seed: parse(ENV_SHARD_SEED, read(ENV_SHARD_SEED)),
-            };
-            Some(Assignment { spec, out: PathBuf::from(read(ENV_SHARD_OUT)) })
-        }
-
-        /// Decodes the assignment this process was spawned with, if any
-        /// (the environment-variable carrier of [`Assignment::from_lookup`]).
-        pub fn from_env() -> Option<Assignment> {
-            Assignment::from_lookup(|key| std::env::var(key).ok())
-        }
-
-        /// The snapshot output path.
-        pub fn out_path(&self) -> &Path {
-            &self.out
-        }
-    }
-}
+use crate::campaign::{CampaignSnapshot, CoveragePoint};
 
 /// The seed for shard `shard_index` of a campaign with `base_seed`.
 ///
@@ -209,367 +88,96 @@ pub struct ShardSpec {
     pub seed: u64,
 }
 
-/// Why a sharded run failed.
-#[derive(Debug)]
-pub enum ShardError {
-    /// Spawning a worker sub-process failed.
-    Spawn {
-        /// Shard that failed to spawn.
-        shard: usize,
-        /// The underlying error.
-        error: io::Error,
-    },
-    /// A worker sub-process exited unsuccessfully.
-    Worker {
-        /// Shard that failed.
-        shard: usize,
-        /// Exit status and trailing stderr.
-        detail: String,
-    },
-    /// A worker's snapshot could not be loaded.
-    Snapshot {
-        /// Shard whose snapshot failed to load.
-        shard: usize,
-        /// The underlying error.
-        error: PersistError,
-    },
-    /// The shard snapshots disagree (different DUT, space, or generator
-    /// line-up) and cannot be merged.
-    Merge(String),
-}
+/// Why shard snapshots could not be merged: there were none, or they
+/// disagree on the DUT, the coverage space, the generator line-up, or
+/// the shape of the generator state they carry.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct MergeError(String);
 
-impl fmt::Display for ShardError {
+impl fmt::Display for MergeError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ShardError::Spawn { shard, error } => {
-                write!(f, "shard {shard}: failed to spawn worker: {error}")
-            }
-            ShardError::Worker { shard, detail } => write!(f, "shard {shard}: {detail}"),
-            ShardError::Snapshot { shard, error } => {
-                write!(f, "shard {shard}: bad snapshot: {error}")
-            }
-            ShardError::Merge(msg) => write!(f, "shard merge: {msg}"),
-        }
+        write!(f, "shard merge: {}", self.0)
     }
 }
 
-impl std::error::Error for ShardError {}
+impl std::error::Error for MergeError {}
 
-/// Where and how one shard runs. Implementations must be shareable
-/// across the spawning threads ([`ShardedCampaign::run`] drives all
-/// shards in parallel).
-pub trait ShardRunner: Sync {
-    /// Runs the shard to completion and returns its checkpoint.
-    fn run_shard(&self, spec: ShardSpec) -> Result<CampaignSnapshot, ShardError>;
-}
-
-/// Runs each shard as a [`Campaign`] on a thread in this process.
+/// Folds per-shard snapshots (shard order) into one resume-compatible
+/// snapshot (see the module docs for the exact merge semantics). Hand
+/// the result to [`crate::CampaignBuilder::resume`] — with shard 0's
+/// generator line-up and scheduler — to continue the merged campaign as
+/// a single process, or persist it with [`crate::persist`].
 ///
-/// The closure receives the shard's [`ShardSpec`] and returns the fully
-/// built campaign plus the stop conditions to drive it to; generators
-/// must be seeded from [`ShardSpec::seed`] for the disjoint-stream
-/// guarantee to hold.
-pub struct InProcessRunner<F> {
-    build: F,
-}
-
-impl<F> InProcessRunner<F>
-where
-    F: Fn(ShardSpec) -> (Campaign<'static>, Vec<StopCondition>) + Sync,
-{
-    /// Wraps a shard-campaign constructor.
-    pub fn new(build: F) -> InProcessRunner<F> {
-        InProcessRunner { build }
-    }
-}
-
-impl<F> ShardRunner for InProcessRunner<F>
-where
-    F: Fn(ShardSpec) -> (Campaign<'static>, Vec<StopCondition>) + Sync,
-{
-    fn run_shard(&self, spec: ShardSpec) -> Result<CampaignSnapshot, ShardError> {
-        let (mut campaign, stops) = (self.build)(spec);
-        campaign.run_until(&stops);
-        Ok(campaign.snapshot())
-    }
-}
-
-/// Runs each shard in a spawned worker sub-process.
+/// With a `base`, every shard *continued from* that snapshot (a
+/// previously merged one, typically re-split with [`resplit_snapshot`]):
+/// every additive quantity — tests, batches, cycles, generator
+/// statistics, mismatch counts — subtracts the base once per later
+/// shard, so the shared prefix is counted exactly once. Coverage and
+/// corpus unions are idempotent and need no correction. This is the
+/// merge-then-continue seam the orchestrator folds each generation
+/// through.
 ///
-/// The parent sets the `CHATFUZZ_SHARD_*` environment variables on the
-/// child (see module docs), waits for it, and loads the snapshot the
-/// worker wrote. Any program whose worker path calls
-/// [`WorkerRequest::from_env`] qualifies: the `shard_campaign` bench
-/// binary, or a libtest binary re-invoking one of its own tests.
-pub struct ProcessShardRunner {
-    program: PathBuf,
-    args: Vec<String>,
-    out_dir: PathBuf,
-    space: Arc<Space>,
-}
-
-impl ProcessShardRunner {
-    /// Creates a runner spawning `program`, collecting worker snapshots
-    /// under `out_dir` (one `shard-<index>.json` each), and parsing them
-    /// over `space` (probe the DUT factory once for it).
-    pub fn new(
-        program: impl Into<PathBuf>,
-        out_dir: impl Into<PathBuf>,
-        space: Arc<Space>,
-    ) -> ProcessShardRunner {
-        ProcessShardRunner {
-            program: program.into(),
-            args: Vec::new(),
-            out_dir: out_dir.into(),
-            space,
-        }
-    }
-
-    /// Appends an argument to the worker command line (repeatable).
-    pub fn arg(mut self, arg: impl Into<String>) -> ProcessShardRunner {
-        self.args.push(arg.into());
-        self
-    }
-
-    fn out_path(&self, index: usize) -> PathBuf {
-        self.out_dir.join(format!("shard-{index}.json"))
-    }
-}
-
-impl ShardRunner for ProcessShardRunner {
-    fn run_shard(&self, spec: ShardSpec) -> Result<CampaignSnapshot, ShardError> {
-        let out = self.out_path(spec.index);
-        let _ = std::fs::remove_file(&out); // never load a stale snapshot
-        let mut command = Command::new(&self.program);
-        command.args(&self.args);
-        proto::Assignment::new(spec, &out).apply(&mut command);
-        let output =
-            command.output().map_err(|error| ShardError::Spawn { shard: spec.index, error })?;
-        if !output.status.success() {
-            let stderr = String::from_utf8_lossy(&output.stderr);
-            let tail: String = stderr
-                .lines()
-                .rev()
-                .take(10)
-                .collect::<Vec<_>>()
-                .into_iter()
-                .rev()
-                .collect::<Vec<_>>()
-                .join("\n");
-            return Err(ShardError::Worker {
-                shard: spec.index,
-                detail: format!("worker exited with {}: {tail}", output.status),
-            });
-        }
-        persist::load_snapshot(&out, &self.space)
-            .map_err(|error| ShardError::Snapshot { shard: spec.index, error })
-    }
-}
-
-/// The worker-side half of the cross-process protocol: the shard
-/// assignment this process was spawned with, if any.
-#[derive(Debug, Clone)]
-pub struct WorkerRequest {
-    /// The assigned shard.
-    pub spec: ShardSpec,
-    out: PathBuf,
-}
-
-impl WorkerRequest {
-    /// Reads the `CHATFUZZ_SHARD_*` environment variables (via
-    /// [`proto::Assignment::from_env`]). Returns `None` when this
-    /// process was not spawned as a shard worker.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the variables are present but malformed — the spawning
-    /// parent and this worker disagree about the protocol, which no
-    /// amount of in-band recovery fixes.
-    pub fn from_env() -> Option<WorkerRequest> {
-        let assignment = proto::Assignment::from_env()?;
-        Some(WorkerRequest { spec: assignment.spec, out: assignment.out })
-    }
-
-    /// Where the parent expects this worker's snapshot.
-    pub fn out_path(&self) -> &Path {
-        &self.out
-    }
-
-    /// Writes the finished shard's snapshot where the parent expects it
-    /// (atomically, via [`persist::save_snapshot`]; any failure names
-    /// the output path).
-    pub fn fulfil(&self, snapshot: &CampaignSnapshot) -> Result<(), persist::PersistError> {
-        persist::save_snapshot(&self.out, snapshot)
-    }
-}
-
-/// A campaign split into N parallel shard sub-campaigns.
-pub struct ShardedCampaign<R> {
-    runner: R,
-    shards: usize,
-    base_seed: u64,
-}
-
-impl<R: ShardRunner> ShardedCampaign<R> {
-    /// Creates a sharded campaign.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shards == 0`.
-    pub fn new(runner: R, shards: usize, base_seed: u64) -> ShardedCampaign<R> {
-        assert!(shards > 0, "a campaign needs at least one shard");
-        ShardedCampaign { runner, shards, base_seed }
-    }
-
-    /// The shard assignments this campaign will run.
-    pub fn specs(&self) -> Vec<ShardSpec> {
-        (0..self.shards)
-            .map(|index| ShardSpec {
-                index,
-                shards: self.shards,
-                seed: shard_seed(self.base_seed, index),
+/// # Errors
+///
+/// [`MergeError`] when `snapshots` is empty, or when the shards ran
+/// different DUTs, coverage spaces, generator line-ups, or
+/// generator-state shapes.
+///
+/// # Panics
+///
+/// Panics (by counter underflow) if a shard does not actually descend
+/// from `base` — its counters would be below the base's.
+pub fn merge_snapshots(
+    snapshots: &[CampaignSnapshot],
+    base: Option<&CampaignSnapshot>,
+) -> Result<CampaignSnapshot, MergeError> {
+    let Some(first) = snapshots.first() else {
+        return Err(MergeError("no shard snapshots".to_string()));
+    };
+    let fingerprint = first.coverage().space().fingerprint();
+    let names: Vec<&str> = first.gen_stats.iter().map(|s| s.name.as_str()).collect();
+    // Identical line-ups must also agree on which arms carry which state
+    // halves (corpus/model), or the fold has nothing sound to merge.
+    let state_shape = |snap: &CampaignSnapshot| -> Vec<(bool, bool, bool)> {
+        snap.gen_states
+            .iter()
+            .map(|g| match g {
+                None => (false, false, false),
+                Some(s) => (true, s.corpus.is_some(), s.model.is_some()),
             })
             .collect()
-    }
-
-    /// Runs every shard in parallel and collects the outcome. The first
-    /// failing shard (by index) decides the error.
-    pub fn run(&self) -> Result<ShardedOutcome, ShardError> {
-        let specs = self.specs();
-        let results: Vec<Result<CampaignSnapshot, ShardError>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = specs
-                .iter()
-                .map(|&spec| scope.spawn(move || self.runner.run_shard(spec)))
-                .collect();
-            handles.into_iter().map(|h| h.join().expect("shard thread panicked")).collect()
-        });
-        let mut snapshots = Vec::with_capacity(results.len());
-        for result in results {
-            snapshots.push(result?);
+    };
+    for (i, s) in snapshots.iter().enumerate().skip(1) {
+        if s.dut != first.dut {
+            return Err(MergeError(format!(
+                "shard {i} ran DUT `{}`, shard 0 ran `{}`",
+                s.dut, first.dut
+            )));
         }
-        ShardedOutcome::new(snapshots)
-    }
-}
-
-/// The collected shard snapshots of one sharded run, plus the merge ops.
-pub struct ShardedOutcome {
-    snapshots: Vec<CampaignSnapshot>,
-}
-
-impl ShardedOutcome {
-    /// Validates and wraps per-shard snapshots (shard order). Exposed so
-    /// snapshots gathered out of band — e.g. loaded from a directory of
-    /// worker outputs — merge through the same path.
-    pub fn new(snapshots: Vec<CampaignSnapshot>) -> Result<ShardedOutcome, ShardError> {
-        let Some(first) = snapshots.first() else {
-            return Err(ShardError::Merge("no shard snapshots".to_string()));
-        };
-        let fingerprint = first.coverage().space().fingerprint();
-        let names: Vec<&str> = first.gen_stats.iter().map(|s| s.name.as_str()).collect();
-        for (i, s) in snapshots.iter().enumerate().skip(1) {
-            if s.dut != first.dut {
-                return Err(ShardError::Merge(format!(
-                    "shard {i} ran DUT `{}`, shard 0 ran `{}`",
-                    s.dut, first.dut
-                )));
-            }
-            if s.coverage().space().fingerprint() != fingerprint {
-                return Err(ShardError::Merge(format!(
-                    "shard {i} covers a different coverage space than shard 0"
-                )));
-            }
-            let theirs: Vec<&str> = s.gen_stats.iter().map(|g| g.name.as_str()).collect();
-            if theirs != names {
-                return Err(ShardError::Merge(format!(
-                    "shard {i} generator line-up {theirs:?} differs from shard 0's {names:?}"
-                )));
-            }
-            // Identical line-ups must agree on which arms carry which
-            // state halves (corpus/model), or the merge below has
-            // nothing sound to fold.
-            let state_shape = |snap: &CampaignSnapshot| -> Vec<(bool, bool, bool)> {
-                snap.gen_states
-                    .iter()
-                    .map(|g| match g {
-                        None => (false, false, false),
-                        Some(s) => (true, s.corpus.is_some(), s.model.is_some()),
-                    })
-                    .collect()
-            };
-            if state_shape(s) != state_shape(first) {
-                return Err(ShardError::Merge(format!(
-                    "shard {i} carries generator state of a different shape \
-                     than shard 0"
-                )));
-            }
+        if s.coverage().space().fingerprint() != fingerprint {
+            return Err(MergeError(format!(
+                "shard {i} covers a different coverage space than shard 0"
+            )));
         }
-        Ok(ShardedOutcome { snapshots })
+        let theirs: Vec<&str> = s.gen_stats.iter().map(|g| g.name.as_str()).collect();
+        if theirs != names {
+            return Err(MergeError(format!(
+                "shard {i} generator line-up {theirs:?} differs from shard 0's {names:?}"
+            )));
+        }
+        if state_shape(s) != state_shape(first) {
+            return Err(MergeError(format!(
+                "shard {i} carries generator state of a different shape than shard 0"
+            )));
+        }
     }
-
-    /// The per-shard snapshots, in shard order.
-    pub fn shard_snapshots(&self) -> &[CampaignSnapshot] {
-        &self.snapshots
-    }
-
-    /// Number of shards.
-    pub fn shards(&self) -> usize {
-        self.snapshots.len()
-    }
-
-    /// The union of all shard coverage maps.
-    pub fn merged_coverage(&self) -> CovMap {
-        CovMap::union(self.snapshots.iter().map(|s| s.coverage()))
-            .expect("outcome always has at least one shard")
-    }
-
-    /// Folds the shards into one resume-compatible snapshot (see the
-    /// module docs for the exact merge semantics). Hand it to
-    /// [`crate::CampaignBuilder::resume`] — with shard 0's generator
-    /// line-up and scheduler — to continue the merged campaign as a
-    /// single process, or persist it with [`crate::persist`].
-    pub fn merged_snapshot(&self) -> CampaignSnapshot {
-        fold_snapshots(&self.snapshots, None)
-    }
-
-    /// Like [`ShardedOutcome::merged_snapshot`], but for shards that all
-    /// *continued from* `base` (a previously merged snapshot, typically
-    /// re-split with [`resplit_snapshot`]): every additive quantity —
-    /// tests, batches, cycles, generator statistics, mismatch counts —
-    /// subtracts the base once per later shard, so the shared prefix is
-    /// counted exactly once. Coverage and corpus unions are idempotent
-    /// and need no correction. This is the merge-then-continue seam the
-    /// orchestrator folds each generation through.
-    ///
-    /// # Panics
-    ///
-    /// Panics (by counter underflow) if a shard does not actually
-    /// descend from `base` — its counters would be below the base's.
-    pub fn merged_snapshot_over_base(&self, base: &CampaignSnapshot) -> CampaignSnapshot {
-        fold_snapshots(&self.snapshots, Some(base))
-    }
-
-    /// The merged snapshot rendered as a [`CampaignReport`].
-    pub fn merged_report(&self) -> CampaignReport {
-        self.merged_snapshot().report()
-    }
-
-    /// Merged cumulative coverage percentage.
-    pub fn merged_coverage_pct(&self) -> f64 {
-        self.merged_coverage().percent()
-    }
-
-    /// Wall clock of the merged run (the slowest shard, since shards run
-    /// in parallel).
-    pub fn wall(&self) -> Duration {
-        self.snapshots.iter().map(|s| s.wall).max().unwrap_or(Duration::ZERO)
-    }
+    Ok(fold_snapshots(snapshots, base))
 }
 
-/// The one merge fold behind [`ShardedOutcome::merged_snapshot`] (no
-/// base) and [`ShardedOutcome::merged_snapshot_over_base`] (every shard
-/// continued from `base`, which must be subtracted from each later
-/// shard's additive counters exactly once — shard 0's copy of the base
-/// is the one that stays).
+/// The fold behind [`merge_snapshots`], over validated, non-empty input.
+/// With a `base`, the base is subtracted from each later shard's
+/// additive counters exactly once — shard 0's copy of the base is the
+/// one that stays.
 fn fold_snapshots(
     snapshots: &[CampaignSnapshot],
     base: Option<&CampaignSnapshot>,
@@ -700,7 +308,7 @@ fn fold_snapshots(
         }
     }
     let previous = CovMap::union(snapshots.iter().map(|s| s.calculator.previous_batch_total()))
-        .expect("outcome always has at least one shard");
+        .expect("merge_snapshots rejects an empty shard list");
     merged.calculator = Calculator::from_parts(running, previous);
     merged
 }
@@ -775,8 +383,10 @@ pub fn resplit_snapshot(merged: &CampaignSnapshot, lease_seed: u64) -> CampaignS
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+
     use super::*;
-    use crate::campaign::{CampaignBuilder, DutFactory};
+    use crate::campaign::{CampaignBuilder, DutFactory, StopCondition};
     use chatfuzz_baselines::RandomRegression;
     use chatfuzz_rtl::{BugConfig, Dut, Rocket, RocketConfig};
 
@@ -787,17 +397,21 @@ mod tests {
         })
     }
 
-    fn runner(
-        tests: usize,
-    ) -> InProcessRunner<impl Fn(ShardSpec) -> (Campaign<'static>, Vec<StopCondition>) + Sync> {
-        InProcessRunner::new(move |spec: ShardSpec| {
-            let campaign = CampaignBuilder::from_factory(factory())
-                .batch_size(16)
-                .workers(2)
-                .generator(RandomRegression::new(spec.seed, 16))
-                .build();
-            (campaign, vec![StopCondition::Tests(tests)])
-        })
+    /// Runs `shards` shard campaigns of `tests` tests each by hand, shard
+    /// `i` seeded with `shard_seed(base_seed, i)`, and returns their
+    /// snapshots in shard order.
+    fn run_shards(shards: usize, base_seed: u64, tests: usize) -> Vec<CampaignSnapshot> {
+        (0..shards)
+            .map(|i| {
+                let mut campaign = CampaignBuilder::from_factory(factory())
+                    .batch_size(16)
+                    .workers(2)
+                    .generator(RandomRegression::new(shard_seed(base_seed, i), 16))
+                    .build();
+                campaign.run_until(&[StopCondition::Tests(tests)]);
+                campaign.snapshot()
+            })
+            .collect()
     }
 
     #[test]
@@ -814,20 +428,18 @@ mod tests {
 
     #[test]
     fn sharded_run_merges_counters_and_coverage() {
-        let sharded = ShardedCampaign::new(runner(32), 3, 11);
-        let outcome = sharded.run().expect("shards succeed");
-        assert_eq!(outcome.shards(), 3);
-        let merged = outcome.merged_snapshot();
+        let shards = run_shards(3, 11, 32);
+        let merged = merge_snapshots(&shards, None).expect("shards merge");
         assert_eq!(merged.tests_run(), 96, "3 shards × 32 tests");
         // Union ≥ any single shard.
-        let union = outcome.merged_coverage();
-        for s in outcome.shard_snapshots() {
+        let union = CovMap::union(shards.iter().map(|s| s.coverage())).expect("non-empty");
+        for s in &shards {
             assert!(s.coverage().is_subset_of(&union));
             assert!(s.coverage().covered_bins() <= union.covered_bins());
         }
         assert_eq!(merged.coverage().covered_bins(), union.covered_bins());
         // History stays strictly increasing in tests and monotone in bins.
-        let report = outcome.merged_report();
+        let report = merged.report();
         for pair in report.history.windows(2) {
             assert!(pair[1].tests > pair[0].tests);
             assert!(pair[1].covered_bins >= pair[0].covered_bins);
@@ -836,10 +448,8 @@ mod tests {
 
     #[test]
     fn merged_snapshot_is_resumable() {
-        let sharded = ShardedCampaign::new(runner(32), 2, 5);
-        let outcome = sharded.run().expect("shards succeed");
-        let merged = outcome.merged_snapshot();
-        let tests_so_far = merged.tests_run();
+        let merged = merge_snapshots(&run_shards(2, 5, 32), None).expect("shards merge");
+        let (tests_so_far, merged_pct) = (merged.tests_run(), merged.coverage_pct());
         let mut resumed = CampaignBuilder::from_factory(factory())
             .batch_size(16)
             .workers(2)
@@ -848,26 +458,12 @@ mod tests {
             .build();
         let report = resumed.run_until(&[StopCondition::Tests(tests_so_far + 32)]);
         assert_eq!(report.tests_run, tests_so_far + 32);
-        assert!(report.final_coverage_pct >= outcome.merged_coverage_pct());
-    }
-
-    #[test]
-    fn proto_assignment_round_trips_through_any_carrier() {
-        let spec = ShardSpec { index: 3, shards: 8, seed: 0xDEAD_BEEF };
-        let assignment = proto::Assignment::new(spec, "/tmp/shard-3.json");
-        let pairs: std::collections::HashMap<&str, String> =
-            assignment.pairs().into_iter().collect();
-        let decoded = proto::Assignment::from_lookup(|key| pairs.get(key).cloned())
-            .expect("assignment present");
-        assert_eq!(decoded, assignment);
-        // An empty carrier holds no assignment (the common non-worker case).
-        assert!(proto::Assignment::from_lookup(|_| None).is_none());
+        assert!(report.final_coverage_pct >= merged_pct);
     }
 
     #[test]
     fn base_delta_merge_counts_the_shared_prefix_once() {
-        let base =
-            ShardedCampaign::new(runner(32), 2, 7).run().expect("base shards").merged_snapshot();
+        let base = merge_snapshots(&run_shards(2, 7, 32), None).expect("base shards merge");
 
         // Two leases continue from the same merged base.
         let mut leases = Vec::new();
@@ -884,8 +480,7 @@ mod tests {
         let raw_deltas: usize =
             leases.iter().map(|l| l.log.raw_count() - base.log.raw_count()).sum();
 
-        let outcome = ShardedOutcome::new(leases).expect("leases merge");
-        let merged = outcome.merged_snapshot_over_base(&base);
+        let merged = merge_snapshots(&leases, Some(&base)).expect("leases merge");
         assert_eq!(
             merged.tests_run(),
             base.tests_run() + 64,
@@ -953,9 +548,8 @@ mod tests {
             c.step_batch();
             c.snapshot()
         };
-        match ShardedOutcome::new(vec![a, b]) {
-            Err(ShardError::Merge(msg)) => assert!(msg.contains("line-up"), "{msg}"),
-            other => panic!("expected merge error, got {:?}", other.err()),
-        }
+        let err = merge_snapshots(&[a, b], None).expect_err("mixed line-ups must not merge");
+        assert!(err.to_string().contains("line-up"), "{err}");
+        assert!(merge_snapshots(&[], None).is_err(), "nothing to merge is an error too");
     }
 }

@@ -1,11 +1,15 @@
 //! Campaign orchestration: elastic worker fleets with leases,
 //! merge-then-continue, and a streaming status API.
 //!
-//! The `shard` module in the core crate scales one campaign across N
-//! workers *once*: split, run, merge. This crate makes that loop
-//! long-lived and fault-tolerant. An [`Orchestrator`] owns a registry of
-//! tenant campaigns ([`FleetConfig`]), splits each into shard **leases**,
-//! and hands the leases to workers over a pluggable [`Transport`]:
+//! The `shard` module in the core crate holds the arithmetic of scaling
+//! one campaign across N workers: per-shard seeds and the snapshot
+//! merge. This crate runs the shards, and it is the only thing that
+//! does: a one-shot sharded campaign is a one-generation fleet
+//! (`lease_tests == total_tests / fan_out`), and longer fleets merge on
+//! a cadence, keep going, and survive losing workers. An
+//! [`Orchestrator`] owns a registry of tenant campaigns
+//! ([`FleetConfig`]), splits each into shard **leases**, and hands the
+//! leases to workers over a pluggable [`Transport`]:
 //!
 //! * [`LocalPoolTransport`] — N worker threads in this process, fed from
 //!   a shared queue;
@@ -70,13 +74,13 @@
 //! # Merge-then-continue
 //!
 //! On a configurable cadence (`lease_tests` per generation) the
-//! orchestrator collects all shard snapshots, merges them with the
-//! sharding merge (coverage unions, corpora pool, counters add once over
-//! the shared base), optionally distills the pooled corpus, and
-//! re-splits the merged snapshot into a fresh fan-out — every shard of
-//! the next generation continues from pooled coverage and a pooled
-//! corpus instead of its own island, with freshly decorrelated RNG
-//! streams.
+//! orchestrator collects all shard snapshots, merges them with
+//! `chatfuzz::shard::merge_snapshots` (coverage unions, corpora pool,
+//! counters add once over the shared base), optionally distills the
+//! pooled corpus, and re-splits the merged snapshot into a fresh
+//! fan-out — every shard of the next generation continues from pooled
+//! coverage and a pooled corpus instead of its own island, with freshly
+//! decorrelated RNG streams.
 //!
 //! # Status
 //!

@@ -24,7 +24,7 @@ use std::time::{Duration, Instant};
 
 use chatfuzz::campaign::{CampaignSnapshot, StopCondition};
 use chatfuzz::persist::Recovery;
-use chatfuzz::shard::{resplit_snapshot, shard_seed, ShardError, ShardSpec, ShardedOutcome};
+use chatfuzz::shard::{merge_snapshots, resplit_snapshot, shard_seed, MergeError, ShardSpec};
 use chatfuzz_baselines::ArmStatus;
 use chatfuzz_coverage::Space;
 use chatfuzz_telemetry::{names, TelemetrySink};
@@ -43,7 +43,7 @@ pub enum OrchestrateError {
         detail: String,
     },
     /// Completed shard snapshots refused to merge.
-    Merge(ShardError),
+    Merge(MergeError),
     /// A lease burned through its attempt budget without completing.
     LeaseExhausted {
         /// The lease that kept dying.
@@ -144,9 +144,10 @@ impl FleetConfig {
 }
 
 /// The seed for one lease's shard spec. Generation 0 must stay plain
-/// `shard_seed(base, index)` so a 1-wide, 1-generation fleet reproduces a
-/// plain sharded campaign bit for bit; later generations salt by
-/// generation so re-split streams never repeat.
+/// `shard_seed(base, index)` so a one-generation fleet reproduces its
+/// shards run by hand and merged with `merge_snapshots` bit for bit;
+/// later generations salt by generation so re-split streams never
+/// repeat.
 fn lease_seed(base: u64, generation: u64, index: usize) -> u64 {
     if generation == 0 {
         shard_seed(base, index)
@@ -925,11 +926,8 @@ impl<T: Transport> Orchestrator<T> {
                 _ => unreachable!("finish_generation runs on terminal leases"),
             })
             .collect();
-        let outcome = ShardedOutcome::new(snapshots).map_err(OrchestrateError::Merge)?;
-        let mut merged = match &tenant.base {
-            None => outcome.merged_snapshot(),
-            Some(base) => outcome.merged_snapshot_over_base(base),
-        };
+        let mut merged =
+            merge_snapshots(&snapshots, tenant.base.as_ref()).map_err(OrchestrateError::Merge)?;
         if let Some(distill) = &tenant.config.distill {
             distill(&mut merged);
         }

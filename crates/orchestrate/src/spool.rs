@@ -18,21 +18,30 @@
 //!
 //! `<lease>` is the attempt-scoped stem `c{campaign}-g{gen}-l{index}-a{attempt}`,
 //! so a revoked attempt's late artefacts can never collide with its
-//! reissue. The shard half of a work order rides the same four
-//! `CHATFUZZ_SHARD_*` keys the subprocess sharding protocol uses,
-//! encoded and decoded by [`chatfuzz::shard::proto::Assignment`].
+//! reissue. The shard half of a work order (shard index, count, seed,
+//! and the result path) is encoded and decoded by one codec,
+//! `Assignment`.
+//!
+//! A worker decodes each claimed order once, into a checked order or a
+//! typed error. An order it cannot serve — a missing key, a garbled or
+//! overflowing number, an unknown campaign, a resume snapshot that will
+//! not load — stays in `claimed/` and is reported as a `lease_rejected`
+//! telemetry event, and the worker keeps serving; the orchestrator's
+//! heartbeat deadline then revokes and reissues the lease.
 
 use std::collections::BTreeMap;
+use std::fmt;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
+use std::str::FromStr;
 use std::sync::Arc;
 use std::time::Duration;
 
-use chatfuzz::campaign::{BatchOutcome, StopCondition};
+use chatfuzz::campaign::{BatchOutcome, CampaignSnapshot, StopCondition};
 use chatfuzz::faults::FaultPlan;
-use chatfuzz::persist::Recovery;
-use chatfuzz::shard::proto::Assignment;
+use chatfuzz::persist::{PersistError, Recovery};
+use chatfuzz::shard::ShardSpec;
 use chatfuzz_coverage::Space;
 
 use crate::lease::{artefact_stem, LeaseBuilder, LeaseId, WorkOrder};
@@ -180,6 +189,97 @@ fn decode_flat(text: &str) -> Option<BTreeMap<String, String>> {
 }
 
 // ---------------------------------------------------------------------------
+// Work orders: the raw map, its shard half, decode errors, the checked form.
+// ---------------------------------------------------------------------------
+
+/// A work order as read from its lease file, before any field is checked.
+type Order = BTreeMap<String, String>;
+
+/// Why a claimed work order cannot be served.
+#[derive(Debug)]
+enum OrderError {
+    /// The file is unreadable or not a flat JSON object of strings.
+    Malformed,
+    /// A required key is absent.
+    Missing(&'static str),
+    /// A numeric key is garbled, negative, overflows its type, or is
+    /// out of range.
+    Invalid { key: &'static str, value: String },
+    /// No template is registered under the order's campaign name.
+    UnknownCampaign(String),
+    /// The resume snapshot the order points at does not load.
+    Resume(PersistError),
+}
+
+impl fmt::Display for OrderError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            OrderError::Malformed => f.write_str("unreadable or not a flat JSON object"),
+            OrderError::Missing(key) => write!(f, "missing `{key}`"),
+            OrderError::Invalid { key, value } => write!(f, "bad `{key}`: `{value}`"),
+            OrderError::UnknownCampaign(name) => {
+                write!(f, "no template registered for campaign `{name}`")
+            }
+            OrderError::Resume(e) => write!(f, "resume snapshot: {e}"),
+        }
+    }
+}
+
+fn text<'a>(order: &'a Order, key: &'static str) -> Result<&'a str, OrderError> {
+    order.get(key).map(String::as_str).ok_or(OrderError::Missing(key))
+}
+
+fn number<T: FromStr>(order: &Order, key: &'static str) -> Result<T, OrderError> {
+    let value = text(order, key)?;
+    value.parse().map_err(|_| OrderError::Invalid { key, value: value.to_string() })
+}
+
+/// The shard half of a work order: the spec a worker instantiates its
+/// template with, and where it must write the finished snapshot.
+/// [`Assignment::pairs`] is the one encoder and [`Assignment::decode`]
+/// the one decoder.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct Assignment {
+    spec: ShardSpec,
+    out: PathBuf,
+}
+
+impl Assignment {
+    /// The four lease-file pairs, in canonical order.
+    fn pairs(&self) -> [(&'static str, String); 4] {
+        [
+            ("shard_index", self.spec.index.to_string()),
+            ("shard_count", self.spec.shards.to_string()),
+            ("shard_seed", self.spec.seed.to_string()),
+            ("result_path", self.out.display().to_string()),
+        ]
+    }
+
+    fn decode(order: &Order) -> Result<Assignment, OrderError> {
+        let spec = ShardSpec {
+            index: number(order, "shard_index")?,
+            shards: number(order, "shard_count")?,
+            seed: number(order, "shard_seed")?,
+        };
+        Ok(Assignment { spec, out: PathBuf::from(text(order, "result_path")?) })
+    }
+}
+
+/// A claimed order whose every field checked out: serving it parses
+/// nothing further.
+struct DecodedOrder<'w> {
+    lease: LeaseId,
+    attempt: u32,
+    assignment: Assignment,
+    build: &'w LeaseBuilder,
+    stop: StopCondition,
+    checkpoint_every: usize,
+    checkpoint: PathBuf,
+    heartbeat: PathBuf,
+    resume: Option<CampaignSnapshot>,
+}
+
+// ---------------------------------------------------------------------------
 // Orchestrator side.
 // ---------------------------------------------------------------------------
 
@@ -302,8 +402,7 @@ impl Transport for SpoolTransport {
         }
         let checkpoint =
             crate::lease::checkpoint_path(&self.root.join(CHECKPOINTS), order.lease, order.attempt);
-        let assignment = Assignment::new(order.spec, &result);
-        let shard_pairs = assignment.pairs();
+        let shard_pairs = Assignment { spec: order.spec, out: result.clone() }.pairs();
         let lease = order.lease;
         let numbers = [
             ("lease_campaign", lease.campaign.to_string()),
@@ -497,7 +596,7 @@ impl SpoolWorker {
     }
 
     /// Serves work orders until the shutdown marker appears. Returns the
-    /// number of leases completed.
+    /// number of leases completed; rejected orders do not count.
     pub fn serve(&self) -> usize {
         let mut served = 0;
         loop {
@@ -505,17 +604,15 @@ impl SpoolWorker {
                 return served;
             }
             match self.claim_next() {
-                Some(order) => {
-                    self.serve_order(&order);
-                    served += 1;
-                }
+                Some(claimed) => served += usize::from(self.serve_claimed(&claimed)),
                 None => std::thread::sleep(self.poll_interval),
             }
         }
     }
 
-    /// Claims the oldest unclaimed work order, if any.
-    fn claim_next(&self) -> Option<BTreeMap<String, String>> {
+    /// Claims the oldest unclaimed work order, if any, and returns the
+    /// claimed file.
+    fn claim_next(&self) -> Option<PathBuf> {
         let mut names: Vec<String> = std::fs::read_dir(self.root.join(INBOX))
             .ok()?
             .filter_map(|e| e.ok())
@@ -529,45 +626,80 @@ impl SpoolWorker {
             // The rename is the claim: exactly one worker wins it, losers
             // move on to the next order.
             if std::fs::rename(&from, &to).is_ok() {
-                if let Some(map) = std::fs::read_to_string(&to).ok().and_then(|t| decode_flat(&t)) {
-                    return Some(map);
-                }
+                return Some(to);
             }
         }
         None
     }
 
-    /// Runs one claimed order to completion and publishes the result.
-    fn serve_order(&self, order: &BTreeMap<String, String>) {
-        let assignment = Assignment::from_lookup(|key| order.get(key).cloned())
-            .expect("spool lease carries a shard assignment");
-        let campaign = order.get("campaign").expect("spool lease names its campaign");
+    /// Decodes one claimed order and runs it. An order that does not
+    /// decode is left in `claimed/` and reported through telemetry; no
+    /// result ever appears for it, so the orchestrator's heartbeat
+    /// deadline revokes and reissues the lease. Returns whether the
+    /// order was served.
+    fn serve_claimed(&self, claimed: &Path) -> bool {
+        let order = std::fs::read_to_string(claimed).ok().and_then(|text| decode_flat(&text));
+        match order.ok_or(OrderError::Malformed).and_then(|order| self.decode(&order)) {
+            Ok(order) => {
+                self.serve_order(order);
+                true
+            }
+            Err(error) => {
+                let sink = chatfuzz_telemetry::global();
+                if sink.is_enabled() {
+                    sink.event(
+                        "lease_rejected",
+                        vec![
+                            ("file", claimed.display().to_string().into()),
+                            ("error", error.to_string().into()),
+                        ],
+                    );
+                    let _ = sink.flush_trace();
+                }
+                false
+            }
+        }
+    }
+
+    /// Checks every field of a claimed order against this worker's
+    /// templates, loading the resume snapshot last.
+    fn decode(&self, order: &Order) -> Result<DecodedOrder<'_>, OrderError> {
+        let campaign = text(order, "campaign")?;
         let (_, build, space) = self
             .templates
             .iter()
             .find(|(name, ..)| name == campaign)
-            .unwrap_or_else(|| panic!("no template registered for campaign `{campaign}`"));
-        let field = |key: &str| {
-            order
-                .get(key)
-                .unwrap_or_else(|| panic!("spool lease missing `{key}`"))
-                .parse::<u64>()
-                .unwrap_or_else(|_| panic!("spool lease field `{key}` is not a number"))
+            .ok_or_else(|| OrderError::UnknownCampaign(campaign.to_string()))?;
+        let checkpoint_every = match number(order, "ckpt_every")? {
+            0 => return Err(OrderError::Invalid { key: "ckpt_every", value: "0".to_string() }),
+            every => every,
         };
-        let stop = StopCondition::Tests(field("stop_tests") as usize);
-        let checkpoint_every = field("ckpt_every") as usize;
-        let checkpoint = PathBuf::from(order.get("ckpt_path").expect("ckpt_path"));
-        let heartbeat = PathBuf::from(order.get("hb_path").expect("hb_path"));
-        let attempt = field("attempt");
-        let resume = order.get("resume_path").map(|path| {
-            chatfuzz::load_snapshot(Path::new(path), space).expect("spool resume snapshot loads")
-        });
+        let mut decoded = DecodedOrder {
+            lease: LeaseId {
+                campaign: number(order, "lease_campaign")?,
+                generation: number(order, "lease_generation")?,
+                index: number(order, "lease_index")?,
+            },
+            attempt: number(order, "attempt")?,
+            assignment: Assignment::decode(order)?,
+            build,
+            stop: StopCondition::Tests(number(order, "stop_tests")?),
+            checkpoint_every,
+            checkpoint: PathBuf::from(text(order, "ckpt_path")?),
+            heartbeat: PathBuf::from(text(order, "hb_path")?),
+            resume: None,
+        };
+        if let Some(path) = order.get("resume_path") {
+            let snapshot = chatfuzz::load_snapshot(Path::new(path), space);
+            decoded.resume = Some(snapshot.map_err(OrderError::Resume)?);
+        }
+        Ok(decoded)
+    }
+
+    /// Runs one decoded order to completion and publishes the result.
+    fn serve_order(&self, order: DecodedOrder<'_>) {
+        let (lease, attempt, heartbeat) = (order.lease, order.attempt, order.heartbeat);
         let pid = std::process::id();
-        let lease = LeaseId {
-            campaign: field("lease_campaign") as usize,
-            generation: field("lease_generation"),
-            index: field("lease_index") as usize,
-        };
         // A TelemetrySink handle cannot cross the exec boundary, so the
         // worker falls back to its process-global sink. When one is
         // installed, the lease's timeline lands in an attempt-scoped
@@ -575,7 +707,7 @@ impl SpoolWorker {
         // revoked attempt's late events never mix with its reissue's.
         let sink = chatfuzz_telemetry::global().clone();
         if sink.is_enabled() {
-            let stem = artefact_stem(lease, attempt as u32);
+            let stem = artefact_stem(lease, attempt);
             let trace = self.root.join(TRACES).join(format!("{stem}.trace.jsonl"));
             let _ = sink.trace_to(&trace);
             sink.event(
@@ -588,9 +720,9 @@ impl SpoolWorker {
             );
         }
         let mut seq: u64 = 0;
-        let mut builder = (build)(assignment.spec)
+        let mut builder = (order.build)(order.assignment.spec)
             .telemetry(sink.clone())
-            .auto_checkpoint(checkpoint, checkpoint_every)
+            .auto_checkpoint(order.checkpoint, order.checkpoint_every)
             .observer(move |outcome: &BatchOutcome| {
                 seq += 1;
                 if chatfuzz::faults::active().is_some_and(|plan| plan.drop_heartbeat()) {
@@ -604,12 +736,12 @@ impl SpoolWorker {
                 ]);
                 let _ = atomic_write(&heartbeat, &doc);
             });
-        if let Some(snapshot) = resume {
+        if let Some(snapshot) = order.resume {
             builder = builder.resume(snapshot);
         }
         let mut session = builder.build();
-        session.run_until(&[stop]);
-        chatfuzz::save_snapshot(assignment.out_path(), &session.snapshot())
+        session.run_until(&[order.stop]);
+        chatfuzz::save_snapshot(&order.assignment.out, &session.snapshot())
             .expect("spool result snapshot writes");
         // Drain this lease's timeline before the claim loop moves on —
         // the next order may retarget the trace to a different stem.
@@ -620,6 +752,9 @@ impl SpoolWorker {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use chatfuzz::campaign::CampaignBuilder;
+    use chatfuzz_baselines::RandomRegression;
+    use chatfuzz_rtl::{Dut, Rocket, RocketConfig};
 
     #[test]
     fn flat_json_round_trips_awkward_strings() {
@@ -655,10 +790,11 @@ mod tests {
             .expect("seed inbox");
         }
         let first = worker.claim_next().expect("first claim");
-        assert_eq!(first.get("campaign").map(String::as_str), Some("c0-g0-l0-a0"));
+        assert_eq!(first, dir.join(CLAIMED).join("c0-g0-l0-a0.json"));
         let second = worker.claim_next().expect("second claim");
-        assert_eq!(second.get("campaign").map(String::as_str), Some("c0-g0-l1-a0"));
+        assert_eq!(second, dir.join(CLAIMED).join("c0-g0-l1-a0.json"));
         assert!(worker.claim_next().is_none(), "both orders are claimed");
+        drop(transport); // its shutdown marker would recreate the directory
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -682,6 +818,142 @@ mod tests {
         for keep in ["c0.ckpt.json", "c0.ckpt.json.1", "c0.ckpt.json.quarantined"] {
             assert!(ckpts.join(keep).exists(), "{keep} must survive the sweep");
         }
+        drop(transport); // its shutdown marker would recreate the directory
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn assignment_round_trips_through_the_lease_codec() {
+        let spec = ShardSpec { index: 3, shards: 8, seed: 0xDEAD_BEEF };
+        let assignment = Assignment { spec, out: PathBuf::from("outbox/c0-g0-l3-a0.json") };
+        let order: Order =
+            assignment.pairs().into_iter().map(|(key, value)| (key.to_string(), value)).collect();
+        assert_eq!(Assignment::decode(&order).expect("encoder output decodes"), assignment);
+    }
+
+    const CAMPAIGN: &str = "rocket";
+
+    fn worker(dir: &Path) -> SpoolWorker {
+        let space = Rocket::new(RocketConfig::default()).space().clone();
+        let template: LeaseBuilder = Arc::new(|spec: ShardSpec| {
+            CampaignBuilder::new(|| Box::new(Rocket::new(RocketConfig::default())) as Box<dyn Dut>)
+                .batch_size(8)
+                .workers(1)
+                .generator(RandomRegression::new(spec.seed, 16))
+        });
+        SpoolWorker::new(dir).register(CAMPAIGN, space, template)
+    }
+
+    /// Writes lease `index`'s order into the inbox through the real
+    /// encoder and returns its result path.
+    fn dispatch(transport: &mut SpoolTransport, worker: &SpoolWorker, index: usize) -> PathBuf {
+        let (_, build, space) = &worker.templates[0];
+        let lease = LeaseId { campaign: 0, generation: 0, index };
+        let order = WorkOrder {
+            lease,
+            attempt: 0,
+            campaign: CAMPAIGN.to_string(),
+            spec: ShardSpec { index, shards: 2, seed: 7 + index as u64 },
+            resume: None,
+            stop: StopCondition::Tests(16),
+            checkpoint_every: 4,
+            build: build.clone(),
+            space: space.clone(),
+            telemetry: chatfuzz_telemetry::TelemetrySink::disabled(),
+        };
+        transport.dispatch(order).expect("dispatch");
+        transport.stem_paths(lease, 0).3
+    }
+
+    /// Every way a lease file can be malformed decodes to a typed error:
+    /// a deleted key, a garbled or overflowing number, a zero checkpoint
+    /// cadence, an unknown campaign, a resume snapshot that will not
+    /// load. None of them panics.
+    #[test]
+    fn malformed_orders_are_typed_errors_not_panics() {
+        let dir =
+            std::env::temp_dir().join(format!("chatfuzz-spool-decode-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut transport = SpoolTransport::new(&dir).expect("spool dirs");
+        let worker = worker(&dir);
+        dispatch(&mut transport, &worker, 0);
+        let claimed = worker.claim_next().expect("claim the order");
+        let text = std::fs::read_to_string(&claimed).expect("read the order");
+        let valid = decode_flat(&text).expect("the encoder writes flat JSON");
+        let decoded = worker.decode(&valid).expect("a dispatched order decodes");
+        assert_eq!(decoded.lease, LeaseId { campaign: 0, generation: 0, index: 0 });
+        assert_eq!(decoded.assignment.spec, ShardSpec { index: 0, shards: 2, seed: 7 });
+        assert_eq!(decoded.stop, StopCondition::Tests(16));
+
+        let rejects = |order: &Order, what: &str| {
+            assert!(worker.decode(order).is_err(), "{what} must be rejected");
+        };
+        for key in valid.keys() {
+            let mut order = valid.clone();
+            order.remove(key);
+            rejects(&order, &format!("an order without `{key}`"));
+        }
+        let numeric = [
+            "shard_index",
+            "shard_count",
+            "shard_seed",
+            "lease_campaign",
+            "lease_generation",
+            "lease_index",
+            "attempt",
+            "stop_tests",
+            "ckpt_every",
+        ];
+        for key in numeric {
+            for garbled in ["", "x", "-1", "1.5", "0x10", "18446744073709551616"] {
+                let mut order = valid.clone();
+                order.insert(key.to_string(), garbled.to_string());
+                rejects(&order, &format!("`{key}` = `{garbled}`"));
+            }
+        }
+        let with = |key: &str, value: &str| {
+            let mut order = valid.clone();
+            order.insert(key.to_string(), value.to_string());
+            order
+        };
+        rejects(&with("attempt", "4294967296"), "an attempt past u32");
+        rejects(&with("ckpt_every", "0"), "a zero checkpoint cadence");
+        rejects(&with("campaign", "unknown"), "an unknown campaign");
+        let missing = dir.join(RESUMES).join("missing.json");
+        rejects(&with("resume_path", &missing.display().to_string()), "a missing resume snapshot");
+        drop(transport);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// One garbage order does not take the worker down: it stays in
+    /// `claimed/`, and the valid order behind it completes.
+    #[test]
+    fn a_garbage_order_does_not_stop_the_worker() {
+        let dir =
+            std::env::temp_dir().join(format!("chatfuzz-spool-garbage-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut transport = SpoolTransport::new(&dir).expect("spool dirs");
+        let worker = worker(&dir);
+        // Sorts ahead of the valid order, so it is claimed first.
+        let garbage = dir.join(INBOX).join("c0-g0-l0-a0.json");
+        atomic_write(&garbage, "{\"campaign\": \"rocket\", \"attempt\": ").expect("garbage");
+        let result = dispatch(&mut transport, &worker, 1);
+        let served = std::thread::scope(|scope| {
+            let serving = scope.spawn(|| worker.serve());
+            let deadline = std::time::Instant::now() + Duration::from_secs(120);
+            while !result.exists() {
+                assert!(std::time::Instant::now() < deadline, "the valid order never completed");
+                std::thread::sleep(Duration::from_millis(5));
+            }
+            transport.shutdown();
+            serving.join().expect("the worker survives a garbage order")
+        });
+        assert_eq!(served, 1, "only the valid order counts as served");
+        assert!(dir.join(CLAIMED).join("c0-g0-l0-a0.json").exists(), "garbage stays claimed");
+        let space = Rocket::new(RocketConfig::default()).space().clone();
+        let snapshot = chatfuzz::load_snapshot(&result, &space).expect("result loads");
+        assert_eq!(snapshot.tests_run(), 16);
+        drop(transport);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

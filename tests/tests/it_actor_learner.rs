@@ -24,7 +24,7 @@ use chatfuzz::campaign::{Campaign, CampaignBuilder, CampaignSnapshot, StopCondit
 use chatfuzz::generator::{LmGenerator, LmGeneratorConfig};
 use chatfuzz::persist::load_snapshot;
 use chatfuzz::report;
-use chatfuzz::shard::{shard_seed, ShardSpec, ShardedOutcome};
+use chatfuzz::shard::{merge_snapshots, shard_seed, ShardSpec};
 use chatfuzz_baselines::{Feedback, InputGenerator, PendingRollout};
 use chatfuzz_corpus::{CorpusConfig, CorpusGenerator};
 use chatfuzz_evolve::{EvolveConfig, EvolveGenerator};
@@ -288,8 +288,7 @@ fn sharded_merge_pools_rollouts_prompt_pools_and_epochs() {
     };
     assert!(corpus_len(&s1) > 0, "shard 1 retained corpus seeds to contribute");
 
-    let merged =
-        ShardedOutcome::new(vec![s0.clone(), s1.clone()]).expect("mergeable").merged_snapshot();
+    let merged = merge_snapshots(&[s0.clone(), s1.clone()], None).expect("mergeable");
     let mm = lm_model(&merged);
 
     // Weights stay shard 0's wholesale.
@@ -329,7 +328,7 @@ fn sharded_merge_pools_rollouts_prompt_pools_and_epochs() {
     // Prompt pools union.
     assert!(mm.prompt_pool.len() >= m0.prompt_pool.len().max(m1.prompt_pool.len()));
     // A 1-shard merge stays byte-identical: no synthetic state appears.
-    let solo = ShardedOutcome::new(vec![s0.clone()]).expect("mergeable").merged_snapshot();
+    let solo = merge_snapshots(std::slice::from_ref(&s0), None).expect("mergeable");
     assert_eq!(lm_model(&solo), m0, "1-shard merge leaves model state untouched");
 }
 

@@ -169,6 +169,13 @@ fn crash_at_every_persist_boundary_resumes_identically() {
             expect_tests,
             "boundary {boundary}: recovered checkpoint depth is off"
         );
+        // Rotation hard-links the live file into the lineage, so even a
+        // crash mid-checkpoint leaves the live name on a complete
+        // checkpoint: no fallback is needed.
+        assert_eq!(
+            recovery.fallback_depth, 0,
+            "boundary {boundary}: the live checkpoint file went missing"
+        );
         assert_eq!(
             resumed, reference,
             "boundary {boundary}: resumed run diverged from the loss-free reference"

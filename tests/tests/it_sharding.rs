@@ -1,150 +1,230 @@
-//! Integration: sharded campaigns — union semantics, monotonicity in the
-//! shard count, 1-shard equivalence with a plain campaign, and the
-//! cross-process worker protocol (8-shard smoke run spawning this very
-//! test binary as the worker).
+//! Integration: sharded campaigns, run as one-generation orchestrator
+//! fleets — union semantics, monotonicity in the fan-out, 1-lease
+//! equivalence with a plain campaign, equality with `merge_snapshots` of
+//! the same leases run by hand, and the cross-process path (an 8-lease
+//! spool fleet whose workers are this very test binary).
 
-use std::sync::Arc;
+use std::time::{Duration, Instant};
 
-use chatfuzz::campaign::{Campaign, CampaignBuilder, StopCondition};
+use chatfuzz::campaign::{CampaignBuilder, CampaignSnapshot, StopCondition};
 use chatfuzz::report;
-use chatfuzz::shard::{
-    shard_seed, InProcessRunner, ProcessShardRunner, ShardSpec, ShardedCampaign, WorkerRequest,
-};
+use chatfuzz::shard::{merge_snapshots, shard_seed, ShardSpec};
 use chatfuzz_baselines::RandomRegression;
 use chatfuzz_coverage::CovMap;
 use chatfuzz_evolve::{EvolveConfig, EvolveGenerator};
+use chatfuzz_orchestrate::{
+    FleetConfig, LocalPoolTransport, Orchestrator, SpoolTransport, SpoolWorker, Transport,
+};
 use chatfuzz_tests::rocket_factory;
 
 const SHARD_TESTS: usize = 64;
 const BATCH: usize = 16;
 
-/// The canonical shard campaign both the in-process runner and the
-/// cross-process worker build: every comparison in this file relies on
-/// them being the same function.
-fn build_shard(spec: ShardSpec) -> (Campaign<'static>, Vec<StopCondition>) {
-    let campaign = CampaignBuilder::from_factory(rocket_factory())
+/// The canonical random-arm lease template: local fleets, spool workers,
+/// and hand-run leases all build through it, so every comparison in this
+/// file relies on them being the same function.
+fn random_lease(spec: ShardSpec) -> CampaignBuilder<'static> {
+    CampaignBuilder::from_factory(rocket_factory())
         .batch_size(BATCH)
         .workers(2)
         .generator(RandomRegression::new(spec.seed, 16))
-        .build();
-    (campaign, vec![StopCondition::Tests(SHARD_TESTS)])
 }
 
-fn in_process(shards: usize, base_seed: u64) -> ShardedCampaign<impl chatfuzz::ShardRunner> {
-    ShardedCampaign::new(InProcessRunner::new(build_shard), shards, base_seed)
+/// The corpus-carrying template: random + evolve arms, so lease
+/// snapshots carry `Some` corpus state for the evolve slot.
+fn evolve_lease(spec: ShardSpec) -> CampaignBuilder<'static> {
+    random_lease(spec)
+        .generator(EvolveGenerator::new(EvolveConfig { seed: spec.seed, ..Default::default() }))
+}
+
+/// A one-shot sharded campaign: `fan_out` leases of `lease_tests` each,
+/// merged once (a single generation, since the total budget is exactly
+/// one round of leases).
+fn one_shot(
+    template: fn(ShardSpec) -> CampaignBuilder<'static>,
+    fan_out: usize,
+    base_seed: u64,
+    lease_tests: usize,
+) -> FleetConfig {
+    let space = rocket_factory()().space().clone();
+    FleetConfig {
+        fan_out,
+        lease_tests,
+        total_tests: fan_out * lease_tests,
+        // Queued leases send no heartbeats; only a hung worker should
+        // ever be revoked here.
+        heartbeat_deadline: Duration::from_secs(600),
+        ..FleetConfig::new("rocket-shards", base_seed, space, std::sync::Arc::new(template))
+    }
+}
+
+/// Runs a fleet to completion over `transport` and returns its merged
+/// snapshot, checking that it really was one generation.
+fn run_fleet<T: Transport>(transport: T, config: FleetConfig) -> CampaignSnapshot {
+    let mut orchestrator = Orchestrator::new(transport);
+    let campaign = orchestrator.register(config);
+    let deadline = Instant::now() + Duration::from_secs(600);
+    while !orchestrator.is_done() {
+        assert!(Instant::now() < deadline, "fleet did not finish in time");
+        orchestrator.step().expect("orchestrator step");
+        std::thread::sleep(Duration::from_millis(2));
+    }
+    orchestrator.shutdown();
+    let status = orchestrator.status();
+    assert_eq!(status.campaigns[0].generation, 0, "a one-shot fleet is one generation");
+    assert_eq!(status.campaigns[0].revoked_leases, 0);
+    orchestrator.final_snapshot(campaign).expect("finished fleet").clone()
+}
+
+/// A one-shot fleet over an in-process worker pool.
+fn local_fleet(config: FleetConfig, tag: &str) -> CampaignSnapshot {
+    let dir = std::env::temp_dir().join(format!("chatfuzz-it-shard-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let merged = run_fleet(LocalPoolTransport::new(2, &dir), config);
+    let _ = std::fs::remove_dir_all(&dir);
+    merged
+}
+
+/// The fleet's leases run by hand: lease `i` of generation 0 is the
+/// template at `shard_seed(base_seed, i)`, run to the lease budget.
+fn hand_run(config: &FleetConfig) -> Vec<CampaignSnapshot> {
+    (0..config.fan_out)
+        .map(|index| {
+            let spec = ShardSpec {
+                index,
+                shards: config.fan_out,
+                seed: shard_seed(config.base_seed, index),
+            };
+            let mut campaign = (config.build)(spec).build();
+            campaign.run_until(&[StopCondition::Tests(config.lease_tests)]);
+            campaign.snapshot()
+        })
+        .collect()
+}
+
+fn same_set(a: &CovMap, b: &CovMap) -> bool {
+    a.is_subset_of(b) && b.is_subset_of(a)
 }
 
 /// Worker role for the cross-process test: a no-op under plain
-/// `cargo test`, a shard worker when spawned with the `CHATFUZZ_SHARD_*`
-/// environment.
+/// `cargo test`, a spool worker when spawned with `CHATFUZZ_SPOOL_DIR`.
 #[test]
 fn role_shard_worker() {
-    let Some(request) = WorkerRequest::from_env() else {
+    let Some(worker) = SpoolWorker::from_env() else {
         return;
     };
-    let (mut campaign, stops) = build_shard(request.spec);
-    campaign.run_until(&stops);
-    request.fulfil(&campaign.snapshot()).expect("write shard snapshot");
+    let space = rocket_factory()().space().clone();
+    worker.register("rocket-shards", space, std::sync::Arc::new(random_lease)).serve();
 }
 
-/// The merged coverage map is exactly the union of the shard maps.
+/// The merged coverage map is exactly the union of the lease maps.
 #[test]
 fn merged_map_is_the_union_of_shard_maps() {
-    let outcome = in_process(3, 17).run().expect("shards run");
-    let merged = outcome.merged_coverage();
-    let explicit =
-        CovMap::union(outcome.shard_snapshots().iter().map(|s| s.coverage())).expect("non-empty");
-    assert!(merged.is_subset_of(&explicit) && explicit.is_subset_of(&merged));
-    assert_eq!(merged.covered_bins(), explicit.covered_bins());
-    // Every shard is contained; no shard alone reaches the union unless
-    // the shards fully overlap (they don't at these budgets).
-    for s in outcome.shard_snapshots() {
-        assert!(s.coverage().is_subset_of(&merged));
+    let config = one_shot(random_lease, 3, 17, SHARD_TESTS);
+    let leases = hand_run(&config);
+    let merged = local_fleet(config, "union");
+    let explicit = CovMap::union(leases.iter().map(|s| s.coverage())).expect("non-empty");
+    assert!(same_set(merged.coverage(), &explicit));
+    assert_eq!(merged.coverage().covered_bins(), explicit.covered_bins());
+    for lease in &leases {
+        assert!(lease.coverage().is_subset_of(merged.coverage()));
     }
-    // The merged snapshot's calculator carries the same union.
-    assert_eq!(outcome.merged_snapshot().coverage().covered_bins(), merged.covered_bins());
+    assert_eq!(merged.tests_run(), 3 * SHARD_TESTS);
 }
 
-/// Adding shards never loses coverage: shard seeds are independent of
-/// the shard count, so the N-shard union is a subset of the M-shard
-/// union for N ≤ M.
+/// Adding leases never loses coverage: lease seeds are independent of
+/// the fan-out, so the N-lease union is a subset of the M-lease union
+/// for N ≤ M.
 #[test]
 fn merged_coverage_is_monotone_in_shard_count() {
     let base_seed = 23;
-    let mut last_bins = 0usize;
-    let mut last_map: Option<CovMap> = None;
-    for shards in [1usize, 2, 4] {
-        let outcome = in_process(shards, base_seed).run().expect("shards run");
-        let map = outcome.merged_coverage();
-        assert!(
-            map.covered_bins() >= last_bins,
-            "{shards} shards covered {} bins, fewer than the previous count's {last_bins}",
-            map.covered_bins()
-        );
-        if let Some(previous) = &last_map {
+    let mut last: Option<CovMap> = None;
+    for fan_out in [1usize, 2, 4] {
+        let merged = local_fleet(one_shot(random_lease, fan_out, base_seed, SHARD_TESTS), "mono");
+        let map = merged.coverage().clone();
+        if let Some(previous) = &last {
+            assert!(
+                map.covered_bins() >= previous.covered_bins(),
+                "{fan_out} leases covered {} bins, fewer than the smaller fleet's {}",
+                map.covered_bins(),
+                previous.covered_bins()
+            );
             assert!(
                 previous.is_subset_of(&map),
-                "coverage of {shards} shards must contain the smaller run's"
+                "coverage of {fan_out} leases must contain the smaller fleet's"
             );
         }
-        last_bins = map.covered_bins();
-        last_map = Some(map);
+        last = Some(map);
     }
 }
 
-/// A 1-shard sharded campaign reports exactly what a plain campaign
-/// with the same (derived) seed reports — sharding adds no accounting
-/// noise. Canonical form: wall clock excluded.
+/// A 1-lease fleet reports exactly what a plain campaign with the same
+/// (derived) seed reports — sharding adds no accounting noise — and
+/// carries the same generator state. Canonical form: wall clock
+/// excluded.
 #[test]
 fn one_shard_equals_a_plain_campaign() {
-    let base_seed = 9;
-    let outcome = in_process(1, base_seed).run().expect("shard runs");
-    let sharded = report::json_canonical(&outcome.merged_report());
-
-    let (mut plain, stops) =
-        build_shard(ShardSpec { index: 0, shards: 1, seed: shard_seed(base_seed, 0) });
-    let plain_report = plain.run_until(&stops);
-    assert_eq!(sharded, report::json_canonical(&plain_report));
+    let config = one_shot(random_lease, 1, 9, SHARD_TESTS);
+    let plain = hand_run(&config).remove(0);
+    let merged = local_fleet(config, "one");
+    assert_eq!(report::json_canonical(&merged.report()), report::json_canonical(&plain.report()));
+    assert_eq!(merged.generator_states(), plain.generator_states());
 }
 
-/// The corpus-carrying shard campaign: random + evolve arms, so shard
-/// snapshots carry `Some` corpus state for the evolve slot.
-fn build_evolve_shard(spec: ShardSpec) -> (Campaign<'static>, Vec<StopCondition>) {
-    let campaign = CampaignBuilder::from_factory(rocket_factory())
-        .batch_size(BATCH)
-        .workers(2)
-        .generator(RandomRegression::new(spec.seed, 16))
-        .generator(EvolveGenerator::new(EvolveConfig { seed: spec.seed, ..Default::default() }))
-        .build();
-    (campaign, vec![StopCondition::Tests(SHARD_TESTS * 2)])
+/// The 1-lease identity holds for corpus-carrying snapshots too: a
+/// 1-lease fleet is the plain campaign, corpus included.
+#[test]
+fn one_shard_identity_holds_with_a_corpus() {
+    let config = one_shot(evolve_lease, 1, 13, 2 * SHARD_TESTS);
+    let plain = hand_run(&config).remove(0);
+    let merged = local_fleet(config, "one-corpus");
+    assert_eq!(
+        report::json_canonical(&merged.report()),
+        report::json_canonical(&plain.report()),
+        "1-lease merged report is the plain report"
+    );
+    assert_eq!(
+        merged.generator_states(),
+        plain.generator_states(),
+        "1-lease merged state is the plain state, bit for bit"
+    );
 }
 
-/// Merging corpus-carrying shard snapshots unions the corpora as a
-/// fingerprint-deduped set: every shard seed is represented exactly
+/// A one-generation fleet is `merge_snapshots` of its leases run by
+/// hand: same canonical report, same pooled generator state.
+#[test]
+fn one_generation_fleet_equals_merging_hand_run_leases() {
+    let config = one_shot(evolve_lease, 3, 31, 2 * SHARD_TESTS);
+    let by_hand = merge_snapshots(&hand_run(&config), None).expect("hand-run leases merge");
+    let merged = local_fleet(config, "by-hand");
+    assert_eq!(report::json_canonical(&merged.report()), report::json_canonical(&by_hand.report()));
+    assert_eq!(merged.generator_states(), by_hand.generator_states());
+}
+
+/// Merging corpus-carrying leases unions the corpora as a
+/// fingerprint-deduped set: every lease seed is represented exactly
 /// once, and the merged snapshot resumes with the pooled corpus.
 #[test]
 fn merged_snapshot_unions_corpora_fingerprint_deduped() {
-    let sharded = ShardedCampaign::new(InProcessRunner::new(build_evolve_shard), 3, 29);
-    let outcome = sharded.run().expect("shards run");
-    for s in outcome.shard_snapshots() {
-        let state = s.generator_states()[1].as_ref().expect("evolve arm exports state");
-        let corpus = state.corpus.as_ref().expect("evolve state carries a corpus");
-        assert!(!corpus.seeds.is_empty(), "every shard retained seeds");
+    let config = one_shot(evolve_lease, 3, 29, 2 * SHARD_TESTS);
+    let leases = hand_run(&config);
+    let merged = local_fleet(config, "corpus");
+    let corpus_of = |s: &CampaignSnapshot| {
+        let state = s.generator_states()[1].clone().expect("evolve arm exports state");
+        state.corpus.expect("evolve state carries a corpus")
+    };
+    for lease in &leases {
+        assert!(!corpus_of(lease).seeds.is_empty(), "every lease retained seeds");
     }
-    let merged = outcome.merged_snapshot();
     assert!(merged.generator_states()[0].is_none(), "random arm stays state-free");
-    let pooled = merged.generator_states()[1]
-        .clone()
-        .expect("merged state present")
-        .corpus
-        .expect("merged corpus present");
+    let pooled = corpus_of(&merged);
 
-    // Union: every shard fingerprint appears in the pool…
+    // Union: every lease fingerprint appears in the pool…
     let pool: std::collections::HashSet<u64> = pooled.seeds.iter().map(|s| s.fingerprint).collect();
     let mut expected = std::collections::HashSet::new();
-    for s in outcome.shard_snapshots() {
-        for seed in &s.generator_states()[1].as_ref().unwrap().corpus.as_ref().unwrap().seeds {
-            assert!(pool.contains(&seed.fingerprint), "shard seed lost in the merge");
+    for lease in &leases {
+        for seed in &corpus_of(lease).seeds {
+            assert!(pool.contains(&seed.fingerprint), "lease seed lost in the merge");
             expected.insert(seed.fingerprint);
         }
     }
@@ -160,81 +240,43 @@ fn merged_snapshot_unions_corpora_fingerprint_deduped() {
 
     // The merged snapshot resumes with the pooled corpus intact.
     let tests_so_far = merged.tests_run();
-    let mut resumed = CampaignBuilder::from_factory(rocket_factory())
-        .batch_size(BATCH)
-        .workers(2)
-        .generator(RandomRegression::new(99, 16))
-        .generator(EvolveGenerator::new(EvolveConfig { seed: 99, ..Default::default() }))
-        .resume(merged)
-        .build();
+    let mut resumed =
+        evolve_lease(ShardSpec { index: 0, shards: 1, seed: 99 }).resume(merged).build();
     let report = resumed.run_until(&[StopCondition::Tests(tests_so_far + 2 * BATCH)]);
     assert_eq!(report.tests_run, tests_so_far + 2 * BATCH);
-    let after = resumed.snapshot();
-    let corpus_after = after.generator_states()[1]
-        .as_ref()
-        .and_then(|g| g.corpus.as_ref())
-        .expect("corpus survives the resume");
+    let corpus_after = corpus_of(&resumed.snapshot());
     assert!(
         corpus_after.seeds.len() >= pooled.seeds.len().min(256),
         "resumed corpus keeps the pooled seeds"
     );
 }
 
-/// The 1-shard-identity law holds for corpus-carrying snapshots too: a
-/// 1-shard merge is the plain campaign, corpus included.
-#[test]
-fn one_shard_identity_holds_with_a_corpus() {
-    let base_seed = 13;
-    let outcome = ShardedCampaign::new(InProcessRunner::new(build_evolve_shard), 1, base_seed)
-        .run()
-        .expect("shard runs");
-    let merged = outcome.merged_snapshot();
-
-    let (mut plain, stops) =
-        build_evolve_shard(ShardSpec { index: 0, shards: 1, seed: shard_seed(base_seed, 0) });
-    plain.run_until(&stops);
-    let plain_snapshot = plain.snapshot();
-
-    assert_eq!(
-        report::json_canonical(&merged.report()),
-        report::json_canonical(&plain_snapshot.report()),
-        "1-shard merged report is the plain report"
-    );
-    assert_eq!(
-        merged.generator_states(),
-        plain_snapshot.generator_states(),
-        "1-shard merged state is the plain state, bit for bit"
-    );
-}
-
-/// Acceptance smoke: an 8-shard run through real worker sub-processes
-/// (this test binary re-spawned per shard) merges to the same coverage
-/// set — and the same canonical report — as the equivalent in-process
-/// run.
+/// Acceptance smoke: an 8-lease fleet over the filesystem spool, served
+/// by real worker processes (this test binary re-spawned), merges to the
+/// same coverage set — and the same canonical report — as the same
+/// fleet over the in-process pool.
 #[test]
 fn eight_shard_cross_process_matches_in_process() {
-    let base_seed = 5;
+    let config = one_shot(random_lease, 8, 5, SHARD_TESTS);
+    let reference = local_fleet(config.clone(), "eight");
 
-    let reference = in_process(8, base_seed).run().expect("in-process shards");
-
+    let spool =
+        std::env::temp_dir().join(format!("chatfuzz-it-shard-spool-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&spool);
     let exe = std::env::current_exe().expect("test binary path");
-    let dir = std::env::temp_dir().join(format!("chatfuzz-it-shard-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let space = rocket_factory()().space().clone();
-    let runner = ProcessShardRunner::new(exe, &dir, Arc::clone(&space))
-        .arg("role_shard_worker")
-        .arg("--exact")
-        .arg("--nocapture");
-    let outcome = ShardedCampaign::new(runner, 8, base_seed).run().expect("cross-process shards");
-
-    assert_eq!(outcome.shards(), 8);
-    let ours = outcome.merged_coverage();
-    let theirs = reference.merged_coverage();
-    assert!(ours.is_subset_of(&theirs) && theirs.is_subset_of(&ours), "coverage sets differ");
-    assert_eq!(
-        report::json_canonical(&outcome.merged_report()),
-        report::json_canonical(&reference.merged_report()),
-        "cross-process merge diverged from the in-process merge"
+    let transport = SpoolTransport::new(&spool).expect("spool directories").spawn_workers(
+        2,
+        exe,
+        ["role_shard_worker", "--exact", "--nocapture"].map(String::from),
     );
-    let _ = std::fs::remove_dir_all(&dir);
+    let merged = run_fleet(transport, config);
+
+    assert_eq!(merged.tests_run(), 8 * SHARD_TESTS);
+    assert!(same_set(merged.coverage(), reference.coverage()), "coverage sets differ");
+    assert_eq!(
+        report::json_canonical(&merged.report()),
+        report::json_canonical(&reference.report()),
+        "cross-process fleet diverged from the in-process fleet"
+    );
+    let _ = std::fs::remove_dir_all(&spool);
 }
