@@ -1,7 +1,7 @@
 //! Baseline input generators the paper compares against.
 //!
 //! * [`TheHuzz`] — a reimplementation of TheHuzz's published design
-//!   (USENIX Security '22, paper reference [9]): ISA-aware random seed
+//!   (USENIX Security '22, paper reference \[9\]): ISA-aware random seed
 //!   generation plus coverage-guided mutation with the documented operators
 //!   (bit/byte flips, instruction swap/delete/clone, operand tweaks).
 //! * [`RandomRegression`] — uniform random instruction words (the classic

@@ -13,9 +13,11 @@
 //!
 //! The run is fully instrumented through `chatfuzz_telemetry`: the
 //! status refresh prints a per-generation wall-clock breakdown
-//! (dispatch vs execute vs merge vs idle), `--trace-path` streams the
-//! structured fleet timeline as JSONL, and `--metrics-path` keeps a
-//! Prometheus-style text dump current. Telemetry never perturbs the
+//! (dispatch vs execute vs merge, and the idle share of execute),
+//! `--trace-path` streams the structured fleet timeline as JSONL, and
+//! `--metrics-path` keeps a Prometheus-style text dump current. A fault
+//! plan in `CHATFUZZ_FAULT_PLAN` is installed with the same sink, so
+//! fired faults land on this timeline. Telemetry never perturbs the
 //! campaign: the merged result is bit-identical with or without it.
 //!
 //! ```text
@@ -29,6 +31,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use chatfuzz::campaign::{CampaignBuilder, CampaignSnapshot};
+use chatfuzz::faults::{self, FaultConfig};
 use chatfuzz::harness::{wrap, HarnessConfig};
 use chatfuzz::report;
 use chatfuzz::shard::ShardSpec;
@@ -71,6 +74,9 @@ fn print_help() {
            --trace-path P     stream the structured fleet timeline to P (JSONL)\n\
            --help             this message\n\
          \n\
+         ENVIRONMENT:\n\
+           CHATFUZZ_FAULT_PLAN  seeded fault plan to inject; fired faults are counted below\n\
+         \n\
          METRICS (exposed via --metrics-path, counted whether or not it is set):\n\
            chatfuzz_campaign_tests_total              tests executed\n\
            chatfuzz_campaign_cycles_total             DUT cycles simulated\n\
@@ -79,21 +85,21 @@ fn print_help() {
            chatfuzz_campaign_batch_latency_us         per-batch wall clock (histogram)\n\
            chatfuzz_campaign_lm_tokens_total          tokens sampled by the LM arms\n\
            chatfuzz_campaign_lm_publish_epochs        newest published weight epoch (gauge)\n\
-           chatfuzz_persist_write_us                  checkpoint write latency (histogram)\n\
-           chatfuzz_persist_writes_total              checkpoint writes\n\
-           chatfuzz_persist_recover_us                checkpoint recovery latency (histogram)\n\
-           chatfuzz_persist_checksum_failures_total   corrupt snapshots stepped over\n\
-           chatfuzz_persist_quarantined_total         corrupt snapshots quarantined on disk\n\
+           chatfuzz_persist_write_us                  auto-checkpoint write latency, rotation included (histogram)\n\
+           chatfuzz_persist_writes_total              auto-checkpoints written\n\
+           chatfuzz_persist_recover_us                one checkpoint lookup of a lease recovery (histogram)\n\
+           chatfuzz_persist_checksum_failures_total   corrupt checkpoints lease recoveries stepped over\n\
+           chatfuzz_persist_quarantined_total         corrupt checkpoints lease recoveries quarantined\n\
            chatfuzz_faults_injected_total             injected faults that fired\n\
            chatfuzz_fleet_heartbeat_gap_us            gap between lease heartbeats (histogram)\n\
            chatfuzz_fleet_leases_issued_total         lease attempts dispatched\n\
            chatfuzz_fleet_leases_revoked_total        lease attempts revoked\n\
            chatfuzz_fleet_leases_quarantined_total    leases quarantined (terminal)\n\
            chatfuzz_fleet_merge_us                    merge + re-split latency (histogram)\n\
-           chatfuzz_fleet_phase_dispatch_us_total     wall clock spent dispatching\n\
-           chatfuzz_fleet_phase_execute_us_total      wall clock spent executing leases\n\
+           chatfuzz_fleet_phase_dispatch_us_total     wall clock spent dispatching generations\n\
+           chatfuzz_fleet_phase_execute_us_total      wall clock from the end of dispatch to the merge\n\
            chatfuzz_fleet_phase_merge_us_total        wall clock spent merging\n\
-           chatfuzz_fleet_phase_idle_us_total         wall clock spent idle-polling\n\
+           chatfuzz_fleet_phase_idle_us_total         idle-poll wall clock, a part of execute\n\
            chatfuzz_telemetry_events_dropped_total    timeline events lost to ring overflow"
     );
 }
@@ -256,7 +262,9 @@ fn render(status: &OrchestratorStatus, telemetry: &TelemetrySink) {
 }
 
 /// The per-generation wall-clock breakdown: where the fleet's time
-/// actually went, from the cumulative phase counters.
+/// actually went, from the cumulative phase counters. Dispatch, execute
+/// and merge never overlap; idle polling happens inside execute, so it
+/// is shown as a share of execute.
 fn render_phases(telemetry: &TelemetrySink) {
     let phase = |name| telemetry.counter_value(name) as f64 / 1e6;
     let (dispatch, execute, merge, idle) = (
@@ -265,15 +273,15 @@ fn render_phases(telemetry: &TelemetrySink) {
         phase(names::FLEET_PHASE_MERGE_US),
         phase(names::FLEET_PHASE_IDLE_US),
     );
-    let total = dispatch + execute + merge + idle;
+    let total = dispatch + execute + merge;
     if total > 0.0 {
         println!(
-            "phases: dispatch {dispatch:.2}s ({:.0}%) | execute {execute:.2}s ({:.0}%) \
-             | merge {merge:.2}s ({:.0}%) | idle {idle:.2}s ({:.0}%)",
+            "phases: dispatch {dispatch:.2}s ({:.0}%) | execute {execute:.2}s ({:.0}%, \
+             idle {idle:.2}s = {:.0}% of it) | merge {merge:.2}s ({:.0}%)",
             100.0 * dispatch / total,
             100.0 * execute / total,
+            if execute > 0.0 { 100.0 * idle / execute } else { 0.0 },
             100.0 * merge / total,
-            100.0 * idle / total,
         );
     }
 }
@@ -281,13 +289,16 @@ fn render_phases(telemetry: &TelemetrySink) {
 fn main() {
     let args = parse_args();
     // One sink serves the whole process: threaded into the fleet config
-    // for the orchestrator and its in-process workers, and installed
-    // globally so persist/fault instrumentation lands in the same place.
+    // for the orchestrator and its in-process workers, and handed to the
+    // fault plan (if any) so fired faults land in the same place.
     let telemetry = TelemetrySink::enabled();
     if let Some(path) = &args.trace_path {
         telemetry.trace_to(path).expect("opening --trace-path");
     }
-    chatfuzz_telemetry::install_global(telemetry.clone());
+    if let Ok(plan) = std::env::var(faults::ENV_VAR) {
+        let cfg = FaultConfig::parse(&plan).unwrap_or_else(|e| panic!("{}: {e}", faults::ENV_VAR));
+        faults::install(cfg, telemetry.clone());
+    }
     let space = rocket_factory()().space().clone();
     let mut config = FleetConfig {
         fan_out: args.fan_out,

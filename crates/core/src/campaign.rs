@@ -5,7 +5,7 @@
 //! replaces it with a session API:
 //!
 //! * [`CampaignBuilder`] assembles generators, the DUT factory, harness,
-//!   golden model, a [`Scheduler`](chatfuzz_baselines::Scheduler) and any
+//!   golden model, a [`Scheduler`] and any
 //!   [`CampaignObserver`]s, then [`CampaignBuilder::build`] spawns the
 //!   worker pool (the paper's "ten instances of VCS") once for the whole
 //!   session;
@@ -48,6 +48,9 @@ use crate::mismatch::{diff_traces, KnownBug, MismatchLog, UniqueMismatch};
 /// coverage spaces (guaranteed for the deterministic cores in
 /// `chatfuzz-rtl`).
 pub type DutFactory = Arc<dyn Fn() -> Box<dyn Dut> + Send + Sync>;
+
+/// Rotated checkpoints an auto-checkpoint keeps behind its live file.
+const CHECKPOINT_LINEAGE: usize = 2;
 
 /// Campaign parameters (everything except *when to stop*, which
 /// [`Campaign::run_until`] takes per call).
@@ -423,7 +426,6 @@ pub struct CampaignBuilder<'g> {
     observers: Vec<Box<dyn CampaignObserver + 'g>>,
     resume_from: Option<CampaignSnapshot>,
     auto_checkpoint: Option<(PathBuf, usize)>,
-    checkpoint_keep: usize,
     telemetry: TelemetrySink,
 }
 
@@ -443,7 +445,6 @@ impl<'g> CampaignBuilder<'g> {
             observers: Vec::new(),
             resume_from: None,
             auto_checkpoint: None,
-            checkpoint_keep: 2,
             telemetry: TelemetrySink::disabled(),
         }
     }
@@ -523,7 +524,10 @@ impl<'g> CampaignBuilder<'g> {
     /// writer in [`crate::persist`] — so long runs are durable without a
     /// caller-driven `step_batch` loop. Each checkpoint is a mid-run
     /// snapshot (no end-of-session history point), exactly what
-    /// [`CampaignBuilder::resume`] expects.
+    /// [`CampaignBuilder::resume`] expects. Each write first rotates the
+    /// previous two checkpoints to `{path}.1` and `{path}.2`, so
+    /// [`crate::persist::load_latest_valid`] can fall back past a
+    /// checkpoint torn by the very crash being recovered from.
     ///
     /// # Panics
     ///
@@ -537,24 +541,13 @@ impl<'g> CampaignBuilder<'g> {
     }
 
     /// Attaches a telemetry sink: batch spans, scheduler pick/reward
-    /// events, checkpoint durations, and throughput counters flow into
+    /// events, auto-checkpoint writes, and throughput counters flow into
     /// it. Telemetry is strictly observational — it never touches the
     /// campaign's RNG streams or snapshot content, so a run with any
     /// sink (or the default disabled one) produces bit-identical
     /// results; wall-clock readings exist only in the sink's output.
     pub fn telemetry(mut self, sink: TelemetrySink) -> Self {
         self.telemetry = sink;
-        self
-    }
-
-    /// Checkpoint-lineage depth for [`CampaignBuilder::auto_checkpoint`]
-    /// (default 2): each write first rotates the previous document to
-    /// `{path}.1`, the one before to `{path}.2`, and so on, so
-    /// [`crate::persist::load_latest_valid`] can fall back past a
-    /// checkpoint torn by the very crash being recovered from. 0 keeps
-    /// only the newest file (the overwrite-in-place behaviour of v4).
-    pub fn checkpoint_lineage(mut self, keep: usize) -> Self {
-        self.checkpoint_keep = keep;
         self
     }
 
@@ -719,7 +712,6 @@ impl<'g> CampaignBuilder<'g> {
             seed_pool: Vec::new(),
             seed_revisions: Vec::new(),
             auto_checkpoint: self.auto_checkpoint,
-            checkpoint_keep: self.checkpoint_keep,
             telemetry: self.telemetry,
             cfg: self.cfg,
             dut_name,
@@ -765,8 +757,6 @@ pub struct Campaign<'g> {
     seed_revisions: Vec<u64>,
     /// Periodic durable checkpoints during `run_until` (path, cadence).
     auto_checkpoint: Option<(PathBuf, usize)>,
-    /// Rotated lineage depth for those checkpoints.
-    checkpoint_keep: usize,
     /// Observational instrumentation; never part of snapshots.
     telemetry: TelemetrySink,
     dut_name: String,
@@ -1073,11 +1063,8 @@ impl<'g> Campaign<'g> {
                     // persistent still panics — a durability guarantee
                     // that silently stopped holding is worse than a
                     // dead campaign.
-                    let mut result = crate::persist::save_snapshot_rotated(
-                        path,
-                        &snapshot,
-                        self.checkpoint_keep,
-                    );
+                    let mut result =
+                        crate::persist::save_snapshot_rotated(path, &snapshot, CHECKPOINT_LINEAGE);
                     for backoff_ms in [10u64, 20, 40] {
                         let transient = matches!(
                             result.as_ref().map_err(|e| e.root()),
@@ -1092,11 +1079,10 @@ impl<'g> Campaign<'g> {
                     }
                     result.unwrap_or_else(|e| panic!("auto-checkpoint write failed: {e}"));
                     if self.telemetry.is_enabled() {
-                        // Write metrics (duration histogram, op counter)
-                        // are recorded inside `persist::save_snapshot`
-                        // against the process-global sink; this is the
-                        // timeline view of the same write.
-                        let write_us = write_span.map_or(0, |s| s.elapsed().as_micros() as u64);
+                        use chatfuzz_telemetry::names;
+                        let write_us =
+                            self.telemetry.observe_since(names::PERSIST_WRITE_US, write_span);
+                        self.telemetry.counter_add(names::PERSIST_WRITES, 1);
                         self.telemetry.event(
                             "checkpoint_write",
                             vec![
@@ -1520,6 +1506,37 @@ mod tests {
         let report = resumed.run_until(&[StopCondition::Tests(96)]);
         assert_eq!(report.tests_run, 96);
         assert!(report.final_coverage_pct >= expected.final_coverage_pct);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The campaign owns its checkpoint writes, so its own sink counts
+    /// them: one write, one latency sample and one `checkpoint_write`
+    /// event per checkpoint.
+    #[test]
+    fn auto_checkpoints_are_recorded_on_the_campaign_sink() {
+        use chatfuzz_telemetry::names;
+
+        let dir = std::env::temp_dir().join(format!("chatfuzz-ckpt-sink-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let path = dir.join("auto.json");
+        let sink = TelemetrySink::enabled();
+        // Cadence 2 over 6 batches: checkpoints after batches 2, 4, 6.
+        let mut campaign = small_builder()
+            .generator(RandomRegression::new(5, 16))
+            .telemetry(sink.clone())
+            .auto_checkpoint(&path, 2)
+            .build();
+        campaign.run_until(&[StopCondition::Tests(6 * 16)]);
+        assert_eq!(campaign.batches_run, 6);
+        let checkpoints =
+            sink.drain_events().iter().filter(|e| e.kind == "checkpoint_write").count();
+        assert_eq!(checkpoints, 3);
+        assert_eq!(sink.counter_value(names::PERSIST_WRITES), checkpoints as u64);
+        let latency = sink.histogram(names::PERSIST_WRITE_US).expect("write latency recorded");
+        assert_eq!(latency.count, checkpoints as u64);
+        // Two rotated predecessors sit behind the live checkpoint.
+        assert!(crate::persist::lineage_path(&path, 2).exists());
+        assert!(!crate::persist::lineage_path(&path, 3).exists());
         let _ = std::fs::remove_dir_all(&dir);
     }
 

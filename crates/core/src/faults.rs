@@ -2,22 +2,21 @@
 //!
 //! Long fleets die in uglier ways than a clean SIGKILL: a checkpoint
 //! write torn mid-`rename`, a transient `EINTR` from a networked
-//! filesystem, a worker whose heartbeats stop arriving, a spool that
-//! delivers the same completion twice. This module is the single seam
-//! through which those failures are *injected on purpose*, so the
-//! recovery machinery in [`crate::persist`] and the orchestrator can be
-//! tested against every one of them deterministically.
+//! filesystem, a worker whose heartbeats stop arriving. This module is
+//! the single seam through which those failures are *injected on
+//! purpose*, so the recovery machinery in [`crate::persist`] and the
+//! orchestrator can be tested against every one of them
+//! deterministically.
 //!
 //! # Design
 //!
 //! A [`FaultPlan`] couples a [`FaultConfig`] (what to inject, and when)
 //! with a [`ChaCha8Rng`] decision stream and a persist-operation
 //! counter. Every probabilistic decision (transient io errors, dropped
-//! heartbeats, duplicated or reordered spool events) is drawn from the
-//! ChaCha stream, and every counted decision (torn write at op N, crash
-//! at boundary B) is driven by the operation counter — so a fault
-//! schedule replays **bit-exactly** from its seed, in the same process
-//! or a re-spawned one.
+//! heartbeats) is drawn from the ChaCha stream, and every counted
+//! decision (torn write at op N, crash at boundary B) is driven by the
+//! operation counter — so a fault schedule replays **bit-exactly** from
+//! its seed, in the same process or a re-spawned one.
 //!
 //! Each atomic persist operation has two *crash boundaries*: boundary
 //! `2·op − 1` fires after the temp file is written but before the
@@ -29,20 +28,23 @@
 //!
 //! # Activation
 //!
-//! Production code consults [`active`], which reads the plan exactly
-//! once: either a plan previously installed in-process via [`install`],
-//! or — the cross-process path — one decoded from the
-//! [`ENV_VAR`] environment variable (see [`FaultConfig::env_value`]),
-//! which is how a test hands a fault schedule to a spawned worker.
-//! With no plan installed and no env var set, every choke point
-//! ([`atomic_write`], [`FaultPlan::drop_heartbeat`],
-//! [`FaultPlan::mangle_events`]) collapses to the plain fast path.
+//! A plan reaches a process through the [`ENV_VAR`] environment
+//! variable (see [`FaultConfig::env_value`]): that is how a test hands
+//! a fault schedule across the exec boundary to a spawned worker.
+//! Production code consults [`active`], which resolves the plan exactly
+//! once per process. A process that wants its fired faults on its own
+//! telemetry timeline decodes the variable itself and calls [`install`]
+//! with its sink before anything else consults the plan; otherwise
+//! [`active`] builds the plan with a disabled sink. With no plan, both
+//! choke points ([`atomic_write`], [`FaultPlan::drop_heartbeat`])
+//! collapse to the plain fast path.
 
 use std::io;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 
+use chatfuzz_telemetry::{names, TelemetrySink};
 use rand::{RngCore, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
@@ -77,12 +79,6 @@ pub struct FaultConfig {
     /// heartbeat is indistinguishable from one delayed past the next —
     /// the observer's sequence number just arrives late).
     pub heartbeat_drop_per_myriad: u32,
-    /// Per-myriad rate of a polled transport event batch having one
-    /// event duplicated.
-    pub event_dup_per_myriad: u32,
-    /// Per-myriad rate of a polled transport event batch having two
-    /// events swapped out of order.
-    pub event_swap_per_myriad: u32,
 }
 
 impl FaultConfig {
@@ -95,53 +91,47 @@ impl FaultConfig {
             torn_keep_bytes: 0,
             io_error_per_myriad: 0,
             heartbeat_drop_per_myriad: 0,
-            event_dup_per_myriad: 0,
-            event_swap_per_myriad: 0,
         }
     }
 
     /// Encodes the config for [`ENV_VAR`]; [`FaultConfig::parse`] is the
     /// inverse. The encoding is a flat `key=value` list, stable enough
     /// to paste into a shell to replay a CI failure locally:
-    /// `seed=7,crash_at=3,torn_at=0,torn_keep=0,io_err=0,hb_drop=0,dup=0,swap=0`.
+    /// `seed=7,crash_at=3,torn_at=0,torn_keep=0,io_err=0,hb_drop=0`.
     pub fn env_value(&self) -> String {
         format!(
-            "seed={},crash_at={},torn_at={},torn_keep={},io_err={},hb_drop={},dup={},swap={}",
+            "seed={},crash_at={},torn_at={},torn_keep={},io_err={},hb_drop={}",
             self.seed,
             self.crash_at_boundary,
             self.torn_at_op,
             self.torn_keep_bytes,
             self.io_error_per_myriad,
             self.heartbeat_drop_per_myriad,
-            self.event_dup_per_myriad,
-            self.event_swap_per_myriad,
         )
     }
 
-    /// Decodes [`FaultConfig::env_value`]. Unknown keys and malformed
-    /// numbers are errors — a mistyped fault plan must not silently run
-    /// a fault-free test.
+    /// Decodes [`FaultConfig::env_value`]. Unknown keys and malformed or
+    /// out-of-range numbers are errors — a mistyped fault plan must not
+    /// silently run a fault-free test.
     pub fn parse(text: &str) -> Result<FaultConfig, String> {
+        fn num<T: std::str::FromStr>(key: &str, value: &str) -> Result<T, String> {
+            value.trim().parse().map_err(|_| {
+                format!("fault plan: `{value}` is not a number in range (key `{key}`)")
+            })
+        }
         let mut cfg = FaultConfig::benign(0);
         for part in text.split(',').filter(|p| !p.is_empty()) {
             let (key, value) = part
                 .split_once('=')
                 .ok_or_else(|| format!("fault plan: `{part}` is not key=value"))?;
-            let num = |what: &str| -> Result<u64, String> {
-                value
-                    .trim()
-                    .parse::<u64>()
-                    .map_err(|_| format!("fault plan: `{value}` is not a number (key `{what}`)"))
-            };
-            match key.trim() {
-                "seed" => cfg.seed = num("seed")?,
-                "crash_at" => cfg.crash_at_boundary = num("crash_at")?,
-                "torn_at" => cfg.torn_at_op = num("torn_at")?,
-                "torn_keep" => cfg.torn_keep_bytes = num("torn_keep")?,
-                "io_err" => cfg.io_error_per_myriad = num("io_err")? as u32,
-                "hb_drop" => cfg.heartbeat_drop_per_myriad = num("hb_drop")? as u32,
-                "dup" => cfg.event_dup_per_myriad = num("dup")? as u32,
-                "swap" => cfg.event_swap_per_myriad = num("swap")? as u32,
+            let key = key.trim();
+            match key {
+                "seed" => cfg.seed = num(key, value)?,
+                "crash_at" => cfg.crash_at_boundary = num(key, value)?,
+                "torn_at" => cfg.torn_at_op = num(key, value)?,
+                "torn_keep" => cfg.torn_keep_bytes = num(key, value)?,
+                "io_err" => cfg.io_error_per_myriad = num(key, value)?,
+                "hb_drop" => cfg.heartbeat_drop_per_myriad = num(key, value)?,
                 other => return Err(format!("fault plan: unknown key `{other}`")),
             }
         }
@@ -150,21 +140,25 @@ impl FaultConfig {
 }
 
 /// A live fault schedule: config + ChaCha decision stream + persist-op
-/// counter. Construct one per process (or per transport) and replay it
-/// by constructing another from the same config.
+/// counter, plus the sink fired faults are reported to. Construct one
+/// per process and replay it by constructing another from the same
+/// config.
 #[derive(Debug)]
 pub struct FaultPlan {
     cfg: FaultConfig,
     rng: Mutex<ChaCha8Rng>,
     persist_ops: AtomicU64,
+    telemetry: TelemetrySink,
 }
 
 impl FaultPlan {
+    /// A plan whose fired faults are not reported anywhere.
     pub fn new(cfg: FaultConfig) -> FaultPlan {
         FaultPlan {
             cfg,
             rng: Mutex::new(ChaCha8Rng::seed_from_u64(cfg.seed)),
             persist_ops: AtomicU64::new(0),
+            telemetry: TelemetrySink::disabled(),
         }
     }
 
@@ -188,34 +182,9 @@ impl FaultPlan {
         rng.next_u32() % 10_000 < per_myriad
     }
 
-    /// An index draw for event mangling, also off the ChaCha stream.
-    fn index(&self, len: usize) -> usize {
-        let mut rng = self.rng.lock().expect("fault rng poisoned");
-        rng.next_u32() as usize % len
-    }
-
     /// Should this heartbeat write be dropped?
     pub fn drop_heartbeat(&self) -> bool {
         self.draw(self.cfg.heartbeat_drop_per_myriad)
-    }
-
-    /// Duplicates and/or reorders events in a polled batch, per the
-    /// configured rates. The orchestrator must absorb both without
-    /// double-counting — exactly the at-least-once, unordered delivery a
-    /// real spool directory gives after an NFS hiccup.
-    pub fn mangle_events<T: Clone>(&self, events: &mut Vec<T>) {
-        if events.is_empty() {
-            return;
-        }
-        if self.draw(self.cfg.event_dup_per_myriad) {
-            let dup = events[self.index(events.len())].clone();
-            events.push(dup);
-        }
-        if events.len() >= 2 && self.draw(self.cfg.event_swap_per_myriad) {
-            let a = self.index(events.len());
-            let b = self.index(events.len());
-            events.swap(a, b);
-        }
     }
 
     /// The faulted atomic write (see [`atomic_write`] for the plan-less
@@ -225,51 +194,51 @@ impl FaultPlan {
     pub fn atomic_write(&self, path: &Path, tmp: &Path, contents: &[u8]) -> io::Result<()> {
         let op = self.persist_ops.fetch_add(1, Ordering::SeqCst) + 1;
         if self.draw(self.cfg.io_error_per_myriad) {
-            fault_fired("io_error", op, path);
+            self.fired("io_error", op, path);
             return Err(io::Error::new(
                 io::ErrorKind::Interrupted,
                 format!("injected transient io error at persist op {op}"),
             ));
         }
         let body = if self.cfg.torn_at_op == op {
-            fault_fired("torn_write", op, path);
+            self.fired("torn_write", op, path);
             &contents[..contents.len().min(self.cfg.torn_keep_bytes as usize)]
         } else {
             contents
         };
         std::fs::write(tmp, body)?;
         if self.cfg.crash_at_boundary == 2 * op - 1 {
-            fault_fired("crash", op, path);
+            self.fired("crash", op, path);
             crash(op, "temp written, before rename");
         }
         std::fs::rename(tmp, path)?;
         if self.cfg.crash_at_boundary == 2 * op {
-            fault_fired("crash", op, path);
+            self.fired("crash", op, path);
             crash(op, "after rename");
         }
         Ok(())
     }
-}
 
-/// Reports a fired fault-plan decision to the process-global telemetry
-/// sink. The trace is flushed eagerly: a fault is rare, and the next
-/// decision may be an abort that would otherwise take the timeline with
-/// it. Telemetry only *observes* the plan — the decision stream and the
-/// persist-op counter are untouched, so an instrumented schedule
-/// replays bit-exactly.
-fn fault_fired(fault: &'static str, op: u64, path: &Path) {
-    let sink = chatfuzz_telemetry::global();
-    if sink.is_enabled() {
-        sink.counter_add(chatfuzz_telemetry::names::FAULTS_INJECTED, 1);
-        sink.event(
-            "fault_injected",
-            vec![
-                ("fault", fault.into()),
-                ("op", op.into()),
-                ("path", path.display().to_string().into()),
-            ],
-        );
-        let _ = sink.flush_trace();
+    /// Reports a fired decision to the plan's sink. The trace is flushed
+    /// eagerly: a fault is rare, and the next decision may be an abort
+    /// that would otherwise take the timeline with it. Telemetry only
+    /// *observes* the plan — the decision stream and the persist-op
+    /// counter are untouched, so an instrumented schedule replays
+    /// bit-exactly.
+    fn fired(&self, fault: &'static str, op: u64, path: &Path) {
+        let sink = &self.telemetry;
+        if sink.is_enabled() {
+            sink.counter_add(names::FAULTS_INJECTED, 1);
+            sink.event(
+                "fault_injected",
+                vec![
+                    ("fault", fault.into()),
+                    ("op", op.into()),
+                    ("path", path.display().to_string().into()),
+                ],
+            );
+            let _ = sink.flush_trace();
+        }
     }
 }
 
@@ -282,22 +251,23 @@ fn crash(op: u64, boundary: &str) -> ! {
 
 static ACTIVE: OnceLock<Option<FaultPlan>> = OnceLock::new();
 
-/// Installs a process-global fault plan. Returns `false` if one was
-/// already resolved (installed, read from the environment, or observed
-/// absent) — the first resolution wins for the life of the process, so
-/// a schedule can never change mid-run.
-pub fn install(cfg: FaultConfig) -> bool {
+/// Installs the process's fault plan, reporting fired faults to `sink`.
+/// Returns `false` if the plan was already resolved (installed, read
+/// from the environment, or observed absent) — the first resolution
+/// wins for the life of the process, so a schedule can never change
+/// mid-run.
+pub fn install(cfg: FaultConfig, sink: TelemetrySink) -> bool {
     let mut fresh = false;
     ACTIVE.get_or_init(|| {
         fresh = true;
-        Some(FaultPlan::new(cfg))
+        Some(FaultPlan { telemetry: sink, ..FaultPlan::new(cfg) })
     });
     fresh
 }
 
-/// The process-global fault plan, if any: the one [`install`]ed, else
-/// one decoded from [`ENV_VAR`], else `None` (the common production
-/// case). A malformed env value aborts loudly — see
+/// The process's fault plan, if any: the one [`install`]ed, else one
+/// decoded from [`ENV_VAR`] with a disabled sink, else `None` (the
+/// common production case). A malformed env value aborts loudly — see
 /// [`FaultConfig::parse`].
 pub fn active() -> Option<&'static FaultPlan> {
     ACTIVE
@@ -311,25 +281,13 @@ pub fn active() -> Option<&'static FaultPlan> {
         .as_ref()
 }
 
-/// Atomic temp-file + rename write, routed through the process-global
-/// fault plan when one is active. This is the single choke point for
-/// every durable write in the workspace — [`crate::persist`] snapshots
-/// and the spool transport's protocol files both land through here, so
-/// one armed plan faults them all.
+/// Atomic temp-file + rename write, routed through the process's fault
+/// plan when one is active. This is the single choke point for every
+/// durable write in the workspace — [`crate::persist`] snapshots and
+/// the spool transport's protocol files both land through here, so one
+/// armed plan faults them all.
 pub fn atomic_write(path: &Path, tmp: &Path, contents: &[u8]) -> io::Result<()> {
-    atomic_write_with(active(), path, tmp, contents)
-}
-
-/// [`atomic_write`] with an explicit (possibly absent) plan — for
-/// components that carry their own plan instead of the process-global
-/// one, like a transport faulted on the orchestrator side only.
-pub fn atomic_write_with(
-    plan: Option<&FaultPlan>,
-    path: &Path,
-    tmp: &Path,
-    contents: &[u8],
-) -> io::Result<()> {
-    match plan {
+    match active() {
         Some(plan) => plan.atomic_write(path, tmp, contents),
         None => {
             std::fs::write(tmp, contents)?;
@@ -351,59 +309,87 @@ mod tests {
             torn_keep_bytes: 128,
             io_error_per_myriad: 250,
             heartbeat_drop_per_myriad: 1000,
-            event_dup_per_myriad: 42,
-            event_swap_per_myriad: 9999,
         };
         assert_eq!(FaultConfig::parse(&cfg.env_value()), Ok(cfg));
         assert_eq!(FaultConfig::parse(""), Ok(FaultConfig::benign(0)));
         assert!(FaultConfig::parse("bogus=1").is_err(), "unknown key");
+        assert!(FaultConfig::parse("dup=1").is_err(), "retired key");
         assert!(FaultConfig::parse("seed").is_err(), "missing value");
         assert!(FaultConfig::parse("seed=x").is_err(), "bad number");
     }
 
+    /// A rate past `u32` is an error, not a wrapped-around rate: 2^32
+    /// would silently disarm the fault and 2^32 + 1 would arm it at 1.
+    #[test]
+    fn u32_rates_reject_overflow_instead_of_truncating() {
+        for key in ["io_err", "hb_drop"] {
+            assert!(FaultConfig::parse(&format!("{key}=4294967295")).is_ok(), "{key} at u32::MAX");
+            for overflow in ["4294967296", "4294967297"] {
+                let text = format!("{key}={overflow}");
+                assert!(FaultConfig::parse(&text).is_err(), "`{text}` must be rejected");
+            }
+        }
+    }
+
+    /// `n` io-error decisions: each is one faulted write of `path`.
+    fn io_errors(plan: &FaultPlan, dir: &Path, n: usize) -> Vec<bool> {
+        let (path, tmp) = (dir.join("doc.json"), dir.join("doc.json.tmp"));
+        (0..n).map(|_| plan.atomic_write(&path, &tmp, b"doc").is_err()).collect()
+    }
+
+    fn scratch_dir(name: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(format!("chatfuzz-{name}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).expect("create dir");
+        dir
+    }
+
     #[test]
     fn decision_streams_replay_bit_exactly_from_the_seed() {
+        let dir = scratch_dir("faults-replay");
         let cfg = FaultConfig {
             heartbeat_drop_per_myriad: 3000,
-            event_dup_per_myriad: 2500,
-            event_swap_per_myriad: 2500,
+            io_error_per_myriad: 2500,
             ..FaultConfig::benign(41)
         };
         let a = FaultPlan::new(cfg);
         let b = FaultPlan::new(cfg);
-        let beats_a: Vec<bool> = (0..256).map(|_| a.drop_heartbeat()).collect();
-        let beats_b: Vec<bool> = (0..256).map(|_| b.drop_heartbeat()).collect();
-        assert_eq!(beats_a, beats_b);
-        assert!(beats_a.iter().any(|&d| d) && beats_a.iter().any(|&d| !d), "rate is partial");
-
-        let mut evs_a: Vec<u32> = (0..8).collect();
-        let mut evs_b = evs_a.clone();
-        for _ in 0..64 {
-            a.mangle_events(&mut evs_a);
-            b.mangle_events(&mut evs_b);
+        // Both draws share one stream, interleaved the same way in both.
+        let decisions = |plan: &FaultPlan| -> Vec<(bool, Vec<bool>)> {
+            (0..128).map(|_| (plan.drop_heartbeat(), io_errors(plan, &dir, 2))).collect()
+        };
+        let (stream_a, stream_b) = (decisions(&a), decisions(&b));
+        assert_eq!(stream_a, stream_b);
+        let beats: Vec<bool> = stream_a.iter().map(|(beat, _)| *beat).collect();
+        let errors: Vec<bool> = stream_a.iter().flat_map(|(_, errs)| errs.clone()).collect();
+        for (what, drawn) in [("heartbeat drops", &beats), ("io errors", &errors)] {
+            assert!(drawn.iter().any(|&d| d) && drawn.iter().any(|&d| !d), "{what}: partial");
         }
-        assert_eq!(evs_a, evs_b);
-        assert!(evs_a.len() > 8, "duplicates were injected");
+        assert_eq!(a.persist_ops(), 256);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn disarmed_faults_do_not_perturb_the_stream() {
         // A plan with only heartbeat drops armed must make the same
-        // decisions whether or not other (disarmed) fault kinds are
+        // decisions whether or not the disarmed io-error fault is
         // consulted in between — rate-0 draws must not consume words.
+        let dir = scratch_dir("faults-disarmed");
         let cfg = FaultConfig { heartbeat_drop_per_myriad: 5000, ..FaultConfig::benign(11) };
         let a = FaultPlan::new(cfg);
         let b = FaultPlan::new(cfg);
-        let mut noise: Vec<u32> = (0..4).collect();
         let beats_a: Vec<bool> = (0..64).map(|_| a.drop_heartbeat()).collect();
+        let mut errors = Vec::new();
         let beats_b: Vec<bool> = (0..64)
             .map(|_| {
-                b.mangle_events(&mut noise); // both rates 0: no draw
+                errors.extend(io_errors(&b, &dir, 1)); // rate 0: no draw
                 b.drop_heartbeat()
             })
             .collect();
         assert_eq!(beats_a, beats_b);
-        assert_eq!(noise, (0..4).collect::<Vec<u32>>());
+        assert!(errors.iter().all(|&e| !e), "a disarmed io error never fires");
+        assert_eq!(std::fs::read(dir.join("doc.json")).expect("read"), b"doc");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -440,7 +426,7 @@ mod tests {
         std::fs::create_dir_all(&dir).expect("create dir");
         let path = dir.join("doc.json");
         let tmp = dir.join("doc.json.tmp");
-        atomic_write_with(None, &path, &tmp, b"payload").expect("write");
+        atomic_write(&path, &tmp, b"payload").expect("write");
         assert_eq!(std::fs::read(&path).expect("read"), b"payload");
         assert!(!tmp.exists(), "temp renamed away");
         let _ = std::fs::remove_dir_all(&dir);

@@ -29,12 +29,12 @@
 //! With `publish_every >= 1` the arm splits into an **actor** and a
 //! **learner**:
 //!
-//! * the [`LmActor`] holds a *frozen, versioned copy* of the policy (the
+//! * the `LmActor` holds a *frozen, versioned copy* of the policy (the
 //!   published snapshot) and does all sampling from it — test execution
 //!   and rollout scoring still flow through the campaign's ordinary
 //!   worker channels (`image_pool`/`scratch_pool`), there is no side
 //!   loop;
-//! * the [`LmLearner`] consumes completed, reward-stamped rollouts into
+//! * the `LmLearner` consumes completed, reward-stamped rollouts into
 //!   a queue and trains **only at deterministic publish boundaries**
 //!   (every `publish_every` observed batches): it replays up to
 //!   [`LmGeneratorConfig::learner_batch`] of the queued rollouts —

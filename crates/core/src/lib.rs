@@ -27,9 +27,10 @@
 //!   rotated lineage, and [`persist::load_latest_valid`] falls back
 //!   through it past torn or corrupt files (quarantining, not deleting);
 //! * [`faults`] — seeded, reproducible fault injection (torn writes,
-//!   crash boundaries, transient io errors, dropped heartbeats,
-//!   duplicated/reordered events) behind the one atomic-write choke
-//!   point the durability layer uses;
+//!   crash boundaries, transient io errors, dropped heartbeats) behind
+//!   the one atomic-write choke point the durability layer uses, handed
+//!   to worker processes through the `CHATFUZZ_FAULT_PLAN` environment
+//!   variable;
 //! * [`shard`] — the arithmetic of horizontal scaling: disjoint per-shard
 //!   RNG streams, and the merge that folds shard snapshots into one —
 //!   coverage maps union, evolutionary corpora pool as a
@@ -50,9 +51,11 @@
 //! Campaigns are observable without being perturbable: a
 //! `chatfuzz_telemetry::TelemetrySink` attached via
 //! [`CampaignBuilder::telemetry`] receives batch spans, scheduler
-//! pick/reward events, checkpoint and recovery durations, and fault
-//! injections — while results stay bit-identical to an uninstrumented
-//! run (wall clock lives only in telemetry output).
+//! pick/reward events, and auto-checkpoint writes — while results stay
+//! bit-identical to an uninstrumented run (wall clock lives only in
+//! telemetry output). Every sink is passed explicitly: fired faults go
+//! to the one given to [`faults::install`], and [`persist`] records
+//! nothing itself.
 //!
 //! # Examples
 //!

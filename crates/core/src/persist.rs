@@ -1517,8 +1517,6 @@ fn read_exception(value: &Json) -> Result<Exception> {
 /// with `path` via [`PersistError::At`], like every other file-borne
 /// error in this module.
 pub fn save_snapshot(path: &Path, snapshot: &CampaignSnapshot) -> Result<()> {
-    let sink = chatfuzz_telemetry::global();
-    let span = sink.now();
     let write = || -> io::Result<()> {
         if let Some(parent) = path.parent() {
             if !parent.as_os_str().is_empty() {
@@ -1529,12 +1527,7 @@ pub fn save_snapshot(path: &Path, snapshot: &CampaignSnapshot) -> Result<()> {
         tmp.push(".tmp");
         crate::faults::atomic_write(path, Path::new(&tmp), snapshot_json(snapshot).as_bytes())
     };
-    let result = write().map_err(|e| PersistError::from(e).at(path));
-    if sink.is_enabled() {
-        sink.observe_since(chatfuzz_telemetry::names::PERSIST_WRITE_US, span);
-        sink.counter_add(chatfuzz_telemetry::names::PERSIST_WRITES, 1);
-    }
-    result
+    write().map_err(|e| PersistError::from(e).at(path))
 }
 
 /// The lineage sibling of `path` at `depth`: the file itself for depth
@@ -1612,9 +1605,9 @@ impl Recovery {
 
     /// A one-line human summary of what the recovery walked through —
     /// what it landed on, how deep it had to fall back, and every
-    /// checksum failure and quarantined corpse along the way. Fleet
-    /// transports feed this line into the telemetry event stream so a
-    /// recovery is never silently absorbed.
+    /// checksum failure and quarantined corpse along the way. The
+    /// orchestrator's `lease_recovery` telemetry event carries this
+    /// line, so a recovery is never silently absorbed.
     pub fn summary(&self) -> String {
         use std::fmt::Write as _;
         let mut line = match &self.snapshot {
@@ -1668,26 +1661,6 @@ const MAX_LINEAGE_SCAN: usize = 32;
 /// a [`Recovery`] with no snapshot, which callers treat as "resume from
 /// the generation base".
 pub fn load_latest_valid(path: &Path, space: &Arc<Space>) -> Recovery {
-    let sink = chatfuzz_telemetry::global();
-    let span = sink.now();
-    let recovery = load_latest_valid_inner(path, space);
-    if sink.is_enabled() {
-        use chatfuzz_telemetry::names;
-        sink.observe_since(names::PERSIST_RECOVER_US, span);
-        sink.counter_add(names::PERSIST_CHECKSUM_FAILURES, recovery.checksum_failures as u64);
-        sink.counter_add(names::PERSIST_QUARANTINED, recovery.quarantined.len() as u64);
-        sink.event(
-            "recovery",
-            vec![
-                ("path", path.display().to_string().into()),
-                ("summary", recovery.summary().into()),
-            ],
-        );
-    }
-    recovery
-}
-
-fn load_latest_valid_inner(path: &Path, space: &Arc<Space>) -> Recovery {
     let mut recovery = Recovery::default();
     for depth in 0..=MAX_LINEAGE_SCAN {
         let candidate = lineage_path(path, depth);

@@ -19,7 +19,7 @@
 //! ChaCha stream, so scheduling is bit-reproducible and survives
 //! snapshot/resume (the stream rides in the generator's
 //! `GeneratorState::rng_words`). Eviction
-//! (over [`Corpus::max_seeds`]) removes the lowest-energy,
+//! (over the corpus's `max_seeds`) removes the lowest-energy,
 //! youngest-on-tie seed; every quantity involved is an integer, so the
 //! whole store round-trips exactly through the persisted form.
 

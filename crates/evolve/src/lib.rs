@@ -19,7 +19,7 @@
 //!   self-modifying-code idiom injection), so every mutant still
 //!   decodes — see the [`mutate`] module docs;
 //! * [`EvolveGenerator`] surfaces the pair as an
-//!   [`InputGenerator`](chatfuzz_baselines::InputGenerator) arm,
+//!   [`InputGenerator`] arm,
 //!   scheduled alongside the random and LM generators by the campaign's
 //!   scheduler and fully deterministic under its ChaCha seed.
 //!
@@ -27,11 +27,11 @@
 //!
 //! The campaign loop computes, per input, the coverage fingerprint and a
 //! mismatch flag and hands them back through
-//! [`Feedback`](chatfuzz_baselines::Feedback) in
+//! [`Feedback`] in
 //! `InputGenerator::observe` — the same batch-outcome path every other
 //! generator uses; no side channel. The whole generator state (corpus,
 //! pick counters, ChaCha stream) exports as a
-//! [`GeneratorState`](chatfuzz_baselines::GeneratorState) (corpus half
+//! [`GeneratorState`] (corpus half
 //! populated) through `InputGenerator::export_state`, rides in the
 //! campaign snapshot, and is restored by `import_state` on resume — so a
 //! SIGKILLed campaign continues bit-for-bit, retained seeds included.

@@ -4,7 +4,7 @@
 //! havoc is replaced by structure-aware edits that cannot produce an
 //! undecodable word. The encodability invariant is enforced twice: each
 //! operator only writes operand values inside the encoder's accepted
-//! ranges, and [`sanitize`] backstops any instruction the encoder still
+//! ranges, and `sanitize` backstops any instruction the encoder still
 //! rejects by replacing it with a fresh ISA-valid one. Mutants therefore
 //! always decode (`chatfuzz_isa::decode` succeeds on every word), which
 //! is what makes the evolutionary arm cheap: no budget is wasted on

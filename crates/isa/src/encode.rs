@@ -1,4 +1,4 @@
-//! Binary instruction encoder (inverse of [`crate::decode`]).
+//! Binary instruction encoder (inverse of [`crate::decode()`]).
 
 use std::error::Error;
 use std::fmt;

@@ -1,12 +1,13 @@
 //! RISC-V RV64IMA+Zicsr+Zifencei instruction-set tooling for ChatFuzz.
 //!
 //! This crate is the shared substrate of the whole reproduction: it defines
-//! the decoded instruction model ([`Instr`]), a binary [`decode`]r and
-//! [`encode`]r, a textual disassembler, an [`asm`] program builder used by
-//! the corpus generator, the CSR and exception name spaces, and the pure
-//! [`semantics`] helpers that both the golden-model simulator and the
-//! microarchitectural simulators call into (so that architectural divergence
-//! between the two can only originate from deliberately injected bugs).
+//! the decoded instruction model ([`Instr`]), a binary [decoder](fn@decode)
+//! and [encoder](fn@encode), a textual disassembler, an [`asm`] program
+//! builder used by the corpus generator, the CSR and exception name
+//! spaces, and the pure [`semantics`] helpers that both the golden-model
+//! simulator and the microarchitectural simulators call into (so that
+//! architectural divergence between the two can only originate from
+//! deliberately injected bugs).
 //!
 //! # Examples
 //!

@@ -121,8 +121,8 @@ pub struct WorkOrder {
     /// Coverage space, needed to load checkpoints and results.
     pub space: Arc<Space>,
     /// The tenant's telemetry sink, attached to the lease campaign by
-    /// in-process transports (out-of-process workers fall back to their
-    /// process-global sink — a handle cannot cross an exec boundary).
+    /// in-process transports (a handle cannot cross an exec boundary, so
+    /// spool workers use the sink given to `SpoolWorker::telemetry`).
     pub telemetry: TelemetrySink,
 }
 

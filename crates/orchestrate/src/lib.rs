@@ -42,14 +42,18 @@
 //! Every failure path degrades gracefully instead of wedging the fleet:
 //!
 //! * **Checkpoint recovery walks a lineage.** Auto-checkpoints are
-//!   written with `persist::save_snapshot_rotated`, keeping the last K
-//!   generations behind the live file (`.1`, `.2`, …). Recovery uses
+//!   written with `persist::save_snapshot_rotated`, keeping the last two
+//!   checkpoints behind the live file (`.1`, `.2`). Recovery uses
 //!   [`chatfuzz::persist::load_latest_valid`]: a torn or
 //!   corrupted-in-place file (every snapshot carries a content checksum
 //!   since schema v5) is renamed to `*.quarantined` — never deleted —
 //!   and the next lineage entry is tried, newest-first, across every
 //!   prior attempt, ultimately falling back to the generation's pooled
-//!   base.
+//!   base. The orchestrator, which owns the recovery, records it once
+//!   on the tenant's sink: one `lease_recovery` event carrying
+//!   [`chatfuzz::persist::Recovery::summary`], one
+//!   `chatfuzz_persist_recover_us` sample per checkpoint lookup, and
+//!   the checksum-failure and quarantine counters.
 //! * **Dispatch retries with backoff.** A transient transport error
 //!   (a flaky filesystem, an injected io fault) is retried a few times
 //!   before it becomes an [`OrchestrateError`].
@@ -61,8 +65,8 @@
 //!   generation in which *no* lease completed escalates to
 //!   [`OrchestrateError::LeaseExhausted`].
 //! * **Lossy delivery is tolerated.** Terminal leases ignore duplicate
-//!   and reordered transport events, so an at-least-once transport
-//!   cannot double-merge a result.
+//!   and late transport events, so an at-least-once transport cannot
+//!   double-merge a result.
 //! * **Crash litter is swept.** Orphaned `*.tmp` files left by workers
 //!   that died mid-`temp+rename` are removed at orchestrator startup
 //!   and at every generation boundary.

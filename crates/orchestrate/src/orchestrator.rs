@@ -208,12 +208,12 @@ struct Tenant {
     /// Snapshot checksum failures seen while recovering checkpoints.
     checksum_failures: usize,
     /// Active lease time accumulated over finished generations — the
-    /// throughput denominator. Merge, distillation, and idle gaps
-    /// between generations are excluded (they happen after the clock
-    /// below is banked and before the next generation restarts it).
+    /// throughput denominator. Dispatch, merge, and distillation are
+    /// excluded (they happen before the clock below starts or after it
+    /// is banked).
     active: Duration,
-    /// When the current generation's leases were dispatched (`None`
-    /// between generations and after the campaign finishes).
+    /// When the current generation's dispatch finished (`None` between
+    /// generations and after the campaign finishes).
     generation_started: Option<Instant>,
 }
 
@@ -418,17 +418,22 @@ impl<T: Transport> Orchestrator<T> {
             self.step()?;
             on_status(&self.status());
             if !self.is_done() {
-                // Idle wall clock (the poll loop's sleeps) goes to the
-                // process-global sink: per-tenant attribution would be
-                // arbitrary, and the orchestrate binary installs its
-                // sink globally anyway.
-                let idle = chatfuzz_telemetry::global().now();
+                // The poll loop's sleep is idle time of every tenant
+                // waiting on a generation in flight, so it is a part of
+                // each one's execute phase.
+                let waiting: Vec<&TelemetrySink> = self
+                    .tenants
+                    .iter()
+                    .filter(|t| t.generation_started.is_some() && t.config.telemetry.is_enabled())
+                    .map(|t| &t.config.telemetry)
+                    .collect();
+                let idle = (!waiting.is_empty()).then(Instant::now);
                 std::thread::sleep(Duration::from_millis(2));
                 if let Some(start) = idle {
-                    chatfuzz_telemetry::global().counter_add(
-                        names::FLEET_PHASE_IDLE_US,
-                        start.elapsed().as_micros() as u64,
-                    );
+                    let us = start.elapsed().as_micros() as u64;
+                    for sink in waiting {
+                        sink.counter_add(names::FLEET_PHASE_IDLE_US, us);
+                    }
                 }
             }
         }
@@ -545,9 +550,6 @@ impl<T: Transport> Orchestrator<T> {
         let tenant = &mut self.tenants[index];
         let sink = tenant.config.telemetry.clone();
         let dispatch_span = sink.now();
-        if tenant.generation_started.is_none() {
-            tenant.generation_started = Some(Instant::now());
-        }
         let generation = tenant.generation;
         let config = &tenant.config;
         let base_tests = tenant.base.as_ref().map_or(0, CampaignSnapshot::tests_run);
@@ -614,10 +616,14 @@ impl<T: Transport> Orchestrator<T> {
             }
             self.dispatch_with_retry(order)?;
         }
-        if sink.is_enabled() {
-            let us = dispatch_span.map_or(0, |s| s.elapsed().as_micros() as u64);
+        // The execute phase starts where dispatch ends, so the two
+        // phase counters never count the same wall clock.
+        let dispatched = Instant::now();
+        if let Some(start) = dispatch_span {
+            let us = dispatched.duration_since(start).as_micros() as u64;
             sink.counter_add(names::FLEET_PHASE_DISPATCH_US, us);
         }
+        self.tenants[index].generation_started = Some(dispatched);
         Ok(())
     }
 
@@ -734,12 +740,17 @@ impl<T: Transport> Orchestrator<T> {
     /// Recovers the freshest checkpoint any attempt of a lease left,
     /// scanning attempts newest-first and each attempt's lineage behind
     /// it, and banks the degradation observed on the way (fallback
-    /// depth, checksum failures) into the tenant's counters.
+    /// depth, checksum failures) into the tenant's counters and sink:
+    /// one latency sample per checkpoint lookup and one
+    /// `lease_recovery` event for the whole recovery.
     fn recover_checkpoint(&mut self, lease: LeaseId, last_attempt: u32) -> Recovery {
-        let space = self.tenants[lease.campaign].config.space.clone();
+        let tenant = &self.tenants[lease.campaign];
+        let (space, sink) = (tenant.config.space.clone(), tenant.config.telemetry.clone());
         let mut recovery = Recovery::default();
         for attempt in (0..=last_attempt).rev() {
+            let lookup = sink.now();
             recovery.absorb(self.transport.checkpoint(lease, attempt, &space));
+            sink.observe_since(names::PERSIST_RECOVER_US, lookup);
             if recovery.snapshot.is_some() {
                 break;
             }
@@ -749,8 +760,10 @@ impl<T: Transport> Orchestrator<T> {
             tenant.max_fallback_depth = tenant.max_fallback_depth.max(recovery.fallback_depth);
         }
         tenant.checksum_failures += recovery.checksum_failures;
-        if tenant.config.telemetry.is_enabled() {
-            tenant.config.telemetry.event(
+        if sink.is_enabled() {
+            sink.counter_add(names::PERSIST_CHECKSUM_FAILURES, recovery.checksum_failures as u64);
+            sink.counter_add(names::PERSIST_QUARANTINED, recovery.quarantined.len() as u64);
+            sink.event(
                 "lease_recovery",
                 vec![("lease", lease.to_string().into()), ("summary", recovery.summary().into())],
             );
@@ -896,10 +909,11 @@ impl<T: Transport> Orchestrator<T> {
         // work below — that time is orchestrator overhead, not worker
         // throughput, and stays out of the `tests_per_sec` denominator.
         if let Some(since) = tenant.generation_started.take() {
+            let executed = since.elapsed();
             if sink.is_enabled() {
-                sink.counter_add(names::FLEET_PHASE_EXECUTE_US, since.elapsed().as_micros() as u64);
+                sink.counter_add(names::FLEET_PHASE_EXECUTE_US, executed.as_micros() as u64);
             }
-            tenant.active += since.elapsed();
+            tenant.active += executed;
         }
         let merge_span = sink.now();
         if !tenant.leases.iter().any(|slot| slot.state == LeaseState::Completed) {
@@ -1261,6 +1275,175 @@ mod tests {
             u64::from(CRASH_LOOP_LIMIT) - 1,
             "the final failure quarantines instead of reissuing"
         );
+    }
+
+    /// A fresh one-generation, 2-lease fleet with its orders dispatched.
+    fn dispatched_pair() -> (Orchestrator<NullTransport>, Vec<WorkOrder>) {
+        let mut orchestrator = Orchestrator::new(NullTransport::new());
+        orchestrator.register(FleetConfig {
+            heartbeat_deadline: Duration::from_secs(3600),
+            ..config(2, 32, 64)
+        });
+        orchestrator.step().expect("dispatch");
+        let orders = orchestrator.transport.dispatched.drain(..).collect();
+        (orchestrator, orders)
+    }
+
+    /// Drives a [`dispatched_pair`] by hand: the first poll delivers
+    /// `first`, the second lease 1's completion. Returns the lease view
+    /// after the first poll, the campaign's tests, and the merged
+    /// snapshot's JSON.
+    fn deliver(
+        completed: &[TransportEvent],
+        first: Vec<TransportEvent>,
+    ) -> (Vec<(LeaseState, usize)>, usize, String) {
+        let (mut orchestrator, _) = dispatched_pair();
+        orchestrator.transport.events = first;
+        orchestrator.step().expect("first poll");
+        let status = orchestrator.status();
+        let leases = status.campaigns[0].leases.iter().map(|l| (l.state, l.tests_run)).collect();
+        orchestrator.transport.events.push(completed[1].clone());
+        orchestrator.step().expect("merge poll");
+        let merged = orchestrator.final_snapshot(0).expect("both leases completed");
+        (leases, orchestrator.status().campaigns[0].tests_run, chatfuzz::snapshot_json(merged))
+    }
+
+    /// At-least-once, unordered delivery is absorbed exactly like single
+    /// delivery: a completion delivered twice in one poll, and a
+    /// heartbeat of an attempt arriving after that attempt's completion,
+    /// change neither lease state, nor progress, nor the merge.
+    #[test]
+    fn duplicate_and_late_events_leave_the_fleet_as_single_delivery_does() {
+        // Every delivery below hands over the very same lease results.
+        let completed: Vec<TransportEvent> = dispatched_pair()
+            .1
+            .iter()
+            .map(|order| TransportEvent::Completed {
+                lease: order.lease,
+                attempt: order.attempt,
+                snapshot: Box::new(run_lease(order)),
+            })
+            .collect();
+        let done = &completed[0];
+        let single = deliver(&completed, vec![done.clone()]);
+        assert_eq!(single.0, vec![(LeaseState::Completed, 32), (LeaseState::Issued, 0)]);
+        assert_eq!(single.1, 64);
+        let twice = deliver(&completed, vec![done.clone(), done.clone()]);
+        assert_eq!(twice, single, "a duplicated completion");
+        let TransportEvent::Completed { lease, attempt, .. } = *done else { unreachable!() };
+        let beat = TransportEvent::Heartbeat { lease, attempt, tests_run: 8, worker: 0 };
+        let late = deliver(&completed, vec![done.clone(), beat]);
+        assert_eq!(late, single, "a heartbeat after the completion");
+    }
+
+    /// The orchestrator owns a lease recovery and records it once: one
+    /// `lease_recovery` event per recovery and one recover-latency
+    /// sample per checkpoint lookup, on the tenant's own sink.
+    #[test]
+    fn a_lease_recovery_is_recorded_once_with_one_sample_per_lookup() {
+        let sink = TelemetrySink::enabled();
+        let mut orchestrator = Orchestrator::new(NullTransport::new());
+        orchestrator.register(FleetConfig {
+            heartbeat_deadline: Duration::from_secs(3600),
+            telemetry: sink.clone(),
+            ..config(2, 32, 64)
+        });
+        orchestrator.step().expect("dispatch");
+        let orders: Vec<WorkOrder> = orchestrator.transport.dispatched.drain(..).collect();
+        let recoveries = |sink: &TelemetrySink| {
+            sink.drain_events().iter().filter(|e| e.kind == "lease_recovery").count()
+        };
+        let lookups =
+            |sink: &TelemetrySink| sink.histogram(names::PERSIST_RECOVER_US).map_or(0, |h| h.count);
+        let fail = |orchestrator: &mut Orchestrator<NullTransport>, attempt: u32| {
+            orchestrator.transport.events.push(TransportEvent::Failed {
+                lease: orders[0].lease,
+                attempt,
+                detail: "worker died".to_string(),
+            });
+            orchestrator.step().expect("a failure reissues");
+        };
+        // Attempt 0 left no checkpoint: one lookup finds nothing.
+        fail(&mut orchestrator, 0);
+        assert_eq!((recoveries(&sink), lookups(&sink)), (1, 1));
+        // Attempt 1 left none either, attempt 0 now has one: the
+        // recovery looks up attempt 1, then attempt 0.
+        let checkpoint = {
+            let mut campaign = (orders[0].build)(orders[0].spec).build();
+            campaign.run_until(&[StopCondition::Tests(16)]);
+            campaign.snapshot()
+        };
+        orchestrator.transport.checkpoints.insert((orders[0].lease, 0), checkpoint);
+        fail(&mut orchestrator, 1);
+        assert_eq!((recoveries(&sink), lookups(&sink)), (1, 3));
+        let reissue = orchestrator.transport.dispatched.pop().expect("attempt 2 is issued");
+        assert_eq!(reissue.resume.as_ref().map(CampaignSnapshot::tests_run), Some(16));
+        assert_eq!(sink.counter_value(names::PERSIST_CHECKSUM_FAILURES), 0);
+        assert_eq!(sink.counter_value(names::PERSIST_QUARANTINED), 0);
+    }
+
+    /// Completes each lease one poll after dispatching it, and dispatches
+    /// slowly: the shape under which a dispatch clock and an execute
+    /// clock can overlap.
+    struct SlowDispatch {
+        delay: Duration,
+        next_poll: Vec<TransportEvent>,
+        ready: Vec<TransportEvent>,
+    }
+
+    impl Transport for SlowDispatch {
+        fn dispatch(&mut self, order: WorkOrder) -> Result<(), OrchestrateError> {
+            std::thread::sleep(self.delay);
+            let snapshot = Box::new(run_lease(&order));
+            let (lease, attempt) = (order.lease, order.attempt);
+            self.next_poll.push(TransportEvent::Completed { lease, attempt, snapshot });
+            Ok(())
+        }
+
+        fn poll(&mut self) -> Vec<TransportEvent> {
+            let ready = std::mem::take(&mut self.ready);
+            self.ready = std::mem::take(&mut self.next_poll);
+            ready
+        }
+
+        fn checkpoint(&self, _lease: LeaseId, _attempt: u32, _space: &Arc<Space>) -> Recovery {
+            Recovery::default()
+        }
+
+        fn workers(&self) -> Vec<WorkerStatus> {
+            Vec::new()
+        }
+
+        fn shutdown(&mut self) {}
+    }
+
+    /// Dispatch, execute and merge partition the fleet's wall clock, so
+    /// their sum never exceeds it, and idle polling is a part of execute.
+    #[test]
+    fn fleet_phases_do_not_overlap() {
+        let sink = TelemetrySink::enabled();
+        let transport = SlowDispatch {
+            delay: Duration::from_millis(25),
+            next_poll: Vec::new(),
+            ready: Vec::new(),
+        };
+        let mut orchestrator = Orchestrator::new(transport);
+        orchestrator.register(FleetConfig { telemetry: sink.clone(), ..config(2, 16, 64) });
+        let started = Instant::now();
+        orchestrator.run_to_completion().expect("fleet completes");
+        let wall = started.elapsed().as_micros() as u64;
+        let phase = |name| sink.counter_value(name);
+        let dispatch = phase(names::FLEET_PHASE_DISPATCH_US);
+        let execute = phase(names::FLEET_PHASE_EXECUTE_US);
+        let merge = phase(names::FLEET_PHASE_MERGE_US);
+        let idle = phase(names::FLEET_PHASE_IDLE_US);
+        assert!(dispatch >= 4 * 25_000, "two generations of two slow dispatches: {dispatch}us");
+        assert!(
+            dispatch + execute + merge <= wall,
+            "phases overlap: dispatch {dispatch} + execute {execute} + merge {merge} > wall {wall}"
+        );
+        assert!(idle > 0, "each generation waits one idle poll for its completions");
+        assert!(idle <= execute, "idle {idle}us is a part of execute {execute}us");
     }
 
     #[test]

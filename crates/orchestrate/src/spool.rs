@@ -1,8 +1,10 @@
 //! Filesystem-spool transport: the machine-crossing stand-in.
 //!
 //! Orchestrator and workers share nothing but a directory. The protocol
-//! is files, every one written with the same atomic temp+rename dance the
-//! `persist` module uses, so a reader never sees a half-written file:
+//! is files, every one written through `chatfuzz::faults::atomic_write`,
+//! the same temp+rename choke point the `persist` module uses, so a
+//! reader never sees a half-written file and the process's fault plan
+//! (if any) can tear or crash any of them:
 //!
 //! ```text
 //! spool/
@@ -13,6 +15,8 @@
 //!   ckpt/<lease>.ckpt.json attempt-scoped auto-checkpoints (persist format)
 //!   resume/<lease>.json    pooled snapshots a lease continues from
 //!   outbox/<lease>.json    final shard snapshots (persist format)
+//!   trace/<lease>.trace.jsonl  the lease's timeline when the worker's
+//!                          sink is enabled (telemetry appends, not protocol)
 //!   stop                   shutdown marker: workers drain and exit
 //! ```
 //!
@@ -26,8 +30,9 @@
 //! typed error. An order it cannot serve — a missing key, a garbled or
 //! overflowing number, an unknown campaign, a resume snapshot that will
 //! not load — stays in `claimed/` and is reported as a `lease_rejected`
-//! telemetry event, and the worker keeps serving; the orchestrator's
-//! heartbeat deadline then revokes and reissues the lease.
+//! event on the worker's sink ([`SpoolWorker::telemetry`]), and the
+//! worker keeps serving; the orchestrator's heartbeat deadline then
+//! revokes and reissues the lease.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -39,10 +44,10 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use chatfuzz::campaign::{BatchOutcome, CampaignSnapshot, StopCondition};
-use chatfuzz::faults::FaultPlan;
 use chatfuzz::persist::{PersistError, Recovery};
 use chatfuzz::shard::ShardSpec;
 use chatfuzz_coverage::Space;
+use chatfuzz_telemetry::TelemetrySink;
 
 use crate::lease::{artefact_stem, LeaseBuilder, LeaseId, WorkOrder};
 use crate::orchestrator::OrchestrateError;
@@ -60,23 +65,16 @@ const OUTBOX: &str = "outbox";
 const TRACES: &str = "trace";
 const STOP_MARKER: &str = "stop";
 
-/// Worker-side protocol writes: routed through the env-driven global
-/// fault plan, so a worker process under test crashes and tears exactly
-/// where its [`chatfuzz::faults::ENV_VAR`] schedule says.
-fn atomic_write(path: &Path, contents: &str) -> io::Result<()> {
-    atomic_write_with(chatfuzz::faults::active(), path, contents)
-}
-
 /// The spool's one write choke point: every protocol file lands through
-/// the same faultable temp+rename dance persist uses. `plan` is an
-/// explicit orchestrator-side plan (kept off the process-global slot so
-/// parallel in-process tests don't fault each other).
-fn atomic_write_with(plan: Option<&FaultPlan>, path: &Path, contents: &str) -> io::Result<()> {
+/// [`chatfuzz::faults::atomic_write`], so a process under test crashes
+/// and tears exactly where its [`chatfuzz::faults::ENV_VAR`] schedule
+/// says.
+fn atomic_write(path: &Path, contents: &str) -> io::Result<()> {
     if let Some(parent) = path.parent() {
         std::fs::create_dir_all(parent)?;
     }
     let tmp = path.with_extension(format!("tmp.{}", std::process::id()));
-    chatfuzz::faults::atomic_write_with(plan, path, &tmp, contents.as_bytes())
+    chatfuzz::faults::atomic_write(path, &tmp, contents.as_bytes())
 }
 
 // ---------------------------------------------------------------------------
@@ -307,7 +305,6 @@ pub struct SpoolTransport {
     children: Vec<SpoolChild>,
     inflight: Vec<Inflight>,
     serving: BTreeMap<u64, LeaseId>,
-    faults: Option<Arc<FaultPlan>>,
 }
 
 impl SpoolTransport {
@@ -324,18 +321,7 @@ impl SpoolTransport {
             children: Vec::new(),
             inflight: Vec::new(),
             serving: BTreeMap::new(),
-            faults: None,
         })
-    }
-
-    /// Injects an orchestrator-side fault plan: dispatch and shutdown
-    /// writes go through it, heartbeat reads are subject to its drop
-    /// schedule, and polled event batches to its duplication/reorder
-    /// schedule. Worker processes are unaffected — they read
-    /// [`chatfuzz::faults::ENV_VAR`] themselves.
-    pub fn fault_plan(mut self, plan: Arc<FaultPlan>) -> SpoolTransport {
-        self.faults = Some(plan);
-        self
     }
 
     /// Spawn `workers` copies of `program args…` (with [`ENV_SPOOL_DIR`] set
@@ -421,8 +407,7 @@ impl Transport for SpoolTransport {
             pairs.push(("resume_path", resume_path.display().to_string()));
         }
         let doc = encode_flat(pairs.iter().map(|(k, v)| (*k, v.as_str())));
-        atomic_write_with(self.faults.as_deref(), &inbox, &doc)
-            .map_err(|e| fail(format!("writing lease file: {e}")))?;
+        atomic_write(&inbox, &doc).map_err(|e| fail(format!("writing lease file: {e}")))?;
         self.inflight.push(Inflight {
             lease,
             attempt: order.attempt,
@@ -442,15 +427,9 @@ impl Transport for SpoolTransport {
         }
         let mut events = Vec::new();
         let mut still_inflight = Vec::new();
-        let faults = self.faults.clone();
         for mut entry in self.inflight.drain(..) {
-            // A dropped heartbeat is only delayed: the file stays on disk
-            // and a later poll (or the next batch's rewrite) delivers it.
-            let hb_dropped = faults.as_deref().is_some_and(|plan| plan.drop_heartbeat());
-            if let Some(hb) = (!hb_dropped)
-                .then(|| std::fs::read_to_string(&entry.heartbeat).ok())
-                .flatten()
-                .and_then(|text| decode_flat(&text))
+            if let Some(hb) =
+                std::fs::read_to_string(&entry.heartbeat).ok().and_then(|text| decode_flat(&text))
             {
                 let seq = hb.get("seq").and_then(|s| s.parse::<u64>().ok()).unwrap_or(0);
                 if seq > entry.last_seq {
@@ -490,17 +469,12 @@ impl Transport for SpoolTransport {
             }
         }
         self.inflight = still_inflight;
-        if let Some(plan) = &self.faults {
-            plan.mangle_events(&mut events);
-        }
         events
     }
 
     fn checkpoint(&self, lease: LeaseId, attempt: u32, space: &Arc<Space>) -> Recovery {
         let path = crate::lease::checkpoint_path(&self.root.join(CHECKPOINTS), lease, attempt);
-        let recovery = chatfuzz::load_latest_valid(&path, space);
-        crate::transport::log_checkpoint_recovery(lease, attempt, &recovery);
-        recovery
+        chatfuzz::load_latest_valid(&path, space)
     }
 
     fn sweep_orphans(&mut self) -> usize {
@@ -534,9 +508,7 @@ impl Transport for SpoolTransport {
         // Retry past transient injected errors: a missing stop marker
         // would leave the worker fleet spinning forever.
         for _ in 0..4 {
-            if atomic_write_with(self.faults.as_deref(), &self.root.join(STOP_MARKER), "stop")
-                .is_ok()
-            {
+            if atomic_write(&self.root.join(STOP_MARKER), "stop").is_ok() {
                 break;
             }
         }
@@ -564,6 +536,7 @@ pub struct SpoolWorker {
     root: PathBuf,
     templates: Vec<(String, LeaseBuilder, Arc<Space>)>,
     poll_interval: Duration,
+    telemetry: TelemetrySink,
 }
 
 impl SpoolWorker {
@@ -573,6 +546,7 @@ impl SpoolWorker {
             root: root.into(),
             templates: Vec::new(),
             poll_interval: Duration::from_millis(5),
+            telemetry: TelemetrySink::disabled(),
         }
     }
 
@@ -592,6 +566,17 @@ impl SpoolWorker {
         build: LeaseBuilder,
     ) -> SpoolWorker {
         self.templates.push((campaign.into(), build, space));
+        self
+    }
+
+    /// Attaches the worker's telemetry sink (a sink handle cannot cross
+    /// the exec boundary, so a worker process brings its own). Rejected
+    /// orders are reported to it, and every lease it serves runs
+    /// instrumented with its timeline in an attempt-scoped trace file
+    /// next to the lease's other artefacts — same stem, so a revoked
+    /// attempt's late events never mix with its reissue's.
+    pub fn telemetry(mut self, sink: TelemetrySink) -> SpoolWorker {
+        self.telemetry = sink;
         self
     }
 
@@ -645,7 +630,7 @@ impl SpoolWorker {
                 true
             }
             Err(error) => {
-                let sink = chatfuzz_telemetry::global();
+                let sink = &self.telemetry;
                 if sink.is_enabled() {
                     sink.event(
                         "lease_rejected",
@@ -700,12 +685,7 @@ impl SpoolWorker {
     fn serve_order(&self, order: DecodedOrder<'_>) {
         let (lease, attempt, heartbeat) = (order.lease, order.attempt, order.heartbeat);
         let pid = std::process::id();
-        // A TelemetrySink handle cannot cross the exec boundary, so the
-        // worker falls back to its process-global sink. When one is
-        // installed, the lease's timeline lands in an attempt-scoped
-        // trace file next to its other artefacts — same stem, so a
-        // revoked attempt's late events never mix with its reissue's.
-        let sink = chatfuzz_telemetry::global().clone();
+        let sink = &self.telemetry;
         if sink.is_enabled() {
             let stem = artefact_stem(lease, attempt);
             let trace = self.root.join(TRACES).join(format!("{stem}.trace.jsonl"));
@@ -859,7 +839,7 @@ mod tests {
             checkpoint_every: 4,
             build: build.clone(),
             space: space.clone(),
-            telemetry: chatfuzz_telemetry::TelemetrySink::disabled(),
+            telemetry: TelemetrySink::disabled(),
         };
         transport.dispatch(order).expect("dispatch");
         transport.stem_paths(lease, 0).3
@@ -933,7 +913,8 @@ mod tests {
             std::env::temp_dir().join(format!("chatfuzz-spool-garbage-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let mut transport = SpoolTransport::new(&dir).expect("spool dirs");
-        let worker = worker(&dir);
+        let sink = TelemetrySink::enabled();
+        let worker = worker(&dir).telemetry(sink.clone());
         // Sorts ahead of the valid order, so it is claimed first.
         let garbage = dir.join(INBOX).join("c0-g0-l0-a0.json");
         atomic_write(&garbage, "{\"campaign\": \"rocket\", \"attempt\": ").expect("garbage");
@@ -953,6 +934,14 @@ mod tests {
         let space = Rocket::new(RocketConfig::default()).space().clone();
         let snapshot = chatfuzz::load_snapshot(&result, &space).expect("result loads");
         assert_eq!(snapshot.tests_run(), 16);
+        // The rejection is on the worker's own sink. No trace file was
+        // attached when it fired, so the served lease's trace took it.
+        let trace = std::fs::read_to_string(dir.join(TRACES).join("c0-g0-l1-a0.trace.jsonl"))
+            .expect("the served lease leaves a trace");
+        let rejected: Vec<&str> =
+            trace.lines().filter(|l| l.contains("\"kind\":\"lease_rejected\"")).collect();
+        assert_eq!(rejected.len(), 1, "{trace}");
+        assert!(rejected[0].contains("c0-g0-l0-a0.json"), "{}", rejected[0]);
         drop(transport);
         let _ = std::fs::remove_dir_all(&dir);
     }

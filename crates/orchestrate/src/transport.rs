@@ -21,9 +21,10 @@ use crate::orchestrator::OrchestrateError;
 
 /// What a transport reports back about in-flight leases.
 ///
-/// Events are `Clone` because a lossy transport may deliver one more
-/// than once — the fault-injection layer duplicates and reorders polled
-/// batches, and the orchestrator's absorption must tolerate both.
+/// Delivery may be at-least-once and unordered: a transport over a
+/// shared filesystem can report one completion twice, or a heartbeat
+/// after the completion of the same attempt. The orchestrator's
+/// absorption ignores both (terminal leases take no further events).
 #[derive(Debug, Clone)]
 pub enum TransportEvent {
     /// The worker serving a lease made progress (one batch completed).
@@ -216,12 +217,7 @@ impl Transport for LocalPoolTransport {
     }
 
     fn checkpoint(&self, lease: LeaseId, attempt: u32, space: &Arc<Space>) -> Recovery {
-        let recovery = chatfuzz::load_latest_valid(
-            &checkpoint_path(&self.checkpoint_dir, lease, attempt),
-            space,
-        );
-        log_checkpoint_recovery(lease, attempt, &recovery);
-        recovery
+        chatfuzz::load_latest_valid(&checkpoint_path(&self.checkpoint_dir, lease, attempt), space)
     }
 
     fn sweep_orphans(&mut self) -> usize {
@@ -252,25 +248,6 @@ impl Transport for LocalPoolTransport {
 impl Drop for LocalPoolTransport {
     fn drop(&mut self) {
         self.shutdown();
-    }
-}
-
-/// Logs a checkpoint recovery's one-line [`Recovery::summary`] through
-/// the process-global telemetry stream, so neither transport silently
-/// absorbs fallback depth or quarantines on the reassignment path. The
-/// per-file persist metrics are already banked by `load_latest_valid`
-/// itself; this event adds the lease context.
-pub(crate) fn log_checkpoint_recovery(lease: LeaseId, attempt: u32, recovery: &Recovery) {
-    let sink = chatfuzz_telemetry::global();
-    if sink.is_enabled() {
-        sink.event(
-            "checkpoint_recovery",
-            vec![
-                ("lease", lease.to_string().into()),
-                ("attempt", attempt.into()),
-                ("summary", recovery.summary().into()),
-            ],
-        );
     }
 }
 

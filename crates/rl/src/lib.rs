@@ -3,7 +3,7 @@
 //! The paper's training steps 2 (disassembler-rewarded cleanup) and 3
 //! (coverage-rewarded optimisation) are both PPO runs over the GPT policy,
 //! differing only in the reward function supplied by the caller. This
-//! crate provides the shared machinery: [`gae`] advantage estimation and
+//! crate provides the shared machinery: [`gae`](mod@gae) advantage estimation and
 //! the [`PpoTrainer`] (clipped surrogate, value regression, entropy bonus,
 //! per-token KL penalty against a frozen reference policy, KL early stop).
 //!

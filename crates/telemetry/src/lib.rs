@@ -5,11 +5,13 @@
 //! Everything hangs off a [`TelemetrySink`], a cheaply clonable handle
 //! that is either *enabled* (backed by a shared registry + per-thread
 //! event rings) or *disabled* (a `None`; every operation is a single
-//! branch). Structured code paths thread a sink explicitly
-//! (`CampaignBuilder::telemetry(...)`, `FleetConfig::telemetry`); free
-//! functions deep in the durability layer (`persist`, `faults`) and
-//! out-of-process spool workers report through the process-global sink
-//! installed with [`install_global`].
+//! branch). There is no process-global sink: every emitter is handed
+//! one explicitly — `CampaignBuilder::telemetry` (batch loop, scheduler,
+//! auto-checkpoint writes), `FleetConfig::telemetry` (lease lifecycle,
+//! checkpoint recovery, fleet phases), `SpoolWorker::telemetry`
+//! (out-of-process workers) and `faults::install(cfg, sink)` (fired
+//! fault-plan decisions). The persist functions record nothing; the
+//! object that owns a write or a recovery records it once.
 //!
 //! # Neutrality contract
 //!
@@ -42,21 +44,21 @@
 //! | `chatfuzz_campaign_batch_latency_us` | histogram | wall clock per batch |
 //! | `chatfuzz_campaign_lm_tokens_total` | counter | instructions sampled by the LM arm |
 //! | `chatfuzz_campaign_lm_publish_epochs` | gauge | actor weight-publish epochs |
-//! | `chatfuzz_persist_write_us` | histogram | snapshot/checkpoint write duration |
-//! | `chatfuzz_persist_writes_total` | counter | snapshot writes attempted |
-//! | `chatfuzz_persist_recover_us` | histogram | `load_latest_valid` duration |
-//! | `chatfuzz_persist_checksum_failures_total` | counter | corrupt documents stepped over |
-//! | `chatfuzz_persist_quarantined_total` | counter | corpses renamed aside |
+//! | `chatfuzz_persist_write_us` | histogram | auto-checkpoint write duration, lineage rotation included |
+//! | `chatfuzz_persist_writes_total` | counter | auto-checkpoints written |
+//! | `chatfuzz_persist_recover_us` | histogram | one checkpoint lookup of a lease recovery |
+//! | `chatfuzz_persist_checksum_failures_total` | counter | corrupt checkpoints a lease recovery stepped over |
+//! | `chatfuzz_persist_quarantined_total` | counter | corrupt checkpoints a lease recovery renamed aside |
 //! | `chatfuzz_faults_injected_total` | counter | fault-plan decisions that fired |
 //! | `chatfuzz_fleet_heartbeat_gap_us` | histogram | gap between a lease's heartbeats |
 //! | `chatfuzz_fleet_leases_issued_total` | counter | lease dispatches (incl. reissues) |
 //! | `chatfuzz_fleet_leases_revoked_total` | counter | heartbeat-deadline revocations |
 //! | `chatfuzz_fleet_leases_quarantined_total` | counter | terminally failed leases |
 //! | `chatfuzz_fleet_merge_us` | histogram | merge + distill + re-split duration |
-//! | `chatfuzz_fleet_phase_dispatch_us_total` | counter | cumulative lease-issue wall clock |
-//! | `chatfuzz_fleet_phase_execute_us_total` | counter | cumulative worker-execution wall clock |
+//! | `chatfuzz_fleet_phase_dispatch_us_total` | counter | cumulative generation-dispatch wall clock |
+//! | `chatfuzz_fleet_phase_execute_us_total` | counter | cumulative wall clock from the end of dispatch to the merge |
 //! | `chatfuzz_fleet_phase_merge_us_total` | counter | cumulative merge wall clock |
-//! | `chatfuzz_fleet_phase_idle_us_total` | counter | cumulative idle-poll wall clock |
+//! | `chatfuzz_fleet_phase_idle_us_total` | counter | cumulative idle-poll wall clock, a part of execute |
 //! | `chatfuzz_telemetry_events_dropped_total` | counter | ring-buffer drop-oldest evictions |
 //!
 //! # Tracer
@@ -93,7 +95,7 @@ use std::fs::{File, OpenOptions};
 use std::io::{self, Write as _};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicI64, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, RwLock};
+use std::sync::{Arc, Mutex, RwLock};
 use std::time::Instant;
 
 /// Canonical metric names (see the crate docs for the full table).
@@ -652,22 +654,6 @@ fn thread_ring(inner: &Arc<Inner>) -> Arc<Ring> {
     })
 }
 
-static GLOBAL: OnceLock<TelemetrySink> = OnceLock::new();
-static GLOBAL_DISABLED: TelemetrySink = TelemetrySink::disabled();
-
-/// Installs the process-global sink used by code that cannot thread a
-/// handle (the persist/faults free functions, spool worker processes).
-/// First install wins; returns whether this call installed it.
-pub fn install_global(sink: TelemetrySink) -> bool {
-    GLOBAL.set(sink).is_ok()
-}
-
-/// The process-global sink; a disabled sink until
-/// [`install_global`] is called.
-pub fn global() -> &'static TelemetrySink {
-    GLOBAL.get().unwrap_or(&GLOBAL_DISABLED)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -809,13 +795,5 @@ mod tests {
         assert!(text.contains("chatfuzz_campaign_tests_total 7"));
         assert!(!path.with_extension("prom.tmp").exists(), "temp renamed away");
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn global_defaults_to_disabled() {
-        // install_global is first-wins and process-wide, so this test
-        // only asserts the default; installation is covered by the
-        // cross-process integration suite.
-        assert!(!global().is_enabled() || GLOBAL.get().is_some());
     }
 }

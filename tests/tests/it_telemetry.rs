@@ -15,10 +15,10 @@
 //!    are consumed per persist op, so if telemetry added or consumed
 //!    even one op the schedules would diverge. Two child victims run
 //!    the same auto-checkpointing campaign under the same
-//!    `CHATFUZZ_FAULT_PLAN` (torn writes + transient io errors), one
-//!    with a globally installed sink and a live JSONL trace, one
-//!    without; their reports and recovery summaries must match byte
-//!    for byte.
+//!    `CHATFUZZ_FAULT_PLAN` (a torn write), one with a sink attached to
+//!    the campaign and handed to `faults::install`, streaming a live
+//!    JSONL trace, one without; their reports and recovery summaries
+//!    must match byte for byte.
 //! 3. **Exporter sanity** — the Prometheus rendering carries the
 //!    canonical metric names with plausible values, and the JSONL trace
 //!    is a file of complete, parseable lines.
@@ -102,7 +102,7 @@ fn run_two_arm(seed: u64, batch: usize, tests: usize, sink: TelemetrySink) -> (S
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// An installed sink must not perturb coverage, snapshots, or
+    /// An attached sink must not perturb coverage, snapshots, or
     /// scheduler state: the snapshot JSON embeds all three.
     #[test]
     fn instrumented_campaigns_are_bit_identical_to_bare(
@@ -127,9 +127,10 @@ proptest! {
 /// `CHATFUZZ_FAULT_PLAN`, followed by a recovery pass over its own
 /// checkpoint. Writes `json_canonical(report)` plus the recovery
 /// summary to `CHATFUZZ_IT_OUT`. With `CHATFUZZ_IT_TELEMETRY=1` the
-/// whole run is instrumented: a sink installed process-globally (so
-/// persist and fault hooks fire) and attached to the campaign, with a
-/// live JSONL trace — the maximally invasive configuration.
+/// whole run is instrumented: the parent's plan is installed with a
+/// sink (so fired faults are reported) that is also attached to the
+/// campaign, with a live JSONL trace — the maximally invasive
+/// configuration.
 #[test]
 fn role_neutrality_victim() {
     if std::env::var(ENV_ROLE).as_deref() != Ok("role_neutrality_victim") {
@@ -140,7 +141,9 @@ fn role_neutrality_victim() {
     let sink = if std::env::var(ENV_TELEMETRY).as_deref() == Ok("1") {
         let sink = TelemetrySink::enabled();
         sink.trace_to(&ckpt.with_extension("trace.jsonl")).expect("trace file");
-        chatfuzz_telemetry::install_global(sink.clone());
+        let plan = std::env::var(faults::ENV_VAR).expect("the parent sets a fault plan");
+        let cfg = FaultConfig::parse(&plan).expect("the parent's plan parses");
+        assert!(faults::install(cfg, sink.clone()), "nothing consulted the plan before");
         sink
     } else {
         TelemetrySink::disabled()
