@@ -6,7 +6,8 @@
 //! transformer (matmul, layer-norm, causal softmax, GELU, embeddings,
 //! cross-entropy) plus the PPO loss surface (exp, clamp, elementwise min,
 //! per-row selection/weighting), and an [`Adam`] optimiser with global
-//! gradient-norm clipping.
+//! gradient-norm clipping. The matrix products run on the row
+//! [`kernels`], which tape-free inference paths call directly.
 //!
 //! Every op's backward pass is validated against central finite
 //! differences in `tests/gradcheck.rs`.
@@ -29,6 +30,7 @@
 //! ```
 
 pub mod adam;
+pub mod kernels;
 pub mod tape;
 pub mod tensor;
 

@@ -17,6 +17,7 @@
 //! assert_eq!(tape.grad(x).unwrap().data(), &[4.0]); // dy/dx = 2x
 //! ```
 
+use crate::kernels::{layer_norm_into, softmax_in_place};
 use crate::tensor::Tensor;
 
 /// Handle to a node on the tape.
@@ -212,9 +213,7 @@ impl Tape {
     }
 
     /// Row-wise layer norm with learned gain/bias (`[1, n]` each).
-    #[allow(clippy::needless_range_loop)] // lock-stepped row/param indexing
     pub fn layer_norm(&mut self, a: Value, gain: Value, bias: Value) -> Value {
-        const EPS: f32 = 1e-5;
         let av = &self.nodes[a.0].value;
         let (gv, bv) = (&self.nodes[gain.0].value, &self.nodes[bias.0].value);
         let n = av.cols();
@@ -222,38 +221,24 @@ impl Tape {
         // aux row r: [xhat..., rstd] packed as [rows, n+1]
         let mut aux = Tensor::zeros(av.rows(), n + 1);
         for r in 0..av.rows() {
-            let row = av.row(r);
-            let mean = row.iter().sum::<f32>() / n as f32;
-            let var = row.iter().map(|x| (x - mean) * (x - mean)).sum::<f32>() / n as f32;
-            let rstd = 1.0 / (var + EPS).sqrt();
-            for c in 0..n {
-                let xhat = (row[c] - mean) * rstd;
-                aux.set(r, c, xhat);
-                out.set(r, c, xhat * gv.get(0, c) + bv.get(0, c));
-            }
-            aux.set(r, n, rstd);
+            let (xhat, rstd) = aux.data_mut()[r * (n + 1)..(r + 1) * (n + 1)].split_at_mut(n);
+            let out_row = &mut out.data_mut()[r * n..(r + 1) * n];
+            rstd[0] = layer_norm_into(av.row(r), gv.data(), bv.data(), xhat, out_row);
         }
         self.push_aux(out, Op::LayerNorm { a: a.0, gain: gain.0, bias: bias.0 }, Some(aux))
     }
 
     /// Causal row softmax for attention scores `[T, T]`: row `i` is a
     /// softmax over columns `0..=i`; masked entries are exactly 0.
-    #[allow(clippy::needless_range_loop)] // triangular 0..=i indexing
     pub fn causal_softmax(&mut self, a: Value) -> Value {
         let av = &self.nodes[a.0].value;
         assert_eq!(av.rows(), av.cols(), "attention scores must be square");
         let t = av.rows();
         let mut out = Tensor::zeros(t, t);
         for i in 0..t {
-            let row = av.row(i);
-            let max = row[..=i].iter().cloned().fold(f32::MIN, f32::max);
-            let mut denom = 0.0;
-            for j in 0..=i {
-                denom += (row[j] - max).exp();
-            }
-            for j in 0..=i {
-                out.set(i, j, (row[j] - max).exp() / denom);
-            }
+            let visible = &mut out.data_mut()[i * t..i * t + i + 1];
+            visible.copy_from_slice(&av.row(i)[..=i]);
+            softmax_in_place(visible);
         }
         self.push(out, Op::CausalSoftmax { a: a.0 })
     }
@@ -649,6 +634,90 @@ fn gelu_bwd(x: f32) -> f32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The two-pass causal softmax (every `exp` computed twice), kept
+    /// verbatim as the bit-exact reference for the one-pass kernel.
+    #[allow(clippy::needless_range_loop)]
+    fn causal_softmax_reference_loop(av: &Tensor) -> Tensor {
+        let t = av.rows();
+        let mut out = Tensor::zeros(t, t);
+        for i in 0..t {
+            let row = av.row(i);
+            let max = row[..=i].iter().cloned().fold(f32::MIN, f32::max);
+            let mut denom = 0.0;
+            for j in 0..=i {
+                denom += (row[j] - max).exp();
+            }
+            for j in 0..=i {
+                out.set(i, j, (row[j] - max).exp() / denom);
+            }
+        }
+        out
+    }
+
+    /// The layer-norm forward before it moved to the shared row kernel,
+    /// kept verbatim: `(out, aux)`.
+    #[allow(clippy::needless_range_loop)]
+    fn layer_norm_reference_loop(av: &Tensor, gv: &Tensor, bv: &Tensor) -> (Tensor, Tensor) {
+        const EPS: f32 = 1e-5;
+        let n = av.cols();
+        let mut out = Tensor::zeros(av.rows(), n);
+        let mut aux = Tensor::zeros(av.rows(), n + 1);
+        for r in 0..av.rows() {
+            let row = av.row(r);
+            let mean = row.iter().sum::<f32>() / n as f32;
+            let var = row.iter().map(|x| (x - mean) * (x - mean)).sum::<f32>() / n as f32;
+            let rstd = 1.0 / (var + EPS).sqrt();
+            for c in 0..n {
+                let xhat = (row[c] - mean) * rstd;
+                aux.set(r, c, xhat);
+                out.set(r, c, xhat * gv.get(0, c) + bv.get(0, c));
+            }
+            aux.set(r, n, rstd);
+        }
+        (out, aux)
+    }
+
+    fn bits(m: &Tensor) -> Vec<u32> {
+        m.data().iter().map(|x| x.to_bits()).collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        #[test]
+        fn layer_norm_matches_the_scalar_loop_bit_for_bit(
+            rows in 1usize..6,
+            n in 1usize..70,
+            values in proptest::collection::vec(-8.0f32..8.0, 6 * 70 + 2 * 70),
+        ) {
+            let a = Tensor::new(rows, n, values[..rows * n].to_vec());
+            let g = Tensor::new(1, n, values[6 * 70..6 * 70 + n].to_vec());
+            let b = Tensor::new(1, n, values[7 * 70..7 * 70 + n].to_vec());
+            let mut tape = Tape::new();
+            let (av, gv, bv) = (tape.input(a.clone()), tape.input(g.clone()), tape.input(b.clone()));
+            let y = tape.layer_norm(av, gv, bv);
+            let (out, aux) = layer_norm_reference_loop(&a, &g, &b);
+            prop_assert_eq!(bits(tape.value(y)), bits(&out));
+            prop_assert_eq!(bits(tape.nodes[y.0].aux.as_ref().unwrap()), bits(&aux));
+        }
+
+        #[test]
+        fn causal_softmax_matches_the_two_pass_loop_bit_for_bit(
+            t in 1usize..40,
+            scores in proptest::collection::vec(
+                prop_oneof![-30.0f32..30.0, Just(0.0f32), Just(-0.0f32), Just(f32::NEG_INFINITY)],
+                1600,
+            ),
+        ) {
+            let scores = Tensor::new(t, t, scores[..t * t].to_vec());
+            let mut tape = Tape::new();
+            let a = tape.input(scores.clone());
+            let y = tape.causal_softmax(a);
+            prop_assert_eq!(bits(tape.value(y)), bits(&causal_softmax_reference_loop(&scores)));
+        }
+    }
 
     #[test]
     fn chain_rule_through_matmul() {

@@ -3,6 +3,8 @@
 use rand::Rng;
 use std::fmt;
 
+use crate::kernels::{row_matmul_dense_into, row_matmul_into, transpose_into};
+
 /// A row-major 2-D tensor.
 ///
 /// # Examples
@@ -122,71 +124,50 @@ impl Tensor {
 
     /// Matrix product `self @ other`.
     ///
+    /// Every element sums `self[i][k]·other[k][j]` with `k` ascending from
+    /// `0.0`, skipping the terms where `self[i][k] == 0.0` (see
+    /// [`kernels`](crate::kernels) for the full accumulation-order
+    /// contract).
+    ///
     /// # Panics
     ///
     /// Panics on inner-dimension mismatch.
     pub fn matmul(&self, other: &Tensor) -> Tensor {
         assert_eq!(self.cols, other.rows, "matmul dims");
-        let mut out = Tensor::zeros(self.rows, other.cols);
-        // i-k-j loop order for cache-friendly row-major access.
-        for i in 0..self.rows {
-            for k in 0..self.cols {
-                let a = self.get(i, k);
-                if a == 0.0 {
-                    continue;
-                }
-                let orow = &other.data[k * other.cols..(k + 1) * other.cols];
-                let crow = &mut out.data[i * other.cols..(i + 1) * other.cols];
-                for (c, o) in crow.iter_mut().zip(orow) {
-                    *c += a * o;
-                }
-            }
-        }
-        out
+        self.rows_times(other, row_matmul_into)
     }
 
     /// Matrix product `self @ other^T`.
+    ///
+    /// Every element is a plain dot product of a row of `self` with a row
+    /// of `other`, `k` ascending from `0.0` with no zero skip. `other` is
+    /// transposed once per call.
     ///
     /// # Panics
     ///
     /// Panics if the column counts differ.
     pub fn matmul_nt(&self, other: &Tensor) -> Tensor {
         assert_eq!(self.cols, other.cols, "matmul_nt dims");
-        let mut out = Tensor::zeros(self.rows, other.rows);
-        for i in 0..self.rows {
-            let arow = self.row(i);
-            for j in 0..other.rows {
-                let brow = other.row(j);
-                let mut acc = 0.0;
-                for (x, y) in arow.iter().zip(brow) {
-                    acc += x * y;
-                }
-                out.set(i, j, acc);
-            }
-        }
-        out
+        self.rows_times(&other.transposed(), row_matmul_dense_into)
     }
 
-    /// Matrix product `self^T @ other`.
+    /// Matrix product `self^T @ other`: exactly
+    /// `self.transposed().matmul(other)`, so the same `k`-ascending,
+    /// skip-on-zero order as [`Tensor::matmul`].
     ///
     /// # Panics
     ///
     /// Panics if the row counts differ.
     pub fn matmul_tn(&self, other: &Tensor) -> Tensor {
         assert_eq!(self.rows, other.rows, "matmul_tn dims");
-        let mut out = Tensor::zeros(self.cols, other.cols);
-        for k in 0..self.rows {
-            let arow = self.row(k);
-            let brow = other.row(k);
-            for (i, a) in arow.iter().enumerate() {
-                if *a == 0.0 {
-                    continue;
-                }
-                let crow = &mut out.data[i * other.cols..(i + 1) * other.cols];
-                for (c, b) in crow.iter_mut().zip(brow) {
-                    *c += a * b;
-                }
-            }
+        self.transposed().matmul(other)
+    }
+
+    /// Applies a row kernel to every row of `self` against `w`.
+    fn rows_times(&self, w: &Tensor, kernel: fn(&[f32], &[f32], usize, &mut [f32])) -> Tensor {
+        let mut out = Tensor::zeros(self.rows, w.cols);
+        for i in 0..self.rows {
+            kernel(self.row(i), &w.data, w.cols, &mut out.data[i * w.cols..(i + 1) * w.cols]);
         }
         out
     }
@@ -194,11 +175,7 @@ impl Tensor {
     /// Transposed copy.
     pub fn transposed(&self) -> Tensor {
         let mut out = Tensor::zeros(self.cols, self.rows);
-        for r in 0..self.rows {
-            for c in 0..self.cols {
-                out.set(c, r, self.get(r, c));
-            }
-        }
+        transpose_into(&self.data, self.rows, self.cols, &mut out.data);
         out
     }
 
@@ -236,6 +213,118 @@ impl fmt::Display for Tensor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+
+    // The scalar loops the row kernels replaced, kept verbatim (with
+    // `self` spelled `a`) as the arithmetic the kernels must reproduce
+    // bit for bit.
+
+    fn matmul_reference_loop(a: &Tensor, other: &Tensor) -> Tensor {
+        assert_eq!(a.cols, other.rows, "matmul dims");
+        let mut out = Tensor::zeros(a.rows, other.cols);
+        // i-k-j loop order for cache-friendly row-major access.
+        for i in 0..a.rows {
+            for k in 0..a.cols {
+                let a = a.get(i, k);
+                if a == 0.0 {
+                    continue;
+                }
+                let orow = &other.data[k * other.cols..(k + 1) * other.cols];
+                let crow = &mut out.data[i * other.cols..(i + 1) * other.cols];
+                for (c, o) in crow.iter_mut().zip(orow) {
+                    *c += a * o;
+                }
+            }
+        }
+        out
+    }
+
+    fn matmul_nt_reference_loop(a: &Tensor, other: &Tensor) -> Tensor {
+        assert_eq!(a.cols, other.cols, "matmul_nt dims");
+        let mut out = Tensor::zeros(a.rows, other.rows);
+        for i in 0..a.rows {
+            let arow = a.row(i);
+            for j in 0..other.rows {
+                let brow = other.row(j);
+                let mut acc = 0.0;
+                for (x, y) in arow.iter().zip(brow) {
+                    acc += x * y;
+                }
+                out.set(i, j, acc);
+            }
+        }
+        out
+    }
+
+    fn matmul_tn_reference_loop(a: &Tensor, other: &Tensor) -> Tensor {
+        assert_eq!(a.rows, other.rows, "matmul_tn dims");
+        let mut out = Tensor::zeros(a.cols, other.cols);
+        for k in 0..a.rows {
+            let arow = a.row(k);
+            let brow = other.row(k);
+            for (i, a) in arow.iter().enumerate() {
+                if *a == 0.0 {
+                    continue;
+                }
+                let crow = &mut out.data[i * other.cols..(i + 1) * other.cols];
+                for (c, b) in crow.iter_mut().zip(brow) {
+                    *c += a * b;
+                }
+            }
+        }
+        out
+    }
+
+    /// A `rows × cols` tensor whose entries are mostly Gaussian, with
+    /// `+0.0`, `-0.0`, subnormals, `±inf` and large magnitudes mixed in.
+    fn awkward(rows: usize, cols: usize, rng: &mut StdRng) -> Tensor {
+        let mut t = Tensor::randn(rows, cols, 1.0, rng);
+        for x in t.data_mut() {
+            *x = match rng.gen_range(0u32..16) {
+                0 => 0.0,
+                1 => -0.0,
+                2 => f32::from_bits(rng.gen_range(1u32..0x0080_0000)), // subnormal
+                3 => -f32::from_bits(rng.gen_range(1u32..0x0080_0000)),
+                4 => f32::INFINITY,
+                5 => f32::NEG_INFINITY,
+                6 => *x * 1e30,
+                _ => *x,
+            };
+        }
+        t
+    }
+
+    fn bits(t: &Tensor) -> (usize, usize, Vec<u32>) {
+        (t.rows, t.cols, t.data.iter().map(|x| x.to_bits()).collect())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// All three products equal the scalar loops bit for bit, over
+        /// shapes that exercise the 16-column blocks, the narrower tail
+        /// pass, `n = 1` and `n < 16`, and inputs where a skipped zero
+        /// decides between a number and NaN.
+        #[test]
+        fn row_kernels_match_the_scalar_loops_bit_for_bit(
+            m in 1usize..6,
+            k in 0usize..40,
+            n in prop_oneof![Just(1usize), 2usize..16, 16usize..80],
+            seed in any::<u64>(),
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let a = awkward(m, k, &mut rng);
+            let b = awkward(k, n, &mut rng);
+            prop_assert_eq!(bits(&a.matmul(&b)), bits(&matmul_reference_loop(&a, &b)));
+            let bt = awkward(n, k, &mut rng);
+            prop_assert_eq!(bits(&a.matmul_nt(&bt)), bits(&matmul_nt_reference_loop(&a, &bt)));
+            let at = awkward(k, m, &mut rng);
+            let g = awkward(k, n, &mut rng);
+            prop_assert_eq!(bits(&at.matmul_tn(&g)), bits(&matmul_tn_reference_loop(&at, &g)));
+        }
+    }
 
     #[test]
     fn matmul_reference() {

@@ -15,16 +15,21 @@
 //! [`Gpt::generate_into`] is the production path: a tape-free incremental
 //! decoder over a reusable [`KvCache`] arena. Each step computes only the
 //! new token's row, attending over the cached per-layer K/V rows —
-//! `O(T)` work per token instead of `O(T²)`. Its arithmetic mirrors the
-//! tape ops row for row (same accumulation order, same skip-on-zero
-//! matmul, same layer-norm epsilon, shared GELU scalar and
-//! [`sample_row`]), so given the same RNG it emits **token-identical**
-//! output to `generate` — a pinned invariant (`tests/tests/it_lm.rs`).
+//! `O(T)` work per token instead of `O(T²)`. It calls the tape's own row
+//! kernels ([`chatfuzz_autograd::kernels`]: matmul, layer norm, softmax)
+//! and shares its GELU scalar and [`sample_row`], so each row's
+//! arithmetic is the tape's, operation for operation, and given the same
+//! RNG it emits **token-identical** output to `generate` — a pinned
+//! invariant (`tests/tests/it_lm.rs`).
 //! [`Gpt::generate_batch_into`] amortises the arena and output buffers
 //! over many sequences.
 
+use chatfuzz_autograd::kernels::{
+    layer_norm_into, row_matmul_dense_into, row_matmul_into, softmax_in_place, transpose_into,
+};
 use chatfuzz_autograd::{gelu_scalar, Tape, Tensor, Value};
 use rand::Rng;
+use std::cmp::Ordering;
 
 use crate::tokenizer::EOS;
 
@@ -391,9 +396,9 @@ impl Gpt {
     }
 
     /// Appends one token to the cache (position `cache.len()`) and leaves
-    /// the next-token logits in `cache.logits`. The arithmetic mirrors
-    /// [`Gpt::forward`]'s tape ops row for row — see the module docs for
-    /// why that makes the two paths token-identical.
+    /// the next-token logits in `cache.logits`. Each row runs through the
+    /// same kernels as [`Gpt::forward`]'s tape ops — see the module docs
+    /// for why that makes the two paths token-identical.
     ///
     /// # Panics
     ///
@@ -404,9 +409,15 @@ impl Gpt {
         assert!(cache.len < self.cfg.max_seq, "KV cache is full (window must slide)");
         assert!((token as usize) < self.cfg.vocab, "token {token} out of vocab");
         let pos = cache.len;
-        let d = self.cfg.d_model;
+        let (d, seq, vocab) = (self.cfg.d_model, self.cfg.max_seq, self.cfg.vocab);
         let hd = d / self.cfg.n_head;
         let scale = 1.0 / (hd as f32).sqrt();
+        if pos == 0 {
+            // A window starts, and with it the K/V rows: the weight-tied
+            // logits read `wte` transposed, rebuilt here so the table
+            // always belongs to the model that fills the rows.
+            transpose_into(self.wte.data(), vocab, d, &mut cache.wte_t);
+        }
 
         // x = wte[token] + wpe[pos] (same add order as the tape).
         let tok_row = self.wte.row(token as usize);
@@ -418,99 +429,103 @@ impl Gpt {
         for (layer, b) in self.blocks.iter().enumerate() {
             // Attention half: norm, project the new row's q/k/v, cache
             // k/v, attend over everything cached so far.
-            layer_norm_row(&cache.x, &b.ln1_g, &b.ln1_b, &mut cache.h);
-            row_matmul(&cache.h, &b.wq, &mut cache.qrow);
-            let k_row = &mut cache.k[layer][pos * d..(pos + 1) * d];
-            row_matmul_into(&cache.h, &b.wk, k_row);
-            let v_row = &mut cache.v[layer][pos * d..(pos + 1) * d];
-            row_matmul_into(&cache.h, &b.wv, v_row);
+            let (kt, v) = (&mut cache.kt[layer], &mut cache.v[layer]);
+            layer_norm_into(
+                &cache.x,
+                b.ln1_g.data(),
+                b.ln1_b.data(),
+                &mut cache.xhat,
+                &mut cache.h,
+            );
+            row_matmul_into(&cache.h, b.wq.data(), d, &mut cache.qrow);
+            row_matmul_into(&cache.h, b.wk.data(), d, &mut cache.kv);
+            for (c, &k) in cache.kv.iter().enumerate() {
+                kt[c * seq + pos] = k;
+            }
+            row_matmul_into(&cache.h, b.wv.data(), d, &mut cache.kv);
+            for (head, v_new) in cache.kv.chunks_exact(hd).enumerate() {
+                let at = (head * seq + pos) * hd;
+                v[at..at + hd].copy_from_slice(v_new);
+            }
 
             for head in 0..self.cfg.n_head {
                 let hs = head * hd;
-                // Scores against every cached key row (the causal row
-                // `pos` of the full score matrix), then the same
-                // max/exp/denominator softmax the tape applies.
-                let qh = &cache.qrow[hs..hs + hd];
-                for j in 0..=pos {
-                    let kh = &cache.k[layer][j * d + hs..j * d + hs + hd];
-                    let mut acc = 0.0;
-                    for (x, y) in qh.iter().zip(kh) {
-                        acc += x * y;
-                    }
-                    cache.att[j] = acc * scale;
+                // Row `pos` of the head's causal score matrix (q·kᵀ, a
+                // plain dot per key, as the tape's `matmul_nt`), scaled,
+                // then the tape's softmax.
+                let att = &mut cache.att[..=pos];
+                let kt_head = &kt[hs * seq..(hs + hd) * seq];
+                row_matmul_dense_into(&cache.qrow[hs..hs + hd], kt_head, seq, att);
+                for a in att.iter_mut() {
+                    *a *= scale;
                 }
-                let max = cache.att[..=pos].iter().cloned().fold(f32::MIN, f32::max);
-                let mut denom = 0.0;
-                for j in 0..=pos {
-                    denom += (cache.att[j] - max).exp();
-                }
-                for j in 0..=pos {
-                    cache.att[j] = (cache.att[j] - max).exp() / denom;
-                }
-                // ctx_head = att · V (k ascending, skip-on-zero like the
-                // tape's matmul).
-                let ctx_head = &mut cache.ctx[hs..hs + hd];
-                ctx_head.fill(0.0);
-                for j in 0..=pos {
-                    let a = cache.att[j];
-                    if a == 0.0 {
-                        continue;
-                    }
-                    let vh = &cache.v[layer][j * d + hs..j * d + hs + hd];
-                    for (c, y) in ctx_head.iter_mut().zip(vh) {
-                        *c += a * y;
-                    }
-                }
+                softmax_in_place(att);
+                // ctx_head = att · V (skip-on-zero, as the tape's matmul).
+                let v_head = &v[head * seq * hd..(head * seq + pos + 1) * hd];
+                row_matmul_into(att, v_head, hd, &mut cache.ctx[hs..hs + hd]);
             }
-            row_matmul(&cache.ctx, &b.wo, &mut cache.h);
+            row_matmul_into(&cache.ctx, b.wo.data(), d, &mut cache.h);
             for (x, p) in cache.x.iter_mut().zip(&cache.h) {
                 *x += p;
             }
 
             // Feed-forward half.
-            layer_norm_row(&cache.x, &b.ln2_g, &b.ln2_b, &mut cache.h);
-            row_matmul(&cache.h, &b.w1, &mut cache.ff);
+            layer_norm_into(
+                &cache.x,
+                b.ln2_g.data(),
+                b.ln2_b.data(),
+                &mut cache.xhat,
+                &mut cache.h,
+            );
+            row_matmul_into(&cache.h, b.w1.data(), self.cfg.d_ff, &mut cache.ff);
             for (a, bias) in cache.ff.iter_mut().zip(b.b1.row(0)) {
                 *a = gelu_scalar(*a + bias);
             }
-            row_matmul(&cache.ff, &b.w2, &mut cache.h);
+            row_matmul_into(&cache.ff, b.w2.data(), d, &mut cache.h);
             for ((x, a), bias) in cache.x.iter_mut().zip(&cache.h).zip(b.b2.row(0)) {
                 *x += a + bias;
             }
         }
 
-        // Final norm + weight-tied logits (matmul_nt row: plain ascending
-        // dot against every embedding row).
-        layer_norm_row(&cache.x, &self.lnf_g, &self.lnf_b, &mut cache.h);
-        for (j, l) in cache.logits.iter_mut().enumerate() {
-            let wrow = self.wte.row(j);
-            let mut acc = 0.0;
-            for (x, y) in cache.h.iter().zip(wrow) {
-                acc += x * y;
-            }
-            *l = acc;
-        }
+        // Final norm + weight-tied logits (the tape's `matmul_nt` row: a
+        // plain dot against every embedding row).
+        layer_norm_into(
+            &cache.x,
+            self.lnf_g.data(),
+            self.lnf_b.data(),
+            &mut cache.xhat,
+            &mut cache.h,
+        );
+        row_matmul_dense_into(&cache.h, &cache.wte_t, vocab, &mut cache.logits);
         cache.len += 1;
     }
 }
 
 /// Reusable arena for [`Gpt::generate_into`]: per-layer key/value rows of
-/// the current window plus every scratch row the incremental decoder
-/// needs. Allocate once per model shape, reuse across sequences — steady
-/// state sampling is then allocation-free.
+/// the current window, the transposed embedding table the logits read,
+/// and every scratch row the incremental decoder needs. Allocate once per
+/// model shape, reuse across sequences — steady state sampling is then
+/// allocation-free.
 #[derive(Debug)]
 pub struct KvCache {
     cfg: GptConfig,
     /// Cached rows (tokens fed so far within the current window).
     len: usize,
-    /// Per layer: cached key rows, `max_seq × d_model` row-major.
-    k: Vec<Vec<f32>>,
-    /// Per layer: cached value rows.
+    /// Per layer: the cached keys transposed, `d_model × max_seq`
+    /// row-major (column `j` is key row `j`), so each head's scores are
+    /// one row-kernel call over a `head_dim × max_seq` block.
+    kt: Vec<Vec<f32>>,
+    /// Per layer: the cached values, per head a `max_seq × head_dim`
+    /// row-major block, the operand of that head's `att · V` row.
     v: Vec<Vec<f32>>,
+    /// `wte` transposed (`d_model × vocab`), rebuilt when a window starts.
+    wte_t: Vec<f32>,
     // Scratch rows, reused every step.
     x: Vec<f32>,
+    xhat: Vec<f32>,
     h: Vec<f32>,
     qrow: Vec<f32>,
+    kv: Vec<f32>,
     ctx: Vec<f32>,
     ff: Vec<f32>,
     att: Vec<f32>,
@@ -521,14 +536,18 @@ pub struct KvCache {
 impl KvCache {
     /// Allocates an arena for models of configuration `cfg`.
     pub fn new(cfg: GptConfig) -> KvCache {
+        let rows = || (0..cfg.n_layer).map(|_| vec![0.0; cfg.max_seq * cfg.d_model]).collect();
         KvCache {
             cfg,
             len: 0,
-            k: (0..cfg.n_layer).map(|_| vec![0.0; cfg.max_seq * cfg.d_model]).collect(),
-            v: (0..cfg.n_layer).map(|_| vec![0.0; cfg.max_seq * cfg.d_model]).collect(),
+            kt: rows(),
+            v: rows(),
+            wte_t: vec![0.0; cfg.vocab * cfg.d_model],
             x: vec![0.0; cfg.d_model],
-            h: vec![0.0; cfg.d_model.max(cfg.d_ff)],
+            xhat: vec![0.0; cfg.d_model],
+            h: vec![0.0; cfg.d_model],
             qrow: vec![0.0; cfg.d_model],
+            kv: vec![0.0; cfg.d_model],
             ctx: vec![0.0; cfg.d_model],
             ff: vec![0.0; cfg.d_ff],
             att: vec![0.0; cfg.max_seq],
@@ -557,50 +576,36 @@ impl KvCache {
     }
 }
 
-/// One row of `Tensor::matmul`: `out[j] = Σ_k row[k]·w[k][j]`, `k`
-/// ascending with the batched product's skip-on-zero, so the accumulation
-/// is bit-identical to the tape's full-matrix forward.
-fn row_matmul(row: &[f32], w: &Tensor, out: &mut Vec<f32>) {
-    out.resize(w.cols(), 0.0);
-    row_matmul_into(row, w, out);
-}
-
-fn row_matmul_into(row: &[f32], w: &Tensor, out: &mut [f32]) {
-    assert_eq!(row.len(), w.rows(), "row_matmul dims");
-    assert_eq!(out.len(), w.cols(), "row_matmul out dims");
-    out.fill(0.0);
-    for (k, &a) in row.iter().enumerate() {
-        if a == 0.0 {
-            continue;
-        }
-        for (o, &b) in out.iter_mut().zip(w.row(k)) {
-            *o += a * b;
-        }
-    }
-}
-
-/// One row of the tape's layer norm: same mean/variance summation order,
-/// same `1e-5` epsilon, same `xhat·gain + bias` form.
-fn layer_norm_row(row: &[f32], gain: &Tensor, bias: &Tensor, out: &mut Vec<f32>) {
-    const EPS: f32 = 1e-5;
-    let n = row.len();
-    out.resize(n, 0.0);
-    let mean = row.iter().sum::<f32>() / n as f32;
-    let var = row.iter().map(|x| (x - mean) * (x - mean)).sum::<f32>() / n as f32;
-    let rstd = 1.0 / (var + EPS).sqrt();
-    for c in 0..n {
-        out[c] = (row[c] - mean) * rstd * gain.get(0, c) + bias.get(0, c);
-    }
-}
-
 /// Temperature + top-k sampling from a logit row.
+///
+/// Candidates rank by scaled logit, highest first, ties to the lower
+/// token id — the order a stable descending sort gives. The shortlist is
+/// selected in linear time and only its `top_k` survivors are sorted.
+/// NaN logits rank below every number and are never drawn while any
+/// number remains; a row with no number at all returns `EOS`, which ends
+/// the sequence.
 pub fn sample_row<R: Rng>(logits: &[f32], temperature: f32, top_k: usize, rng: &mut R) -> u32 {
     let temp = temperature.max(1e-4);
-    let mut indexed: Vec<(usize, f32)> =
-        logits.iter().enumerate().map(|(i, &l)| (i, l / temp)).collect();
-    indexed.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
-    let k = top_k.clamp(1, indexed.len());
-    let shortlist = &indexed[..k];
+    let mut ranked: Vec<(usize, f32)> = logits
+        .iter()
+        .enumerate()
+        .map(|(i, &l)| (i, l / temp))
+        .filter(|(_, l)| !l.is_nan())
+        .collect();
+    if ranked.is_empty() {
+        return EOS;
+    }
+    // A total order on the NaN-free candidates (-0.0 ties with 0.0, as
+    // under `partial_cmp`).
+    let order = |a: &(usize, f32), b: &(usize, f32)| {
+        b.1.partial_cmp(&a.1).unwrap_or(Ordering::Equal).then(a.0.cmp(&b.0))
+    };
+    let k = top_k.clamp(1, ranked.len());
+    if k < ranked.len() {
+        ranked.select_nth_unstable_by(k - 1, order);
+    }
+    let shortlist = &mut ranked[..k];
+    shortlist.sort_unstable_by(order);
     let max = shortlist[0].1;
     let weights: Vec<f32> = shortlist.iter().map(|(_, l)| (l - max).exp()).collect();
     let total: f32 = weights.iter().sum();
@@ -617,11 +622,100 @@ pub fn sample_row<R: Rng>(logits: &[f32], temperature: f32, top_k: usize, rng: &
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{RngCore, SeedableRng};
 
     fn rng() -> StdRng {
         StdRng::seed_from_u64(11)
+    }
+
+    /// The stable-full-sort sampler [`sample_row`] replaced, kept verbatim
+    /// as the reference for NaN-free rows (its comparator is not a total
+    /// order once a NaN appears).
+    fn sample_row_stable_sort<R: Rng>(
+        logits: &[f32],
+        temperature: f32,
+        top_k: usize,
+        rng: &mut R,
+    ) -> u32 {
+        let temp = temperature.max(1e-4);
+        let mut indexed: Vec<(usize, f32)> =
+            logits.iter().enumerate().map(|(i, &l)| (i, l / temp)).collect();
+        indexed.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
+        let k = top_k.clamp(1, indexed.len());
+        let shortlist = &indexed[..k];
+        let max = shortlist[0].1;
+        let weights: Vec<f32> = shortlist.iter().map(|(_, l)| (l - max).exp()).collect();
+        let total: f32 = weights.iter().sum();
+        let mut draw = rng.gen_range(0.0..total.max(f32::MIN_POSITIVE));
+        for ((idx, _), w) in shortlist.iter().zip(&weights) {
+            if draw < *w {
+                return *idx as u32;
+            }
+            draw -= w;
+        }
+        shortlist[k - 1].0 as u32
+    }
+
+    /// Logits drawn from a handful of levels, so most rows are full of
+    /// ties; `-0.0` ties with `0.0` and the infinities are levels too.
+    fn quantised_logit() -> impl Strategy<Value = f32> {
+        prop_oneof![
+            (-3i32..=3).prop_map(|q| q as f32 * 0.75),
+            Just(-0.0f32),
+            Just(f32::INFINITY),
+            Just(f32::NEG_INFINITY),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// On NaN-free rows the selection sampler returns the stable-sort
+        /// sampler's token and leaves the RNG in the same state, for every
+        /// `top_k` from 1 to one past the row length.
+        #[test]
+        fn selection_sampler_matches_the_stable_sort(
+            logits in proptest::collection::vec(quantised_logit(), 1..40),
+            temperature in prop_oneof![Just(1.0f32), 0.05f32..2.0],
+            seed in any::<u64>(),
+        ) {
+            for top_k in 1..=logits.len() + 1 {
+                let mut fast = StdRng::seed_from_u64(seed);
+                let mut reference = StdRng::seed_from_u64(seed);
+                prop_assert_eq!(
+                    sample_row(&logits, temperature, top_k, &mut fast),
+                    sample_row_stable_sort(&logits, temperature, top_k, &mut reference),
+                    "top_k {}", top_k
+                );
+                prop_assert_eq!(fast.next_u64(), reference.next_u64(), "RNG state, top_k {}", top_k);
+            }
+        }
+    }
+
+    /// A NaN logit (one diverged PPO step) must not panic the sampler or
+    /// be drawn while a number remains; an all-NaN row ends the sequence.
+    #[test]
+    fn nan_logits_are_never_drawn() {
+        let mut r = rng();
+        for _ in 0..400 {
+            let mut row: Vec<f32> = (0..276).map(|_| r.gen_range(-4.0f32..4.0)).collect();
+            for _ in 0..r.gen_range(1..8) {
+                let at = r.gen_range(0..row.len());
+                row[at] = f32::NAN;
+            }
+            for top_k in [1, 8, 32, 276] {
+                let token = sample_row(&row, 1.0, top_k, &mut r) as usize;
+                assert!(!row[token].is_nan(), "drew NaN token {token} at top_k {top_k}");
+            }
+        }
+        let mut lone = vec![f32::NAN; 16];
+        lone[9] = -50.0;
+        for top_k in [1, 4, 16] {
+            assert_eq!(sample_row(&lone, 1.0, top_k, &mut r), 9);
+        }
+        assert_eq!(sample_row(&[f32::NAN; 16], 1.0, 4, &mut r), EOS);
     }
 
     #[test]

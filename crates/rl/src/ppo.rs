@@ -163,24 +163,22 @@ impl PpoTrainer {
         self.reference = self.policy.clone();
     }
 
-    /// Samples one trajectory from the policy.
+    /// Samples one trajectory from the policy, through a fresh
+    /// [`KvCache`] (see [`PpoTrainer::sample_into`]).
+    pub fn sample<R: Rng>(&self, prompt: &[u32], rng: &mut R) -> Vec<u32> {
+        let mut cache = KvCache::new(*self.policy.config());
+        let mut out = Vec::new();
+        self.sample_into(prompt, rng, &mut cache, &mut out);
+        out
+    }
+
+    /// Samples one trajectory from the policy into `out`, reusing the
+    /// cache arena (`Gpt::generate_into` is pinned token-equal to the
+    /// naive sampler `Gpt::generate`).
     ///
     /// Generation is capped so the *whole* sequence fits the policy's
     /// context window — PPO scoring forwards the full prompt+continuation,
     /// unlike free-running generation which can slide its window.
-    pub fn sample<R: Rng>(&self, prompt: &[u32], rng: &mut R) -> Vec<u32> {
-        let window = self.policy.config().max_seq;
-        let budget = window.saturating_sub(prompt.len()).min(self.cfg.max_new_tokens);
-        if budget == 0 {
-            return prompt.to_vec();
-        }
-        self.policy.generate(prompt, budget, self.cfg.temperature, self.cfg.top_k, rng)
-    }
-
-    /// KV-cached [`PpoTrainer::sample`]: identical budget clamp, identical
-    /// tokens under the same RNG (`Gpt::generate_into` is pinned
-    /// token-equal to the naive sampler), but `O(T)` per token through the
-    /// reusable cache arena instead of a fresh full forward per token.
     pub fn sample_into<R: Rng>(
         &self,
         prompt: &[u32],
@@ -478,15 +476,29 @@ mod tests {
         );
     }
 
+    /// Both sampling entry points equal the naive reference sampler
+    /// under the same budget clamp (prompt + continuation fit the window;
+    /// a 70-token prompt in a 64-token window gets no new tokens).
     #[test]
     fn sample_into_matches_sample() {
         let trainer = tiny_trainer(9, PpoConfig { max_new_tokens: 12, ..Default::default() });
+        let cfg = trainer.config();
+        let window = trainer.policy().config().max_seq;
         let mut cache = KvCache::new(*trainer.policy().config());
         let mut out = Vec::new();
-        for prompt in [vec![1u32], vec![1, 4, 7], vec![2; 70]] {
-            let naive = trainer.sample(&prompt, &mut StdRng::seed_from_u64(3));
+        for prompt in [vec![1u32], vec![1, 4, 7], vec![3; 58], vec![2; 70]] {
+            let budget = window.saturating_sub(prompt.len()).min(cfg.max_new_tokens);
+            let naive = trainer.policy().generate(
+                &prompt,
+                budget,
+                cfg.temperature,
+                cfg.top_k,
+                &mut StdRng::seed_from_u64(3),
+            );
+            let sampled = trainer.sample(&prompt, &mut StdRng::seed_from_u64(3));
             trainer.sample_into(&prompt, &mut StdRng::seed_from_u64(3), &mut cache, &mut out);
-            assert_eq!(out, naive, "prompt of {} tokens diverged", prompt.len());
+            assert_eq!(sampled, naive, "sample: prompt of {} tokens diverged", prompt.len());
+            assert_eq!(out, naive, "sample_into: prompt of {} tokens diverged", prompt.len());
         }
     }
 
