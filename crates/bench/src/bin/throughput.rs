@@ -3,11 +3,11 @@
 //! Measures tests/sec and simulated-cycles/sec on the Rocket and BOOM
 //! models at three levels:
 //!
-//! 1. **per-test hot path** — the PR-3 optimised path (precompiled
-//!    harness, `Dut::run_into` + `SoftCoreRunner` arenas, decode cache)
-//!    against the naive allocating path (`wrap` + `Dut::run` +
-//!    `SoftCore::run` per test), which is the pre-PR-3 hot path kept
-//!    alive exactly so this comparison stays honest;
+//! 1. **per-test hot path** — the optimised path (precompiled harness,
+//!    `Dut::run_into` + `SoftCoreRunner` arenas, decode caches and the
+//!    cores' decode-coverage memo) against the one-shot path (`wrap` +
+//!    `Dut::run` + a cache-disabled golden hart per test: fresh arenas
+//!    and results per call, every word decoded and covered again);
 //! 2. **campaign** — the full worker-pool loop, single worker and
 //!    multi-worker;
 //! 3. **sharded** — a one-shot sharded campaign, run as a one-generation
@@ -123,11 +123,11 @@ fn time_best(tests: usize, reps: usize, mut work: impl FnMut() -> (u64, usize)) 
     }
 }
 
-/// The pre-PR-3 per-test hot path: assemble the harness, allocate a fresh
-/// result, and allocate a fresh golden-model arena, for every input.
-/// `Dut::run` skips the DUT decode cache, and the golden hart is built by
-/// hand with its decode cache disabled, so both halves decode-from-scratch
-/// and allocate exactly as the pre-PR-3 code did.
+/// The one-shot per-test path: assemble the harness, and run each input
+/// on a fresh arena into a fresh result, on both the DUT and the golden
+/// model. `Dut::run` uses no decode or decode-coverage memo, and the golden
+/// hart is built by hand with its decode cache disabled, so both halves
+/// decode (and the DUT covers decode) from scratch for every slot.
 fn naive_path(dut: &mut dyn Dut, bodies: &[Vec<u8>], reps: usize) -> Measure {
     let golden_cfg = SoftCoreConfig::default();
     let golden = SoftCore::new(golden_cfg);
@@ -624,9 +624,9 @@ fn main() {
         "Throughput (tests/sec, sim-cycles/sec)",
         &["workload", "tests/s", "cycles/s"],
         &[
-            fmt_row("rocket per-test naive (pre-PR3)", &rocket_naive),
+            fmt_row("rocket per-test one-shot (fresh arena, no memo)", &rocket_naive),
             fmt_row("rocket per-test optimised", &rocket_hot),
-            fmt_row("boom per-test naive (pre-PR3)", &boom_naive),
+            fmt_row("boom per-test one-shot (fresh arena, no memo)", &boom_naive),
             fmt_row("boom per-test optimised", &boom_hot),
             fmt_row("rocket campaign w=1", &rocket_w1),
             fmt_row("rocket campaign w=4", &rocket_w4),

@@ -148,6 +148,20 @@ impl CovMap {
         &self.words
     }
 
+    /// ORs raw bitmap words in [`CovMap::words`] layout into this map: the
+    /// replay of a bin set recorded earlier over the same space.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `words` does not have this map's word count.
+    #[inline]
+    pub fn or_words(&mut self, words: &[u64]) {
+        assert_eq!(self.words.len(), words.len(), "or_words: word count mismatch");
+        for (a, b) in self.words.iter_mut().zip(words) {
+            *a |= b;
+        }
+    }
+
     /// Rebuilds a map from [`CovMap::words`] output over the given space
     /// (the deserialisation path; snapshots store words plus the space
     /// fingerprint, and the loader supplies the re-elaborated space).
@@ -307,6 +321,27 @@ mod tests {
         assert!(CovMap::from_words(&space, vec![0, 0]).is_none(), "wrong length");
         assert!(CovMap::from_words(&space, vec![1 << 6]).is_none(), "stray bit");
         assert!(CovMap::from_words(&space, vec![0x3f]).is_some(), "all valid bits");
+    }
+
+    #[test]
+    fn or_words_replays_a_recorded_bin_set() {
+        let space = space3();
+        let mut recorded = CovMap::new(&space);
+        recorded.hit(CondId(1), true);
+        recorded.hit(CondId(2), false);
+        let mut m = CovMap::new(&space);
+        m.hit(CondId(0), true);
+        m.or_words(recorded.words());
+        assert_eq!(m.covered_bins(), 3);
+        assert!(recorded.is_subset_of(&m));
+        m.or_words(recorded.words());
+        assert_eq!(m.covered_bins(), 3, "replaying twice changes nothing");
+    }
+
+    #[test]
+    #[should_panic(expected = "word count mismatch")]
+    fn or_words_rejects_a_foreign_length() {
+        CovMap::new(&space3()).or_words(&[0, 0]);
     }
 
     #[test]

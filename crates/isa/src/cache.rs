@@ -1,10 +1,13 @@
 //! Decoded-instruction cache for the simulation hot path.
 //!
-//! Every simulator in the repo fetches a 32-bit word and runs it through
-//! [`decode`] once per executed slot — for loop-heavy fuzz inputs that
-//! means decoding the *same* word at the *same* PC thousands of times per
-//! test. [`DecodeCache`] is a direct-mapped cache indexed by PC that
-//! memoises the decode result (success *or* failure).
+//! A simulator fetches a 32-bit word and runs it through [`decode`] once
+//! per executed slot — for loop-heavy fuzz inputs that means decoding the
+//! *same* word at the *same* PC thousands of times per test.
+//! [`DecodeCache`] is a direct-mapped cache indexed by PC that memoises
+//! the decode result (success *or* failure). The golden model's `Hart`
+//! uses it directly. The RTL cores use it through their decode memo (in
+//! `chatfuzz_rtl::core_ids`), which keeps each word's decode-stage
+//! coverage per slot, found with [`DecodeCache::decode_slot`].
 //!
 //! Entries are validated by the raw instruction word, not invalidated by
 //! stores: a hit requires both the PC and the fetched word to match the
@@ -37,8 +40,8 @@ struct Entry {
 /// equivalence argument.
 ///
 /// The slot array is allocated lazily on the first lookup, so carrying a
-/// cache inside cheap-to-build objects (`Hart`, the RTL cores) costs
-/// nothing until a program actually executes.
+/// cache inside cheap-to-build objects (`Hart`, the cores' decode memo)
+/// costs nothing until a program actually executes.
 #[derive(Debug, Clone)]
 pub struct DecodeCache {
     entries: Vec<Entry>,
@@ -71,21 +74,29 @@ impl DecodeCache {
     /// [`decode`]`(word)` returns.
     #[inline]
     pub fn decode(&mut self, pc: u64, word: u32) -> Result<Instr, DecodeError> {
+        self.decode_slot(pc, word).result
+    }
+
+    /// [`DecodeCache::decode`], also reporting the slot `pc` maps to and
+    /// whether the lookup hit. A caller can keep its own data per slot,
+    /// derived from the decode: it stays valid exactly while the slot hits.
+    #[inline]
+    pub fn decode_slot(&mut self, pc: u64, word: u32) -> SlotLookup {
+        let slot = ((pc >> 2) as usize) & self.mask;
         if !self.enabled {
-            return decode(word);
+            return SlotLookup { slot, hit: false, result: decode(word) };
         }
         if self.entries.is_empty() {
             let empty = Entry { pc: EMPTY_PC, word: 0, result: Ok(Instr::NOP) };
             self.entries = vec![empty; self.mask + 1];
         }
-        let slot = ((pc >> 2) as usize) & self.mask;
         let entry = &mut self.entries[slot];
         if entry.pc == pc && entry.word == word {
-            return entry.result;
+            return SlotLookup { slot, hit: true, result: entry.result };
         }
         let result = decode(word);
         *entry = Entry { pc, word, result };
-        result
+        SlotLookup { slot, hit: false, result }
     }
 
     /// Drops every entry (not required for correctness — lookups are
@@ -95,6 +106,17 @@ impl DecodeCache {
             entry.pc = EMPTY_PC;
         }
     }
+}
+
+/// One [`DecodeCache::decode_slot`] lookup.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SlotLookup {
+    /// The slot `pc` maps to, below [`DecodeCache::slots`].
+    pub slot: usize,
+    /// Whether the slot already held this PC and word.
+    pub hit: bool,
+    /// Exactly what [`decode`] returns for the word.
+    pub result: Result<Instr, DecodeError>,
 }
 
 impl Default for DecodeCache {
@@ -125,6 +147,10 @@ mod tests {
         let second = c.decode(0x8000_0000, word);
         assert_eq!(first, decode(word));
         assert_eq!(second, decode(word));
+        let lookup = c.decode_slot(0x8000_0000, word);
+        assert_eq!(lookup, SlotLookup { slot: 0, hit: true, result: decode(word) });
+        let lookup = c.decode_slot(0x8000_0004, word);
+        assert_eq!(lookup, SlotLookup { slot: 1, hit: false, result: decode(word) });
     }
 
     #[test]
@@ -138,6 +164,8 @@ mod tests {
         assert_eq!(c.decode(0x8000_0000, w1), decode(w1));
         assert_eq!(c.decode(0x8000_0000, w2), decode(w2));
         assert_eq!(c.decode(0x8000_0000, w1), decode(w1));
+        assert!(!c.decode_slot(0x8000_0000, w2).hit, "a new word misses");
+        assert!(c.decode_slot(0x8000_0000, w2).hit);
     }
 
     #[test]

@@ -478,16 +478,17 @@ impl Instr {
     }
 
     /// Source registers read by this instruction, in operand order.
-    pub fn sources(&self) -> Vec<Reg> {
+    #[inline]
+    pub fn sources(&self) -> Sources {
         match *self {
             Instr::Lui { .. }
             | Instr::Auipc { .. }
             | Instr::Jal { .. }
             | Instr::Fence { .. }
             | Instr::FenceI
-            | Instr::System(_) => Vec::new(),
+            | Instr::System(_) => Sources::new(&[]),
             Instr::Jalr { rs1, .. } | Instr::Load { rs1, .. } | Instr::OpImm { rs1, .. } => {
-                vec![rs1]
+                Sources::new(&[rs1])
             }
             Instr::Branch { rs1, rs2, .. }
             | Instr::Store { rs1, rs2, .. }
@@ -495,11 +496,11 @@ impl Instr {
             | Instr::MulDiv { rs1, rs2, .. }
             | Instr::Amo { rs1, rs2, .. }
             | Instr::StoreConditional { rs1, rs2, .. }
-            | Instr::SfenceVma { rs1, rs2 } => vec![rs1, rs2],
-            Instr::LoadReserved { rs1, .. } => vec![rs1],
+            | Instr::SfenceVma { rs1, rs2 } => Sources::new(&[rs1, rs2]),
+            Instr::LoadReserved { rs1, .. } => Sources::new(&[rs1]),
             Instr::Csr { src, .. } => match src {
-                CsrSrc::Reg(rs1) => vec![rs1],
-                CsrSrc::Imm(_) => Vec::new(),
+                CsrSrc::Reg(rs1) => Sources::new(&[rs1]),
+                CsrSrc::Imm(_) => Sources::new(&[]),
             },
         }
     }
@@ -530,6 +531,33 @@ impl Instr {
     }
 }
 
+/// The source registers of one instruction ([`Instr::sources`]): at most
+/// two, stored inline so that asking for them never allocates. Derefs to
+/// `[Reg]`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct Sources {
+    regs: [Reg; 2],
+    len: u8,
+}
+
+impl Sources {
+    #[inline]
+    fn new(regs: &[Reg]) -> Sources {
+        let mut out = Sources { regs: [Reg::X0; 2], len: regs.len() as u8 };
+        out.regs[..regs.len()].copy_from_slice(regs);
+        out
+    }
+}
+
+impl std::ops::Deref for Sources {
+    type Target = [Reg];
+
+    #[inline]
+    fn deref(&self) -> &[Reg] {
+        &self.regs[..usize::from(self.len)]
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -537,7 +565,7 @@ mod tests {
     #[test]
     fn nop_has_no_rd_or_sources_effects() {
         assert_eq!(Instr::NOP.rd(), None);
-        assert_eq!(Instr::NOP.sources(), vec![Reg::X0]);
+        assert_eq!(Instr::NOP.sources()[..], [Reg::X0]);
     }
 
     #[test]

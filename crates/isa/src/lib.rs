@@ -33,12 +33,14 @@ pub mod instr;
 pub mod reg;
 pub mod semantics;
 
-pub use cache::{DecodeCache, DEFAULT_DECODE_CACHE_ENTRIES};
+pub use cache::{DecodeCache, SlotLookup, DEFAULT_DECODE_CACHE_ENTRIES};
 pub use csr::{Csr, CSR_LIST};
 pub use decode::{decode, decode_program, DecodeError};
 pub use encode::{encode, encode_program, EncodeError};
 pub use exception::{Exception, Interrupt, PrivLevel};
-pub use instr::{AluOp, AmoOp, BranchCond, CsrOp, CsrSrc, Instr, MemWidth, MulDivOp, SystemOp};
+pub use instr::{
+    AluOp, AmoOp, BranchCond, CsrOp, CsrSrc, Instr, MemWidth, MulDivOp, Sources, SystemOp,
+};
 pub use reg::Reg;
 
 /// Number of bytes in one (uncompressed) RISC-V instruction word.

@@ -14,12 +14,12 @@
 use std::sync::Arc;
 
 use chatfuzz_coverage::{cover, CondId, PointKind, Space, SpaceBuilder};
-use chatfuzz_isa::{decode, DecodeCache, Instr, Reg, SystemOp};
+use chatfuzz_isa::{Instr, Reg, SystemOp};
 use chatfuzz_softcore::mem::{Memory, DEFAULT_RAM_BASE, DEFAULT_RAM_SIZE};
 use chatfuzz_softcore::trace::{CommitRecord, ExitReason, Trace, TrapRecord};
 
 use crate::arch::{ArchExec, ArchOutcome};
-use crate::core_ids::{CoreIds, DeepIds, DeepState};
+use crate::core_ids::{CoreIds, DecodeMemo, DeepIds, DeepState};
 use crate::dcache::{DCache, DCacheConfig};
 use crate::dut::{Dut, DutRun};
 use crate::icache::{ICache, ICacheConfig};
@@ -110,9 +110,12 @@ pub struct Boom {
     predictor: Predictor,
     muldiv: MulDiv,
     tracer: Tracer,
-    /// Word-validated decode cache for the hot path (hits bit-identical
-    /// to re-decoding; `run` skips it to stay the pre-PR-3 baseline).
-    decode_cache: DecodeCache,
+    /// Per-run deep-state tracking, cleared before each run.
+    deep_state: DeepState,
+    /// Decode cache with decode-stage coverage for [`Dut::run_into`]
+    /// (hits bit-identical to re-decoding and re-covering; `None` until
+    /// the first hot-path run, never used by `run`).
+    memo: Option<DecodeMemo>,
     /// Reusable architectural arena for [`Dut::run_into`].
     arena: Option<ArchExec>,
 }
@@ -156,7 +159,8 @@ impl Boom {
             predictor,
             muldiv,
             tracer,
-            decode_cache: DecodeCache::default(),
+            deep_state: DeepState::new(),
+            memo: None,
             arena: None,
         }
     }
@@ -176,15 +180,16 @@ impl Dut for Boom {
         &self.space
     }
 
+    /// The one-shot reference path: a fresh arena and a fresh [`DutRun`]
+    /// per call, and no decode or decode-coverage memo; `run_into` is the
+    /// recycled hot path.
     fn run(&mut self, program: &[u8]) -> DutRun {
-        // One-shot path: fresh arena + result per call (the benchmark
-        // baseline); `run_into` is the recycled hot path.
         let mut out = DutRun::scratch(&self.space);
         let mut mem = Memory::new(self.cfg.ram_base, self.cfg.ram_size);
         let image_len = program.len().min(self.cfg.ram_size as usize);
         mem.load_image(self.cfg.ram_base, &program[..image_len]);
         let mut arch = ArchExec::new(mem, false);
-        self.run_inner(&mut arch, &mut out, false);
+        self.run_inner(&mut arch, &mut out, None);
         out
     }
 
@@ -193,10 +198,12 @@ impl Dut for Boom {
         let mut arch = self.arena.take().unwrap_or_else(|| {
             ArchExec::new(Memory::new(self.cfg.ram_base, self.cfg.ram_size), false)
         });
+        let mut memo = self.memo.take().unwrap_or_else(|| DecodeMemo::new(&self.space));
         let image_len = program.len().min(self.cfg.ram_size as usize);
         arch.mem.reset_with_image(self.cfg.ram_base, &program[..image_len]);
         arch.reset();
-        self.run_inner(&mut arch, out, true);
+        self.run_inner(&mut arch, out, Some(&mut memo));
+        self.memo = Some(memo);
         self.arena = Some(arch);
     }
 }
@@ -204,7 +211,12 @@ impl Dut for Boom {
 impl Boom {
     /// The shared execution loop. `arch` must be reset with the program
     /// image loaded; `out` must be empty (scratch or `reset_for`).
-    fn run_inner(&mut self, arch: &mut ArchExec, out: &mut DutRun, use_decode_cache: bool) {
+    fn run_inner(
+        &mut self,
+        arch: &mut ArchExec,
+        out: &mut DutRun,
+        mut memo: Option<&mut DecodeMemo>,
+    ) {
         self.icache.reset();
         self.dcache.reset();
         self.predictor.reset();
@@ -225,10 +237,13 @@ impl Boom {
         let mut recent_len = 0usize;
         let mut lsq_occ: usize = 0;
         let mut shadow_until: u64 = 0;
-        let mut deep = DeepState::new();
+        let deep = &mut self.deep_state;
+        deep.clear();
 
-        for _ in 0..self.cfg.max_steps {
+        if self.cfg.max_steps > 0 {
             self.ids.tick_dead(cov);
+        }
+        for _ in 0..self.cfg.max_steps {
             arch.csrs.tick_cycle(1);
 
             let fetch_exc = if !pc.is_multiple_of(4) {
@@ -289,15 +304,13 @@ impl Boom {
             let (word, ic_cycles) = self.icache.fetch(pc, &arch.mem, cov);
             cycles += ic_cycles;
 
-            let decoded =
-                if use_decode_cache { self.decode_cache.decode(pc, word) } else { decode(word) };
+            let decoded = match memo.as_deref_mut() {
+                Some(memo) => memo.decode(pc, word, &self.ids, cov),
+                None => self.ids.decode_covered(word, cov),
+            };
             let instr = match decoded {
-                Ok(i) => {
-                    self.ids.cover_decode(Ok(&i), cov);
-                    i
-                }
+                Ok(i) => i,
                 Err(_) => {
-                    self.ids.cover_decode(Err(()), cov);
                     trap_path!(chatfuzz_isa::Exception::IllegalInstr { word }, word, None);
                 }
             };
@@ -453,7 +466,8 @@ impl Boom {
                 _ => {}
             }
 
-            self.ids.cover_retire(&instr, &record, next_pc, arch.reservation.is_some(), cov);
+            let armed = arch.reservation.is_some();
+            self.ids.cover_retire(&instr, &record, next_pc, armed, &arch.mem, cov);
             let taken_backward = match instr {
                 Instr::Branch { offset, .. } if offset < 0 && next_pc != pc.wrapping_add(4) => {
                     Some(pc)
@@ -544,6 +558,26 @@ mod tests {
         let rocket = crate::rocket::Rocket::new(crate::rocket::RocketConfig::default());
         assert_ne!(boom.space().fingerprint(), rocket.space().fingerprint());
         assert!(boom.space().len() > 100);
+    }
+
+    #[test]
+    fn ram_store_below_the_default_base_is_not_a_tohost_write() {
+        let t0 = a(5);
+        let mut asm = Assembler::new();
+        asm.push(Instr::Auipc { rd: t0, imm: 0 });
+        asm.push(Instr::Store { width: chatfuzz_isa::MemWidth::W, rs2: t0, rs1: t0, offset: 64 });
+        asm.push(Instr::System(SystemOp::Wfi));
+        let bytes = asm.assemble_bytes().unwrap();
+        let mut boom = Boom::new(BoomConfig { ram_base: 0x1000_0000, ..Default::default() });
+        let id = boom.space().iter().find(|(_, n, _)| *n == "boom.mem.tohost_write").unwrap().0;
+        let mut hot = DutRun::scratch(boom.space());
+        boom.run_into(&bytes, &mut hot);
+        for run in [boom.run(&bytes), hot] {
+            assert_eq!(run.trace.exit, ExitReason::Wfi);
+            assert_eq!(run.trace.records[1].mem.unwrap().addr, 0x1000_0040);
+            assert!(run.coverage.is_covered(id, false));
+            assert!(!run.coverage.is_covered(id, true), "a RAM store is not a tohost write");
+        }
     }
 
     #[test]

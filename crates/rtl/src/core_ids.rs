@@ -8,8 +8,14 @@
 //! interrupts, PMP) models the RTL logic a bare-metal fuzzer can never
 //! reach — the reason real designs saturate well below 100 %.
 
-use chatfuzz_coverage::{cover, CondId, CovMap, PointKind, SpaceBuilder};
-use chatfuzz_isa::{AluOp, CsrSrc, Exception, Instr, PrivLevel, SystemOp};
+use std::sync::Arc;
+
+use chatfuzz_coverage::{cover, CondId, CovMap, PointKind, Space, SpaceBuilder};
+use chatfuzz_isa::{
+    decode, AluOp, CsrSrc, DecodeCache, DecodeError, Exception, Instr, PrivLevel, SlotLookup,
+    SystemOp,
+};
+use chatfuzz_softcore::mem::Memory;
 use chatfuzz_softcore::trace::CommitRecord;
 
 /// Decode instruction-class conditions.
@@ -218,14 +224,23 @@ impl CoreIds {
         }
     }
 
-    /// Covers execute/memory-stage conditions for a committed record.
-    #[allow(clippy::too_many_arguments)]
+    /// Decodes `word` and covers its decode-stage conditions: the
+    /// unmemoised reference [`DecodeMemo::decode`] reproduces.
+    pub(crate) fn decode_covered(&self, word: u32, cov: &mut CovMap) -> Result<Instr, DecodeError> {
+        let decoded = decode(word);
+        self.cover_decode(decoded.as_ref().map_err(|_| ()), cov);
+        decoded
+    }
+
+    /// Covers execute/memory-stage conditions for a committed record. A
+    /// store is a `tohost` write when it left `ram`, the core's memory.
     pub fn cover_retire(
         &self,
         instr: &Instr,
         record: &CommitRecord,
         next_pc: u64,
         reservation_armed: bool,
+        ram: &Memory,
         cov: &mut CovMap,
     ) {
         match *instr {
@@ -279,7 +294,8 @@ impl CoreIds {
         if let Some(mem) = record.mem {
             cover!(cov, self.mem_misaligned, false);
             cover!(cov, self.mem_fault, false);
-            cover!(cov, self.tohost_write, mem.is_store && !mem_in_ram_hint(record));
+            let in_ram = ram.in_ram(mem.addr, u64::from(mem.bytes));
+            cover!(cov, self.tohost_write, mem.is_store && !in_ram);
         }
         cover!(cov, self.priv_is_u, record.priv_level == PrivLevel::User);
         cover!(cov, self.priv_is_s, record.priv_level == PrivLevel::Supervisor);
@@ -328,7 +344,8 @@ impl CoreIds {
     }
 
     /// Touches the "false" bins of the structurally unreachable block (the
-    /// logic is simulated every cycle but its conditions never fire).
+    /// logic is simulated every cycle but its conditions never fire, so
+    /// recording them once per run records every bin they ever reach).
     pub fn tick_dead(&self, cov: &mut CovMap) {
         for id in &self.dead {
             cov.hit(*id, false);
@@ -377,12 +394,19 @@ impl DeepIds {
     }
 }
 
-/// Per-run state backing the [`DeepIds`] conditions.
+/// Most distinct data lines [`DeepState`] tracks per run.
+const MAX_LINES: usize = 64;
+
+/// Per-run state backing the [`DeepIds`] conditions. A core keeps one and
+/// clears it before each run, so its buffers are allocated only while they
+/// grow to the largest run seen.
 #[derive(Debug, Default)]
 pub struct DeepState {
     streak: u32,
-    branch_hits: std::collections::BTreeMap<u64, u32>,
-    lines: std::collections::BTreeSet<u64>,
+    /// Times each taken backward branch was taken, by PC.
+    branch_hits: Vec<(u64, u32)>,
+    /// Distinct data lines touched, at most [`MAX_LINES`].
+    lines: Vec<u64>,
     delegations: u32,
     last_was_muldiv: bool,
 }
@@ -391,6 +415,15 @@ impl DeepState {
     /// Fresh per-run state.
     pub fn new() -> DeepState {
         DeepState::default()
+    }
+
+    /// Returns to the fresh per-run state, keeping buffer capacity.
+    pub(crate) fn clear(&mut self) {
+        self.streak = 0;
+        self.branch_hits.clear();
+        self.lines.clear();
+        self.delegations = 0;
+        self.last_was_muldiv = false;
     }
 
     /// Observes one committed (non-trap) retire.
@@ -408,15 +441,23 @@ impl DeepState {
         cover!(cov, ids.streak_16, self.streak >= 16);
         cover!(cov, ids.streak_64, self.streak >= 64);
         if let Some(pc) = taken_backward_branch_pc {
-            let hits = self.branch_hits.entry(pc).or_insert(0);
-            *hits += 1;
-            cover!(cov, ids.hot_loop_8, *hits >= 8);
+            let hits = match self.branch_hits.iter_mut().find(|(seen, _)| *seen == pc) {
+                Some((_, hits)) => {
+                    *hits += 1;
+                    *hits
+                }
+                None => {
+                    self.branch_hits.push((pc, 1));
+                    1
+                }
+            };
+            cover!(cov, ids.hot_loop_8, hits >= 8);
         } else {
             cov.hit(ids.hot_loop_8, false);
         }
         if let Some(line) = mem_line {
-            if self.lines.len() < 64 {
-                self.lines.insert(line);
+            if self.lines.len() < MAX_LINES && !self.lines.contains(&line) {
+                self.lines.push(line);
             }
         }
         cover!(cov, ids.lines_16, self.lines.len() >= 16);
@@ -450,10 +491,60 @@ impl DeepState {
     }
 }
 
-/// Whether a memory effect targeted RAM (vs the tohost device); trace
-/// records do not carry the region, so use the address range convention.
-fn mem_in_ram_hint(record: &CommitRecord) -> bool {
-    record.mem.map(|m| m.addr >= 0x8000_0000).unwrap_or(true)
+/// A core's decode cache, which also keeps each word's decode-stage
+/// coverage.
+///
+/// Lookups go through a [`DecodeCache`], so a hit returns exactly what
+/// decoding the fetched word again returns, BUG1's stale words included.
+/// [`CoreIds::cover_decode`] is a pure function of the word, so the memo
+/// keeps, per cache slot, the bins it recorded for the slot's word; a hit
+/// ORs them into the run's map in one pass. [`DecodeMemo::decode`]
+/// therefore leaves the map exactly as [`CoreIds::decode_covered`] does.
+#[derive(Debug)]
+pub(crate) struct DecodeMemo {
+    cache: DecodeCache,
+    /// `map_words` coverage words per cache slot.
+    masks: Vec<u64>,
+    map_words: usize,
+    /// Where a miss records its word's decode-stage bins.
+    scratch: CovMap,
+}
+
+impl DecodeMemo {
+    /// An empty memo for coverage maps over `space`.
+    pub(crate) fn new(space: &Arc<Space>) -> DecodeMemo {
+        let cache = DecodeCache::default();
+        let scratch = CovMap::new(space);
+        let map_words = scratch.words().len();
+        DecodeMemo { masks: vec![0; cache.slots() * map_words], cache, map_words, scratch }
+    }
+
+    /// Decodes `word` fetched from `pc` and covers its decode-stage
+    /// conditions under `ids` into `cov`, which must be over the space
+    /// the memo was built for. `ids` must be the same on every call: the
+    /// kept bins were recorded under it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cov` has a different word count from that space.
+    #[inline]
+    pub(crate) fn decode(
+        &mut self,
+        pc: u64,
+        word: u32,
+        ids: &CoreIds,
+        cov: &mut CovMap,
+    ) -> Result<Instr, DecodeError> {
+        let SlotLookup { slot, hit, result } = self.cache.decode_slot(pc, word);
+        let mask = &mut self.masks[slot * self.map_words..(slot + 1) * self.map_words];
+        if !hit {
+            self.scratch.clear();
+            ids.cover_decode(result.as_ref().map_err(|_| ()), &mut self.scratch);
+            mask.copy_from_slice(self.scratch.words());
+        }
+        cov.or_words(mask);
+        result
+    }
 }
 
 #[cfg(test)]
@@ -526,8 +617,95 @@ mod tests {
             mem: None,
             trap: None,
         };
-        ids.cover_retire(&br, &rec, 0x8000_0008, false, &mut cov);
+        let ram = Memory::new(0x8000_0000, 4096);
+        ids.cover_retire(&br, &rec, 0x8000_0008, false, &ram, &mut cov);
         assert!(cov.is_covered(ids.br_taken, true));
         assert!(cov.is_covered(ids.br_backward, true));
+    }
+
+    #[test]
+    fn stores_are_classified_by_the_cores_ram_range() {
+        let (ids, mut cov) = setup();
+        let ram = Memory::new(0x1000_0000, 4096);
+        let sw = Instr::Store {
+            width: chatfuzz_isa::MemWidth::W,
+            rs2: Reg::X0,
+            rs1: Reg::X0,
+            offset: 0,
+        };
+        let store_to = |addr| CommitRecord {
+            pc: 0x1000_0000,
+            word: 0,
+            priv_level: PrivLevel::Machine,
+            rd_write: None,
+            mem: Some(chatfuzz_softcore::trace::MemEffect {
+                addr,
+                bytes: 4,
+                is_store: true,
+                value: 0,
+            }),
+            trap: None,
+        };
+        ids.cover_retire(&sw, &store_to(0x1000_0040), 0x1000_0004, false, &ram, &mut cov);
+        assert!(cov.is_covered(ids.tohost_write, false));
+        assert!(!cov.is_covered(ids.tohost_write, true), "a RAM store below 0x8000_0000");
+        let tohost = chatfuzz_softcore::mem::TOHOST_ADDR;
+        ids.cover_retire(&sw, &store_to(tohost), 0x1000_0004, false, &ram, &mut cov);
+        assert!(cov.is_covered(ids.tohost_write, true));
+    }
+
+    #[test]
+    fn decode_memo_matches_decode_covered() {
+        // Hits, misses, slot collisions, error words and a word changing
+        // under a fixed PC (BUG1's stale fetches) must all leave the map
+        // exactly as the unmemoised path does.
+        let (ids, cov) = setup();
+        let space = Arc::clone(cov.space());
+        let mut memo = DecodeMemo::new(&space);
+        for round in 0..3u32 {
+            for i in 0..4096u32 {
+                let word = i.wrapping_mul(0x9e37_79b9) ^ round;
+                let pc = 0x8000_0000 + u64::from(i % 1500) * 4;
+                let mut memoised = CovMap::new(&space);
+                let mut reference = CovMap::new(&space);
+                let got = memo.decode(pc, word, &ids, &mut memoised);
+                assert_eq!(got, ids.decode_covered(word, &mut reference));
+                assert_eq!(memoised.words(), reference.words(), "word {word:#010x} at {pc:#x}");
+            }
+        }
+    }
+
+    #[test]
+    fn cleared_deep_state_behaves_like_a_fresh_one() {
+        let mut b = SpaceBuilder::new("deep-test");
+        let ids = DeepIds::register("c", &mut b);
+        let space = b.build();
+        let drive = |state: &mut DeepState| {
+            let mut cov = CovMap::new(&space);
+            let nop = Instr::NOP;
+            for i in 0..60u64 {
+                let branch = (i % 3 == 0).then_some(0x8000_0100 + (i % 2) * 8);
+                let line = Some(i % 20);
+                state.on_retire(&ids, &nop, PrivLevel::Machine, branch, line, &mut cov);
+                if i % 25 == 24 {
+                    state.on_trap(&ids, true, &mut cov);
+                }
+            }
+            cov
+        };
+        let mut reused = DeepState::new();
+        let first = drive(&mut reused);
+        assert!(first.is_covered(ids.hot_loop_8, true), "a branch taken 8 times");
+        assert!(first.is_covered(ids.lines_16, true), "20 distinct lines");
+        reused.clear();
+        assert_eq!(drive(&mut reused).words(), first.words());
+
+        let mut few = DeepState::new();
+        let mut cov = CovMap::new(&space);
+        for i in 0..40u64 {
+            let line = Some(i % 15);
+            few.on_retire(&ids, &Instr::NOP, PrivLevel::Machine, None, line, &mut cov);
+        }
+        assert!(!cov.is_covered(ids.lines_16, true), "repeated lines count once");
     }
 }

@@ -50,6 +50,10 @@ pub trait Dut: Send {
 
     /// Resets the design and runs one program image (loaded at the RAM
     /// base), returning trace + coverage + timing.
+    ///
+    /// The in-tree cores keep this as the one-shot reference path: a fresh
+    /// arena and a fresh [`DutRun`] per call, and no decode or
+    /// decode-coverage memo.
     fn run(&mut self, program: &[u8]) -> DutRun;
 
     /// [`Dut::run`] into a caller-owned scratch buffer — the

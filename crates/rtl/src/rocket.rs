@@ -20,12 +20,12 @@ use std::sync::Arc;
 
 use chatfuzz_coverage::{cover, CondId, CovMap, PointKind, Space, SpaceBuilder};
 use chatfuzz_isa::semantics::extend_loaded;
-use chatfuzz_isa::{decode, DecodeCache, Instr, Reg, SystemOp};
+use chatfuzz_isa::{Instr, Reg, SystemOp};
 use chatfuzz_softcore::mem::{Memory, DEFAULT_RAM_BASE, DEFAULT_RAM_SIZE};
 use chatfuzz_softcore::trace::{CommitRecord, ExitReason, Trace, TrapRecord};
 
 use crate::arch::{ArchExec, ArchOutcome};
-use crate::core_ids::{CoreIds, DeepIds, DeepState};
+use crate::core_ids::{CoreIds, DecodeMemo, DeepIds, DeepState};
 use crate::dcache::{DCache, DCacheConfig};
 use crate::dut::{Dut, DutRun};
 use crate::icache::{ICache, ICacheConfig};
@@ -132,12 +132,14 @@ pub struct Rocket {
     predictor: Predictor,
     muldiv: MulDiv,
     tracer: Tracer,
-    /// Word-validated decode cache for the hot path; hits are
-    /// bit-identical to re-decoding the fetched word, including BUG1's
-    /// stale-fetch words (the cache keys on whatever the I-cache served).
-    /// `run` skips it so the one-shot path stays the honest pre-PR-3
-    /// benchmark baseline.
-    decode_cache: DecodeCache,
+    /// Per-run deep-state tracking, cleared before each run.
+    deep_state: DeepState,
+    /// Word-validated decode cache with each word's decode-stage coverage
+    /// for [`Dut::run_into`]; hits are bit-identical to re-decoding and
+    /// re-covering the fetched word, including BUG1's stale-fetch words
+    /// (the memo keys on whatever the I-cache served). `None` until the
+    /// first hot-path run; `run` never uses it.
+    memo: Option<DecodeMemo>,
     /// Reusable architectural arena for [`Dut::run_into`] (registers,
     /// CSRs, RAM); `None` until the first hot-path run.
     arena: Option<ArchExec>,
@@ -174,7 +176,8 @@ impl Rocket {
             predictor,
             muldiv,
             tracer,
-            decode_cache: DecodeCache::default(),
+            deep_state: DeepState::new(),
+            memo: None,
             arena: None,
         }
     }
@@ -202,17 +205,17 @@ impl Dut for Rocket {
         &self.space
     }
 
+    /// The one-shot reference path: a fresh arena and a fresh [`DutRun`]
+    /// per call, and every fetched word decoded and covered again (no
+    /// decode or decode-coverage memo). For casual use, and the baseline
+    /// that `run_into` is tested and benchmarked against.
     fn run(&mut self, program: &[u8]) -> DutRun {
-        // The one-shot path: a fresh arena and result per call, and no
-        // decode cache. Kept exactly as allocating (and as decode-heavy)
-        // as before PR 3, both for casual use and as the measurable
-        // baseline the `throughput` bench compares `run_into` against.
         let mut out = DutRun::scratch(&self.space);
         let mut mem = Memory::new(self.cfg.ram_base, self.cfg.ram_size);
         let image_len = program.len().min(self.cfg.ram_size as usize);
         mem.load_image(self.cfg.ram_base, &program[..image_len]);
         let mut arch = ArchExec::new(mem, self.cfg.bugs.f1_pma_before_align);
-        self.run_inner(&mut arch, &mut out, false);
+        self.run_inner(&mut arch, &mut out, None);
         out
     }
 
@@ -224,10 +227,12 @@ impl Dut for Rocket {
                 self.cfg.bugs.f1_pma_before_align,
             )
         });
+        let mut memo = self.memo.take().unwrap_or_else(|| DecodeMemo::new(&self.space));
         let image_len = program.len().min(self.cfg.ram_size as usize);
         arch.mem.reset_with_image(self.cfg.ram_base, &program[..image_len]);
         arch.reset();
-        self.run_inner(&mut arch, out, true);
+        self.run_inner(&mut arch, out, Some(&mut memo));
+        self.memo = Some(memo);
         self.arena = Some(arch);
     }
 }
@@ -235,9 +240,14 @@ impl Dut for Rocket {
 impl Rocket {
     /// The shared execution loop. `arch` must be reset with the program
     /// image loaded; `out` must be empty (scratch or `reset_for`). The
-    /// decode cache is observationally transparent, so the flag only
-    /// selects which *performance* profile runs.
-    fn run_inner(&mut self, arch: &mut ArchExec, out: &mut DutRun, use_decode_cache: bool) {
+    /// memo is observationally transparent, so passing one only selects
+    /// which *performance* profile runs.
+    fn run_inner(
+        &mut self,
+        arch: &mut ArchExec,
+        out: &mut DutRun,
+        mut memo: Option<&mut DecodeMemo>,
+    ) {
         self.reset_units();
         let DutRun { trace, coverage: cov, cycles: out_cycles } = out;
         let Trace { records, exit: out_exit } = trace;
@@ -248,10 +258,13 @@ impl Rocket {
         let mut prev_alu_rd: Option<Reg> = None;
         let mut prev_prev_rd: Option<Reg> = None;
         let mut prev_load_rd: Option<Reg> = None;
-        let mut deep = DeepState::new();
+        let deep = &mut self.deep_state;
+        deep.clear();
 
-        for _ in 0..self.cfg.max_steps {
+        if self.cfg.max_steps > 0 {
             self.ids.tick_dead(cov);
+        }
+        for _ in 0..self.cfg.max_steps {
             arch.csrs.tick_cycle(1);
             cycles += 1;
 
@@ -301,15 +314,13 @@ impl Rocket {
             cycles += ic_cycles;
 
             // ---- Decode ----
-            let decoded =
-                if use_decode_cache { self.decode_cache.decode(pc, word) } else { decode(word) };
+            let decoded = match memo.as_deref_mut() {
+                Some(memo) => memo.decode(pc, word, &self.ids, cov),
+                None => self.ids.decode_covered(word, cov),
+            };
             let instr = match decoded {
-                Ok(i) => {
-                    self.ids.cover_decode(Ok(&i), cov);
-                    i
-                }
+                Ok(i) => i,
                 Err(_) => {
-                    self.ids.cover_decode(Err(()), cov);
                     let e = chatfuzz_isa::Exception::IllegalInstr { word };
                     match take_trap(
                         arch,
@@ -488,7 +499,8 @@ impl Rocket {
             }
 
             // ---- Retire ----
-            self.ids.cover_retire(&instr, &record, next_pc, arch.reservation.is_some(), cov);
+            let armed = arch.reservation.is_some();
+            self.ids.cover_retire(&instr, &record, next_pc, armed, &arch.mem, cov);
             let taken_backward = match instr {
                 Instr::Branch { offset, .. } if offset < 0 && next_pc != pc.wrapping_add(4) => {
                     Some(pc)
@@ -730,6 +742,28 @@ mod tests {
                 assert_eq!(r.cause(), 5, "rocket: load access fault");
             }
             other => panic!("expected unhandled traps, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn ram_store_below_the_default_base_is_not_a_tohost_write() {
+        // `auipc t0, 0; sw t0, 64(t0); wfi` on a core whose RAM starts
+        // below the default base: the store lands in RAM, not in tohost.
+        let t0 = a(5);
+        let mut asm = Assembler::new();
+        asm.push(Instr::Auipc { rd: t0, imm: 0 });
+        asm.push(Instr::Store { width: MemWidth::W, rs2: t0, rs1: t0, offset: 64 });
+        asm.push(Instr::System(SystemOp::Wfi));
+        let bytes = asm.assemble_bytes().unwrap();
+        let mut core = Rocket::new(RocketConfig { ram_base: 0x1000_0000, ..Default::default() });
+        let id = core.space().iter().find(|(_, n, _)| *n == "rocket.mem.tohost_write").unwrap().0;
+        let mut hot = DutRun::scratch(core.space());
+        core.run_into(&bytes, &mut hot);
+        for run in [core.run(&bytes), hot] {
+            assert_eq!(run.trace.exit, ExitReason::Wfi);
+            assert_eq!(run.trace.records[1].mem.unwrap().addr, 0x1000_0040);
+            assert!(run.coverage.is_covered(id, false));
+            assert!(!run.coverage.is_covered(id, true), "a RAM store is not a tohost write");
         }
     }
 

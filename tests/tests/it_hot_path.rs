@@ -1,12 +1,16 @@
 //! Integration: the zero-allocation execution hot path is bit-identical
-//! to the naive allocating path.
+//! to the one-shot reference path.
 //!
-//! PR 3 introduced three hot-path optimisations — a word-validated decode
-//! cache, reusable execution arenas (`Dut::run_into`, `SoftCoreRunner`,
-//! `Memory::reset_with_image`), and a precompiled harness. Each keeps an
-//! allocating one-shot twin (`Dut::run`, `SoftCore::run`, `wrap`); these
-//! tests pin the two paths together bit-for-bit, across buffer reuse,
-//! self-modifying code, and whole campaigns.
+//! The hot path has three parts: reusable execution arenas
+//! (`Dut::run_into`, `SoftCoreRunner`, `Memory::reset_with_image`), a
+//! word-validated decode cache (in the cores, a memo that also keeps each
+//! word's decode-stage coverage), and a precompiled harness. Each has a
+//! one-shot twin (`Dut::run`, `SoftCore::run`, `wrap`); these tests pin
+//! the two paths together bit-for-bit, across buffer reuse,
+//! self-modifying code, and whole campaigns. Changes that touch both
+//! paths alike are pinned by a hash of both cores' outputs over a fixed
+//! input set, and a counting allocator checks that warm hot paths
+//! allocate nothing.
 
 use chatfuzz::campaign::{CampaignBuilder, StopCondition};
 use chatfuzz::harness::{body_offset, wrap, HarnessConfig, PrecompiledHarness};
@@ -17,10 +21,55 @@ use chatfuzz_coverage::Calculator;
 use chatfuzz_isa::asm::Assembler;
 use chatfuzz_isa::{encode, encode_program, AluOp, BranchCond, Instr, MemWidth, Reg, SystemOp};
 use chatfuzz_rtl::{Boom, BoomConfig, BugConfig, Dut, DutRun, Rocket, RocketConfig};
-use chatfuzz_softcore::trace::Trace;
+use chatfuzz_softcore::trace::{ExitReason, Trace};
 use chatfuzz_softcore::{SoftCore, SoftCoreConfig, SoftCoreRunner};
 use proptest::prelude::*;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::Arc;
+
+/// Counts heap allocations (and reallocations) per thread, so each test
+/// can measure its own code while the harness runs others in parallel.
+struct CountingAlloc;
+
+thread_local! {
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_allocation() {
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
+
+/// Allocations made by the current thread so far.
+fn allocations() -> u64 {
+    ALLOCATIONS.with(Cell::get)
+}
+
+// SAFETY: every method forwards to `System` unchanged; the counter is a
+// const-initialised thread-local `Cell`, which never allocates.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count_allocation();
+        System.alloc(layout)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count_allocation();
+        System.alloc_zeroed(layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count_allocation();
+        System.realloc(ptr, layout, new_size)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: CountingAlloc = CountingAlloc;
 
 fn corpus_image(seed: u64) -> Vec<u8> {
     let mut corpus = CorpusGenerator::new(CorpusConfig { seed, ..Default::default() });
@@ -220,4 +269,176 @@ fn campaign_matches_hand_rolled_naive_loop() {
     assert_eq!(report.raw_mismatches, mismatches);
     assert_eq!(snapshot.coverage().words(), calculator.total().words());
     assert_eq!(report.final_coverage_pct, calculator.total_percent());
+}
+
+/// The fixed input set the output pin and the allocation law run over:
+/// `RandomRegression` bodies of 4, 16 and 64 instructions and corpus
+/// functions, each wrapped in the default harness.
+fn pinned_images() -> Vec<Vec<u8>> {
+    let mut images = Vec::new();
+    for (seed, len) in [(901, 4), (902, 16), (903, 64)] {
+        for body in RandomRegression::new(seed, len).next_batch(64) {
+            images.push(wrap(&body, HarnessConfig::default()));
+        }
+    }
+    images.extend((0..32).map(corpus_image));
+    images
+}
+
+/// FNV-1a over little-endian bytes of explicit fields.
+struct Fnv(u64);
+
+impl Fnv {
+    fn new() -> Fnv {
+        Fnv(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn u64(&mut self, value: u64) {
+        for byte in value.to_le_bytes() {
+            self.0 ^= u64::from(byte);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    /// Folds every field a run exposes: each commit record (pc, word,
+    /// privilege, register write, memory effect, trap), the exit reason,
+    /// the cycle count and the coverage words.
+    fn run(&mut self, run: &DutRun) {
+        self.u64(run.trace.records.len() as u64);
+        for r in &run.trace.records {
+            self.u64(r.pc);
+            self.u64(u64::from(r.word));
+            self.u64(r.priv_level.bits());
+            match r.rd_write {
+                None => self.u64(0),
+                Some((rd, value)) => {
+                    self.u64(1);
+                    self.u64(rd.index() as u64);
+                    self.u64(value);
+                }
+            }
+            match r.mem {
+                None => self.u64(0),
+                Some(m) => {
+                    self.u64(1);
+                    self.u64(m.addr);
+                    self.u64(u64::from(m.bytes));
+                    self.u64(u64::from(m.is_store));
+                    self.u64(m.value);
+                }
+            }
+            match r.trap {
+                None => self.u64(0),
+                Some(t) => {
+                    self.u64(1);
+                    self.u64(t.exception.cause());
+                    self.u64(t.exception.tval());
+                    self.u64(t.from.bits());
+                    self.u64(t.to.bits());
+                    self.u64(t.handler_pc);
+                }
+            }
+        }
+        match run.trace.exit {
+            ExitReason::Wfi => self.u64(0),
+            ExitReason::ToHost(value) => {
+                self.u64(1);
+                self.u64(value);
+            }
+            ExitReason::BudgetExhausted => self.u64(2),
+            ExitReason::UnhandledTrap(e) => {
+                self.u64(3);
+                self.u64(e.cause());
+                self.u64(e.tval());
+            }
+            ExitReason::TrapStorm => self.u64(4),
+        }
+        self.u64(run.cycles);
+        for &word in run.coverage.words() {
+            self.u64(word);
+        }
+    }
+}
+
+/// Builds a fresh core.
+type MakeDut = fn() -> Box<dyn Dut>;
+
+fn rocket_all_on() -> Box<dyn Dut> {
+    Box::new(Rocket::new(RocketConfig { bugs: BugConfig::all_on(), ..Default::default() }))
+}
+
+fn rocket_all_off() -> Box<dyn Dut> {
+    Box::new(Rocket::new(RocketConfig { bugs: BugConfig::all_off(), ..Default::default() }))
+}
+
+fn boom() -> Box<dyn Dut> {
+    Box::new(Boom::new(BoomConfig::default()))
+}
+
+/// Both cores, through both `run` and `run_into`, reproduce pinned hashes
+/// of their outputs on a fixed input set. `run ≡ run_into` alone cannot
+/// see a drift that both paths share (the step loop, source registers and
+/// deep state are common to both); these constants can. Only a change
+/// meant to move simulated outcomes may recompute them.
+#[test]
+fn both_cores_reproduce_their_pinned_outputs() {
+    const PINNED: [(&str, MakeDut, u64); 3] = [
+        ("rocket all_on", rocket_all_on, 0x7257_1a4b_5aa4_fb37),
+        ("rocket all_off", rocket_all_off, 0x5744_9749_7d9c_94e7),
+        ("boom", boom, 0xad8b_3522_1bd4_b134),
+    ];
+    let images = pinned_images();
+    let mut drifted = Vec::new();
+    for (name, make, expected) in PINNED {
+        let mut dut = make();
+        let mut one_shot = Fnv::new();
+        for image in &images {
+            one_shot.run(&dut.run(image));
+        }
+        let mut hot = Fnv::new();
+        let mut scratch = DutRun::scratch(dut.space());
+        for image in &images {
+            dut.run_into(image, &mut scratch);
+            hot.run(&scratch);
+        }
+        for (path, got) in [("run", one_shot.0), ("run_into", hot.0)] {
+            if got != expected {
+                drifted.push(format!("{name} via {path}: {got:#018x}, pinned {expected:#018x}"));
+            }
+        }
+    }
+    assert!(drifted.is_empty(), "outputs drifted:\n{}", drifted.join("\n"));
+}
+
+/// After one warm-up pass over a fixed image set, a second `run_into`
+/// pass over the same images allocates nothing: arenas, trace buffers,
+/// coverage maps, decode memos and per-run core state are all recycled.
+#[test]
+fn warm_hot_paths_allocate_nothing() {
+    let images = pinned_images();
+    for (name, make) in [("rocket", rocket_all_on as MakeDut), ("boom", boom)] {
+        let mut dut = make();
+        let mut scratch = DutRun::scratch(dut.space());
+        for image in &images {
+            dut.run_into(image, &mut scratch);
+        }
+        let before = allocations();
+        for image in &images {
+            dut.run_into(image, &mut scratch);
+        }
+        let made = allocations() - before;
+        assert_eq!(made, 0, "{name}: {made} allocations over {} warm tests", images.len());
+    }
+
+    let mut runner = SoftCoreRunner::new(SoftCoreConfig::default());
+    let mut trace = Trace::scratch();
+    for image in &images {
+        runner.run_into(image, &mut trace);
+    }
+    let before = allocations();
+    for image in &images {
+        runner.run_into(image, &mut trace);
+    }
+    let made = allocations() - before;
+    assert_eq!(made, 0, "golden model: {made} allocations over {} warm tests", images.len());
 }
