@@ -315,15 +315,20 @@ impl LmGenerator {
 
 /// Reward-weighted replay selection: indices of the queued rollouts the
 /// learner trains on at a publish boundary, in arrival order. Rollouts
-/// that cannot be scored (nothing generated, or a merged-in sequence
-/// longer than the context window) are skipped; when `cap > 0` only the
-/// `cap` highest-reward rollouts survive, ties broken by arrival order —
-/// a fully deterministic selection, as resume bit-identity requires.
+/// that cannot be scored (nothing generated, a merged-in sequence longer
+/// than the context window, or a NaN or infinite reward, which a snapshot's
+/// raw bit patterns or a NaN reward weight can carry) are skipped; when
+/// `cap > 0` only the `cap` highest-reward rollouts survive, ties broken
+/// by arrival order — a fully deterministic selection, as resume
+/// bit-identity requires.
 fn select_replay(queue: &[PendingRollout], cap: usize, max_seq: usize) -> Vec<usize> {
     let mut indices: Vec<usize> = (0..queue.len())
         .filter(|&i| {
             let r = &queue[i];
-            r.prompt_len >= 1 && r.tokens.len() > r.prompt_len && r.tokens.len() <= max_seq
+            r.prompt_len >= 1
+                && r.tokens.len() > r.prompt_len
+                && r.tokens.len() <= max_seq
+                && r.reward.is_finite()
         })
         .collect();
     if cap > 0 && indices.len() > cap {
@@ -695,6 +700,35 @@ mod tests {
         let mut rng = ChaCha8Rng::seed_from_u64(0);
         let model = Gpt::new(GptConfig::tiny(tokenizer.vocab_size() as usize), &mut rng);
         (tokenizer, model, programs)
+    }
+
+    /// Queues with NaN and infinite rewards, capped and uncapped: the
+    /// non-finite rollouts are skipped, and the rest are selected as a
+    /// queue of finite rewards alone would be. (A NaN made the sort's
+    /// comparator a non-total order, which `sort_by` may panic on.)
+    #[test]
+    fn replay_selection_skips_non_finite_rewards() {
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        for len in [512usize, 128, 40, 16] {
+            let queue: Vec<PendingRollout> = (0..len)
+                .map(|i| {
+                    state = state.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+                    let reward = match i % 11 {
+                        3 => f32::NAN,
+                        7 => f32::INFINITY,
+                        _ => (state >> 40) as f32 / 1e6,
+                    };
+                    PendingRollout { tokens: vec![1, 2, 3], prompt_len: 1, reward }
+                })
+                .collect();
+            let finite: Vec<usize> = (0..len).filter(|&i| queue[i].reward.is_finite()).collect();
+            let mut best = finite.clone();
+            best.sort_by(|&a, &b| queue[b].reward.total_cmp(&queue[a].reward).then(a.cmp(&b)));
+            best.truncate(4);
+            best.sort_unstable();
+            assert_eq!(select_replay(&queue, 4, 64), best, "cap 4, {len} rollouts");
+            assert_eq!(select_replay(&queue, 0, 64), finite, "uncapped, {len} rollouts");
+        }
     }
 
     #[test]

@@ -53,8 +53,8 @@
 //! torn page after power loss, a bit flip on a flaky disk. Since v5
 //! every document opens with a `checksum` field: the FNV-1a-64 hash of
 //! the payload (the document with the checksum field removed), verified
-//! before any value in the file is trusted. v4 documents (no checksum)
-//! still load.
+//! before any value in the file is trusted; a document without one is
+//! rejected.
 //!
 //! Because the newest checkpoint is exactly the file most likely to be
 //! torn by the crash being recovered from, [`save_snapshot_rotated`]
@@ -97,15 +97,8 @@ use crate::report::JsonWriter;
 /// the actor/learner fields to the model half: the publish epoch, the
 /// batches-since-publish counter, and the learner's reward-stamped
 /// rollout queue (rewards as hex `f32`-bit patterns). v5 added the
-/// leading `checksum` field; it changed no other key, so v4 documents
-/// (the oldest this build still reads, see
-/// [`MIN_SUPPORTED_SCHEMA_VERSION`]) load unchanged.
+/// leading `checksum` field. This build reads only v5.
 pub const SCHEMA_VERSION: u64 = 5;
-
-/// Oldest schema version [`parse_snapshot`] still accepts. v4 is the
-/// v5 payload without the checksum field, so reading it costs nothing;
-/// v3 and earlier differ structurally and are rejected.
-pub const MIN_SUPPORTED_SCHEMA_VERSION: u64 = 4;
 
 /// Why a snapshot could not be loaded.
 #[derive(Debug)]
@@ -188,8 +181,7 @@ impl fmt::Display for PersistError {
                 write!(
                     f,
                     "snapshot schema version {found} not supported (this build \
-                     reads versions {MIN_SUPPORTED_SCHEMA_VERSION} through \
-                     {supported} and writes version {supported})"
+                     reads and writes version {supported})"
                 )
             }
             PersistError::Checksum { claimed, computed } => write!(
@@ -394,13 +386,11 @@ fn attach_checksum(payload: &str) -> String {
 }
 
 /// Verifies a document's leading checksum field against the rest of the
-/// text. Returns whether a checksum was present at all (v4 documents
-/// carry none); a present-but-wrong checksum is
-/// [`PersistError::Checksum`], a present-but-malformed one is a parse
-/// error.
-fn verify_checksum(text: &str) -> Result<bool> {
+/// text. A wrong checksum is [`PersistError::Checksum`]; a missing or
+/// malformed one is a parse error.
+fn verify_checksum(text: &str) -> Result<()> {
     let Some(rest) = text.strip_prefix(CHECKSUM_PREFIX) else {
-        return Ok(false);
+        return err("document is missing its checksum field");
     };
     let Some(hex) = rest.get(..16) else {
         return err("checksum field truncated");
@@ -416,7 +406,7 @@ fn verify_checksum(text: &str) -> Result<bool> {
     if computed != claimed {
         return Err(PersistError::Checksum { claimed, computed });
     }
-    Ok(true)
+    Ok(())
 }
 
 fn write_generator_state(w: &mut JsonWriter, s: &GeneratorState) {
@@ -1056,12 +1046,10 @@ fn parse_json(text: &str) -> Result<Json> {
 pub fn parse_snapshot(text: &str, space: &Arc<Space>) -> Result<CampaignSnapshot> {
     let doc = parse_json(text)?;
     let version = doc.get("schema_version")?.as_u64("schema_version")?;
-    if !(MIN_SUPPORTED_SCHEMA_VERSION..=SCHEMA_VERSION).contains(&version) {
+    if version != SCHEMA_VERSION {
         return Err(PersistError::SchemaVersion { found: version, supported: SCHEMA_VERSION });
     }
-    if !verify_checksum(text)? && version >= 5 {
-        return err("schema v5 document is missing its checksum field");
-    }
+    verify_checksum(text)?;
     let found = doc.get("space_fingerprint")?.as_u64("space_fingerprint")?;
     if found != space.fingerprint() {
         return Err(PersistError::SpaceMismatch { found, expected: space.fingerprint() });
@@ -1803,32 +1791,27 @@ mod tests {
     }
 
     #[test]
-    fn v4_documents_without_checksums_still_load() {
-        let snapshot = sample_snapshot();
-        let space = factory()().space().clone();
-        // A v4 document is exactly the v5 payload (no checksum field)
-        // with the old version stamp — the schema changed nothing else.
-        let v4 =
-            payload_json(&snapshot).replacen("\"schema_version\":5", "\"schema_version\":4", 1);
-        let parsed = parse_snapshot(&v4, &space).expect("v4 loads");
-        // Re-serialising writes the modern checksummed v5 form.
-        assert_eq!(snapshot_json(&parsed), snapshot_json(&snapshot));
-    }
-
-    #[test]
     fn checksum_valid_but_schema_stale_is_a_named_version_error() {
         let snapshot = sample_snapshot();
         let space = factory()().space().clone();
-        let stale = attach_checksum(&payload_json(&snapshot).replacen(
-            "\"schema_version\":5",
-            "\"schema_version\":3",
-            1,
-        ));
-        match parse_snapshot(&stale, &space) {
-            Err(PersistError::SchemaVersion { found: 3, supported }) => {
-                assert_eq!(supported, SCHEMA_VERSION);
+        let stamped = |version: u64| {
+            payload_json(&snapshot).replacen(
+                "\"schema_version\":5",
+                &format!("\"schema_version\":{version}"),
+                1,
+            )
+        };
+        // v3 and v4 with a valid checksum, and v4 as v4 wrote it: the v5
+        // payload with the old stamp and no checksum field.
+        for (version, stale) in
+            [(3, attach_checksum(&stamped(3))), (4, attach_checksum(&stamped(4))), (4, stamped(4))]
+        {
+            match parse_snapshot(&stale, &space) {
+                Err(PersistError::SchemaVersion { found, supported }) => {
+                    assert_eq!((found, supported), (version, SCHEMA_VERSION));
+                }
+                other => panic!("v{version}: expected schema-version error, got {other:?}"),
             }
-            other => panic!("expected schema-version error, got {other:?}"),
         }
     }
 

@@ -1,9 +1,10 @@
 //! The BOOM-like superscalar out-of-order core model.
 //!
-//! Reuses the cache/predictor/mul-div units and the shared [`ArchExec`]
-//! datapath, and adds out-of-order machinery conditions: register renaming
-//! (free-list pressure), re-order-buffer occupancy, dual-issue pairing,
-//! load/store-queue forwarding, and mispredict-flush recovery. No bugs are
+//! Runs the commit loop and units it shares with Rocket, over the shared
+//! [`ArchExec`] datapath, and adds an out-of-order backend: register
+//! renaming (free-list pressure), re-order-buffer occupancy, dual-issue
+//! pairing, load/store-queue forwarding, the mul/div and D-cache latency it
+//! hides, and mispredict, xret and trap flush recovery. No bugs are
 //! injected: the paper evaluates BOOM for coverage only.
 //!
 //! Compared to the Rocket model, a much smaller share of BOOM's registered
@@ -13,19 +14,19 @@
 
 use std::sync::Arc;
 
-use chatfuzz_coverage::{cover, CondId, PointKind, Space, SpaceBuilder};
-use chatfuzz_isa::{Instr, Reg, SystemOp};
-use chatfuzz_softcore::mem::{Memory, DEFAULT_RAM_BASE, DEFAULT_RAM_SIZE};
-use chatfuzz_softcore::trace::{CommitRecord, ExitReason, Trace, TrapRecord};
+use chatfuzz_coverage::{cover, CondId, CovMap, PointKind, Space, SpaceBuilder};
+use chatfuzz_isa::{Instr, Reg};
+use chatfuzz_softcore::mem::{DEFAULT_RAM_BASE, DEFAULT_RAM_SIZE};
+use chatfuzz_softcore::trace::MemEffect;
 
-use crate::arch::{ArchExec, ArchOutcome};
-use crate::core_ids::{CoreIds, DecodeMemo, DeepIds, DeepState};
-use crate::dcache::{DCache, DCacheConfig};
+use crate::arch::ArchExec;
+use crate::commit::{Backend, Core, Params, Redirect, TrapRules, BOOM_TRAPS};
+use crate::dcache::{DCacheAccess, DCacheConfig};
 use crate::dut::{Dut, DutRun};
-use crate::icache::{ICache, ICacheConfig};
-use crate::muldiv::{MulDiv, MulDivConfig};
-use crate::predictor::{Predictor, PredictorConfig};
-use crate::tracer::{Tracer, TracerBugs};
+use crate::icache::ICacheConfig;
+use crate::muldiv::MulDivConfig;
+use crate::predictor::PredictorConfig;
+use crate::tracer::TracerBugs;
 
 /// BOOM model configuration.
 #[derive(Debug, Clone, Copy)]
@@ -83,86 +84,32 @@ impl Default for BoomConfig {
     }
 }
 
-#[derive(Debug)]
-struct OooIds {
-    dual_issue: CondId,
-    issue_dep_stall: CondId,
-    rob_half_full: CondId,
-    rob_full: CondId,
-    freelist_low: CondId,
-    rename_realias: CondId,
-    lsq_forward: CondId,
-    lsq_full: CondId,
-    flush_recovery: CondId,
-    long_latency_shadow: CondId,
-}
-
 /// The BOOM-like DUT.
 #[derive(Debug)]
 pub struct Boom {
     cfg: BoomConfig,
-    space: Arc<Space>,
-    ids: CoreIds,
-    deep: DeepIds,
-    ooo: OooIds,
-    icache: ICache,
-    dcache: DCache,
-    predictor: Predictor,
-    muldiv: MulDiv,
-    tracer: Tracer,
-    /// Per-run deep-state tracking, cleared before each run.
-    deep_state: DeepState,
-    /// Decode cache with decode-stage coverage for [`Dut::run_into`]
-    /// (hits bit-identical to re-decoding and re-covering; `None` until
-    /// the first hot-path run, never used by `run`).
-    memo: Option<DecodeMemo>,
-    /// Reusable architectural arena for [`Dut::run_into`].
-    arena: Option<ArchExec>,
+    core: Core<OutOfOrder>,
 }
 
 impl Boom {
     /// Elaborates the design and its coverage space.
     pub fn new(cfg: BoomConfig) -> Boom {
-        let mut b = SpaceBuilder::new("boom");
-        let icache =
-            ICache::new(ICacheConfig { coherent: true, ..cfg.icache }, "boom.icache", &mut b);
-        let dcache = DCache::new(cfg.dcache, "boom.dcache", &mut b);
-        let predictor = Predictor::new(cfg.predictor, "boom.bpu", &mut b);
-        let muldiv = MulDiv::new(cfg.muldiv, "boom.muldiv", &mut b);
-        let tracer = Tracer::new(TracerBugs::all_off(), "boom.tracer", &mut b);
-        let ids = CoreIds::register("boom", cfg.dead_conds, &mut b);
-        let deep = DeepIds::register("boom", &mut b);
-        let c = |b: &mut SpaceBuilder, n: &str| {
-            b.register(format!("boom.ooo.{n}"), PointKind::Condition)
+        let params = Params {
+            name: "boom",
+            icache: ICacheConfig { coherent: true, ..cfg.icache },
+            dcache: cfg.dcache,
+            predictor: cfg.predictor,
+            muldiv: cfg.muldiv,
+            tracer: TracerBugs::all_off(),
+            dead_conds: cfg.dead_conds,
+            ram_base: cfg.ram_base,
+            ram_size: cfg.ram_size,
+            max_steps: cfg.max_steps,
+            max_traps: cfg.max_traps,
+            trap_penalty: cfg.flush_penalty,
+            pma_before_align: false,
         };
-        let ooo = OooIds {
-            dual_issue: c(&mut b, "dual_issue"),
-            issue_dep_stall: c(&mut b, "issue_dep_stall"),
-            rob_half_full: c(&mut b, "rob_half_full"),
-            rob_full: c(&mut b, "rob_full"),
-            freelist_low: c(&mut b, "freelist_low"),
-            rename_realias: c(&mut b, "rename_realias"),
-            lsq_forward: c(&mut b, "lsq_forward"),
-            lsq_full: c(&mut b, "lsq_full"),
-            flush_recovery: c(&mut b, "flush_recovery"),
-            long_latency_shadow: c(&mut b, "long_latency_shadow"),
-        };
-        let space = b.build();
-        Boom {
-            cfg,
-            space,
-            ids,
-            deep,
-            ooo,
-            icache,
-            dcache,
-            predictor,
-            muldiv,
-            tracer,
-            deep_state: DeepState::new(),
-            memo: None,
-            arena: None,
-        }
+        Boom { cfg, core: Core::new(params, |b| OutOfOrder::register(&cfg, b)) }
     }
 
     /// The configuration this core was elaborated with.
@@ -177,319 +124,166 @@ impl Dut for Boom {
     }
 
     fn space(&self) -> &Arc<Space> {
-        &self.space
+        self.core.space()
     }
 
     /// The one-shot reference path: a fresh arena and a fresh [`DutRun`]
     /// per call, and no decode or decode-coverage memo; `run_into` is the
     /// recycled hot path.
     fn run(&mut self, program: &[u8]) -> DutRun {
-        let mut out = DutRun::scratch(&self.space);
-        let mut mem = Memory::new(self.cfg.ram_base, self.cfg.ram_size);
-        let image_len = program.len().min(self.cfg.ram_size as usize);
-        mem.load_image(self.cfg.ram_base, &program[..image_len]);
-        let mut arch = ArchExec::new(mem, false);
-        self.run_inner(&mut arch, &mut out, None);
-        out
+        self.core.run(program)
     }
 
     fn run_into(&mut self, program: &[u8], out: &mut DutRun) {
-        out.reset_for(&self.space);
-        let mut arch = self.arena.take().unwrap_or_else(|| {
-            ArchExec::new(Memory::new(self.cfg.ram_base, self.cfg.ram_size), false)
-        });
-        let mut memo = self.memo.take().unwrap_or_else(|| DecodeMemo::new(&self.space));
-        let image_len = program.len().min(self.cfg.ram_size as usize);
-        arch.mem.reset_with_image(self.cfg.ram_base, &program[..image_len]);
-        arch.reset();
-        self.run_inner(&mut arch, out, Some(&mut memo));
-        self.memo = Some(memo);
-        self.arena = Some(arch);
+        self.core.run_into(program, out)
     }
 }
 
-impl Boom {
-    /// The shared execution loop. `arch` must be reset with the program
-    /// image loaded; `out` must be empty (scratch or `reset_for`).
-    fn run_inner(
-        &mut self,
-        arch: &mut ArchExec,
-        out: &mut DutRun,
-        mut memo: Option<&mut DecodeMemo>,
-    ) {
-        self.icache.reset();
-        self.dcache.reset();
-        self.predictor.reset();
-        self.muldiv.reset();
-        self.tracer.reset();
-        let DutRun { trace, coverage: cov, cycles: out_cycles } = out;
-        let Trace { records, exit: out_exit } = trace;
+/// BOOM's out-of-order backend: dual issue, renaming, ROB and free-list
+/// pressure, the LSQ, and the latency it hides.
+#[derive(Debug, Clone, Copy)]
+struct OutOfOrder {
+    dual_issue: CondId,
+    issue_dep_stall: CondId,
+    rob_half_full: CondId,
+    rob_full: CondId,
+    freelist_low: CondId,
+    rename_realias: CondId,
+    lsq_forward: CondId,
+    lsq_full: CondId,
+    flush_recovery: CondId,
+    long_latency_shadow: CondId,
+    rob_entries: u32,
+    phys_regs: u32,
+    lsq_entries: usize,
+    rob_occ: u32,
+    last_rd: Option<Reg>,
+    last_was_paired: bool,
+    rename_epoch: [u8; 32],
+    /// The last four store addresses, oldest first.
+    recent_stores: [u64; 4],
+    recent_len: usize,
+    lsq_occ: usize,
+    shadow_until: u64,
+}
 
-        let mut pc = self.cfg.ram_base;
-        let mut cycles: u64 = 0;
-        let mut traps = 0usize;
-        // OoO bookkeeping.
-        let mut rob_occ: u32 = 0;
-        let mut last_rd: Option<Reg> = None;
-        let mut last_was_paired = false;
-        let mut rename_epoch: [u8; 32] = [0; 32];
-        let mut recent_stores = [0u64; 4];
-        let mut recent_len = 0usize;
-        let mut lsq_occ: usize = 0;
-        let mut shadow_until: u64 = 0;
-        let deep = &mut self.deep_state;
-        deep.clear();
-
-        if self.cfg.max_steps > 0 {
-            self.ids.tick_dead(cov);
+impl OutOfOrder {
+    fn register(cfg: &BoomConfig, b: &mut SpaceBuilder) -> OutOfOrder {
+        let mut c = |n: &str| b.register(format!("boom.ooo.{n}"), PointKind::Condition);
+        OutOfOrder {
+            dual_issue: c("dual_issue"),
+            issue_dep_stall: c("issue_dep_stall"),
+            rob_half_full: c("rob_half_full"),
+            rob_full: c("rob_full"),
+            freelist_low: c("freelist_low"),
+            rename_realias: c("rename_realias"),
+            lsq_forward: c("lsq_forward"),
+            lsq_full: c("lsq_full"),
+            flush_recovery: c("flush_recovery"),
+            long_latency_shadow: c("long_latency_shadow"),
+            rob_entries: cfg.rob_entries,
+            phys_regs: cfg.phys_regs,
+            lsq_entries: cfg.lsq_entries,
+            rob_occ: 0,
+            last_rd: None,
+            last_was_paired: false,
+            rename_epoch: [0; 32],
+            recent_stores: [0; 4],
+            recent_len: 0,
+            lsq_occ: 0,
+            shadow_until: 0,
         }
-        for _ in 0..self.cfg.max_steps {
-            arch.csrs.tick_cycle(1);
+    }
 
-            let fetch_exc = if !pc.is_multiple_of(4) {
-                Some(chatfuzz_isa::Exception::InstrAddrMisaligned { addr: pc })
-            } else if !arch.mem.in_ram(pc, 4) {
-                Some(chatfuzz_isa::Exception::InstrAccessFault { addr: pc })
-            } else {
-                None
-            };
+    /// Mispredict, xret and trap recovery: the ROB drains.
+    fn flush(&mut self, cov: &mut CovMap) {
+        cov.hit(self.flush_recovery, true);
+        self.rob_occ = 0;
+    }
+}
 
-            macro_rules! trap_path {
-                ($e:expr, $word:expr, $instr:expr) => {{
-                    let e = $e;
-                    let from = arch.csrs.priv_level;
-                    let delegated = arch.csrs.delegated_to_s(e.cause());
-                    let vec = if delegated { arch.csrs.stvec() } else { arch.csrs.mtvec() };
-                    if vec == 0 {
-                        self.ids.cover_trap(&e, from, delegated, true, cov);
-                        *out_exit = ExitReason::UnhandledTrap(e);
-                        *out_cycles = cycles;
-                        return;
-                    }
-                    self.ids.cover_trap(&e, from, delegated, false, cov);
-                    arch.reservation = None;
-                    let (to, handler_pc) = arch.csrs.take_trap(&e, pc);
-                    cover!(cov, self.ooo.flush_recovery, true);
-                    deep.on_trap(&self.deep, to == chatfuzz_isa::PrivLevel::Supervisor, cov);
-                    rob_occ = 0;
-                    lsq_occ = 0;
-                    cycles += self.cfg.flush_penalty;
-                    let record = CommitRecord {
-                        pc,
-                        word: $word,
-                        priv_level: from,
-                        rd_write: None,
-                        mem: None,
-                        trap: Some(TrapRecord { exception: e, from, to, handler_pc }),
-                    };
-                    let record = self.tracer.emit(record, $instr, None, cov);
-                    records.push(record);
-                    traps += 1;
-                    if traps > self.cfg.max_traps {
-                        *out_exit = ExitReason::TrapStorm;
-                        *out_cycles = cycles;
-                        return;
-                    }
-                    last_rd = None;
-                    pc = handler_pc;
-                    continue;
-                }};
-            }
+impl Backend for OutOfOrder {
+    /// Issue cycles are charged at dispatch, where a paired slot is free.
+    const SLOT_CYCLES: u64 = 0;
+    const TRAPS: TrapRules = BOOM_TRAPS;
 
-            if let Some(e) = fetch_exc {
-                trap_path!(e, 0u32, None);
-            }
-
-            let predicted = self.predictor.predict(pc, cov);
-            let (word, ic_cycles) = self.icache.fetch(pc, &arch.mem, cov);
-            cycles += ic_cycles;
-
-            let decoded = match memo.as_deref_mut() {
-                Some(memo) => memo.decode(pc, word, &self.ids, cov),
-                None => self.ids.decode_covered(word, cov),
-            };
-            let instr = match decoded {
-                Ok(i) => i,
-                Err(_) => {
-                    trap_path!(chatfuzz_isa::Exception::IllegalInstr { word }, word, None);
-                }
-            };
-
-            // ---- Rename / dispatch ----
-            let sources = instr.sources();
-            let dep_on_last = last_rd.is_some_and(|r| sources.contains(&r));
-            cover!(cov, self.ooo.issue_dep_stall, dep_on_last);
-            let pair =
-                !dep_on_last && !last_was_paired && !instr.is_mem() && !instr.is_control_flow();
-            if cover!(cov, self.ooo.dual_issue, pair) {
-                // Second slot of a pair issues for free.
-            } else {
-                cycles += 1;
-            }
-            last_was_paired = pair;
-            if let Some(rd) = instr.rd() {
-                let idx = rd.index();
-                cover!(cov, self.ooo.rename_realias, rename_epoch[idx] > 0);
-                rename_epoch[idx] = rename_epoch[idx].wrapping_add(1);
-            }
-            rob_occ = (rob_occ + 1).min(self.cfg.rob_entries);
-            cover!(cov, self.ooo.rob_half_full, rob_occ >= self.cfg.rob_entries / 2);
-            if cover!(cov, self.ooo.rob_full, rob_occ >= self.cfg.rob_entries) {
-                cycles += 1;
-                rob_occ = self.cfg.rob_entries / 2; // drain burst
-            }
-            let in_flight = rob_occ;
-            cover!(
-                cov,
-                self.ooo.freelist_low,
-                self.cfg.phys_regs.saturating_sub(32 + in_flight) < 4
-            );
-            cover!(cov, self.ooo.long_latency_shadow, cycles < shadow_until);
-
-            let muldiv_ops = match instr {
-                Instr::MulDiv { op, rs1, rs2, word: w, .. } => {
-                    Some((op, w, arch.reg(rs1), arch.reg(rs2)))
-                }
-                _ => None,
-            };
-            let from_priv = arch.csrs.priv_level;
-
-            let outcome = arch.execute(instr, pc, word);
-            let (next_pc, record, halt) = match outcome {
-                ArchOutcome::Next(record) => (pc.wrapping_add(4), record, None),
-                ArchOutcome::Jump { target, record } => (target, record, None),
-                ArchOutcome::Halt(reason, record) => (pc.wrapping_add(4), record, Some(reason)),
-                ArchOutcome::Trap(e) => {
-                    if matches!(e, chatfuzz_isa::Exception::IllegalInstr { .. }) {
-                        match instr {
-                            Instr::Csr { .. } => self.ids.cover_illegal_system(true, cov),
-                            Instr::System(SystemOp::Mret | SystemOp::Sret) => {
-                                self.ids.cover_illegal_system(false, cov)
-                            }
-                            _ => {}
-                        }
-                    }
-                    trap_path!(e, word, Some(&instr));
-                }
-            };
-            arch.csrs.tick_instret();
-
-            if let Some((op, w, a, b_)) = muldiv_ops {
-                let lat = self.muldiv.issue(op, w, a, b_, cycles, cov);
-                // OoO hides part of the latency; younger ops pile up in
-                // the ROB behind the long-latency op.
-                shadow_until = cycles + lat;
-                cycles += lat / 4;
-                rob_occ = (rob_occ + (lat / 4) as u32).min(self.cfg.rob_entries);
-            }
-            if let Some(mem_eff) = record.mem {
-                if arch.mem.in_ram(mem_eff.addr, u64::from(mem_eff.bytes)) {
-                    let is_amo = matches!(instr, Instr::Amo { .. });
-                    let access = self.dcache.access(mem_eff.addr, mem_eff.is_store, is_amo, cov);
-                    cycles += access.cycles / 2; // partially hidden by OoO
-                    if !access.hit {
-                        rob_occ = (rob_occ + 3).min(self.cfg.rob_entries);
-                    }
-                    lsq_occ = (lsq_occ + 1).min(self.cfg.lsq_entries + 1);
-                    if cover!(cov, self.ooo.lsq_full, lsq_occ > self.cfg.lsq_entries) {
-                        cycles += 1;
-                        lsq_occ = self.cfg.lsq_entries / 2;
-                    }
-                    if mem_eff.is_store {
-                        if recent_len == recent_stores.len() {
-                            recent_stores.rotate_left(1);
-                            recent_stores[recent_len - 1] = mem_eff.addr;
-                        } else {
-                            recent_stores[recent_len] = mem_eff.addr;
-                            recent_len += 1;
-                        }
-                        self.icache.on_store(mem_eff.addr, u64::from(mem_eff.bytes), cov);
-                    } else {
-                        cover!(
-                            cov,
-                            self.ooo.lsq_forward,
-                            recent_stores[..recent_len].contains(&mem_eff.addr)
-                        );
-                    }
-                } else if mem_eff.is_store {
-                    self.icache.on_store(mem_eff.addr, u64::from(mem_eff.bytes), cov);
-                }
-            } else {
-                lsq_occ = lsq_occ.saturating_sub(1);
-            }
-            if matches!(instr, Instr::FenceI) {
-                cycles += self.icache.flush(cov);
-            }
-            match instr {
-                Instr::Branch { .. } => {
-                    let taken = next_pc != pc.wrapping_add(4);
-                    let res = self.predictor.resolve_branch(pc, taken, next_pc, predicted, cov);
-                    if res.mispredicted {
-                        cover!(cov, self.ooo.flush_recovery, true);
-                        rob_occ = 0;
-                    }
-                    cycles += res.cycles;
-                }
-                Instr::Jal { rd, .. } => {
-                    let res = self.predictor.resolve_jump(
-                        pc,
-                        next_pc,
-                        rd == Reg::RA,
-                        false,
-                        predicted,
-                        cov,
-                    );
-                    cycles += res.cycles;
-                }
-                Instr::Jalr { rd, rs1, .. } => {
-                    let is_ret = rs1 == Reg::RA && rd == Reg::X0;
-                    let res = self.predictor.resolve_jump(
-                        pc,
-                        next_pc,
-                        rd == Reg::RA,
-                        is_ret,
-                        predicted,
-                        cov,
-                    );
-                    if res.mispredicted {
-                        cover!(cov, self.ooo.flush_recovery, true);
-                        rob_occ = 0;
-                    }
-                    cycles += res.cycles;
-                }
-                Instr::System(SystemOp::Mret | SystemOp::Sret) => {
-                    self.ids.cover_xret(from_priv, arch.csrs.priv_level, cov);
-                    cover!(cov, self.ooo.flush_recovery, true);
-                    rob_occ = 0;
-                    cycles += self.cfg.flush_penalty;
-                }
-                _ => {}
-            }
-
-            let armed = arch.reservation.is_some();
-            self.ids.cover_retire(&instr, &record, next_pc, armed, &arch.mem, cov);
-            let taken_backward = match instr {
-                Instr::Branch { offset, .. } if offset < 0 && next_pc != pc.wrapping_add(4) => {
-                    Some(pc)
-                }
-                _ => None,
-            };
-            let mem_line = record.mem.map(|m| m.addr / 64);
-            deep.on_retire(&self.deep, &instr, record.priv_level, taken_backward, mem_line, cov);
-            let final_record = self.tracer.emit(record, Some(&instr), None, cov);
-            records.push(final_record);
-            rob_occ = rob_occ.saturating_sub(1);
-            last_rd = instr.rd();
-
-            if let Some(reason) = halt {
-                *out_exit = reason;
-                *out_cycles = cycles;
-                return;
-            }
-            pc = next_pc;
+    fn dispatch(&mut self, instr: &Instr, _arch: &ArchExec, now: u64, cov: &mut CovMap) -> u64 {
+        let dep_on_last = self.last_rd.is_some_and(|r| instr.sources().contains(&r));
+        cover!(cov, self.issue_dep_stall, dep_on_last);
+        let pair =
+            !dep_on_last && !self.last_was_paired && !instr.is_mem() && !instr.is_control_flow();
+        // The second slot of a pair issues for free.
+        let mut stall = u64::from(!cover!(cov, self.dual_issue, pair));
+        self.last_was_paired = pair;
+        if let Some(rd) = instr.rd() {
+            let epoch = &mut self.rename_epoch[rd.index()];
+            cover!(cov, self.rename_realias, *epoch > 0);
+            *epoch = epoch.wrapping_add(1);
         }
-        *out_exit = ExitReason::BudgetExhausted;
-        *out_cycles = cycles;
+        self.rob_occ = (self.rob_occ + 1).min(self.rob_entries);
+        cover!(cov, self.rob_half_full, self.rob_occ >= self.rob_entries / 2);
+        if cover!(cov, self.rob_full, self.rob_occ >= self.rob_entries) {
+            stall += 1;
+            self.rob_occ = self.rob_entries / 2; // drain burst
+        }
+        let free = self.phys_regs.saturating_sub(32 + self.rob_occ);
+        cover!(cov, self.freelist_low, free < 4);
+        cover!(cov, self.long_latency_shadow, now + stall < self.shadow_until);
+        stall
+    }
+
+    /// Hides three quarters of the latency; younger ops pile up in the ROB
+    /// behind the long-latency op.
+    fn muldiv(&mut self, latency: u64, now: u64) -> u64 {
+        self.shadow_until = now + latency;
+        self.rob_occ = (self.rob_occ + (latency / 4) as u32).min(self.rob_entries);
+        latency / 4
+    }
+
+    fn data_access(&mut self, mem: &MemEffect, access: DCacheAccess, cov: &mut CovMap) -> u64 {
+        let mut cycles = access.cycles / 2; // partially hidden by OoO
+        if !access.hit {
+            self.rob_occ = (self.rob_occ + 3).min(self.rob_entries);
+        }
+        self.lsq_occ = (self.lsq_occ + 1).min(self.lsq_entries + 1);
+        if cover!(cov, self.lsq_full, self.lsq_occ > self.lsq_entries) {
+            cycles += 1;
+            self.lsq_occ = self.lsq_entries / 2;
+        }
+        if mem.is_store {
+            if self.recent_len == self.recent_stores.len() {
+                self.recent_stores.rotate_left(1);
+                self.recent_stores[self.recent_len - 1] = mem.addr;
+            } else {
+                self.recent_stores[self.recent_len] = mem.addr;
+                self.recent_len += 1;
+            }
+        } else {
+            let forwarded = self.recent_stores[..self.recent_len].contains(&mem.addr);
+            cover!(cov, self.lsq_forward, forwarded);
+        }
+        cycles
+    }
+
+    fn no_data_access(&mut self) {
+        self.lsq_occ = self.lsq_occ.saturating_sub(1);
+    }
+
+    fn redirect(&mut self, redirect: Redirect, cov: &mut CovMap) {
+        if redirect != Redirect::Straight {
+            self.flush(cov);
+        }
+    }
+
+    fn trap(&mut self, cov: &mut CovMap) {
+        self.flush(cov);
+        self.lsq_occ = 0;
+        self.last_rd = None;
+    }
+
+    fn retire(&mut self, instr: &Instr) {
+        self.rob_occ = self.rob_occ.saturating_sub(1);
+        self.last_rd = instr.rd();
     }
 }
 
@@ -497,7 +291,8 @@ impl Boom {
 mod tests {
     use super::*;
     use chatfuzz_isa::asm::Assembler;
-    use chatfuzz_isa::{AluOp, BranchCond};
+    use chatfuzz_isa::{AluOp, BranchCond, SystemOp};
+    use chatfuzz_softcore::trace::ExitReason;
     use chatfuzz_softcore::{SoftCore, SoftCoreConfig};
 
     fn a(i: u8) -> Reg {

@@ -12,6 +12,18 @@
 //! * [`boom::Boom`] — a superscalar out-of-order model adding rename/ROB/
 //!   issue/LSQ conditions, with no injected defects.
 //!
+//! Both cores run one commit loop (the crate-private `commit` module):
+//! fetch with its faults, the branch predictor and the I-cache, decode,
+//! the one trap path, execution, mul/div issue, the D-cache, the I-cache's
+//! store snoop and `fence.i`, branch and jump resolution, retire coverage,
+//! deep state, the tracer, and the halt and budget checks. The loop is
+//! generic over a core's backend, which adds only what differs: Rocket's
+//! hazards, bypasses and CSR serialisation and its tracer's view of `x0`
+//! write-backs; BOOM's dual issue, renaming, ROB, free list, LSQ and the
+//! latency it hides; and each core's per-slot cost and flushes. The two
+//! cores' remaining trap asymmetries are named side by side in that
+//! module.
+//!
 //! Both cores execute architecturally through [`arch::ArchExec`], which
 //! shares its instruction semantics and CSR file with the golden model —
 //! the central guarantee that any trace mismatch is an *injected* bug, not
@@ -36,6 +48,7 @@
 
 pub mod arch;
 pub mod boom;
+mod commit;
 pub mod core_ids;
 pub mod dcache;
 pub mod dut;

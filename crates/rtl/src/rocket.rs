@@ -7,6 +7,12 @@
 //! [`ArchExec`], so with all bug injections disabled this core is
 //! trace-equivalent to the golden model (verified by property test).
 //!
+//! The fetch → decode → trap → execute → retire loop is the one both cores
+//! share. Rocket adds its in-order backend: one cycle per slot, the
+//! load-use stall and bypass conditions, CSR serialisation, the xret flush
+//! condition, the full mul/div and D-cache latencies, and the write-back
+//! values its tracer's Finding-2 and Finding-3 ports see.
+//!
 //! Injected RocketCore defects (all default **on**, as evaluated in the
 //! paper):
 //!
@@ -19,19 +25,19 @@
 use std::sync::Arc;
 
 use chatfuzz_coverage::{cover, CondId, CovMap, PointKind, Space, SpaceBuilder};
-use chatfuzz_isa::semantics::extend_loaded;
-use chatfuzz_isa::{Instr, Reg, SystemOp};
-use chatfuzz_softcore::mem::{Memory, DEFAULT_RAM_BASE, DEFAULT_RAM_SIZE};
-use chatfuzz_softcore::trace::{CommitRecord, ExitReason, Trace, TrapRecord};
+use chatfuzz_isa::semantics::{alu, extend_loaded};
+use chatfuzz_isa::{Instr, Reg};
+use chatfuzz_softcore::mem::{DEFAULT_RAM_BASE, DEFAULT_RAM_SIZE};
+use chatfuzz_softcore::trace::{CommitRecord, MemEffect};
 
-use crate::arch::{ArchExec, ArchOutcome};
-use crate::core_ids::{CoreIds, DecodeMemo, DeepIds, DeepState};
-use crate::dcache::{DCache, DCacheConfig};
+use crate::arch::ArchExec;
+use crate::commit::{Backend, Core, Params, Redirect, TrapRules, ROCKET_TRAPS};
+use crate::dcache::{DCacheAccess, DCacheConfig};
 use crate::dut::{Dut, DutRun};
-use crate::icache::{ICache, ICacheConfig};
-use crate::muldiv::{MulDiv, MulDivConfig};
-use crate::predictor::{Predictor, PredictorConfig};
-use crate::tracer::{Tracer, TracerBugs};
+use crate::icache::ICacheConfig;
+use crate::muldiv::MulDivConfig;
+use crate::predictor::PredictorConfig;
+use crate::tracer::TracerBugs;
 
 /// Which RocketCore defects are injected.
 #[derive(Debug, Clone, Copy)]
@@ -110,89 +116,37 @@ impl Default for RocketConfig {
     }
 }
 
-#[derive(Debug)]
-struct PipelineIds {
-    load_use_stall: CondId,
-    bypass_ex_ex: CondId,
-    bypass_mem_ex: CondId,
-    csr_serialize: CondId,
-    flush_on_xret: CondId,
-}
-
 /// The RocketCore-like DUT.
 #[derive(Debug)]
 pub struct Rocket {
     cfg: RocketConfig,
-    space: Arc<Space>,
-    ids: CoreIds,
-    deep: DeepIds,
-    pipe: PipelineIds,
-    icache: ICache,
-    dcache: DCache,
-    predictor: Predictor,
-    muldiv: MulDiv,
-    tracer: Tracer,
-    /// Per-run deep-state tracking, cleared before each run.
-    deep_state: DeepState,
-    /// Word-validated decode cache with each word's decode-stage coverage
-    /// for [`Dut::run_into`]; hits are bit-identical to re-decoding and
-    /// re-covering the fetched word, including BUG1's stale-fetch words
-    /// (the memo keys on whatever the I-cache served). `None` until the
-    /// first hot-path run; `run` never uses it.
-    memo: Option<DecodeMemo>,
-    /// Reusable architectural arena for [`Dut::run_into`] (registers,
-    /// CSRs, RAM); `None` until the first hot-path run.
-    arena: Option<ArchExec>,
+    core: Core<InOrder>,
 }
 
 impl Rocket {
     /// Elaborates the design: builds every unit and the coverage space.
     pub fn new(cfg: RocketConfig) -> Rocket {
-        let mut b = SpaceBuilder::new("rocket");
-        let icache_cfg = ICacheConfig { coherent: !cfg.bugs.bug1_incoherent_icache, ..cfg.icache };
-        let icache = ICache::new(icache_cfg, "rocket.icache", &mut b);
-        let dcache = DCache::new(cfg.dcache, "rocket.dcache", &mut b);
-        let predictor = Predictor::new(cfg.predictor, "rocket.bpu", &mut b);
-        let muldiv = MulDiv::new(cfg.muldiv, "rocket.muldiv", &mut b);
-        let tracer = Tracer::new(cfg.bugs.tracer, "rocket.tracer", &mut b);
-        let ids = CoreIds::register("rocket", cfg.dead_conds, &mut b);
-        let deep = DeepIds::register("rocket", &mut b);
-        let pipe = PipelineIds {
-            load_use_stall: b.register("rocket.pipe.load_use_stall", PointKind::Condition),
-            bypass_ex_ex: b.register("rocket.pipe.bypass_ex_ex", PointKind::Condition),
-            bypass_mem_ex: b.register("rocket.pipe.bypass_mem_ex", PointKind::Condition),
-            csr_serialize: b.register("rocket.pipe.csr_serialize", PointKind::Condition),
-            flush_on_xret: b.register("rocket.pipe.flush_on_xret", PointKind::Condition),
+        let params = Params {
+            name: "rocket",
+            icache: ICacheConfig { coherent: !cfg.bugs.bug1_incoherent_icache, ..cfg.icache },
+            dcache: cfg.dcache,
+            predictor: cfg.predictor,
+            muldiv: cfg.muldiv,
+            tracer: cfg.bugs.tracer,
+            dead_conds: cfg.dead_conds,
+            ram_base: cfg.ram_base,
+            ram_size: cfg.ram_size,
+            max_steps: cfg.max_steps,
+            max_traps: cfg.max_traps,
+            trap_penalty: cfg.trap_penalty,
+            pma_before_align: cfg.bugs.f1_pma_before_align,
         };
-        let space = b.build();
-        Rocket {
-            cfg,
-            space,
-            ids,
-            deep,
-            pipe,
-            icache,
-            dcache,
-            predictor,
-            muldiv,
-            tracer,
-            deep_state: DeepState::new(),
-            memo: None,
-            arena: None,
-        }
+        Rocket { cfg, core: Core::new(params, InOrder::register) }
     }
 
     /// The configuration this core was elaborated with.
     pub fn config(&self) -> &RocketConfig {
         &self.cfg
-    }
-
-    fn reset_units(&mut self) {
-        self.icache.reset();
-        self.dcache.reset();
-        self.predictor.reset();
-        self.muldiv.reset();
-        self.tracer.reset();
     }
 }
 
@@ -202,400 +156,141 @@ impl Dut for Rocket {
     }
 
     fn space(&self) -> &Arc<Space> {
-        &self.space
+        self.core.space()
     }
 
     /// The one-shot reference path: a fresh arena and a fresh [`DutRun`]
-    /// per call, and every fetched word decoded and covered again (no
-    /// decode or decode-coverage memo). For casual use, and the baseline
-    /// that `run_into` is tested and benchmarked against.
+    /// per call, and no decode or decode-coverage memo.
     fn run(&mut self, program: &[u8]) -> DutRun {
-        let mut out = DutRun::scratch(&self.space);
-        let mut mem = Memory::new(self.cfg.ram_base, self.cfg.ram_size);
-        let image_len = program.len().min(self.cfg.ram_size as usize);
-        mem.load_image(self.cfg.ram_base, &program[..image_len]);
-        let mut arch = ArchExec::new(mem, self.cfg.bugs.f1_pma_before_align);
-        self.run_inner(&mut arch, &mut out, None);
-        out
+        self.core.run(program)
     }
 
     fn run_into(&mut self, program: &[u8], out: &mut DutRun) {
-        out.reset_for(&self.space);
-        let mut arch = self.arena.take().unwrap_or_else(|| {
-            ArchExec::new(
-                Memory::new(self.cfg.ram_base, self.cfg.ram_size),
-                self.cfg.bugs.f1_pma_before_align,
-            )
-        });
-        let mut memo = self.memo.take().unwrap_or_else(|| DecodeMemo::new(&self.space));
-        let image_len = program.len().min(self.cfg.ram_size as usize);
-        arch.mem.reset_with_image(self.cfg.ram_base, &program[..image_len]);
-        arch.reset();
-        self.run_inner(&mut arch, out, Some(&mut memo));
-        self.memo = Some(memo);
-        self.arena = Some(arch);
+        self.core.run_into(program, out)
     }
 }
 
-impl Rocket {
-    /// The shared execution loop. `arch` must be reset with the program
-    /// image loaded; `out` must be empty (scratch or `reset_for`). The
-    /// memo is observationally transparent, so passing one only selects
-    /// which *performance* profile runs.
-    fn run_inner(
-        &mut self,
-        arch: &mut ArchExec,
-        out: &mut DutRun,
-        mut memo: Option<&mut DecodeMemo>,
-    ) {
-        self.reset_units();
-        let DutRun { trace, coverage: cov, cycles: out_cycles } = out;
-        let Trace { records, exit: out_exit } = trace;
+/// Rocket's in-order backend: hazard detection (load-use stall, EX/EX and
+/// MEM/EX bypasses), CSR serialisation, and the tracer's view of
+/// write-backs discarded into `x0`.
+#[derive(Debug, Clone, Copy)]
+struct InOrder {
+    load_use_stall: CondId,
+    bypass_ex_ex: CondId,
+    bypass_mem_ex: CondId,
+    csr_serialize: CondId,
+    flush_on_xret: CondId,
+    prev_alu_rd: Option<Reg>,
+    prev_prev_rd: Option<Reg>,
+    prev_load_rd: Option<Reg>,
+    /// The old memory value of the dispatched AMO with `rd = x0`, for the
+    /// tracer's Finding-2 port.
+    amo_x0_old: Option<(Reg, u64)>,
+}
 
-        let mut pc = self.cfg.ram_base;
-        let mut cycles: u64 = 0;
-        let mut traps = 0usize;
-        let mut prev_alu_rd: Option<Reg> = None;
-        let mut prev_prev_rd: Option<Reg> = None;
-        let mut prev_load_rd: Option<Reg> = None;
-        let deep = &mut self.deep_state;
-        deep.clear();
-
-        if self.cfg.max_steps > 0 {
-            self.ids.tick_dead(cov);
+impl InOrder {
+    fn register(b: &mut SpaceBuilder) -> InOrder {
+        InOrder {
+            load_use_stall: b.register("rocket.pipe.load_use_stall", PointKind::Condition),
+            bypass_ex_ex: b.register("rocket.pipe.bypass_ex_ex", PointKind::Condition),
+            bypass_mem_ex: b.register("rocket.pipe.bypass_mem_ex", PointKind::Condition),
+            csr_serialize: b.register("rocket.pipe.csr_serialize", PointKind::Condition),
+            flush_on_xret: b.register("rocket.pipe.flush_on_xret", PointKind::Condition),
+            prev_alu_rd: None,
+            prev_prev_rd: None,
+            prev_load_rd: None,
+            amo_x0_old: None,
         }
-        for _ in 0..self.cfg.max_steps {
-            arch.csrs.tick_cycle(1);
-            cycles += 1;
+    }
+}
 
-            // ---- Fetch ----
-            let fetch_exc = if !pc.is_multiple_of(4) {
-                Some(chatfuzz_isa::Exception::InstrAddrMisaligned { addr: pc })
-            } else if !arch.mem.in_ram(pc, 4) {
-                Some(chatfuzz_isa::Exception::InstrAccessFault { addr: pc })
-            } else {
-                None
-            };
-            if let Some(e) = fetch_exc {
-                match take_trap(
-                    arch,
-                    &self.ids,
-                    &mut self.tracer,
-                    e,
-                    pc,
-                    0,
-                    None,
-                    cov,
-                    self.cfg.trap_penalty,
-                ) {
-                    TrapTaken::Handled { record, handler_pc, cost } => {
-                        cycles += cost;
-                        deep.on_trap(&self.deep, delegated_hint(arch, &record), cov);
-                        records.push(record);
-                        traps += 1;
-                        if traps > self.cfg.max_traps {
-                            *out_exit = ExitReason::TrapStorm;
-                            *out_cycles = cycles;
-                            return;
-                        }
-                        pc = handler_pc;
-                        continue;
-                    }
-                    TrapTaken::Unhandled(reason) => {
-                        *out_exit = reason;
-                        *out_cycles = cycles;
-                        return;
-                    }
-                }
-            }
+impl Backend for InOrder {
+    /// Every slot, fetch faults included, costs its pipeline cycle.
+    const SLOT_CYCLES: u64 = 1;
+    const TRAPS: TrapRules = ROCKET_TRAPS;
 
-            let predicted = self.predictor.predict(pc, cov);
-            let (word, ic_cycles) = self.icache.fetch(pc, &arch.mem, cov);
-            cycles += ic_cycles;
-
-            // ---- Decode ----
-            let decoded = match memo.as_deref_mut() {
-                Some(memo) => memo.decode(pc, word, &self.ids, cov),
-                None => self.ids.decode_covered(word, cov),
-            };
-            let instr = match decoded {
-                Ok(i) => i,
-                Err(_) => {
-                    let e = chatfuzz_isa::Exception::IllegalInstr { word };
-                    match take_trap(
-                        arch,
-                        &self.ids,
-                        &mut self.tracer,
-                        e,
-                        pc,
-                        word,
-                        None,
-                        cov,
-                        self.cfg.trap_penalty,
-                    ) {
-                        TrapTaken::Handled { record, handler_pc, cost } => {
-                            cycles += cost;
-                            records.push(record);
-                            traps += 1;
-                            if traps > self.cfg.max_traps {
-                                *out_exit = ExitReason::TrapStorm;
-                                *out_cycles = cycles;
-                                return;
-                            }
-                            pc = handler_pc;
-                            continue;
-                        }
-                        TrapTaken::Unhandled(reason) => {
-                            *out_exit = reason;
-                            *out_cycles = cycles;
-                            return;
-                        }
-                    }
-                }
-            };
-
-            // ---- Hazard detection ----
-            let sources = instr.sources();
-            let load_use = prev_load_rd.is_some_and(|r| sources.contains(&r));
-            if cover!(cov, self.pipe.load_use_stall, load_use) {
-                cycles += 1;
-            }
-            cover!(cov, self.pipe.bypass_ex_ex, prev_alu_rd.is_some_and(|r| sources.contains(&r)));
-            cover!(
-                cov,
-                self.pipe.bypass_mem_ex,
-                prev_prev_rd.is_some_and(|r| sources.contains(&r))
-            );
-            if cover!(cov, self.pipe.csr_serialize, matches!(instr, Instr::Csr { .. })) {
-                cycles += 2;
-            }
-
-            // ---- Pre-execute captures (timing operands, tracer side data) ----
-            let muldiv_ops = match instr {
-                Instr::MulDiv { op, rs1, rs2, word: w, .. } => {
-                    Some((op, w, arch.reg(rs1), arch.reg(rs2)))
-                }
-                _ => None,
-            };
-            let amo_x0_old = match instr {
-                Instr::Amo { rd, rs1, width, .. } if rd.is_zero() => {
-                    let addr = arch.reg(rs1);
-                    (addr.is_multiple_of(width.bytes()) && arch.mem.in_ram(addr, width.bytes()))
-                        .then(|| {
-                            let raw = arch.mem.read_raw(addr, width.bytes());
-                            (Reg::X0, extend_loaded(raw, width, true))
-                        })
-                }
-                _ => None,
-            };
-            let from_priv = arch.csrs.priv_level;
-
-            // ---- Execute ----
-            let outcome = arch.execute(instr, pc, word);
-            let (next_pc, record, halt) = match outcome {
-                ArchOutcome::Next(record) => (pc.wrapping_add(4), record, None),
-                ArchOutcome::Jump { target, record } => (target, record, None),
-                ArchOutcome::Halt(reason, record) => (pc.wrapping_add(4), record, Some(reason)),
-                ArchOutcome::Trap(e) => {
-                    // CSR/xret illegality conditions.
-                    if matches!(e, chatfuzz_isa::Exception::IllegalInstr { .. }) {
-                        match instr {
-                            Instr::Csr { .. } => self.ids.cover_illegal_system(true, cov),
-                            Instr::System(SystemOp::Mret | SystemOp::Sret) => {
-                                self.ids.cover_illegal_system(false, cov)
-                            }
-                            _ => {}
-                        }
-                    }
-                    match take_trap(
-                        arch,
-                        &self.ids,
-                        &mut self.tracer,
-                        e,
-                        pc,
-                        word,
-                        Some(&instr),
-                        cov,
-                        self.cfg.trap_penalty,
-                    ) {
-                        TrapTaken::Handled { record, handler_pc, cost } => {
-                            cycles += cost;
-                            records.push(record);
-                            traps += 1;
-                            if traps > self.cfg.max_traps {
-                                *out_exit = ExitReason::TrapStorm;
-                                *out_cycles = cycles;
-                                return;
-                            }
-                            pc = handler_pc;
-                            prev_alu_rd = None;
-                            prev_load_rd = None;
-                            continue;
-                        }
-                        TrapTaken::Unhandled(reason) => {
-                            *out_exit = reason;
-                            *out_cycles = cycles;
-                            return;
-                        }
-                    }
-                }
-            };
-            arch.csrs.tick_instret();
-
-            // ---- Unit timing + frontend resolution ----
-            if let Some((op, w, a, b_)) = muldiv_ops {
-                cycles += self.muldiv.issue(op, w, a, b_, cycles, cov);
-            }
-            if let Some(mem_eff) = record.mem {
-                if arch.mem.in_ram(mem_eff.addr, u64::from(mem_eff.bytes)) {
-                    let is_amo = matches!(instr, Instr::Amo { .. });
-                    let access = self.dcache.access(mem_eff.addr, mem_eff.is_store, is_amo, cov);
-                    cycles += access.cycles;
-                }
-                if mem_eff.is_store {
-                    self.icache.on_store(mem_eff.addr, u64::from(mem_eff.bytes), cov);
-                }
-            }
-            if matches!(instr, Instr::FenceI) {
-                cycles += self.icache.flush(cov);
-            }
-            match instr {
-                Instr::Branch { .. } => {
-                    let taken = next_pc != pc.wrapping_add(4);
-                    let res = self.predictor.resolve_branch(pc, taken, next_pc, predicted, cov);
-                    cycles += res.cycles;
-                }
-                Instr::Jal { rd, .. } => {
-                    let res = self.predictor.resolve_jump(
-                        pc,
-                        next_pc,
-                        rd == Reg::RA,
-                        false,
-                        predicted,
-                        cov,
-                    );
-                    cycles += res.cycles;
-                }
-                Instr::Jalr { rd, rs1, .. } => {
-                    let is_ret = rs1 == Reg::RA && rd == Reg::X0;
-                    let res = self.predictor.resolve_jump(
-                        pc,
-                        next_pc,
-                        rd == Reg::RA,
-                        is_ret,
-                        predicted,
-                        cov,
-                    );
-                    cycles += res.cycles;
-                }
-                Instr::System(SystemOp::Mret | SystemOp::Sret) => {
-                    cover!(cov, self.pipe.flush_on_xret, true);
-                    self.ids.cover_xret(from_priv, arch.csrs.priv_level, cov);
-                    cycles += self.cfg.trap_penalty;
-                }
-                _ => {
-                    cov.hit(self.pipe.flush_on_xret, false);
-                }
-            }
-
-            // ---- Retire ----
-            let armed = arch.reservation.is_some();
-            self.ids.cover_retire(&instr, &record, next_pc, armed, &arch.mem, cov);
-            let taken_backward = match instr {
-                Instr::Branch { offset, .. } if offset < 0 && next_pc != pc.wrapping_add(4) => {
-                    Some(pc)
-                }
-                _ => None,
-            };
-            let mem_line = record.mem.map(|m| m.addr / 64);
-            deep.on_retire(&self.deep, &instr, record.priv_level, taken_backward, mem_line, cov);
-            let raw_wb = record.rd_write.or(amo_x0_old).or_else(|| {
-                // Recompute ALU results discarded into x0 for the tracer's
-                // Finding-3 port (registers are unchanged when rd = x0).
-                match instr {
-                    Instr::Op { op, rd, rs1, rs2, word: w } if rd.is_zero() => Some((
-                        Reg::X0,
-                        chatfuzz_isa::semantics::alu(op, arch.reg(rs1), arch.reg(rs2), w),
-                    )),
-                    Instr::OpImm { op, rd, rs1, imm, word: w } if rd.is_zero() => Some((
-                        Reg::X0,
-                        chatfuzz_isa::semantics::alu(op, arch.reg(rs1), imm as u64, w),
-                    )),
-                    _ => None,
-                }
-            });
-            let final_record = self.tracer.emit(record, Some(&instr), raw_wb, cov);
-            records.push(final_record);
-
-            prev_prev_rd = prev_alu_rd;
-            prev_alu_rd = instr.rd();
-            prev_load_rd = match instr {
-                Instr::Load { .. } | Instr::LoadReserved { .. } | Instr::Amo { .. } => instr.rd(),
-                _ => None,
-            };
-
-            if let Some(reason) = halt {
-                *out_exit = reason;
-                *out_cycles = cycles;
-                return;
-            }
-            pc = next_pc;
+    /// Hazards and CSR serialisation; also captures what an AMO into `x0`
+    /// loads, before it executes.
+    fn dispatch(&mut self, instr: &Instr, arch: &ArchExec, _now: u64, cov: &mut CovMap) -> u64 {
+        let sources = instr.sources();
+        let reads = |rd: Option<Reg>| rd.is_some_and(|r| sources.contains(&r));
+        let mut stall = 0;
+        if cover!(cov, self.load_use_stall, reads(self.prev_load_rd)) {
+            stall += 1;
         }
-        *out_exit = ExitReason::BudgetExhausted;
-        *out_cycles = cycles;
+        cover!(cov, self.bypass_ex_ex, reads(self.prev_alu_rd));
+        cover!(cov, self.bypass_mem_ex, reads(self.prev_prev_rd));
+        if cover!(cov, self.csr_serialize, matches!(instr, Instr::Csr { .. })) {
+            stall += 2;
+        }
+        self.amo_x0_old = match *instr {
+            Instr::Amo { rd, rs1, width, .. } if rd.is_zero() => {
+                let (addr, bytes) = (arch.reg(rs1), width.bytes());
+                let readable = addr.is_multiple_of(bytes) && arch.mem.in_ram(addr, bytes);
+                readable
+                    .then(|| (Reg::X0, extend_loaded(arch.mem.read_raw(addr, bytes), width, true)))
+            }
+            _ => None,
+        };
+        stall
     }
-}
 
-/// Whether the just-taken trap record landed in S-mode (delegated).
-fn delegated_hint(_arch: &ArchExec, record: &CommitRecord) -> bool {
-    record.trap.map(|t| t.to == chatfuzz_isa::PrivLevel::Supervisor).unwrap_or(false)
-}
-
-enum TrapTaken {
-    Handled { record: CommitRecord, handler_pc: u64, cost: u64 },
-    Unhandled(ExitReason),
-}
-
-/// Shared trap-taking path (fetch faults, decode faults, execute faults).
-#[allow(clippy::too_many_arguments)]
-fn take_trap(
-    arch: &mut ArchExec,
-    ids: &CoreIds,
-    tracer: &mut Tracer,
-    e: chatfuzz_isa::Exception,
-    pc: u64,
-    word: u32,
-    instr: Option<&Instr>,
-    cov: &mut CovMap,
-    trap_penalty: u64,
-) -> TrapTaken {
-    let from = arch.csrs.priv_level;
-    let delegated = arch.csrs.delegated_to_s(e.cause());
-    let vec = if delegated { arch.csrs.stvec() } else { arch.csrs.mtvec() };
-    if vec == 0 {
-        ids.cover_trap(&e, from, delegated, true, cov);
-        return TrapTaken::Unhandled(ExitReason::UnhandledTrap(e));
+    fn muldiv(&mut self, latency: u64, _now: u64) -> u64 {
+        latency
     }
-    ids.cover_trap(&e, from, delegated, false, cov);
-    arch.reservation = None;
-    let (to, handler_pc) = arch.csrs.take_trap(&e, pc);
-    let record = CommitRecord {
-        pc,
-        word,
-        priv_level: from,
-        rd_write: None,
-        mem: None,
-        trap: Some(TrapRecord { exception: e, from, to, handler_pc }),
-    };
-    let record = tracer.emit(record, instr, None, cov);
-    TrapTaken::Handled { record, handler_pc, cost: trap_penalty }
+
+    fn data_access(&mut self, _mem: &MemEffect, access: DCacheAccess, _cov: &mut CovMap) -> u64 {
+        access.cycles
+    }
+
+    fn redirect(&mut self, redirect: Redirect, cov: &mut CovMap) {
+        if redirect != Redirect::Mispredict {
+            cov.hit(self.flush_on_xret, redirect == Redirect::Xret);
+        }
+    }
+
+    /// Clears the hazard registers (not `prev_prev_rd`).
+    fn trap(&mut self, _cov: &mut CovMap) {
+        self.prev_alu_rd = None;
+        self.prev_load_rd = None;
+    }
+
+    fn retire(&mut self, instr: &Instr) {
+        self.prev_prev_rd = self.prev_alu_rd;
+        self.prev_alu_rd = instr.rd();
+        self.prev_load_rd = match instr {
+            Instr::Load { .. } | Instr::LoadReserved { .. } | Instr::Amo { .. } => instr.rd(),
+            _ => None,
+        };
+    }
+
+    /// The architectural write-back, else the AMO's old value or the ALU
+    /// result discarded into `x0` (registers are unchanged when `rd = x0`),
+    /// for the tracer's Finding-2 and Finding-3 ports.
+    fn trace_writeback(
+        &self,
+        instr: &Instr,
+        record: &CommitRecord,
+        arch: &ArchExec,
+    ) -> Option<(Reg, u64)> {
+        record.rd_write.or(self.amo_x0_old).or_else(|| match *instr {
+            Instr::Op { op, rd, rs1, rs2, word } if rd.is_zero() => {
+                Some((Reg::X0, alu(op, arch.reg(rs1), arch.reg(rs2), word)))
+            }
+            Instr::OpImm { op, rd, rs1, imm, word } if rd.is_zero() => {
+                Some((Reg::X0, alu(op, arch.reg(rs1), imm as u64, word)))
+            }
+            _ => None,
+        })
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use chatfuzz_isa::asm::Assembler;
-    use chatfuzz_isa::{AluOp, BranchCond, MemWidth, MulDivOp};
+    use chatfuzz_isa::{AluOp, BranchCond, MemWidth, MulDivOp, SystemOp};
+    use chatfuzz_softcore::trace::{ExitReason, Trace};
     use chatfuzz_softcore::{SoftCore, SoftCoreConfig};
 
     fn a(i: u8) -> Reg {

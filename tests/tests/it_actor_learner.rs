@@ -6,7 +6,7 @@
 //!   same RNG — same sampled token sequences every batch, same weights
 //!   and optimiser moments after every published epoch.
 //! * Durability: SIGKILL an auto-checkpointing actor/learner LM campaign
-//!   mid-publish-interval; a fresh process resumes from the surviving v4
+//!   mid-publish-interval; a fresh process resumes from the surviving
 //!   checkpoint (publish epoch, batches-since-publish counter, pending
 //!   learner queue) bit-identically (`report::json_canonical`).
 //! * Federated merge: two shards' pending rollout queues union

@@ -7,7 +7,7 @@
 //!   sequential sampling.
 //! * Durability: an LM+evolve+random campaign snapshot — policy weights,
 //!   Adam moments, refreshed prompt pool, RNG streams — round-trips
-//!   byte-exactly through the persisted v4 JSON, and the acceptance
+//!   byte-exactly through the persisted snapshot JSON, and the acceptance
 //!   centrepiece SIGKILLs an auto-checkpointing `[random, evolve, lm]`
 //!   campaign under a windowed cost-normalised UCB1 and resumes it in a
 //!   fresh process, bit-identical (`report::json_canonical`, wall clock
@@ -261,7 +261,7 @@ fn lm_prompt_pool_absorbs_evolve_seeds_through_the_campaign() {
 }
 
 /// A model-carrying snapshot round-trips byte-exactly through the
-/// persisted v4 JSON: weights and moments travel as f32-bit hex blobs,
+/// persisted snapshot JSON: weights and moments travel as f32-bit hex blobs,
 /// so nothing is disturbed by a decimal detour.
 #[test]
 fn model_snapshot_round_trips_bit_exactly() {
