@@ -4,7 +4,7 @@
 //! arm:
 //!
 //! * **fast** — sampling runs through the KV-cached incremental decoder
-//!   ([`chatfuzz_lm::KvCache`], `PpoTrainer::sample_into`), token-pinned
+//!   ([`chatfuzz_lm::KvCache`], `PpoConfig::sample_into`), token-pinned
 //!   equal to the naive path but `O(T)` per token, and the actor/learner
 //!   mode below amortises the PPO cost across a whole publish interval;
 //! * **durable** — `InputGenerator::export_state` captures the whole
@@ -189,7 +189,7 @@ pub struct LmGenerator {
     rng: ChaCha8Rng,
     /// Reusable KV arena for incremental sampling.
     cache: KvCache,
-    /// Recycled sample buffer (`PpoTrainer::sample_into` target).
+    /// Recycled sample buffer (`PpoConfig::sample_into` target).
     sample_buf: Vec<u32>,
     /// Per input: the stitched samples awaiting feedback (the shape
     /// [`ModelState::pending`] serialises verbatim).
@@ -353,9 +353,10 @@ impl InputGenerator for LmGenerator {
     fn next_batch(&mut self, n: usize) -> Vec<Vec<u8>> {
         self.pending.clear();
         let actor_mode = self.cfg.publish_every >= 1;
-        // Both samplers apply the same window clamp; the serialized path
-        // samples from the live trainer policy, the actor path from the
-        // frozen published snapshot (bit-identical between publishes).
+        // Both paths sample under the trainer's clamp and differ only in
+        // the policy: the serialized path samples from the live trainer
+        // policy, the actor path from the frozen published snapshot
+        // (bit-identical between publishes).
         let ppo = *self.learner.trainer.config();
         (0..n)
             .map(|_| {
@@ -364,31 +365,15 @@ impl InputGenerator for LmGenerator {
                 for _ in 0..self.cfg.samples_per_input.max(1) {
                     let prompt = self.make_prompt();
                     let prompt_len = prompt.len();
-                    if actor_mode {
-                        let window = self.actor.policy.config().max_seq;
-                        let budget = window.saturating_sub(prompt.len()).min(ppo.max_new_tokens);
-                        if budget == 0 {
-                            self.sample_buf.clear();
-                            self.sample_buf.extend_from_slice(&prompt);
-                        } else {
-                            self.actor.policy.generate_into(
-                                &prompt,
-                                budget,
-                                ppo.temperature,
-                                ppo.top_k,
-                                &mut self.rng,
-                                &mut self.cache,
-                                &mut self.sample_buf,
-                            );
-                        }
-                    } else {
-                        self.learner.trainer.sample_into(
-                            &prompt,
-                            &mut self.rng,
-                            &mut self.cache,
-                            &mut self.sample_buf,
-                        );
-                    }
+                    let policy =
+                        if actor_mode { &self.actor.policy } else { self.learner.trainer.policy() };
+                    ppo.sample_into(
+                        policy,
+                        &prompt,
+                        &mut self.rng,
+                        &mut self.cache,
+                        &mut self.sample_buf,
+                    );
                     bytes.extend(self.tokenizer.decode_to_bytes(&self.sample_buf));
                     samples.push(ModelSample { tokens: self.sample_buf.clone(), prompt_len });
                 }

@@ -331,6 +331,10 @@ impl Gpt {
     ///
     /// Panics if the cache was allocated for a different configuration or
     /// a token is outside the vocabulary.
+    // Kept out of line: inlined into `PpoConfig::sample_into`, its one
+    // call site on the LM arm's path, the sampling loop ran ~4 % slower
+    // end to end (perfbench `chatfuzz-lm`, 2-vCPU VM).
+    #[inline(never)]
     #[allow(clippy::too_many_arguments)] // mirrors `generate` + (cache, out)
     pub fn generate_into<R: Rng>(
         &self,

@@ -41,6 +41,35 @@ pub struct PpoConfig {
     pub max_new_tokens: usize,
 }
 
+impl PpoConfig {
+    /// Samples one trajectory from `policy` into `out` at this config's
+    /// temperature and top-k, reusing the cache arena
+    /// (`Gpt::generate_into` is pinned token-equal to the naive sampler
+    /// `Gpt::generate`).
+    ///
+    /// Generation is capped at `max_new_tokens` and so that the *whole*
+    /// sequence fits the policy's context window — PPO scoring forwards
+    /// the full prompt+continuation, unlike free-running generation which
+    /// can slide its window.
+    pub fn sample_into<R: Rng>(
+        &self,
+        policy: &Gpt,
+        prompt: &[u32],
+        rng: &mut R,
+        cache: &mut KvCache,
+        out: &mut Vec<u32>,
+    ) {
+        let window = policy.config().max_seq;
+        let budget = window.saturating_sub(prompt.len()).min(self.max_new_tokens);
+        if budget == 0 {
+            out.clear();
+            out.extend_from_slice(prompt);
+            return;
+        }
+        policy.generate_into(prompt, budget, self.temperature, self.top_k, rng, cache, out);
+    }
+}
+
 impl Default for PpoConfig {
     fn default() -> Self {
         PpoConfig {
@@ -164,44 +193,12 @@ impl PpoTrainer {
     }
 
     /// Samples one trajectory from the policy, through a fresh
-    /// [`KvCache`] (see [`PpoTrainer::sample_into`]).
+    /// [`KvCache`] (see [`PpoConfig::sample_into`]).
     pub fn sample<R: Rng>(&self, prompt: &[u32], rng: &mut R) -> Vec<u32> {
         let mut cache = KvCache::new(*self.policy.config());
         let mut out = Vec::new();
-        self.sample_into(prompt, rng, &mut cache, &mut out);
+        self.cfg.sample_into(&self.policy, prompt, rng, &mut cache, &mut out);
         out
-    }
-
-    /// Samples one trajectory from the policy into `out`, reusing the
-    /// cache arena (`Gpt::generate_into` is pinned token-equal to the
-    /// naive sampler `Gpt::generate`).
-    ///
-    /// Generation is capped so the *whole* sequence fits the policy's
-    /// context window — PPO scoring forwards the full prompt+continuation,
-    /// unlike free-running generation which can slide its window.
-    pub fn sample_into<R: Rng>(
-        &self,
-        prompt: &[u32],
-        rng: &mut R,
-        cache: &mut KvCache,
-        out: &mut Vec<u32>,
-    ) {
-        let window = self.policy.config().max_seq;
-        let budget = window.saturating_sub(prompt.len()).min(self.cfg.max_new_tokens);
-        if budget == 0 {
-            out.clear();
-            out.extend_from_slice(prompt);
-            return;
-        }
-        self.policy.generate_into(
-            prompt,
-            budget,
-            self.cfg.temperature,
-            self.cfg.top_k,
-            rng,
-            cache,
-            out,
-        );
     }
 
     /// Builds a scored [`Rollout`] from a sampled sequence and its task
@@ -496,7 +493,8 @@ mod tests {
                 &mut StdRng::seed_from_u64(3),
             );
             let sampled = trainer.sample(&prompt, &mut StdRng::seed_from_u64(3));
-            trainer.sample_into(&prompt, &mut StdRng::seed_from_u64(3), &mut cache, &mut out);
+            let rng = &mut StdRng::seed_from_u64(3);
+            cfg.sample_into(trainer.policy(), &prompt, rng, &mut cache, &mut out);
             assert_eq!(sampled, naive, "sample: prompt of {} tokens diverged", prompt.len());
             assert_eq!(out, naive, "sample_into: prompt of {} tokens diverged", prompt.len());
         }

@@ -16,10 +16,10 @@ use std::sync::Arc;
 
 use chatfuzz_coverage::{cover, CondId, CovMap, PointKind, Space, SpaceBuilder};
 use chatfuzz_isa::{Instr, Reg};
+use chatfuzz_softcore::arch::ArchExec;
 use chatfuzz_softcore::mem::{DEFAULT_RAM_BASE, DEFAULT_RAM_SIZE};
 use chatfuzz_softcore::trace::MemEffect;
 
-use crate::arch::ArchExec;
 use crate::commit::{Backend, Core, Params, Redirect, TrapRules, BOOM_TRAPS};
 use crate::dcache::{DCacheAccess, DCacheConfig};
 use crate::dut::{Dut, DutRun};

@@ -4,11 +4,14 @@
 //! loop, [`Core`]. It owns everything the two cores do alike: reset and
 //! the dead block, fetch faults, the branch predictor and the I-cache,
 //! decode through the [`DecodeMemo`] (`run_into`) or
-//! [`CoreIds::decode_covered`] (`run`), the one trap path, architectural
-//! execution through [`ArchExec`], mul/div issue, the D-cache, the
-//! I-cache's store snoop and `fence.i`, branch and jump resolution,
-//! retire coverage, deep state, the tracer, and the halt and budget
-//! checks.
+//! [`CoreIds::decode_covered`] (`run`), the one trap path, mul/div issue,
+//! the D-cache, the I-cache's store snoop and `fence.i`, branch and jump
+//! resolution, retire coverage, deep state, the tracer, and the halt and
+//! budget checks.
+//!
+//! Execution and trap entry themselves are [`ArchExec::execute`] and
+//! [`ArchExec::trap`], the datapath the golden model's hart runs too; the
+//! loop adds only coverage, timing and backend effects around them.
 //!
 //! A core is a [`Core`] over its [`Backend`], which supplies only what
 //! differs: the per-slot base cost, the dispatch conditions, how much
@@ -21,10 +24,10 @@ use std::sync::Arc;
 
 use chatfuzz_coverage::{CovMap, Space, SpaceBuilder};
 use chatfuzz_isa::{Exception, Instr, PrivLevel, Reg, SystemOp};
+use chatfuzz_softcore::arch::{ArchExec, ArchOutcome};
 use chatfuzz_softcore::mem::Memory;
-use chatfuzz_softcore::trace::{CommitRecord, ExitReason, MemEffect, TrapRecord};
+use chatfuzz_softcore::trace::{CommitRecord, ExitReason, MemEffect};
 
-use crate::arch::{ArchExec, ArchOutcome};
 use crate::core_ids::{CoreIds, DecodeMemo, DeepIds, DeepState};
 use crate::dcache::{DCache, DCacheAccess, DCacheConfig};
 use crate::dut::DutRun;
@@ -144,7 +147,7 @@ pub(crate) struct Params {
     pub(crate) max_traps: usize,
     /// Flush cycles per taken trap and per retired xret.
     pub(crate) trap_penalty: u64,
-    /// Finding 1 in the memory stage ([`ArchExec::pma_before_align`]).
+    /// Finding 1 in the memory stage (see [`ArchExec::new`]).
     pub(crate) pma_before_align: bool,
 }
 
@@ -417,32 +420,24 @@ impl<B: Backend> Core<B> {
             };
 
             // ---- Trap ----
-            let from = arch.csrs.priv_level;
-            let delegated = arch.csrs.delegated_to_s(e.cause());
-            let vec = if delegated { arch.csrs.stvec() } else { arch.csrs.mtvec() };
-            if vec == 0 {
-                self.ids.cover_trap(&e, from, delegated, true, cov);
+            let entry = arch.trap(e, pc);
+            self.ids.cover_trap(&e, entry.from, entry.delegated, entry.taken.is_none(), cov);
+            let Some(trap) = entry.taken else {
                 return (ExitReason::UnhandledTrap(e), cycles);
-            }
-            self.ids.cover_trap(&e, from, delegated, false, cov);
-            arch.reservation = None;
-            let (to, handler_pc) = arch.csrs.take_trap(&e, pc);
+            };
             cycles += trap_penalty;
             if B::TRAPS.ends_streak.contains(&stage) {
-                deep.on_trap(&self.deep, to == PrivLevel::Supervisor, cov);
+                deep.on_trap(&self.deep, trap.to == PrivLevel::Supervisor, cov);
             }
             if B::TRAPS.flushes.contains(&stage) {
                 self.backend.trap(cov);
             }
-            let trap = Some(TrapRecord { exception: e, from, to, handler_pc });
-            let record =
-                CommitRecord { pc, word, priv_level: from, rd_write: None, mem: None, trap };
-            records.push(self.tracer.emit(record, None, None, cov));
+            records.push(self.tracer.emit(CommitRecord::trapped(pc, word, trap), None, None, cov));
             traps += 1;
             if traps > max_traps {
                 return (ExitReason::TrapStorm, cycles);
             }
-            pc = handler_pc;
+            pc = trap.handler_pc;
         }
         (ExitReason::BudgetExhausted, cycles)
     }

@@ -24,9 +24,10 @@
 //! cores' remaining trap asymmetries are named side by side in that
 //! module.
 //!
-//! Both cores execute architecturally through [`arch::ArchExec`], which
-//! shares its instruction semantics and CSR file with the golden model —
-//! the central guarantee that any trace mismatch is an *injected* bug, not
+//! Both cores execute and enter traps through
+//! [`chatfuzz_softcore::arch::ArchExec`], the datapath the golden model
+//! runs too: one `execute` and one trap entry for all three. That is the
+//! central guarantee that any trace mismatch is an *injected* bug, not
 //! interpreter drift. Both implement [`dut::Dut`], the interface the
 //! fuzzing loop consumes.
 //!
@@ -46,7 +47,6 @@
 //! assert!(run.coverage.covered_bins() > 0);
 //! ```
 
-pub mod arch;
 pub mod boom;
 mod commit;
 pub mod core_ids;

@@ -4,8 +4,9 @@
 //! decode with hazard detection (load-use stall, EX/MEM bypass), a
 //! multi-cycle mul/div unit, a write-back D-cache, the shared CSR/trap
 //! unit, and a tracer. Architectural execution is delegated to
-//! [`ArchExec`], so with all bug injections disabled this core is
-//! trace-equivalent to the golden model (verified by property test).
+//! [`ArchExec`], the datapath the golden model runs too, so with all bug
+//! injections disabled this core is trace-equivalent to the golden model
+//! (verified by property test).
 //!
 //! The fetch → decode → trap → execute → retire loop is the one both cores
 //! share. Rocket adds its in-order backend: one cycle per slot, the
@@ -27,10 +28,10 @@ use std::sync::Arc;
 use chatfuzz_coverage::{cover, CondId, CovMap, PointKind, Space, SpaceBuilder};
 use chatfuzz_isa::semantics::{alu, extend_loaded};
 use chatfuzz_isa::{Instr, Reg};
+use chatfuzz_softcore::arch::ArchExec;
 use chatfuzz_softcore::mem::{DEFAULT_RAM_BASE, DEFAULT_RAM_SIZE};
 use chatfuzz_softcore::trace::{CommitRecord, MemEffect};
 
-use crate::arch::ArchExec;
 use crate::commit::{Backend, Core, Params, Redirect, TrapRules, ROCKET_TRAPS};
 use crate::dcache::{DCacheAccess, DCacheConfig};
 use crate::dut::{Dut, DutRun};

@@ -1,11 +1,10 @@
 //! The golden-model interpreter hart (one instruction per step).
 
-use chatfuzz_isa::semantics::{alu, amo, branch_taken, extend_loaded, muldiv};
-use chatfuzz_isa::{CsrSrc, DecodeCache, Exception, Instr, MemWidth, Reg, SystemOp};
+use chatfuzz_isa::{DecodeCache, Exception};
 
-use crate::csr::CsrFile;
-use crate::mem::{Memory, StoreEffect};
-use crate::trace::{CommitRecord, ExitReason, MemEffect, TrapRecord};
+use crate::arch::{ArchExec, ArchOutcome};
+use crate::mem::Memory;
+use crate::trace::{CommitRecord, ExitReason};
 
 /// Outcome of one [`Hart::step`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -16,19 +15,15 @@ pub enum StepResult {
     Halt(ExitReason, Option<CommitRecord>),
 }
 
-/// Architectural state of one hart plus its memory.
+/// One hart: a program counter and a decode cache around the
+/// architectural datapath the RTL cores run too, in the spec's check
+/// order.
 #[derive(Debug, Clone)]
 pub struct Hart {
-    /// Integer register file (`x0` kept at zero by construction).
-    pub regs: [u64; 32],
+    /// Registers, CSRs, memory and the LR/SC reservation.
+    pub arch: ArchExec,
     /// Program counter.
     pub pc: u64,
-    /// CSR file (including the privilege level).
-    pub csrs: CsrFile,
-    /// Physical memory.
-    pub mem: Memory,
-    /// LR/SC reservation address, if armed.
-    reservation: Option<u64>,
     /// Word-validated decode cache (see [`DecodeCache`]); hits are
     /// bit-identical to decoding the fetched word, so it survives resets
     /// and self-modifying stores without any flush protocol.
@@ -38,14 +33,7 @@ pub struct Hart {
 impl Hart {
     /// Creates a hart with zeroed registers at the given reset PC.
     pub fn new(mem: Memory, reset_pc: u64) -> Hart {
-        Hart {
-            regs: [0; 32],
-            pc: reset_pc,
-            csrs: CsrFile::new(),
-            mem,
-            reservation: None,
-            decode: DecodeCache::default(),
-        }
+        Hart { arch: ArchExec::new(mem, false), pc: reset_pc, decode: DecodeCache::default() }
     }
 
     /// Power-on reset of the architectural state (registers, CSRs, PC,
@@ -54,10 +42,8 @@ impl Hart {
     /// tests. The decode cache is kept: entries are word-validated, so
     /// stale entries can never change what executes.
     pub fn reset(&mut self, reset_pc: u64) {
-        self.regs = [0; 32];
+        self.arch.reset();
         self.pc = reset_pc;
-        self.csrs = CsrFile::new();
-        self.reservation = None;
     }
 
     /// Turns the decode cache off, making every step decode the fetched
@@ -68,292 +54,40 @@ impl Hart {
         self.decode.set_enabled(false);
     }
 
-    /// Reads a register (x0 reads as zero).
-    #[inline]
-    pub fn reg(&self, r: Reg) -> u64 {
-        self.regs[r.index()]
-    }
-
-    /// Writes a register (writes to x0 are discarded).
-    #[inline]
-    pub fn set_reg(&mut self, r: Reg, value: u64) {
-        if !r.is_zero() {
-            self.regs[r.index()] = value;
-        }
-    }
-
-    /// Executes one instruction slot.
+    /// Executes one instruction slot. A trap with an unset vector halts
+    /// the hart (unhandled trap).
     pub fn step(&mut self) -> StepResult {
         let pc = self.pc;
-        self.csrs.tick_cycle(1);
-        let word = match self.mem.fetch(pc) {
-            Ok(w) => w,
-            Err(e) => return self.trap(e, pc, 0),
+        self.arch.csrs.tick_cycle(1);
+        let (e, word) = 'slot: {
+            let word = match self.arch.mem.fetch(pc) {
+                Ok(word) => word,
+                Err(e) => break 'slot (e, 0),
+            };
+            let Ok(instr) = self.decode.decode(pc, word) else {
+                break 'slot (Exception::IllegalInstr { word }, word);
+            };
+            let (next_pc, record) = match self.arch.execute(instr, pc, word) {
+                ArchOutcome::Next(record) => (pc.wrapping_add(4), record),
+                ArchOutcome::Jump { target, record } => (target, record),
+                ArchOutcome::Trap(e) => break 'slot (e, word),
+                ArchOutcome::Halt(reason, record) => {
+                    self.arch.csrs.tick_instret();
+                    return StepResult::Halt(reason, Some(record));
+                }
+            };
+            self.arch.csrs.tick_instret();
+            self.pc = next_pc;
+            return StepResult::Committed(record);
         };
-        let instr = match self.decode.decode(pc, word) {
-            Ok(i) => i,
-            Err(_) => return self.trap(Exception::IllegalInstr { word }, pc, word),
-        };
-        match self.execute(instr, pc, word) {
-            Exec::Next(record) => {
-                self.pc = pc.wrapping_add(4);
-                self.csrs.tick_instret();
-                StepResult::Committed(record)
+        match self.arch.trap(e, pc).taken {
+            Some(trap) => {
+                self.pc = trap.handler_pc;
+                StepResult::Committed(CommitRecord::trapped(pc, word, trap))
             }
-            Exec::Jump(target, record) => {
-                self.pc = target;
-                self.csrs.tick_instret();
-                StepResult::Committed(record)
-            }
-            Exec::Trap(e) => self.trap(e, pc, word),
-            Exec::Halt(reason, record) => {
-                self.csrs.tick_instret();
-                StepResult::Halt(reason, Some(record))
-            }
+            None => StepResult::Halt(ExitReason::UnhandledTrap(e), None),
         }
     }
-
-    /// Takes a trap: on an unset vector, halts instead (unhandled trap).
-    fn trap(&mut self, e: Exception, pc: u64, word: u32) -> StepResult {
-        self.reservation = None;
-        let from = self.csrs.priv_level;
-        let vec =
-            if self.csrs.delegated_to_s(e.cause()) { self.csrs.stvec() } else { self.csrs.mtvec() };
-        if vec == 0 {
-            return StepResult::Halt(ExitReason::UnhandledTrap(e), None);
-        }
-        let (to, handler_pc) = self.csrs.take_trap(&e, pc);
-        self.pc = handler_pc;
-        StepResult::Committed(CommitRecord {
-            pc,
-            word,
-            priv_level: from,
-            rd_write: None,
-            mem: None,
-            trap: Some(TrapRecord { exception: e, from, to, handler_pc }),
-        })
-    }
-
-    fn execute(&mut self, instr: Instr, pc: u64, word: u32) -> Exec {
-        let priv_level = self.csrs.priv_level;
-        let record =
-            |rd_write, mem| CommitRecord { pc, word, priv_level, rd_write, mem, trap: None };
-        // The golden tracer never reports x0 as a destination.
-        let vis = |rd: Reg, v: u64| (!rd.is_zero()).then_some((rd, v));
-        match instr {
-            Instr::Lui { rd, imm } => {
-                self.set_reg(rd, imm as u64);
-                Exec::Next(record(vis(rd, imm as u64), None))
-            }
-            Instr::Auipc { rd, imm } => {
-                let v = pc.wrapping_add(imm as u64);
-                self.set_reg(rd, v);
-                Exec::Next(record(vis(rd, v), None))
-            }
-            Instr::Jal { rd, offset } => {
-                let target = pc.wrapping_add(offset as u64);
-                if !target.is_multiple_of(4) {
-                    return Exec::Trap(Exception::InstrAddrMisaligned { addr: target });
-                }
-                let link = pc.wrapping_add(4);
-                self.set_reg(rd, link);
-                Exec::Jump(target, record(vis(rd, link), None))
-            }
-            Instr::Jalr { rd, rs1, offset } => {
-                let target = self.reg(rs1).wrapping_add(offset as u64) & !1;
-                if !target.is_multiple_of(4) {
-                    return Exec::Trap(Exception::InstrAddrMisaligned { addr: target });
-                }
-                let link = pc.wrapping_add(4);
-                self.set_reg(rd, link);
-                Exec::Jump(target, record(vis(rd, link), None))
-            }
-            Instr::Branch { cond, rs1, rs2, offset } => {
-                if branch_taken(cond, self.reg(rs1), self.reg(rs2)) {
-                    let target = pc.wrapping_add(offset as u64);
-                    if !target.is_multiple_of(4) {
-                        return Exec::Trap(Exception::InstrAddrMisaligned { addr: target });
-                    }
-                    Exec::Jump(target, record(None, None))
-                } else {
-                    Exec::Next(record(None, None))
-                }
-            }
-            Instr::Load { width, signed, rd, rs1, offset } => {
-                let addr = self.reg(rs1).wrapping_add(offset as u64);
-                match self.mem.load(addr, width) {
-                    Ok(raw) => {
-                        let v = extend_loaded(raw, width, signed);
-                        self.set_reg(rd, v);
-                        let mem = MemEffect {
-                            addr,
-                            bytes: width.bytes() as u8,
-                            is_store: false,
-                            value: v,
-                        };
-                        Exec::Next(record(vis(rd, v), Some(mem)))
-                    }
-                    Err(e) => Exec::Trap(e),
-                }
-            }
-            Instr::Store { width, rs2, rs1, offset } => {
-                let addr = self.reg(rs1).wrapping_add(offset as u64);
-                let value = self.reg(rs2);
-                match self.mem.store(addr, width, value) {
-                    Ok(effect) => {
-                        self.reservation = None;
-                        let mem =
-                            MemEffect { addr, bytes: width.bytes() as u8, is_store: true, value };
-                        match effect {
-                            StoreEffect::Ram => Exec::Next(record(None, Some(mem))),
-                            StoreEffect::ToHost(v) => {
-                                Exec::Halt(ExitReason::ToHost(v), record(None, Some(mem)))
-                            }
-                        }
-                    }
-                    Err(e) => Exec::Trap(e),
-                }
-            }
-            Instr::OpImm { op, rd, rs1, imm, word: w } => {
-                let v = alu(op, self.reg(rs1), imm as u64, w);
-                self.set_reg(rd, v);
-                Exec::Next(record(vis(rd, v), None))
-            }
-            Instr::Op { op, rd, rs1, rs2, word: w } => {
-                let v = alu(op, self.reg(rs1), self.reg(rs2), w);
-                self.set_reg(rd, v);
-                Exec::Next(record(vis(rd, v), None))
-            }
-            Instr::MulDiv { op, rd, rs1, rs2, word: w } => {
-                let v = muldiv(op, self.reg(rs1), self.reg(rs2), w);
-                self.set_reg(rd, v);
-                Exec::Next(record(vis(rd, v), None))
-            }
-            Instr::Amo { op, width, rd, rs1, rs2, .. } => {
-                let addr = self.reg(rs1);
-                // AMOs require natural alignment; both the misaligned and the
-                // PMA case report as *store* exceptions per the spec.
-                if !addr.is_multiple_of(width.bytes()) {
-                    return Exec::Trap(Exception::StoreAddrMisaligned { addr });
-                }
-                if !self.mem.in_ram(addr, width.bytes()) {
-                    return Exec::Trap(Exception::StoreAccessFault { addr });
-                }
-                let old_raw = self.mem.read_raw(addr, width.bytes());
-                let old = extend_loaded(old_raw, width, true);
-                let new = amo(op, old_raw, self.reg(rs2), width);
-                self.mem.write_raw(addr, width.bytes(), new);
-                self.reservation = None;
-                self.set_reg(rd, old);
-                let mem =
-                    MemEffect { addr, bytes: width.bytes() as u8, is_store: true, value: new };
-                Exec::Next(record(vis(rd, old), Some(mem)))
-            }
-            Instr::LoadReserved { width, rd, rs1, .. } => {
-                let addr = self.reg(rs1);
-                if !addr.is_multiple_of(width.bytes()) {
-                    return Exec::Trap(Exception::LoadAddrMisaligned { addr });
-                }
-                if !self.mem.in_ram(addr, width.bytes()) {
-                    return Exec::Trap(Exception::LoadAccessFault { addr });
-                }
-                let raw = self.mem.read_raw(addr, width.bytes());
-                let v = extend_loaded(raw, width, true);
-                self.reservation = Some(addr);
-                self.set_reg(rd, v);
-                let mem = MemEffect { addr, bytes: width.bytes() as u8, is_store: false, value: v };
-                Exec::Next(record(vis(rd, v), Some(mem)))
-            }
-            Instr::StoreConditional { width, rd, rs1, rs2, .. } => {
-                let addr = self.reg(rs1);
-                if !addr.is_multiple_of(width.bytes()) {
-                    return Exec::Trap(Exception::StoreAddrMisaligned { addr });
-                }
-                if !self.mem.in_ram(addr, width.bytes()) {
-                    return Exec::Trap(Exception::StoreAccessFault { addr });
-                }
-                let success = self.reservation == Some(addr);
-                self.reservation = None;
-                let result = u64::from(!success);
-                self.set_reg(rd, result);
-                let mem = if success {
-                    let value = self.reg(rs2);
-                    self.mem.write_raw(
-                        addr,
-                        width.bytes(),
-                        match width {
-                            MemWidth::W => value & 0xffff_ffff,
-                            _ => value,
-                        },
-                    );
-                    Some(MemEffect { addr, bytes: width.bytes() as u8, is_store: true, value })
-                } else {
-                    None
-                };
-                Exec::Next(record(vis(rd, result), mem))
-            }
-            Instr::Csr { op, rd, csr, src } => {
-                let (src_value, src_is_zero_arg) = match src {
-                    CsrSrc::Reg(rs1) => (self.reg(rs1), rs1.is_zero()),
-                    CsrSrc::Imm(imm) => (u64::from(imm), imm == 0),
-                };
-                match self.csrs.execute(op, csr, src_value, src_is_zero_arg) {
-                    Ok(old) => {
-                        self.set_reg(rd, old);
-                        Exec::Next(record(vis(rd, old), None))
-                    }
-                    Err(_) => Exec::Trap(Exception::IllegalInstr { word }),
-                }
-            }
-            Instr::Fence { .. } => Exec::Next(record(None, None)),
-            // The golden model's memory is always coherent, so fence.i is
-            // architecturally a no-op here. (The Rocket model's icache is
-            // NOT coherent without it — that is injected BUG1.)
-            Instr::FenceI => {
-                self.reservation = None;
-                Exec::Next(record(None, None))
-            }
-            Instr::System(SystemOp::Ecall) => {
-                Exec::Trap(Exception::Ecall { from: self.csrs.priv_level })
-            }
-            Instr::System(SystemOp::Ebreak) => Exec::Trap(Exception::Breakpoint { addr: pc }),
-            Instr::System(SystemOp::Mret) => match self.csrs.mret() {
-                Ok(target) => {
-                    self.reservation = None;
-                    Exec::Jump(target, record(None, None))
-                }
-                Err(_) => Exec::Trap(Exception::IllegalInstr { word }),
-            },
-            Instr::System(SystemOp::Sret) => match self.csrs.sret() {
-                Ok(target) => {
-                    self.reservation = None;
-                    Exec::Jump(target, record(None, None))
-                }
-                Err(_) => Exec::Trap(Exception::IllegalInstr { word }),
-            },
-            Instr::System(SystemOp::Wfi) => {
-                if self.csrs.wfi_is_illegal() {
-                    Exec::Trap(Exception::IllegalInstr { word })
-                } else {
-                    Exec::Halt(ExitReason::Wfi, record(None, None))
-                }
-            }
-            Instr::SfenceVma { .. } => {
-                if self.csrs.sfence_is_illegal() {
-                    Exec::Trap(Exception::IllegalInstr { word })
-                } else {
-                    Exec::Next(record(None, None))
-                }
-            }
-        }
-    }
-}
-
-enum Exec {
-    Next(CommitRecord),
-    Jump(u64, CommitRecord),
-    Trap(Exception),
-    Halt(ExitReason, CommitRecord),
 }
 
 #[cfg(test)]
@@ -361,7 +95,7 @@ mod tests {
     use super::*;
     use crate::mem::{DEFAULT_RAM_BASE, TOHOST_ADDR};
     use chatfuzz_isa::asm::Assembler;
-    use chatfuzz_isa::{AluOp, BranchCond, Csr};
+    use chatfuzz_isa::{AluOp, BranchCond, Csr, Instr, MemWidth, Reg, SystemOp};
 
     fn hart_with(asm: &Assembler) -> Hart {
         let mut mem = Memory::new(DEFAULT_RAM_BASE, 1 << 16);
@@ -382,7 +116,7 @@ mod tests {
         for _ in 0..asm.len() {
             assert!(matches!(h.step(), StepResult::Committed(_)));
         }
-        assert_eq!(h.reg(a0()), 42);
+        assert_eq!(h.arch.reg(a0()), 42);
     }
 
     #[test]
@@ -396,7 +130,7 @@ mod tests {
         for _ in 0..32 {
             h.step();
         }
-        assert_eq!(h.reg(a0()), 0);
+        assert_eq!(h.arch.reg(a0()), 0);
     }
 
     #[test]
@@ -528,9 +262,9 @@ mod tests {
         for _ in 0..asm.len() {
             h.step();
         }
-        assert_eq!(h.reg(t1), 0, "first sc succeeds");
-        assert_eq!(h.reg(a0()), 1, "second sc fails");
-        assert_eq!(h.mem.read_raw(addr, 8), addr);
+        assert_eq!(h.arch.reg(t1), 0, "first sc succeeds");
+        assert_eq!(h.arch.reg(a0()), 1, "second sc fails");
+        assert_eq!(h.arch.mem.read_raw(addr, 8), addr);
     }
 
     #[test]
@@ -542,7 +276,7 @@ mod tests {
             StepResult::Committed(r) => assert_eq!(r.rd_write, None),
             other => panic!("unexpected {other:?}"),
         }
-        assert_eq!(h.reg(Reg::X0), 0);
+        assert_eq!(h.arch.reg(Reg::X0), 0);
     }
 
     #[test]

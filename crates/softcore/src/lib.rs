@@ -8,9 +8,13 @@
 //! `tohost` halt device, and a commit [`trace`] format shared with the RTL
 //! cores.
 //!
-//! The instruction semantics come from [`chatfuzz_isa::semantics`], shared
-//! with the RTL cores, so trace mismatches can only be caused by the bugs
-//! deliberately injected into the Rocket-style core (see `chatfuzz-rtl`).
+//! The golden model and both RTL cores run one architectural datapath,
+//! [`arch::ArchExec`]: one `execute` over the [`chatfuzz_isa::semantics`]
+//! helpers and one trap entry. The golden [`Hart`] wraps it with a program
+//! counter and a decode cache, in the spec's check order; the cores drive
+//! it from their commit loop (see `chatfuzz-rtl`). So a trace mismatch can
+//! only come from the bugs deliberately injected into the Rocket-style core
+//! around that datapath, never from two interpreters drifting apart.
 //!
 //! # Examples
 //!
@@ -27,6 +31,7 @@
 //! assert_eq!(trace.records.last().unwrap().pc % 4, 0);
 //! ```
 
+pub mod arch;
 pub mod csr;
 pub mod hart;
 pub mod mem;

@@ -10,17 +10,6 @@ pub const DEFAULT_RAM_SIZE: u64 = 1 << 20;
 /// mirroring the riscv-tests/Spike convention.
 pub const TOHOST_ADDR: u64 = 0x4000_0000;
 
-/// Kind of access, used to pick the right exception flavour.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AccessKind {
-    /// Instruction fetch.
-    Fetch,
-    /// Data load.
-    Load,
-    /// Data store or AMO.
-    Store,
-}
-
 /// Result of a store: either a plain memory write happened, or the magic
 /// `tohost` device was written.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

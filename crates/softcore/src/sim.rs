@@ -160,7 +160,7 @@ impl SoftCoreRunner {
     pub fn run_into(&mut self, program: &[u8], trace: &mut Trace) {
         let config = self.sim.config();
         let image_len = program.len().min(config.ram_size as usize);
-        self.hart.mem.reset_with_image(config.ram_base, &program[..image_len]);
+        self.hart.arch.mem.reset_with_image(config.ram_base, &program[..image_len]);
         self.hart.reset(config.ram_base);
         self.sim.run_hart_into(&mut self.hart, trace);
     }

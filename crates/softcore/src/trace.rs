@@ -53,6 +53,13 @@ pub struct CommitRecord {
 }
 
 impl CommitRecord {
+    /// The record of the slot at `pc`, fetched as `word`, that took `trap`
+    /// instead of committing.
+    pub fn trapped(pc: u64, word: u32, trap: TrapRecord) -> CommitRecord {
+        let (priv_level, trap) = (trap.from, Some(trap));
+        CommitRecord { pc, word, priv_level, rd_write: None, mem: None, trap }
+    }
+
     /// A compact one-line rendering used in mismatch reports.
     pub fn summary(&self) -> String {
         let mut s = format!("[{}] pc={:#010x} {:#010x}", self.priv_level, self.pc, self.word);

@@ -10,7 +10,9 @@
 //! the rotated lineage), resumes, and requires the final report to be
 //! `json_canonical`-identical to a loss-free run. A fleet-degradation
 //! test quarantines a lease that dies on every attempt and requires the
-//! surviving shards to finish the campaign anyway.
+//! surviving shards to finish the campaign anyway. A mutation proptest
+//! feeds edited plan strings to [`FaultConfig::parse`], which must reject
+//! or round-trip every one of them and never panic.
 //!
 //! Child roles re-invoke this test binary (`--exact <role test>`) with
 //! the fault plan in `CHATFUZZ_FAULT_PLAN`; the role test is a no-op
@@ -32,6 +34,7 @@ use chatfuzz_baselines::{InputGenerator, RandomRegression};
 use chatfuzz_orchestrate::{FleetConfig, LeaseBuilder, LocalPoolTransport, Orchestrator};
 use chatfuzz_telemetry::TelemetrySink;
 use chatfuzz_tests::rocket_factory;
+use proptest::prelude::*;
 
 const SEED: u64 = 47;
 const BATCH: usize = 8;
@@ -316,4 +319,97 @@ fn a_fleet_with_one_quarantined_lease_still_completes() {
     assert_eq!(sink.counter_value(chatfuzz_telemetry::names::FLEET_LEASES_QUARANTINED), 1);
     let _ = std::fs::remove_dir_all(&ckpt_dir);
     let _ = std::fs::remove_file(&trace_path);
+}
+
+/// The byte span of the `key=value` field `at` selects (modulo the field
+/// count) in a plan string.
+fn field(text: &[u8], at: usize) -> (usize, usize) {
+    let starts: Vec<usize> = std::iter::once(0)
+        .chain(text.iter().enumerate().filter(|&(_, &b)| b == b',').map(|(i, _)| i + 1))
+        .collect();
+    let start = starts[at % starts.len()];
+    let end = text[start..].iter().position(|&b| b == b',').map_or(text.len(), |n| start + n);
+    (start, end)
+}
+
+/// Parses `text` (lossily decoded as UTF-8) and checks that a config
+/// `parse` accepts survives `env_value` → `parse` unchanged. Returns
+/// whether it was accepted. A panic in `parse` fails the test like any
+/// other panic.
+fn parse_checked(text: &[u8]) -> Result<bool, TestCaseError> {
+    let text = String::from_utf8_lossy(text);
+    let Ok(cfg) = FaultConfig::parse(&text) else { return Ok(false) };
+    prop_assert_eq!(FaultConfig::parse(&cfg.env_value()), Ok(cfg), "accepted {text:?}");
+    Ok(true)
+}
+
+fn plan_u64() -> impl Strategy<Value = u64> {
+    prop_oneof![0u64..1000, any::<u64>()]
+}
+
+fn plan_u32() -> impl Strategy<Value = u32> {
+    prop_oneof![0u32..1000, any::<u32>()]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2048))]
+
+    /// Valid `env_value` strings put through one to four edits: the
+    /// SNIPPETS `SimpleFuzzer` byte operators (truncate, flip, insert,
+    /// delete), a dropped `key=`, or digits appended to one field until
+    /// `parse` rejects it. After every edit `parse` must return, and
+    /// whatever it accepts must round-trip.
+    #[test]
+    fn fault_plan_parse_rejects_or_round_trips_every_mutant(
+        numbers in (plan_u64(), plan_u64(), plan_u64(), plan_u64(), plan_u32(), plan_u32()),
+        edits in proptest::collection::vec((0u8..6, any::<usize>(), any::<u8>()), 1..5),
+    ) {
+        let (seed, crash_at_boundary, torn_at_op, torn_keep_bytes, io_err, hb_drop) = numbers;
+        let cfg = FaultConfig {
+            seed,
+            crash_at_boundary,
+            torn_at_op,
+            torn_keep_bytes,
+            io_error_per_myriad: io_err,
+            heartbeat_drop_per_myriad: hb_drop,
+        };
+        let mut text = cfg.env_value().into_bytes();
+        prop_assert!(parse_checked(&text)?, "valid plan rejected");
+        for (op, at, byte) in edits {
+            let i = at % (text.len() + 1);
+            match op {
+                0 => text.truncate(i),
+                1 => {
+                    if let Some(b) = text.get_mut(i) {
+                        *b = byte;
+                    }
+                }
+                2 => text.insert(i, byte),
+                3 => {
+                    if i < text.len() {
+                        text.remove(i);
+                    }
+                }
+                4 => {
+                    let (start, end) = field(&text, at);
+                    if let Some(eq) = text[start..end].iter().position(|&b| b == b'=') {
+                        text.drain(start..=start + eq);
+                    }
+                }
+                _ => {
+                    // A u64 has at most 20 digits, so 24 non-zero ones
+                    // overflow any field that was still a number.
+                    let (_, end) = field(&text, at);
+                    for _ in 0..24 {
+                        text.insert(end, b'1' + byte % 9);
+                        if !parse_checked(&text)? {
+                            break;
+                        }
+                    }
+                    prop_assert!(!parse_checked(&text)?, "overflow accepted");
+                }
+            }
+            parse_checked(&text)?;
+        }
+    }
 }

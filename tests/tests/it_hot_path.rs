@@ -8,9 +8,9 @@
 //! one-shot twin (`Dut::run`, `SoftCore::run`, `wrap`); these tests pin
 //! the two paths together bit-for-bit, across buffer reuse,
 //! self-modifying code, and whole campaigns. Changes that touch both
-//! paths alike are pinned by a hash of both cores' outputs over a fixed
-//! input set, and a counting allocator checks that warm hot paths
-//! allocate nothing.
+//! paths alike are pinned by hashes of both cores' and the golden
+//! model's outputs over a fixed input set, and a counting allocator
+//! checks that warm hot paths allocate nothing.
 
 use chatfuzz::campaign::{CampaignBuilder, StopCondition};
 use chatfuzz::harness::{body_offset, wrap, HarnessConfig, PrecompiledHarness};
@@ -300,12 +300,22 @@ impl Fnv {
         }
     }
 
-    /// Folds every field a run exposes: each commit record (pc, word,
-    /// privilege, register write, memory effect, trap), the exit reason,
+    /// Folds every field a run exposes: its trace (see [`Fnv::trace`]),
     /// the cycle count and the coverage words.
     fn run(&mut self, run: &DutRun) {
-        self.u64(run.trace.records.len() as u64);
-        for r in &run.trace.records {
+        self.trace(&run.trace);
+        self.u64(run.cycles);
+        for &word in run.coverage.words() {
+            self.u64(word);
+        }
+    }
+
+    /// Folds every field a trace exposes: the record count, each commit
+    /// record (pc, word, privilege, register write, memory effect, trap)
+    /// and the exit reason.
+    fn trace(&mut self, trace: &Trace) {
+        self.u64(trace.records.len() as u64);
+        for r in &trace.records {
             self.u64(r.pc);
             self.u64(u64::from(r.word));
             self.u64(r.priv_level.bits());
@@ -339,7 +349,7 @@ impl Fnv {
                 }
             }
         }
-        match run.trace.exit {
+        match trace.exit {
             ExitReason::Wfi => self.u64(0),
             ExitReason::ToHost(value) => {
                 self.u64(1);
@@ -352,10 +362,6 @@ impl Fnv {
                 self.u64(e.tval());
             }
             ExitReason::TrapStorm => self.u64(4),
-        }
-        self.u64(run.cycles);
-        for &word in run.coverage.words() {
-            self.u64(word);
         }
     }
 }
@@ -408,6 +414,33 @@ fn both_cores_reproduce_their_pinned_outputs() {
         }
     }
     assert!(drifted.is_empty(), "outputs drifted:\n{}", drifted.join("\n"));
+}
+
+/// The golden model, through `SoftCore::run` and through
+/// `SoftCoreRunner::run_into`, reproduces a pinned hash of its traces on
+/// the same input set. The oracle sweep and the equivalence proptests
+/// judge the cores against this model, so they cannot see it drift
+/// together with the cores; this constant can. Only a change meant to
+/// move architectural outcomes may recompute it.
+#[test]
+fn golden_model_reproduces_its_pinned_output() {
+    const PINNED: u64 = 0xe0f6_7650_b3ac_5eee;
+    let images = pinned_images();
+    let config = SoftCoreConfig::default();
+    let mut one_shot = Fnv::new();
+    for image in &images {
+        one_shot.trace(&SoftCore::new(config).run(image));
+    }
+    let mut runner = SoftCoreRunner::new(config);
+    let mut trace = Trace::scratch();
+    let mut hot = Fnv::new();
+    for image in &images {
+        runner.run_into(image, &mut trace);
+        hot.trace(&trace);
+    }
+    for (path, got) in [("run", one_shot.0), ("run_into", hot.0)] {
+        assert_eq!(got, PINNED, "golden model via {path}: {got:#018x}, pinned {PINNED:#018x}");
+    }
 }
 
 /// After one warm-up pass over a fixed image set, a second `run_into`
