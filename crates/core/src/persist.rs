@@ -820,14 +820,21 @@ impl Json {
     }
 }
 
+/// Deepest array/object nesting the parser accepts. The writer nests at
+/// most 8 levels (document → `generators` → state → `model` → `pending` →
+/// input → sample → `tokens`); the bound keeps a corrupt document from
+/// recursing the parser off its stack.
+const MAX_NESTING: usize = 64;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
     fn new(text: &'a str) -> Parser<'a> {
-        Parser { bytes: text.as_bytes(), pos: 0 }
+        Parser { bytes: text.as_bytes(), pos: 0, depth: 0 }
     }
 
     fn fail<T>(&self, msg: &str) -> Result<T> {
@@ -870,8 +877,13 @@ impl<'a> Parser<'a> {
     fn value(&mut self) -> Result<Json> {
         match self.peek() {
             None => self.fail("unexpected end of document"),
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{' | b'[') if self.depth == MAX_NESTING => self.fail("nesting too deep"),
+            Some(open @ (b'{' | b'[')) => {
+                self.depth += 1;
+                let value = if open == b'{' { self.object() } else { self.array() };
+                self.depth -= 1;
+                value
+            }
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b'n') if self.eat_literal("null") => Ok(Json::Null),
             Some(b't') if self.eat_literal("true") => Ok(Json::Bool(true)),
@@ -1179,7 +1191,10 @@ pub fn parse_snapshot(text: &str, space: &Arc<Space>) -> Result<CampaignSnapshot
         })
         .collect::<Result<Vec<_>>>()?;
     let raw_count = log_doc.get("raw_count")?.as_usize("mismatch_log.raw_count")?;
-    let clustered: usize = clusters.iter().map(|c| c.count).sum();
+    let Some(clustered) = clusters.iter().try_fold(0usize, |sum, c| sum.checked_add(c.count))
+    else {
+        return err("mismatch cluster counts overflow");
+    };
     if raw_count < clustered {
         return err(format!("raw_count {raw_count} is below the {clustered} clustered mismatches"));
     }
@@ -1839,6 +1854,43 @@ mod tests {
     }
 
     #[test]
+    fn deep_nesting_is_a_parse_error_not_a_stack_overflow() {
+        let space = factory()().space().clone();
+        let deep = "[".repeat(100_000);
+        match parse_snapshot(&deep, &space) {
+            Err(PersistError::Parse(_)) => {}
+            other => panic!("expected parse error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn cluster_counts_past_u64_max_are_a_parse_error() {
+        let snapshot = sample_snapshot();
+        let space = factory()().space().clone();
+        let example = |m: &Mismatch| {
+            let mut w = JsonWriter::new();
+            write_mismatch(&mut w, m);
+            w.finish()
+        };
+        // The mismatch log is the payload's last field: swap in two
+        // distinct clusters whose counts sum to u64::MAX + 1.
+        let payload = payload_json(&snapshot);
+        let head = &payload[..payload.find("\"mismatch_log\":").expect("mismatch log")];
+        let doc = attach_checksum(&format!(
+            "{head}\"mismatch_log\":{{\"raw_count\":{max},\
+             \"filter\":{{\"ignore_length\":false,\"ignore_regs\":[]}},\
+             \"clusters\":[{{\"count\":{max},\"example\":{}}},{{\"count\":1,\"example\":{}}}]}}}}",
+            example(&Mismatch::LengthDivergence { golden: 1, dut: 2 }),
+            example(&Mismatch::MemDivergence { index: 7, pc: 0x8000_000c }),
+            max = u64::MAX,
+        ));
+        match parse_snapshot(&doc, &space) {
+            Err(PersistError::Parse(msg)) => assert!(msg.contains("overflow"), "{msg}"),
+            other => panic!("expected parse error, got {other:?}"),
+        }
+    }
+
+    #[test]
     fn load_errors_carry_the_path_and_a_matchable_root_cause() {
         let dir = std::env::temp_dir().join(format!("chatfuzz-persist-at-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
@@ -2097,6 +2149,26 @@ mod tests {
             assert!(parked.exists(), "quarantined file kept: {}", parked.display());
         }
         assert!(!path.exists(), "torn file moved aside, not left in place");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn recovery_quarantines_a_deeply_nested_live_file() {
+        let dir = std::env::temp_dir().join(format!("chatfuzz-deep-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let path = dir.join("ckpt.json");
+        let series = snapshot_series();
+        for snapshot in &series {
+            save_snapshot_rotated(&path, snapshot, 2).expect("save");
+        }
+        std::fs::write(&path, "[".repeat(100_000)).expect("corrupt");
+
+        let space = factory()().space().clone();
+        let recovery = load_latest_valid(&path, &space);
+        assert_eq!(recovery.fallback_depth, 1);
+        assert_eq!(snapshot_json(&recovery.snapshot.expect("found")), snapshot_json(&series[1]));
+        assert_eq!(recovery.quarantined.len(), 1, "the nested file is parked");
+        assert!(!path.exists(), "nested file moved aside, not left in place");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -46,7 +46,6 @@ struct Entry {
 pub struct DecodeCache {
     entries: Vec<Entry>,
     mask: usize,
-    enabled: bool,
 }
 
 impl DecodeCache {
@@ -54,19 +53,12 @@ impl DecodeCache {
     /// two). The backing storage is not allocated until the first lookup.
     pub fn new(entries: usize) -> DecodeCache {
         let n = entries.max(1).next_power_of_two();
-        DecodeCache { entries: Vec::new(), mask: n - 1, enabled: true }
+        DecodeCache { entries: Vec::new(), mask: n - 1 }
     }
 
     /// Number of slots (the lazily-allocated backing array's size).
     pub fn slots(&self) -> usize {
         self.mask + 1
-    }
-
-    /// Turns caching on or off. Disabled, [`DecodeCache::decode`] is a
-    /// plain call to [`decode`] — no storage is allocated and no state is
-    /// consulted — which gives benchmarks an exact uncached baseline.
-    pub fn set_enabled(&mut self, enabled: bool) {
-        self.enabled = enabled;
     }
 
     /// Decodes `word` fetched from `pc`, reusing the cached result when
@@ -83,9 +75,6 @@ impl DecodeCache {
     #[inline]
     pub fn decode_slot(&mut self, pc: u64, word: u32) -> SlotLookup {
         let slot = ((pc >> 2) as usize) & self.mask;
-        if !self.enabled {
-            return SlotLookup { slot, hit: false, result: decode(word) };
-        }
         if self.entries.is_empty() {
             let empty = Entry { pc: EMPTY_PC, word: 0, result: Ok(Instr::NOP) };
             self.entries = vec![empty; self.mask + 1];
@@ -97,14 +86,6 @@ impl DecodeCache {
         let result = decode(word);
         *entry = Entry { pc, word, result };
         SlotLookup { slot, hit: false, result }
-    }
-
-    /// Drops every entry (not required for correctness — lookups are
-    /// word-validated — but useful for measurement and tests).
-    pub fn invalidate_all(&mut self) {
-        for entry in &mut self.entries {
-            entry.pc = EMPTY_PC;
-        }
     }
 }
 
@@ -202,33 +183,11 @@ mod tests {
     }
 
     #[test]
-    fn invalidate_all_keeps_equivalence() {
-        let mut c = DecodeCache::new(4);
-        let w = encode(&Instr::NOP).unwrap();
-        assert_eq!(c.decode(0x8000_0000, w), decode(w));
-        c.invalidate_all();
-        assert_eq!(c.decode(0x8000_0000, w), decode(w));
-    }
-
-    #[test]
-    fn disabled_cache_is_a_plain_decode() {
-        let mut c = DecodeCache::new(64);
-        c.set_enabled(false);
-        let w = encode(&Instr::NOP).unwrap();
-        for _ in 0..3 {
-            assert_eq!(c.decode(0x8000_0000, w), decode(w));
-            assert_eq!(c.decode(0x8000_0000, 0), decode(0));
-        }
-        assert!(c.entries.is_empty(), "disabled cache never allocates");
-    }
-
-    #[test]
     fn allocation_is_lazy() {
         let c = DecodeCache::new(512);
         assert_eq!(c.slots(), 512);
         assert!(c.entries.is_empty(), "no backing storage before first use");
         let mut c = c;
-        c.invalidate_all(); // no-op on an unallocated cache
         let w = encode(&Instr::NOP).unwrap();
         assert_eq!(c.decode(0x8000_0000, w), decode(w));
         assert_eq!(c.entries.len(), 512);

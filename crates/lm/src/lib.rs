@@ -13,9 +13,9 @@
 //!   built on `chatfuzz-autograd`, with two sampling paths: the naive
 //!   per-token full forward ([`Gpt::generate`], kept as the equality
 //!   baseline) and the KV-cached incremental decoder
-//!   ([`Gpt::generate_into`] / [`Gpt::generate_batch_into`] over a
-//!   reusable [`KvCache`] arena) — token-identical by construction,
-//!   `O(T)` instead of `O(T²)` rows per sequence;
+//!   ([`Gpt::generate_into`] over a reusable [`KvCache`] arena) —
+//!   token-identical by construction, `O(T)` instead of `O(T²)` rows per
+//!   sequence;
 //! * [`train`] — the unsupervised "Initial Training" step;
 //! * [`ngram::NgramLm`] — the generator ablation (A1 in DESIGN.md), with
 //!   [`NgramLm::absorb`] for online count updates.

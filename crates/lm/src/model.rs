@@ -21,8 +21,6 @@
 //! arithmetic is the tape's, operation for operation, and given the same
 //! RNG it emits **token-identical** output to `generate` — a pinned
 //! invariant (`tests/tests/it_lm.rs`).
-//! [`Gpt::generate_batch_into`] amortises the arena and output buffers
-//! over many sequences.
 
 use chatfuzz_autograd::kernels::{
     layer_norm_into, row_matmul_dense_into, row_matmul_into, softmax_in_place, transpose_into,
@@ -374,28 +372,6 @@ impl Gpt {
             if next == EOS {
                 break;
             }
-        }
-    }
-
-    /// Samples one continuation per prompt through a single shared
-    /// [`KvCache`] arena, recycling the per-sequence output buffers in
-    /// `outs`. Sequences are sampled in order from the shared RNG, so the
-    /// result equals calling [`Gpt::generate_into`] per prompt — and
-    /// therefore [`Gpt::generate`] — back to back.
-    #[allow(clippy::too_many_arguments)] // mirrors `generate` + (cache, outs)
-    pub fn generate_batch_into<R: Rng>(
-        &self,
-        prompts: &[Vec<u32>],
-        max_new: usize,
-        temperature: f32,
-        top_k: usize,
-        rng: &mut R,
-        cache: &mut KvCache,
-        outs: &mut Vec<Vec<u32>>,
-    ) {
-        outs.resize_with(prompts.len(), Vec::new);
-        for (prompt, out) in prompts.iter().zip(outs.iter_mut()) {
-            self.generate_into(prompt, max_new, temperature, top_k, rng, cache, out);
         }
     }
 
@@ -792,20 +768,6 @@ mod tests {
             let naive = model.generate(&prompt, max_new, temp, top_k, &mut rng());
             model.generate_into(&prompt, max_new, temp, top_k, &mut rng(), &mut cache, &mut out);
             assert_eq!(out, naive, "prompt_len={prompt_len} max_new={max_new} temp={temp}");
-        }
-    }
-
-    #[test]
-    fn batch_sampling_equals_sequential_sampling() {
-        let model = Gpt::new(GptConfig::tiny(16), &mut rng());
-        let prompts: Vec<Vec<u32>> = (0..4).map(|i| vec![1, 3 + i]).collect();
-        let mut cache = KvCache::new(*model.config());
-        let mut outs = Vec::new();
-        model.generate_batch_into(&prompts, 12, 0.9, 6, &mut rng(), &mut cache, &mut outs);
-        let mut reference_rng = rng();
-        for (prompt, out) in prompts.iter().zip(&outs) {
-            let naive = model.generate(prompt, 12, 0.9, 6, &mut reference_rng);
-            assert_eq!(out, &naive);
         }
     }
 

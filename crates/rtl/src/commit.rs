@@ -219,7 +219,7 @@ impl<B: Backend> Core<B> {
     /// The one-shot reference path: a fresh arena and a fresh [`DutRun`]
     /// per call, and every fetched word decoded and covered again (no
     /// decode or decode-coverage memo). For casual use, and the baseline
-    /// that `run_into` is tested and benchmarked against.
+    /// that `run_into` is tested against.
     pub(crate) fn run(&mut self, program: &[u8]) -> DutRun {
         let mut out = DutRun::scratch(&self.space);
         let mut mem = Memory::new(self.params.ram_base, self.params.ram_size);

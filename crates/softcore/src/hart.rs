@@ -46,14 +46,6 @@ impl Hart {
         self.pc = reset_pc;
     }
 
-    /// Turns the decode cache off, making every step decode the fetched
-    /// word from scratch — the exact pre-cache behaviour. Used by the
-    /// throughput benchmark's naive baseline; results are identical
-    /// either way (the cache is word-validated).
-    pub fn disable_decode_cache(&mut self) {
-        self.decode.set_enabled(false);
-    }
-
     /// Executes one instruction slot. A trap with an unset vector halts
     /// the hart (unhandled trap).
     pub fn step(&mut self) -> StepResult {

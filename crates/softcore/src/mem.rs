@@ -1,6 +1,6 @@
 //! Flat physical memory with PMA (physical memory attribute) checking.
 
-use chatfuzz_isa::{Exception, MemWidth};
+use chatfuzz_isa::Exception;
 
 /// Default RAM base address (matches the usual RISC-V reset vector region).
 pub const DEFAULT_RAM_BASE: u64 = 0x8000_0000;
@@ -10,27 +10,23 @@ pub const DEFAULT_RAM_SIZE: u64 = 1 << 20;
 /// mirroring the riscv-tests/Spike convention.
 pub const TOHOST_ADDR: u64 = 0x4000_0000;
 
-/// Result of a store: either a plain memory write happened, or the magic
-/// `tohost` device was written.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StoreEffect {
-    /// Normal RAM write.
-    Ram,
-    /// `tohost` write with the stored value; the simulation should halt.
-    ToHost(u64),
-}
-
 /// Byte-addressed physical memory: one RAM region plus the `tohost` device.
+///
+/// Data accesses are checked by the datapath
+/// ([`ArchExec`](crate::arch::ArchExec)), which tests alignment,
+/// [`Memory::in_ram`] and [`Memory::is_tohost`] in its own check order
+/// and then reads or writes raw.
 ///
 /// # Examples
 ///
 /// ```
 /// use chatfuzz_softcore::mem::{Memory, DEFAULT_RAM_BASE};
-/// use chatfuzz_isa::MemWidth;
 ///
 /// let mut mem = Memory::new(DEFAULT_RAM_BASE, 4096);
-/// mem.store(DEFAULT_RAM_BASE, MemWidth::D, 0xdead_beef).unwrap();
-/// assert_eq!(mem.load(DEFAULT_RAM_BASE, MemWidth::D).unwrap(), 0xdead_beef);
+/// assert!(mem.in_ram(DEFAULT_RAM_BASE, 8));
+/// mem.write_raw(DEFAULT_RAM_BASE, 8, 0xdead_beef);
+/// assert_eq!(mem.read_raw(DEFAULT_RAM_BASE, 8), 0xdead_beef);
+/// assert!(!mem.in_ram(DEFAULT_RAM_BASE + 4092, 8), "straddles the end of RAM");
 /// ```
 #[derive(Debug, Clone)]
 pub struct Memory {
@@ -158,54 +154,6 @@ impl Memory {
         self.mark_dirty(off, len as usize);
     }
 
-    /// Checked load: alignment first, then PMA — the spec priority order
-    /// (misaligned outranks access fault for the same access).
-    ///
-    /// # Errors
-    ///
-    /// Returns the appropriate misaligned/access-fault exception.
-    pub fn load(&self, addr: u64, width: MemWidth) -> Result<u64, Exception> {
-        let len = width.bytes();
-        if !addr.is_multiple_of(len) {
-            return Err(Exception::LoadAddrMisaligned { addr });
-        }
-        if !self.in_ram(addr, len) {
-            return Err(Exception::LoadAccessFault { addr });
-        }
-        Ok(self.read_raw(addr, len))
-    }
-
-    /// Checked store (same priority order as [`Memory::load`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns the appropriate misaligned/access-fault exception.
-    pub fn store(
-        &mut self,
-        addr: u64,
-        width: MemWidth,
-        value: u64,
-    ) -> Result<StoreEffect, Exception> {
-        let len = width.bytes();
-        if !addr.is_multiple_of(len) {
-            return Err(Exception::StoreAddrMisaligned { addr });
-        }
-        if self.is_tohost(addr) {
-            return Ok(StoreEffect::ToHost(value));
-        }
-        if !self.in_ram(addr, len) {
-            return Err(Exception::StoreAccessFault { addr });
-        }
-        let masked = match width {
-            MemWidth::B => value & 0xff,
-            MemWidth::H => value & 0xffff,
-            MemWidth::W => value & 0xffff_ffff,
-            MemWidth::D => value,
-        };
-        self.write_raw(addr, len, masked);
-        Ok(StoreEffect::Ram)
-    }
-
     /// Checked instruction fetch of one 32-bit word.
     ///
     /// # Errors
@@ -235,52 +183,32 @@ mod tests {
     fn store_load_all_widths() {
         let mut m = mem();
         let a = DEFAULT_RAM_BASE + 64;
-        m.store(a, MemWidth::D, 0x1122_3344_5566_7788).unwrap();
-        assert_eq!(m.load(a, MemWidth::D).unwrap(), 0x1122_3344_5566_7788);
-        assert_eq!(m.load(a, MemWidth::W).unwrap(), 0x5566_7788);
-        assert_eq!(m.load(a, MemWidth::H).unwrap(), 0x7788);
-        assert_eq!(m.load(a, MemWidth::B).unwrap(), 0x88);
-        assert_eq!(m.load(a + 4, MemWidth::W).unwrap(), 0x1122_3344);
+        m.write_raw(a, 8, 0x1122_3344_5566_7788);
+        assert_eq!(m.read_raw(a, 8), 0x1122_3344_5566_7788);
+        assert_eq!(m.read_raw(a, 4), 0x5566_7788);
+        assert_eq!(m.read_raw(a, 2), 0x7788);
+        assert_eq!(m.read_raw(a, 1), 0x88);
+        assert_eq!(m.read_raw(a + 4, 4), 0x1122_3344);
     }
 
     #[test]
     fn narrow_store_preserves_neighbours() {
         let mut m = mem();
         let a = DEFAULT_RAM_BASE + 8;
-        m.store(a, MemWidth::D, u64::MAX).unwrap();
-        m.store(a + 2, MemWidth::H, 0).unwrap();
-        assert_eq!(m.load(a, MemWidth::D).unwrap(), 0xffff_ffff_0000_ffff);
-    }
-
-    #[test]
-    fn misaligned_checked_before_pma() {
-        let m = mem();
-        // Address both misaligned and outside RAM: misaligned must win —
-        // this is the exact priority of the paper's Finding 1.
-        let e = m.load(0x3, MemWidth::W).unwrap_err();
-        assert_eq!(e, Exception::LoadAddrMisaligned { addr: 0x3 });
+        m.write_raw(a, 8, u64::MAX);
+        m.write_raw(a + 2, 2, 0);
+        assert_eq!(m.read_raw(a, 8), 0xffff_ffff_0000_ffff);
     }
 
     #[test]
     fn out_of_range_faults() {
-        let mut m = mem();
-        assert_eq!(m.load(0x0, MemWidth::W).unwrap_err(), Exception::LoadAccessFault { addr: 0 });
-        assert_eq!(
-            m.store(DEFAULT_RAM_BASE + 4096, MemWidth::B, 0).unwrap_err(),
-            Exception::StoreAccessFault { addr: DEFAULT_RAM_BASE + 4096 }
-        );
+        let m = mem();
+        assert!(!m.in_ram(0x0, 4));
+        assert!(!m.in_ram(DEFAULT_RAM_BASE + 4096, 1));
         // End-of-RAM straddle.
-        assert!(m.load(DEFAULT_RAM_BASE + 4092, MemWidth::W).is_ok());
-        assert!(m.load(DEFAULT_RAM_BASE + 4096 - 2, MemWidth::H).is_ok());
-        assert!(m.load(DEFAULT_RAM_BASE + 4096 - 4, MemWidth::D).is_err());
-    }
-
-    #[test]
-    fn tohost_store_halts_loads_fault() {
-        let mut m = mem();
-        assert_eq!(m.store(TOHOST_ADDR, MemWidth::D, 42).unwrap(), StoreEffect::ToHost(42));
-        // Loads from the device region are not readable PMAs.
-        assert!(m.load(TOHOST_ADDR, MemWidth::D).is_err());
+        assert!(m.in_ram(DEFAULT_RAM_BASE + 4092, 4));
+        assert!(m.in_ram(DEFAULT_RAM_BASE + 4096 - 2, 2));
+        assert!(!m.in_ram(DEFAULT_RAM_BASE + 4096 - 4, 8));
     }
 
     #[test]
@@ -308,10 +236,10 @@ mod tests {
         // against a brand-new Memory loaded with the same image.
         let mut reused = mem();
         reused.load_image(DEFAULT_RAM_BASE, &[0xde; 64]);
-        reused.store(DEFAULT_RAM_BASE + 1024, MemWidth::D, u64::MAX).unwrap();
+        reused.write_raw(DEFAULT_RAM_BASE + 1024, 8, u64::MAX);
         reused.write_raw(DEFAULT_RAM_BASE + 4000, 4, 0xdead_beef);
         // Stack-style write at the very top of RAM (second dirty window).
-        reused.store(DEFAULT_RAM_BASE + 4088, MemWidth::D, 0x5a5a_5a5a).unwrap();
+        reused.write_raw(DEFAULT_RAM_BASE + 4088, 8, 0x5a5a_5a5a);
         let image = [0x13u8, 0x00, 0x10, 0x00, 0x93, 0x01, 0x20, 0x00];
         reused.reset_with_image(DEFAULT_RAM_BASE, &image);
 
@@ -333,7 +261,7 @@ mod tests {
             m.reset_with_image(DEFAULT_RAM_BASE, &round.to_le_bytes());
             assert_eq!(m.read_raw(DEFAULT_RAM_BASE, 8), round);
             assert_eq!(m.read_raw(DEFAULT_RAM_BASE + 8, 8), 0, "tail is clean");
-            m.store(DEFAULT_RAM_BASE + 512, MemWidth::D, 0xffff).unwrap();
+            m.write_raw(DEFAULT_RAM_BASE + 512, 8, 0xffff);
         }
         m.reset_with_image(DEFAULT_RAM_BASE, &[]);
         assert_eq!(m.read_raw(DEFAULT_RAM_BASE + 512, 8), 0);

@@ -72,20 +72,14 @@ impl SoftCore {
         let image_len = program.len().min(self.config.ram_size as usize);
         mem.load_image(self.config.ram_base, &program[..image_len]);
         let mut hart = Hart::new(mem, self.config.ram_base);
-        self.run_hart(&mut hart)
-    }
-
-    /// Runs an already-prepared hart to completion (programs loaded at
-    /// arbitrary addresses, pre-seeded register state, …).
-    pub fn run_hart(&self, hart: &mut Hart) -> Trace {
         let mut trace = Trace::scratch();
-        self.run_hart_into(hart, &mut trace);
+        self.run_hart_into(&mut hart, &mut trace);
         trace
     }
 
-    /// [`SoftCore::run_hart`] into a caller-owned trace buffer (records are
+    /// Runs a prepared hart to completion into `trace` (records are
     /// cleared first, capacity is kept).
-    pub fn run_hart_into(&self, hart: &mut Hart, trace: &mut Trace) {
+    fn run_hart_into(&self, hart: &mut Hart, trace: &mut Trace) {
         trace.records.clear();
         let mut traps = 0usize;
         for _ in 0..self.config.max_steps {

@@ -25,9 +25,7 @@
 //! * telemetry file writes do **not** go through the
 //!   `chatfuzz::faults::atomic_write` choke point, so they cannot
 //!   consume fault-plan decisions or shift persist-op counters;
-//! * the disabled path is a handful of branches/atomic no-ops — the
-//!   `throughput --check` gate measures an enabled hot path within 3%
-//!   of disabled rather than assuming it.
+//! * the disabled path is a handful of branches/atomic no-ops.
 //!
 //! # Metric naming scheme
 //!

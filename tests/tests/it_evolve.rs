@@ -14,7 +14,9 @@ use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
-use chatfuzz::campaign::{Campaign, CampaignBuilder, CampaignSnapshot, StopCondition};
+use chatfuzz::campaign::{
+    Campaign, CampaignBuilder, CampaignReport, CampaignSnapshot, StopCondition,
+};
 use chatfuzz::persist::{load_snapshot, parse_snapshot, snapshot_json};
 use chatfuzz::report;
 use chatfuzz_baselines::{random_instr, InputGenerator, RandomRegression, Ucb1};
@@ -212,12 +214,25 @@ fn evolve_snapshot_resumes_in_process_identically() {
     assert_eq!(report::json_canonical(&report), report::json_canonical(&expected));
 }
 
-/// The evolve arm actually pays: against the same budget, a pure evolve
-/// campaign reaches the uniform-random arm's final coverage in fewer
-/// tests (the bench tracks the full comparison; this is the cheap
-/// regression guard).
+/// The evolve arm actually pays: against the same budget, a campaign
+/// with the evolve arm reaches the uniform-random arm's final coverage in
+/// fewer tests. Two cases: the evolve arm alone (seed 77, batch 16, 320
+/// tests), and `[random, evolve]` under a cost-normalised UCB1 (seed 5,
+/// batch 32, 1024 tests).
 #[test]
 fn evolve_reaches_random_plateau_coverage_in_fewer_tests() {
+    let reaches_sooner = |random: &CampaignReport, evolve: &CampaignReport| {
+        let target = random.final_coverage_pct;
+        let evolve_tests = evolve
+            .tests_to_reach(target)
+            .expect("evolve reaches the random plateau within the same budget");
+        let random_tests = random.tests_to_reach(target).expect("random reaches its own plateau");
+        assert!(
+            evolve_tests < random_tests,
+            "evolve needed {evolve_tests} tests to reach {target:.2}%, random needed {random_tests}"
+        );
+    };
+
     let budget = 20 * BATCH;
     let random = chatfuzz_tests::run_budget(
         &rocket_factory(),
@@ -233,15 +248,25 @@ fn evolve_reaches_random_plateau_coverage_in_fewer_tests() {
         BATCH,
         WORKERS,
     );
-    let target = random.final_coverage_pct;
-    let evolve_tests = evolve
-        .tests_to_reach(target)
-        .expect("evolve reaches the random plateau within the same budget");
-    let random_tests = random.tests_to_reach(target).expect("random reaches its own plateau");
-    assert!(
-        evolve_tests < random_tests,
-        "evolve needed {evolve_tests} tests to reach {target:.2}%, random needed {random_tests}"
+    reaches_sooner(&random, &evolve);
+
+    let (seed, batch, budget) = (5, 32, 1024);
+    let random = chatfuzz_tests::run_budget(
+        &rocket_factory(),
+        RandomRegression::new(seed, 16),
+        budget,
+        batch,
+        2,
     );
+    let bandit = CampaignBuilder::from_factory(rocket_factory())
+        .batch_size(batch)
+        .workers(2)
+        .generator(RandomRegression::new(seed, 16))
+        .generator(EvolveGenerator::new(EvolveConfig { seed, ..Default::default() }))
+        .scheduler(Ucb1::new(0.5).cost_normalised())
+        .build()
+        .run_until(&[StopCondition::Tests(budget)]);
+    reaches_sooner(&random, &bandit);
 }
 
 proptest! {

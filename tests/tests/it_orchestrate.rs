@@ -1,7 +1,10 @@
 //! Integration: the campaign orchestrator — fault injection (a spool
 //! worker SIGKILLed mid-lease is revoked, reassigned, and costs the
-//! fleet nothing observable), and the determinism law (a 1-worker fleet
-//! with merge cadence = ∞ is canonically identical to a plain campaign).
+//! fleet nothing observable), the determinism law (a 1-worker fleet
+//! with merge cadence = ∞ is canonically identical to a plain campaign),
+//! and the coverage laws of merge-then-continue (the merged result does
+//! not depend on the worker count, and it reaches the random plateau in
+//! no more tests than the one-shot fleet).
 
 use std::collections::HashMap;
 use std::process::Command;
@@ -12,6 +15,7 @@ use chatfuzz::campaign::{CampaignBuilder, CampaignSnapshot, StopCondition};
 use chatfuzz::persist::Recovery;
 use chatfuzz::report;
 use chatfuzz::shard::{shard_seed, ShardSpec};
+use chatfuzz_baselines::RandomRegression;
 use chatfuzz_coverage::Space;
 use chatfuzz_evolve::{EvolveConfig, EvolveGenerator};
 use chatfuzz_orchestrate::{
@@ -197,6 +201,71 @@ fn one_worker_fleet_with_infinite_cadence_is_a_plain_campaign() {
         "generator state carried through the orchestrator bit for bit"
     );
     let _ = std::fs::remove_dir_all(&ckpt);
+}
+
+/// The random-arm lease template of the coverage laws: batch 32, one
+/// `RandomRegression` stream per lease.
+fn random_template() -> LeaseBuilder {
+    Arc::new(|spec: ShardSpec| {
+        CampaignBuilder::from_factory(rocket_factory())
+            .batch_size(32)
+            .workers(1)
+            .generator(RandomRegression::new(spec.seed, 16))
+    })
+}
+
+/// Runs `config` to completion on a `workers`-wide local pool.
+fn local_fleet(config: FleetConfig, workers: usize, tag: &str) -> CampaignSnapshot {
+    let dir = std::env::temp_dir().join(format!("chatfuzz-it-orch-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut orchestrator = Orchestrator::new(LocalPoolTransport::new(workers, &dir));
+    let campaign = orchestrator.register(config);
+    let merged = run_fleet(&mut orchestrator, campaign, |_| {});
+    let _ = std::fs::remove_dir_all(&dir);
+    merged
+}
+
+/// Coverage laws of merge-then-continue. Four random-arm leases of 128
+/// tests merge twice, up to 1024 tests. The merged result is the same on
+/// one pool worker and on four, and it reaches the random plateau (the
+/// final coverage of a plain 1024-test `RandomRegression::new(5, 16)`
+/// campaign) in no more merged tests than the one-shot fleet, whose four
+/// 256-test leases merge once.
+#[test]
+fn merged_fleet_ignores_worker_count_and_reaches_the_plateau_no_later_than_one_shot() {
+    let plateau =
+        chatfuzz_tests::run_budget(&rocket_factory(), RandomRegression::new(5, 16), 1024, 32, 1)
+            .final_coverage_pct;
+    let space = rocket_factory()().space().clone();
+    let fleet = FleetConfig {
+        fan_out: 4,
+        lease_tests: 128,
+        total_tests: 1024,
+        checkpoint_every: 8,
+        // Queued leases send no heartbeats; only a hung worker should
+        // ever be revoked here.
+        heartbeat_deadline: Duration::from_secs(600),
+        ..FleetConfig::new("rocket-random", 4, space, random_template())
+    };
+    let one_shot = FleetConfig { lease_tests: 256, ..fleet.clone() };
+
+    let merged1 = local_fleet(fleet.clone(), 1, "w1").report();
+    let merged4 = local_fleet(fleet, 4, "w4").report();
+    assert_eq!(
+        report::json_canonical(&merged1),
+        report::json_canonical(&merged4),
+        "the merged fleet must not depend on the worker count"
+    );
+
+    let one_shot = local_fleet(one_shot, 4, "one-shot").report();
+    let fleet_tests = merged4
+        .tests_to_reach(plateau)
+        .unwrap_or_else(|| panic!("the fleet never reached the random plateau ({plateau:.2}%)"));
+    let one_shot_tests = one_shot.tests_to_reach(plateau);
+    assert!(
+        one_shot_tests.is_none_or(|one_shot| fleet_tests <= one_shot),
+        "the fleet needed {fleet_tests} tests to reach {plateau:.2}%, one-shot {one_shot_tests:?}"
+    );
 }
 
 /// A hand-driven transport: the test pushes events and reads dispatches
