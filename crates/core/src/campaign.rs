@@ -1057,27 +1057,12 @@ impl<'g> Campaign<'g> {
                 if self.batches_run.is_multiple_of(*every) {
                     let snapshot = self.snapshot();
                     let write_span = self.telemetry.now();
-                    // Rotate the lineage once; transient io errors
-                    // (EINTR and friends) get a few plain-save retries
-                    // on top of the already-rotated lineage. Anything
-                    // persistent still panics — a durability guarantee
-                    // that silently stopped holding is worse than a
-                    // dead campaign.
-                    let mut result =
-                        crate::persist::save_snapshot_rotated(path, &snapshot, CHECKPOINT_LINEAGE);
-                    for backoff_ms in [10u64, 20, 40] {
-                        let transient = matches!(
-                            result.as_ref().map_err(|e| e.root()),
-                            Err(crate::persist::PersistError::Io(io))
-                                if io.kind() == std::io::ErrorKind::Interrupted
-                        );
-                        if !transient {
-                            break;
-                        }
-                        std::thread::sleep(Duration::from_millis(backoff_ms));
-                        result = crate::persist::save_snapshot(path, &snapshot);
-                    }
-                    result.unwrap_or_else(|e| panic!("auto-checkpoint write failed: {e}"));
+                    // Transient io errors (EINTR and friends) are
+                    // retried. Anything persistent still panics — a
+                    // durability guarantee that silently stopped holding
+                    // is worse than a dead campaign.
+                    crate::persist::save_snapshot_retrying(path, &snapshot, CHECKPOINT_LINEAGE)
+                        .unwrap_or_else(|e| panic!("auto-checkpoint write failed: {e}"));
                     if self.telemetry.is_enabled() {
                         use chatfuzz_telemetry::names;
                         let write_us =

@@ -120,8 +120,8 @@ pub use mismatch::{
     classify, diff_traces, KnownBug, Mismatch, MismatchFilter, MismatchLog, UniqueMismatch,
 };
 pub use persist::{
-    load_latest_valid, load_snapshot, parse_snapshot, save_snapshot, save_snapshot_rotated,
-    snapshot_json, PersistError, Recovery,
+    load_latest_valid, load_snapshot, parse_snapshot, save_snapshot, save_snapshot_retrying,
+    save_snapshot_rotated, snapshot_json, PersistError, Recovery,
 };
 pub use pipeline::{
     train_chatfuzz, ChatFuzzModel, CleanupPoint, ModelScale, OptimizePoint, PipelineConfig,

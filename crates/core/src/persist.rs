@@ -9,6 +9,29 @@
 //! preserves `u64` precision by keeping number tokens textual until a
 //! consumer asks for an integer or a float.
 //!
+//! # Codec contract
+//!
+//! Snapshots are saved and loaded many times per fleet generation, so
+//! the codec makes one pass over the bytes each way, and two laws keep
+//! that fast path honest:
+//!
+//! * **The writer's bytes are pinned.** [`snapshot_json`] formats
+//!   integers through a digit buffer and hex blobs through a nibble
+//!   table straight into one output buffer, then splices the checksum
+//!   into room reserved in front of the payload. The unit tests pin the
+//!   FNV-1a-64 hash of the documents (wall clock zeroed) of an evolve
+//!   campaign, an actor/learner LM arm and every stop condition, so any
+//!   change to the output, however small, is caught.
+//! * **The parser borrows from the document.** Keys, strings without
+//!   escapes and number tokens are slices of the input `&str`, cut at
+//!   ASCII delimiters; a string is copied only to unescape it. Hex blobs
+//!   decode through a table directly into `u64`, `u32` or `f32` words.
+//!   It accepts exactly the documents the earlier copying parser did,
+//!   with one exception: a hex word with a leading `+`, which
+//!   `from_str_radix` let through and the writer never emits, is a
+//!   parse error. A differential proptest holds it to that parser, kept
+//!   verbatim under `#[cfg(test)]`, on mutated documents.
+//!
 //! # Schema (version [`SCHEMA_VERSION`])
 //!
 //! One JSON object:
@@ -67,6 +90,7 @@
 //! falling through to "no snapshot" (resume from the generation base)
 //! only when every entry is bad.
 
+use std::borrow::Cow;
 use std::fmt;
 use std::io;
 use std::path::Path;
@@ -230,16 +254,33 @@ fn err<T>(msg: impl Into<String>) -> Result<T> {
 /// Renders a snapshot as one schema-versioned, checksummed JSON
 /// document: the payload below prefixed with a `checksum` field holding
 /// the FNV-1a-64 hash of the payload text.
+///
+/// The payload is written once, after room for the checksum field, and
+/// hashed in place. The field then overwrites the room and the payload's
+/// opening `{` (the field ends in `,`), so the payload is never copied.
 pub fn snapshot_json(snapshot: &CampaignSnapshot) -> String {
-    attach_checksum(&payload_json(snapshot))
+    let room = CHECKSUM_FIELD_LEN - 1;
+    let mut w = JsonWriter::with_room(room);
+    write_payload(&mut w, snapshot);
+    w.finish_with(|doc| {
+        let sum = fnv1a64(&[&doc[room..]]);
+        let field = format!("{CHECKSUM_PREFIX}{sum:016x}\",");
+        doc[..CHECKSUM_FIELD_LEN].copy_from_slice(field.as_bytes());
+    })
 }
 
 /// The document minus its `checksum` field — exactly the bytes the
 /// checksum covers. The writer emits no whitespace, so splicing the
 /// checksum in after the opening `{` (and stripping it before
 /// verification) is purely textual.
+#[cfg(test)]
 fn payload_json(snapshot: &CampaignSnapshot) -> String {
     let mut w = JsonWriter::new();
+    write_payload(&mut w, snapshot);
+    w.finish()
+}
+
+fn write_payload(w: &mut JsonWriter, snapshot: &CampaignSnapshot) {
     w.open('{');
     w.field_u64("schema_version", SCHEMA_VERSION);
     w.field_str("dut", &snapshot.dut);
@@ -249,14 +290,14 @@ fn payload_json(snapshot: &CampaignSnapshot) -> String {
     w.field_u64("total_cycles", snapshot.total_cycles);
     w.field_u64("batches_since_gain", snapshot.batches_since_gain as u64);
     w.field_u64("wall_nanos", snapshot.wall.as_nanos() as u64);
-    write_stop(&mut w, "stopped_by", snapshot.stopped_by);
+    write_stop(w, "stopped_by", snapshot.stopped_by);
 
     w.key("coverage");
     w.open('{');
-    w.field_str("cumulative", &words_to_hex(snapshot.calculator.total().words()));
-    w.field_str(
+    w.field_hex::<16>("cumulative", snapshot.calculator.total().words().iter().copied());
+    w.field_hex::<16>(
         "previous_batch_total",
-        &words_to_hex(snapshot.calculator.previous_batch_total().words()),
+        snapshot.calculator.previous_batch_total().words().iter().copied(),
     );
     w.close('}');
 
@@ -329,7 +370,7 @@ fn payload_json(snapshot: &CampaignSnapshot) -> String {
     for state in &snapshot.gen_states {
         match state {
             None => w.value_raw("null"),
-            Some(s) => write_generator_state(&mut w, s),
+            Some(s) => write_generator_state(w, s),
         }
     }
     w.close(']');
@@ -354,25 +395,26 @@ fn payload_json(snapshot: &CampaignSnapshot) -> String {
         w.open('{');
         w.field_u64("count", u.count as u64);
         w.key("example");
-        write_mismatch(&mut w, &u.example);
+        write_mismatch(w, &u.example);
         w.close('}');
     }
     w.close(']');
     w.close('}');
 
     w.close('}');
-    w.finish()
 }
 
-/// FNV-1a-64 — tiny, dependency-free, and plenty for catching torn
-/// pages and bit rot (this is an integrity check, not an authenticity
-/// one; an adversary with write access to checkpoint files can do far
-/// worse than forge a hash).
-fn fnv1a64(bytes: impl Iterator<Item = u8>) -> u64 {
+/// FNV-1a-64 of the concatenated `parts` — tiny, dependency-free, and
+/// plenty for catching torn pages and bit rot (this is an integrity
+/// check, not an authenticity one; an adversary with write access to
+/// checkpoint files can do far worse than forge a hash).
+fn fnv1a64(parts: &[&[u8]]) -> u64 {
     let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x100_0000_01b3);
+    for part in parts {
+        for &b in *part {
+            hash ^= u64::from(b);
+            hash = hash.wrapping_mul(0x100_0000_01b3);
+        }
     }
     hash
 }
@@ -380,8 +422,12 @@ fn fnv1a64(bytes: impl Iterator<Item = u8>) -> u64 {
 /// `{"checksum":"<16 hex>",` + the payload minus its opening brace.
 const CHECKSUM_PREFIX: &str = "{\"checksum\":\"";
 
+/// The whole checksum field: the prefix, 16 hex digits and `",`.
+const CHECKSUM_FIELD_LEN: usize = CHECKSUM_PREFIX.len() + 18;
+
+#[cfg(test)]
 fn attach_checksum(payload: &str) -> String {
-    let sum = fnv1a64(payload.bytes());
+    let sum = fnv1a64(&[payload.as_bytes()]);
     format!("{CHECKSUM_PREFIX}{sum:016x}\",{}", &payload[1..])
 }
 
@@ -402,7 +448,7 @@ fn verify_checksum(text: &str) -> Result<()> {
         return err("malformed checksum field");
     };
     // The covered payload is `{` + everything after the checksum field.
-    let computed = fnv1a64(std::iter::once(b'{').chain(payload_rest.bytes()));
+    let computed = fnv1a64(&[b"{", payload_rest.as_bytes()]);
     if computed != claimed {
         return Err(PersistError::Checksum { claimed, computed });
     }
@@ -442,7 +488,7 @@ fn write_corpus(w: &mut JsonWriter, c: &CorpusState) {
     w.open('[');
     for s in &c.seeds {
         w.open('{');
-        w.field_str("words", &words32_to_hex(&s.words));
+        w.field_hex::<8>("words", s.words.iter().map(|&word| u64::from(word)));
         w.field_u64("fingerprint", s.fingerprint);
         w.field_u64("new_bins", s.new_bins);
         w.field_u64("mux_bins", s.mux_bins);
@@ -470,7 +516,7 @@ fn write_model(w: &mut JsonWriter, m: &ModelState) {
         w.key(key);
         w.open('[');
         for blob in blobs {
-            w.value_str(&f32s_to_hex(blob));
+            w.value_hex::<8>(blob.iter().map(|v| u64::from(v.to_bits())));
         }
         w.close(']');
     };
@@ -481,7 +527,7 @@ fn write_model(w: &mut JsonWriter, m: &ModelState) {
     w.key("prompt_pool");
     w.open('[');
     for program in &m.prompt_pool {
-        w.value_str(&words32_to_hex(program));
+        w.value_hex::<8>(program.iter().map(|&word| u64::from(word)));
     }
     w.close(']');
     w.key("pending");
@@ -512,7 +558,7 @@ fn write_model(w: &mut JsonWriter, m: &ModelState) {
     for rollout in &m.learner_queue {
         w.open('{');
         w.field_u64("prompt_len", rollout.prompt_len as u64);
-        w.field_str("reward", &f32s_to_hex(&[rollout.reward]));
+        w.field_hex::<8>("reward", [u64::from(rollout.reward.to_bits())].into_iter());
         w.key("tokens");
         w.open('[');
         for &t in &rollout.tokens {
@@ -673,81 +719,95 @@ fn write_exception(w: &mut JsonWriter, e: &Exception) {
     w.close('}');
 }
 
-/// One fixed-width lowercase-hex blob codec serves both word widths:
-/// `u64` coverage-bitmap words (16 chars each) and `u32` instruction
-/// words (8 chars each).
-fn words_to_hex_width(words: impl Iterator<Item = u64>, digits: usize) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::new();
-    for w in words {
-        let _ = write!(out, "{w:0digits$x}");
+/// Hex digit values by ASCII byte, either case; `0xff` marks a byte that
+/// is not a hex digit.
+const HEX_VALUES: [u8; 256] = {
+    let mut table = [0xff; 256];
+    let mut i = 0;
+    while i < 16 {
+        table[b"0123456789abcdef"[i] as usize] = i as u8;
+        table[b"0123456789ABCDEF"[i] as usize] = i as u8;
+        i += 1;
     }
-    out
-}
+    table
+};
 
-fn hex_to_words_width(hex: &str, digits: usize, what: &str) -> Result<Vec<u64>> {
-    if !hex.len().is_multiple_of(digits) {
-        return err(format!("{what} hex blob length {} is not a multiple of {digits}", hex.len()));
+/// Decodes a fixed-width hex blob, `DIGITS` digits per word, through
+/// [`HEX_VALUES`] straight into the caller's word type. One codec serves
+/// `u64` coverage-bitmap words (16 digits), `u32` instruction words and
+/// `f32` bit patterns (8 digits). A word must be exactly `DIGITS` hex
+/// digits: unlike `from_str_radix`, no leading `+`.
+fn decode_hex<const DIGITS: usize, T>(
+    hex: &str,
+    what: &str,
+    word: impl Fn(u64) -> T,
+) -> Result<Vec<T>> {
+    if !hex.len().is_multiple_of(DIGITS) {
+        return err(format!("{what} hex blob length {} is not a multiple of {DIGITS}", hex.len()));
     }
-    hex.as_bytes()
-        .chunks(digits)
-        .map(|chunk| {
-            let s = std::str::from_utf8(chunk)
-                .map_err(|_| PersistError::Parse(format!("{what} hex blob is not ASCII")))?;
-            u64::from_str_radix(s, 16)
-                .map_err(|_| PersistError::Parse(format!("bad {what} hex word `{s}`")))
-        })
-        .collect()
-}
-
-fn words_to_hex(words: &[u64]) -> String {
-    words_to_hex_width(words.iter().copied(), 16)
+    let mut words = Vec::with_capacity(hex.len() / DIGITS);
+    for chunk in hex.as_bytes().chunks_exact(DIGITS) {
+        let (mut value, mut seen) = (0u64, 0u8);
+        for &byte in chunk {
+            let digit = HEX_VALUES[usize::from(byte)];
+            seen |= digit;
+            value = value << 4 | u64::from(digit & 0xf);
+        }
+        if seen > 0xf {
+            return match std::str::from_utf8(chunk) {
+                Ok(bad) => err(format!("bad {what} hex word `{bad}`")),
+                Err(_) => err(format!("{what} hex blob is not ASCII")),
+            };
+        }
+        words.push(word(value));
+    }
+    Ok(words)
 }
 
 fn hex_to_words(hex: &str) -> Result<Vec<u64>> {
-    hex_to_words_width(hex, 16, "coverage")
-}
-
-fn words32_to_hex(words: &[u32]) -> String {
-    words_to_hex_width(words.iter().map(|&w| u64::from(w)), 8)
+    decode_hex::<16, _>(hex, "coverage", |word| word)
 }
 
 fn hex_to_words32(hex: &str) -> Result<Vec<u32>> {
     // 8 hex digits never exceed u32::MAX, so the narrowing is lossless.
-    Ok(hex_to_words_width(hex, 8, "instruction")?.into_iter().map(|w| w as u32).collect())
+    decode_hex::<8, _>(hex, "instruction", |word| word as u32)
 }
 
 /// Model weights travel as the hex of each `f32`'s bit pattern — the
 /// round trip is `to_bits`/`from_bits`, so no value (including NaNs,
 /// subnormals, and signed zeros) is disturbed by a decimal detour.
-fn f32s_to_hex(values: &[f32]) -> String {
-    words_to_hex_width(values.iter().map(|&v| u64::from(v.to_bits())), 8)
+fn hex_to_f32s(hex: &str) -> Result<Vec<f32>> {
+    decode_hex::<8, _>(hex, "weight", |word| f32::from_bits(word as u32))
 }
 
-fn hex_to_f32s(hex: &str) -> Result<Vec<f32>> {
-    Ok(hex_to_words_width(hex, 8, "weight")?
-        .into_iter()
-        .map(|w| f32::from_bits(w as u32))
-        .collect())
+#[cfg(test)]
+fn words_to_hex(words: &[u64]) -> String {
+    let mut w = JsonWriter::new();
+    w.value_hex::<16>(words.iter().copied());
+    let quoted = w.finish();
+    quoted[1..quoted.len() - 1].to_string()
 }
 
 // ---------------------------------------------------------------------------
 // A minimal JSON value + parser
 // ---------------------------------------------------------------------------
 
-/// Parsed JSON. Numbers stay textual so `u64` counters round-trip without
-/// passing through `f64` (which only holds 53 bits of integer precision).
+/// Parsed JSON, borrowing from the document: keys and strings without
+/// escapes are slices of it, and so are number tokens, which stay
+/// textual so `u64` counters round-trip without passing through `f64`
+/// (which only holds 53 bits of integer precision). Every slice is cut
+/// at an ASCII delimiter, so it always falls on a char boundary.
 #[derive(Debug, Clone, PartialEq)]
-enum Json {
+enum Json<'a> {
     Null,
     Bool(bool),
-    Num(String),
-    Str(String),
-    Arr(Vec<Json>),
-    Obj(Vec<(String, Json)>),
+    Num(&'a str),
+    Str(Cow<'a, str>),
+    Arr(Vec<Json<'a>>),
+    Obj(Vec<(Cow<'a, str>, Json<'a>)>),
 }
 
-impl Json {
+impl<'a> Json<'a> {
     fn type_name(&self) -> &'static str {
         match self {
             Json::Null => "null",
@@ -759,14 +819,14 @@ impl Json {
         }
     }
 
-    fn get(&self, key: &str) -> Result<&Json> {
+    fn get(&self, key: &str) -> Result<&Json<'a>> {
         match self.opt(key) {
             Some(v) => Ok(v),
             None => err(format!("missing key `{key}`")),
         }
     }
 
-    fn opt(&self, key: &str) -> Option<&Json> {
+    fn opt(&self, key: &str) -> Option<&Json<'a>> {
         match self {
             Json::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
             _ => None,
@@ -812,7 +872,7 @@ impl Json {
         }
     }
 
-    fn as_arr(&self, what: &str) -> Result<&[Json]> {
+    fn as_arr(&self, what: &str) -> Result<&[Json<'a>]> {
         match self {
             Json::Arr(items) => Ok(items),
             other => err(format!("{what}: expected array, got {}", other.type_name())),
@@ -827,6 +887,7 @@ impl Json {
 const MAX_NESTING: usize = 64;
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
     depth: usize,
@@ -834,7 +895,7 @@ struct Parser<'a> {
 
 impl<'a> Parser<'a> {
     fn new(text: &'a str) -> Parser<'a> {
-        Parser { bytes: text.as_bytes(), pos: 0, depth: 0 }
+        Parser { text, bytes: text.as_bytes(), pos: 0, depth: 0 }
     }
 
     fn fail<T>(&self, msg: &str) -> Result<T> {
@@ -874,7 +935,7 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn value(&mut self) -> Result<Json> {
+    fn value(&mut self) -> Result<Json<'a>> {
         match self.peek() {
             None => self.fail("unexpected end of document"),
             Some(b'{' | b'[') if self.depth == MAX_NESTING => self.fail("nesting too deep"),
@@ -893,7 +954,7 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn object(&mut self) -> Result<Json> {
+    fn object(&mut self) -> Result<Json<'a>> {
         self.expect(b'{')?;
         let mut fields = Vec::new();
         if self.peek() == Some(b'}') {
@@ -917,7 +978,7 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn array(&mut self) -> Result<Json> {
+    fn array(&mut self) -> Result<Json<'a>> {
         self.expect(b'[')?;
         let mut items = Vec::new();
         if self.peek() == Some(b']') {
@@ -937,16 +998,33 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn string(&mut self) -> Result<String> {
+    /// Where the run of plain string bytes from `from` ends: at the next
+    /// `"` or `\\`, or at the end of the document.
+    fn plain_end(&self, from: usize) -> usize {
+        self.bytes[from..]
+            .iter()
+            .position(|&b| b == b'"' || b == b'\\')
+            .map_or(self.bytes.len(), |run| from + run)
+    }
+
+    /// A string body: borrowed from the document when it holds no
+    /// escape, unescaped into an owned string when it does.
+    fn string(&mut self) -> Result<Cow<'a, str>> {
         self.expect(b'"')?;
-        let mut out = String::new();
+        let start = self.pos;
+        self.pos = self.plain_end(start);
+        if self.bytes.get(self.pos) == Some(&b'"') {
+            self.pos += 1;
+            return Ok(Cow::Borrowed(&self.text[start..self.pos - 1]));
+        }
+        let mut out = String::from(&self.text[start..self.pos]);
         loop {
             let Some(&b) = self.bytes.get(self.pos) else {
                 return self.fail("unterminated string");
             };
             self.pos += 1;
             match b {
-                b'"' => return Ok(out),
+                b'"' => return Ok(Cow::Owned(out)),
                 b'\\' => {
                     let Some(&esc) = self.bytes.get(self.pos) else {
                         return self.fail("unterminated escape");
@@ -985,52 +1063,41 @@ impl<'a> Parser<'a> {
                     }
                 }
                 _ => {
-                    // Re-sync to the char boundary for multi-byte UTF-8.
                     let start = self.pos - 1;
-                    let len = utf8_len(b);
-                    let end = start + len;
-                    let Some(chunk) =
-                        self.bytes.get(start..end).and_then(|c| std::str::from_utf8(c).ok())
-                    else {
-                        return self.fail("invalid UTF-8 in string");
-                    };
-                    out.push_str(chunk);
-                    self.pos = end;
+                    self.pos = self.plain_end(start);
+                    out.push_str(&self.text[start..self.pos]);
                 }
             }
         }
     }
 
-    fn number(&mut self) -> Result<Json> {
+    fn number(&mut self) -> Result<Json<'a>> {
         let start = self.pos;
         if self.bytes.get(self.pos) == Some(&b'-') {
             self.pos += 1;
         }
+        let mut digits_only = self.pos == start;
         while let Some(&b) = self.bytes.get(self.pos) {
-            if b.is_ascii_digit() || matches!(b, b'.' | b'e' | b'E' | b'+' | b'-') {
+            if b.is_ascii_digit() {
+                self.pos += 1;
+            } else if matches!(b, b'.' | b'e' | b'E' | b'+' | b'-') {
+                digits_only = false;
                 self.pos += 1;
             } else {
                 break;
             }
         }
-        let token = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii");
-        if token.parse::<f64>().is_err() {
+        let token = &self.text[start..self.pos];
+        // A token of digits alone always parses as an f64; only the rest
+        // (signs, fractions, exponents) needs the check.
+        if !digits_only && token.parse::<f64>().is_err() {
             return self.fail(&format!("bad number token `{token}`"));
         }
-        Ok(Json::Num(token.to_string()))
+        Ok(Json::Num(token))
     }
 }
 
-fn utf8_len(first: u8) -> usize {
-    match first {
-        0x00..=0x7f => 1,
-        0xc0..=0xdf => 2,
-        0xe0..=0xef => 3,
-        _ => 4,
-    }
-}
-
-fn parse_json(text: &str) -> Result<Json> {
+fn parse_json(text: &str) -> Result<Json<'_>> {
     let mut p = Parser::new(text);
     let value = p.value()?;
     p.skip_ws();
@@ -1576,6 +1643,33 @@ pub fn save_snapshot_rotated(path: &Path, snapshot: &CampaignSnapshot, keep: usi
     save_snapshot(path, snapshot)
 }
 
+/// The pauses before each retry of a snapshot write that failed with a
+/// transient io error (`ErrorKind::Interrupted`, what an `EINTR`
+/// surfaces as, and what [`crate::faults`] injects).
+const TRANSIENT_RETRY_BACKOFF: [Duration; 3] =
+    [Duration::from_millis(10), Duration::from_millis(20), Duration::from_millis(40)];
+
+/// [`save_snapshot_rotated`], retried past transient io errors: the
+/// lineage rotates once, and each retry, after a backoff, is a plain
+/// [`save_snapshot`] on top of it. Any other error, or a transient one
+/// that outlasts the retries, is returned. With `keep = 0` this is a
+/// retried [`save_snapshot`].
+pub fn save_snapshot_retrying(path: &Path, snapshot: &CampaignSnapshot, keep: usize) -> Result<()> {
+    let mut result = save_snapshot_rotated(path, snapshot, keep);
+    for backoff in TRANSIENT_RETRY_BACKOFF {
+        let transient = matches!(
+            result.as_ref().map_err(PersistError::root),
+            Err(PersistError::Io(io)) if io.kind() == io::ErrorKind::Interrupted
+        );
+        if !transient {
+            break;
+        }
+        std::thread::sleep(backoff);
+        result = save_snapshot(path, snapshot);
+    }
+    result
+}
+
 /// What [`load_latest_valid`] found while walking a checkpoint lineage.
 /// Everything it had to step over is recorded, because a fleet
 /// coordinator surfaces these in its status: a non-zero
@@ -1717,6 +1811,339 @@ fn quarantine(path: &Path) -> Option<std::path::PathBuf> {
 pub fn load_snapshot(path: &Path, space: &Arc<Space>) -> Result<CampaignSnapshot> {
     let text = std::fs::read_to_string(path).map_err(|e| PersistError::from(e).at(path))?;
     parse_snapshot(&text, space).map_err(|e| e.at(path))
+}
+
+/// The codec's parser and hex decoder as they were before the parser
+/// borrowed from the document, kept verbatim as the references the
+/// differential proptests in `tests` hold the production code to. The
+/// accessors come along unused.
+#[cfg(test)]
+#[allow(dead_code)]
+mod reference {
+    use super::{err, PersistError, Result};
+
+    /// Parsed JSON. Numbers stay textual so `u64` counters round-trip without
+    /// passing through `f64` (which only holds 53 bits of integer precision).
+    #[derive(Debug, Clone, PartialEq)]
+    pub(super) enum Json {
+        Null,
+        Bool(bool),
+        Num(String),
+        Str(String),
+        Arr(Vec<Json>),
+        Obj(Vec<(String, Json)>),
+    }
+
+    impl Json {
+        fn type_name(&self) -> &'static str {
+            match self {
+                Json::Null => "null",
+                Json::Bool(_) => "bool",
+                Json::Num(_) => "number",
+                Json::Str(_) => "string",
+                Json::Arr(_) => "array",
+                Json::Obj(_) => "object",
+            }
+        }
+
+        fn get(&self, key: &str) -> Result<&Json> {
+            match self.opt(key) {
+                Some(v) => Ok(v),
+                None => err(format!("missing key `{key}`")),
+            }
+        }
+
+        fn opt(&self, key: &str) -> Option<&Json> {
+            match self {
+                Json::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
+                _ => None,
+            }
+        }
+
+        fn as_u64(&self, what: &str) -> Result<u64> {
+            match self {
+                Json::Num(s) => match s.parse::<u64>() {
+                    Ok(v) => Ok(v),
+                    Err(_) => err(format!("{what}: `{s}` is not a u64")),
+                },
+                other => err(format!("{what}: expected number, got {}", other.type_name())),
+            }
+        }
+
+        fn as_usize(&self, what: &str) -> Result<usize> {
+            Ok(self.as_u64(what)? as usize)
+        }
+
+        fn as_f64(&self, what: &str) -> Result<f64> {
+            match self {
+                Json::Num(s) => match s.parse::<f64>() {
+                    Ok(v) => Ok(v),
+                    Err(_) => err(format!("{what}: `{s}` is not a number")),
+                },
+                Json::Null => Ok(f64::NAN), // the writer emits null for non-finite floats
+                other => err(format!("{what}: expected number, got {}", other.type_name())),
+            }
+        }
+
+        fn as_bool(&self, what: &str) -> Result<bool> {
+            match self {
+                Json::Bool(b) => Ok(*b),
+                other => err(format!("{what}: expected bool, got {}", other.type_name())),
+            }
+        }
+
+        fn as_str(&self, what: &str) -> Result<&str> {
+            match self {
+                Json::Str(s) => Ok(s),
+                other => err(format!("{what}: expected string, got {}", other.type_name())),
+            }
+        }
+
+        fn as_arr(&self, what: &str) -> Result<&[Json]> {
+            match self {
+                Json::Arr(items) => Ok(items),
+                other => err(format!("{what}: expected array, got {}", other.type_name())),
+            }
+        }
+    }
+
+    /// Deepest array/object nesting the parser accepts. The writer nests at
+    /// most 8 levels (document → `generators` → state → `model` → `pending` →
+    /// input → sample → `tokens`); the bound keeps a corrupt document from
+    /// recursing the parser off its stack.
+    const MAX_NESTING: usize = 64;
+
+    struct Parser<'a> {
+        bytes: &'a [u8],
+        pos: usize,
+        depth: usize,
+    }
+
+    impl<'a> Parser<'a> {
+        fn new(text: &'a str) -> Parser<'a> {
+            Parser { bytes: text.as_bytes(), pos: 0, depth: 0 }
+        }
+
+        fn fail<T>(&self, msg: &str) -> Result<T> {
+            err(format!("{msg} at byte {}", self.pos))
+        }
+
+        fn skip_ws(&mut self) {
+            while let Some(&b) = self.bytes.get(self.pos) {
+                if b == b' ' || b == b'\t' || b == b'\n' || b == b'\r' {
+                    self.pos += 1;
+                } else {
+                    break;
+                }
+            }
+        }
+
+        fn peek(&mut self) -> Option<u8> {
+            self.skip_ws();
+            self.bytes.get(self.pos).copied()
+        }
+
+        fn expect(&mut self, b: u8) -> Result<()> {
+            if self.peek() == Some(b) {
+                self.pos += 1;
+                Ok(())
+            } else {
+                self.fail(&format!("expected `{}`", b as char))
+            }
+        }
+
+        fn eat_literal(&mut self, lit: &str) -> bool {
+            if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
+                self.pos += lit.len();
+                true
+            } else {
+                false
+            }
+        }
+
+        fn value(&mut self) -> Result<Json> {
+            match self.peek() {
+                None => self.fail("unexpected end of document"),
+                Some(b'{' | b'[') if self.depth == MAX_NESTING => self.fail("nesting too deep"),
+                Some(open @ (b'{' | b'[')) => {
+                    self.depth += 1;
+                    let value = if open == b'{' { self.object() } else { self.array() };
+                    self.depth -= 1;
+                    value
+                }
+                Some(b'"') => Ok(Json::Str(self.string()?)),
+                Some(b'n') if self.eat_literal("null") => Ok(Json::Null),
+                Some(b't') if self.eat_literal("true") => Ok(Json::Bool(true)),
+                Some(b'f') if self.eat_literal("false") => Ok(Json::Bool(false)),
+                Some(b'-' | b'0'..=b'9') => self.number(),
+                Some(b) => self.fail(&format!("unexpected byte `{}`", b as char)),
+            }
+        }
+
+        fn object(&mut self) -> Result<Json> {
+            self.expect(b'{')?;
+            let mut fields = Vec::new();
+            if self.peek() == Some(b'}') {
+                self.pos += 1;
+                return Ok(Json::Obj(fields));
+            }
+            loop {
+                self.skip_ws();
+                let key = self.string()?;
+                self.expect(b':')?;
+                let value = self.value()?;
+                fields.push((key, value));
+                match self.peek() {
+                    Some(b',') => self.pos += 1,
+                    Some(b'}') => {
+                        self.pos += 1;
+                        return Ok(Json::Obj(fields));
+                    }
+                    _ => return self.fail("expected `,` or `}`"),
+                }
+            }
+        }
+
+        fn array(&mut self) -> Result<Json> {
+            self.expect(b'[')?;
+            let mut items = Vec::new();
+            if self.peek() == Some(b']') {
+                self.pos += 1;
+                return Ok(Json::Arr(items));
+            }
+            loop {
+                items.push(self.value()?);
+                match self.peek() {
+                    Some(b',') => self.pos += 1,
+                    Some(b']') => {
+                        self.pos += 1;
+                        return Ok(Json::Arr(items));
+                    }
+                    _ => return self.fail("expected `,` or `]`"),
+                }
+            }
+        }
+
+        fn string(&mut self) -> Result<String> {
+            self.expect(b'"')?;
+            let mut out = String::new();
+            loop {
+                let Some(&b) = self.bytes.get(self.pos) else {
+                    return self.fail("unterminated string");
+                };
+                self.pos += 1;
+                match b {
+                    b'"' => return Ok(out),
+                    b'\\' => {
+                        let Some(&esc) = self.bytes.get(self.pos) else {
+                            return self.fail("unterminated escape");
+                        };
+                        self.pos += 1;
+                        match esc {
+                            b'"' => out.push('"'),
+                            b'\\' => out.push('\\'),
+                            b'/' => out.push('/'),
+                            b'n' => out.push('\n'),
+                            b'r' => out.push('\r'),
+                            b't' => out.push('\t'),
+                            b'b' => out.push('\u{8}'),
+                            b'f' => out.push('\u{c}'),
+                            b'u' => {
+                                let end = self.pos + 4;
+                                let Some(hex) = self
+                                    .bytes
+                                    .get(self.pos..end)
+                                    .and_then(|h| std::str::from_utf8(h).ok())
+                                else {
+                                    return self.fail("truncated \\u escape");
+                                };
+                                let Ok(code) = u32::from_str_radix(hex, 16) else {
+                                    return self.fail("bad \\u escape");
+                                };
+                                self.pos = end;
+                                // The writer only escapes control characters,
+                                // which are never surrogates.
+                                match char::from_u32(code) {
+                                    Some(c) => out.push(c),
+                                    None => return self.fail("\\u escape is not a scalar value"),
+                                }
+                            }
+                            _ => return self.fail("unknown escape"),
+                        }
+                    }
+                    _ => {
+                        // Re-sync to the char boundary for multi-byte UTF-8.
+                        let start = self.pos - 1;
+                        let len = utf8_len(b);
+                        let end = start + len;
+                        let Some(chunk) =
+                            self.bytes.get(start..end).and_then(|c| std::str::from_utf8(c).ok())
+                        else {
+                            return self.fail("invalid UTF-8 in string");
+                        };
+                        out.push_str(chunk);
+                        self.pos = end;
+                    }
+                }
+            }
+        }
+
+        fn number(&mut self) -> Result<Json> {
+            let start = self.pos;
+            if self.bytes.get(self.pos) == Some(&b'-') {
+                self.pos += 1;
+            }
+            while let Some(&b) = self.bytes.get(self.pos) {
+                if b.is_ascii_digit() || matches!(b, b'.' | b'e' | b'E' | b'+' | b'-') {
+                    self.pos += 1;
+                } else {
+                    break;
+                }
+            }
+            let token = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii");
+            if token.parse::<f64>().is_err() {
+                return self.fail(&format!("bad number token `{token}`"));
+            }
+            Ok(Json::Num(token.to_string()))
+        }
+    }
+
+    fn utf8_len(first: u8) -> usize {
+        match first {
+            0x00..=0x7f => 1,
+            0xc0..=0xdf => 2,
+            0xe0..=0xef => 3,
+            _ => 4,
+        }
+    }
+
+    pub(super) fn parse_json(text: &str) -> Result<Json> {
+        let mut p = Parser::new(text);
+        let value = p.value()?;
+        p.skip_ws();
+        if p.pos != p.bytes.len() {
+            return p.fail("trailing garbage after document");
+        }
+        Ok(value)
+    }
+
+    pub(super) fn hex_to_words_width(hex: &str, digits: usize, what: &str) -> Result<Vec<u64>> {
+        if !hex.len().is_multiple_of(digits) {
+            return err(format!(
+                "{what} hex blob length {} is not a multiple of {digits}",
+                hex.len()
+            ));
+        }
+        hex.as_bytes()
+            .chunks(digits)
+            .map(|chunk| {
+                let s = std::str::from_utf8(chunk)
+                    .map_err(|_| PersistError::Parse(format!("{what} hex blob is not ASCII")))?;
+                u64::from_str_radix(s, 16)
+                    .map_err(|_| PersistError::Parse(format!("bad {what} hex word `{s}`")))
+            })
+            .collect()
+    }
 }
 
 #[cfg(test)]
@@ -2075,6 +2502,507 @@ mod tests {
         let doc = format!("{{\"v\":{}}}", (1u64 << 63) + 1);
         let parsed = parse_json(&doc).unwrap();
         assert_eq!(parsed.get("v").unwrap().as_u64("v").unwrap(), (1u64 << 63) + 1);
+    }
+
+    // -----------------------------------------------------------------
+    // Byte pins: the writer's output for three snapshots that between
+    // them reach every writer path, as FNV-1a-64 hashes of the documents
+    // with every wall-clock field zeroed. A codec change that is not
+    // byte-identical moves them.
+    // -----------------------------------------------------------------
+
+    fn without_wall_clock(mut snapshot: CampaignSnapshot) -> CampaignSnapshot {
+        snapshot.wall = Duration::ZERO;
+        for point in &mut snapshot.history {
+            point.wall = Duration::ZERO;
+        }
+        snapshot
+    }
+
+    fn pin(docs: &[String]) -> u64 {
+        fnv1a64(&docs.iter().map(String::as_bytes).collect::<Vec<_>>())
+    }
+
+    /// `[random, evolve]` on the bug-injected Rocket under windowed,
+    /// cost-normalised UCB1: corpus seeds as hex word blobs, f64 reward
+    /// windows and mismatch clusters.
+    fn evolve_snapshot() -> &'static CampaignSnapshot {
+        static SNAPSHOT: std::sync::OnceLock<CampaignSnapshot> = std::sync::OnceLock::new();
+        SNAPSHOT.get_or_init(|| {
+            use chatfuzz_evolve::{EvolveConfig, EvolveGenerator};
+            let mut campaign = CampaignBuilder::from_factory(factory())
+                .batch_size(16)
+                .workers(2)
+                .generator(RandomRegression::new(11, 16))
+                .generator(EvolveGenerator::new(EvolveConfig { seed: 11, ..Default::default() }))
+                .scheduler(chatfuzz_baselines::Ucb1::new(0.5).cost_normalised().windowed(8))
+                .build();
+            campaign.run_until(&[StopCondition::Tests(384)]);
+            without_wall_clock(campaign.snapshot())
+        })
+    }
+
+    /// An untrained tiny model as an actor/learner arm beside evolve, so
+    /// its prompt pool fills from the exchange.
+    fn lm_generator(total_bins: usize) -> crate::generator::LmGenerator {
+        use chatfuzz_corpus::{CorpusConfig, CorpusGenerator};
+        use chatfuzz_lm::{Gpt, GptConfig, Tokenizer};
+        use rand::SeedableRng;
+        let mut corpus = CorpusGenerator::new(CorpusConfig { seed: 3, ..Default::default() });
+        let programs = corpus.generate_words(24);
+        let tokenizer = Tokenizer::train(&programs, 160);
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(3);
+        let policy = Gpt::new(GptConfig::tiny(tokenizer.vocab_size() as usize), &mut rng);
+        let ppo = chatfuzz_rl::PpoConfig {
+            max_new_tokens: 10,
+            epochs: 1,
+            lr: 1e-3,
+            top_k: 12,
+            ..Default::default()
+        };
+        let cfg = crate::generator::LmGeneratorConfig {
+            seed: 3,
+            online_training: true,
+            total_bins,
+            samples_per_input: 1,
+            publish_every: 2,
+            learner_batch: 8,
+            ..Default::default()
+        };
+        crate::generator::LmGenerator::new(tokenizer, policy, ppo, programs, cfg)
+    }
+
+    /// `[evolve, chatfuzz]` under round robin, stopped one LM batch past
+    /// a publish so the learner queue holds rollouts; the LM state is
+    /// then advanced by one unobserved batch so `pending` is filled too.
+    fn lm_snapshot() -> CampaignSnapshot {
+        use chatfuzz_baselines::InputGenerator;
+        use chatfuzz_evolve::{EvolveConfig, EvolveGenerator};
+        let bins = factory()().space().total_bins();
+        let mut campaign = CampaignBuilder::from_factory(factory())
+            .batch_size(8)
+            .workers(2)
+            .generator(EvolveGenerator::new(EvolveConfig { seed: 3, ..Default::default() }))
+            .generator(lm_generator(bins))
+            .build();
+        campaign.run_until(&[StopCondition::Tests(48)]);
+        let mut snapshot = without_wall_clock(campaign.snapshot());
+        let mut lm = lm_generator(bins);
+        lm.import_state(snapshot.gen_states[1].as_ref().expect("the LM arm exports state"));
+        let _ = lm.next_batch(2);
+        snapshot.gen_states[1] = lm.export_state();
+        snapshot
+    }
+
+    #[test]
+    fn writer_bytes_are_pinned_for_an_evolve_campaign() {
+        let snapshot = evolve_snapshot();
+        let corpus = snapshot.gen_states[1].as_ref().and_then(|s| s.corpus.as_ref());
+        assert!(corpus.is_some_and(|c| !c.seeds.is_empty()), "corpus seeds are written");
+        assert!(snapshot.scheduler.arms.iter().all(|a| !a.recent_rewards.is_empty()));
+        assert!(!snapshot.log.unique().is_empty(), "mismatch clusters are written");
+        assert_eq!(pin(&[snapshot_json(snapshot)]), 0xf320_2d5c_0ac8_51e9, "evolve document moved");
+    }
+
+    #[test]
+    fn writer_bytes_are_pinned_for_an_actor_learner_lm_arm() {
+        let snapshot = lm_snapshot();
+        let model = snapshot.gen_states[1].as_ref().and_then(|s| s.model.as_ref()).expect("model");
+        assert!(!model.merges.is_empty() && !model.params.is_empty() && !model.opt_m.is_empty());
+        assert!(!model.prompt_pool.is_empty(), "the exchange filled the prompt pool");
+        assert!(!model.pending.is_empty(), "pending rollouts are written");
+        assert!(!model.learner_queue.is_empty(), "the learner queue is written");
+        assert_eq!(
+            pin(&[snapshot_json(&snapshot)]),
+            0xe879_8e24_d5f5_d9dd,
+            "LM arm document moved"
+        );
+    }
+
+    #[test]
+    fn writer_bytes_are_pinned_for_every_stop_condition() {
+        let docs: Vec<String> = [
+            None,
+            Some(StopCondition::Tests(7)),
+            Some(StopCondition::SimCycles(u64::MAX)),
+            Some(StopCondition::WallClock(Duration::from_nanos(1_500_000_001))),
+            Some(StopCondition::CoveragePct(33.25)),
+            Some(StopCondition::Plateau(4)),
+        ]
+        .into_iter()
+        .map(|stop| {
+            let mut snapshot = evolve_snapshot().clone();
+            snapshot.stopped_by = stop;
+            snapshot_json(&snapshot)
+        })
+        .collect();
+        assert_eq!(pin(&docs), 0x8d5c_663e_65a0_8358, "stop condition documents moved");
+    }
+
+    #[test]
+    fn the_spliced_checksum_is_the_attached_one() {
+        let snapshot = evolve_snapshot();
+        assert_eq!(snapshot_json(snapshot), attach_checksum(&payload_json(snapshot)));
+    }
+
+    // -----------------------------------------------------------------
+    // Differential proptests: the parser and the hex decoder against
+    // the verbatim references in `reference`.
+    // -----------------------------------------------------------------
+
+    fn to_reference(json: &Json<'_>) -> reference::Json {
+        match json {
+            Json::Null => reference::Json::Null,
+            Json::Bool(b) => reference::Json::Bool(*b),
+            Json::Num(token) => reference::Json::Num(token.to_string()),
+            Json::Str(s) => reference::Json::Str(s.to_string()),
+            Json::Arr(items) => reference::Json::Arr(items.iter().map(to_reference).collect()),
+            Json::Obj(fields) => reference::Json::Obj(
+                fields.iter().map(|(k, v)| (k.to_string(), to_reference(v))).collect(),
+            ),
+        }
+    }
+
+    fn rocket_space() -> &'static Arc<Space> {
+        static SPACE: std::sync::OnceLock<Arc<Space>> = std::sync::OnceLock::new();
+        SPACE.get_or_init(|| factory()().space().clone())
+    }
+
+    /// A snapshot whose strings need every kind of escape and hold
+    /// multi-byte text.
+    fn awkward_snapshot() -> CampaignSnapshot {
+        let mut awkward = sample_snapshot();
+        awkward.dut = "rocket \"v2\"\\ctl\n\t\r\u{1}é".to_string();
+        awkward.gen_stats[0].name = "the\\huzz\u{1f}€/".to_string();
+        awkward.gen_stats[1].name = "back\\slash only".to_string();
+        awkward
+    }
+
+    #[test]
+    fn escaped_strings_round_trip() {
+        let awkward = awkward_snapshot();
+        let parsed = parse_snapshot(&snapshot_json(&awkward), rocket_space()).expect("parses");
+        assert_eq!(parsed.dut, awkward.dut);
+        assert_eq!(parsed.gen_stats[0].name, awkward.gen_stats[0].name);
+        assert_eq!(parsed.gen_stats[1].name, awkward.gen_stats[1].name);
+        assert_eq!(snapshot_json(&parsed), snapshot_json(&awkward));
+    }
+
+    /// The valid documents mutants start from.
+    fn valid_documents() -> &'static [String] {
+        static DOCS: std::sync::OnceLock<Vec<String>> = std::sync::OnceLock::new();
+        DOCS.get_or_init(|| {
+            vec![
+                snapshot_json(evolve_snapshot()),
+                snapshot_json(&lm_snapshot()),
+                snapshot_json(&awkward_snapshot()),
+            ]
+        })
+    }
+
+    /// The first position at or after `at` (wrapping around) in `positions`.
+    fn at_or_after(positions: &[usize], at: usize) -> Option<usize> {
+        positions.iter().copied().find(|&p| p >= at).or(positions.first().copied())
+    }
+
+    /// Removes a `"key":`, leaving its value dangling.
+    fn drop_key(bytes: &mut Vec<u8>, at: usize) {
+        let colons: Vec<usize> =
+            bytes.windows(2).enumerate().filter(|(_, w)| w == b"\":").map(|(i, _)| i).collect();
+        let Some(colon) = at_or_after(&colons, at) else { return };
+        if let Some(open) = bytes[..colon].iter().rposition(|&b| b == b'"') {
+            bytes.drain(open..colon + 2);
+        }
+    }
+
+    /// Appends twenty 9s to an integer token, which takes any of them
+    /// past `u64::MAX`.
+    fn overflow_number(bytes: &mut Vec<u8>, at: usize) {
+        let starts: Vec<usize> = (1..bytes.len())
+            .filter(|&i| bytes[i].is_ascii_digit() && matches!(bytes[i - 1], b':' | b',' | b'['))
+            .collect();
+        let Some(start) = at_or_after(&starts, at) else { return };
+        let end = bytes[start..]
+            .iter()
+            .position(|b| !b.is_ascii_digit())
+            .map_or(bytes.len(), |n| start + n);
+        bytes.splice(end..end, *b"99999999999999999999");
+    }
+
+    /// `text` with its checksum field recomputed, if it still has one.
+    fn restamp(text: &str) -> String {
+        match text.strip_prefix(CHECKSUM_PREFIX) {
+            Some(rest) if rest.get(16..18) == Some("\",") => {
+                attach_checksum(&format!("{{{}", &rest[18..]))
+            }
+            _ => text.to_string(),
+        }
+    }
+
+    /// One to four edits of a valid document, drawn from `rng`: the
+    /// SNIPPETS byte operators (truncate, bit flip, insert, delete), a
+    /// dropped `key:`, digits appended past `u64::MAX`, or 100 `[`.
+    /// Half the mutants get a fresh checksum, so the typed readers see
+    /// them and not only the checksum gate.
+    fn mutant(doc: &str, rng: &mut rand::rngs::StdRng) -> String {
+        use rand::Rng as _;
+        let mut bytes = doc.as_bytes().to_vec();
+        for _ in 0..rng.gen_range(1..=4) {
+            let at = rng.gen_range(0..=bytes.len());
+            match rng.gen_range(0..7) {
+                0 => bytes.truncate(at),
+                1 => {
+                    let bit = rng.gen_range(0..8);
+                    if let Some(b) = bytes.get_mut(at) {
+                        *b ^= 1 << bit;
+                    }
+                }
+                2 => bytes.insert(at, rng.gen()),
+                3 => {
+                    if at < bytes.len() {
+                        bytes.remove(at);
+                    }
+                }
+                4 => drop_key(&mut bytes, at),
+                5 => overflow_number(&mut bytes, at),
+                _ => {
+                    bytes.splice(at..at, [b'['; 100]);
+                }
+            }
+        }
+        let text = String::from_utf8_lossy(&bytes).into_owned();
+        if rng.gen_bool(0.5) {
+            restamp(&text)
+        } else {
+            text
+        }
+    }
+
+    /// How far a mutant got through `parse_snapshot`.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+    enum Fate {
+        NotJson,
+        /// Stopped by the version or checksum gate.
+        Gated,
+        /// Stopped by a typed reader or the space check.
+        Rejected,
+        Accepted,
+    }
+
+    /// Mutates a valid document from `seed` and holds both parsers to
+    /// the laws: equal trees or both errors, no panic in
+    /// `parse_snapshot`, and an accepted snapshot re-serialises to a
+    /// document that parses back to it.
+    fn check_mutant(seed: u64) -> std::result::Result<Fate, String> {
+        use rand::{Rng as _, SeedableRng as _};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let docs = valid_documents();
+        let text = mutant(&docs[rng.gen_range(0..docs.len())], &mut rng);
+        let is_json = match (parse_json(&text), reference::parse_json(&text)) {
+            (Ok(tree), Ok(expected)) if to_reference(&tree) == expected => true,
+            (Ok(_), Ok(_)) => return Err("the parsers built different trees".into()),
+            (Err(_), Err(_)) => false,
+            (tree, expected) => {
+                return Err(format!(
+                    "only one parser accepts the mutant: {:?} against the reference's {:?}",
+                    tree.map(|_| "a tree"),
+                    expected.map(|_| "a tree")
+                ))
+            }
+        };
+        let space = rocket_space();
+        let parsed =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| parse_snapshot(&text, space)))
+                .map_err(|_| "parse_snapshot panicked".to_string())?;
+        match parsed {
+            Ok(snapshot) => {
+                let again = snapshot_json(&snapshot);
+                let back = parse_snapshot(&again, space)
+                    .map_err(|e| format!("the re-serialised snapshot does not parse: {e}"))?;
+                if snapshot_json(&back) != again {
+                    return Err("the re-serialised snapshot parses to another snapshot".into());
+                }
+                Ok(Fate::Accepted)
+            }
+            Err(_) if !is_json => Ok(Fate::NotJson),
+            Err(PersistError::SchemaVersion { .. } | PersistError::Checksum { .. }) => {
+                Ok(Fate::Gated)
+            }
+            Err(_) if verify_checksum(&text).is_err() => Ok(Fate::Gated),
+            Err(_) => Ok(Fate::Rejected),
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn mutated_documents_parse_like_the_reference_and_never_panic(
+            seed in proptest::prelude::any::<u64>(),
+        ) {
+            if let Err(failure) = check_mutant(seed) {
+                proptest::prop_assert!(false, "mutant seed {seed:#x}: {failure}");
+            }
+        }
+    }
+
+    /// The mutator is not vacuous: over a fixed range of seeds its
+    /// mutants end at every stage of `parse_snapshot`.
+    #[test]
+    fn document_mutants_reach_every_stage() {
+        let fates: std::collections::BTreeSet<Fate> = (0..256u64)
+            .map(|seed| check_mutant(seed).unwrap_or_else(|e| panic!("mutant seed {seed:#x}: {e}")))
+            .collect();
+        assert_eq!(
+            fates.into_iter().collect::<Vec<_>>(),
+            [Fate::NotJson, Fate::Gated, Fate::Rejected, Fate::Accepted]
+        );
+    }
+
+    /// Pieces of JSON that steer a parser: structure, number syntax,
+    /// literals, escapes (complete, truncated and invalid), and text of
+    /// one to three bytes per char.
+    const JSON_PIECES: [&str; 36] = [
+        "{", "}", "[", "]", ",", ":", "\"", "\\", "\\\"", "\\\\", "\\n", "\\/", "\\u00", "\\u0041",
+        "\\ud800", "\\+abc", "u", "0", "1", "9", ".", "e", "E", "+", "-", " ", "\n", "null", "tru",
+        "false", "é", "€", "\u{1}", "a", "F", "abcdefgh",
+    ];
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(4096))]
+
+        /// Small documents strung together from `JSON_PIECES`, bare,
+        /// inside an array, inside a string, or as an object's value:
+        /// the number and string fast paths build the reference's tree,
+        /// or both parsers fail.
+        #[test]
+        fn small_documents_parse_like_the_reference(
+            frame in 0usize..4,
+            picks in proptest::collection::vec(0..JSON_PIECES.len(), 0..24),
+        ) {
+            let body: String = picks.iter().map(|&i| JSON_PIECES[i]).collect();
+            let text = match frame {
+                0 => body,
+                1 => format!("[{body}]"),
+                2 => format!("[\"{body}\"]"),
+                _ => format!("{{\"k\":{body}}}"),
+            };
+            match (parse_json(&text), reference::parse_json(&text)) {
+                (Ok(tree), Ok(expected)) => {
+                    proptest::prop_assert_eq!(to_reference(&tree), expected, "{:?}", text)
+                }
+                (Err(_), Err(_)) => {}
+                (tree, expected) => proptest::prop_assert!(
+                    false,
+                    "{text:?}: {:?} against the reference's {:?}",
+                    tree.map(|_| "a tree"),
+                    expected.map(|_| "a tree")
+                ),
+            }
+        }
+    }
+
+    /// The bytes a number token is scanned over.
+    const NUMBER_CHARS: [u8; 15] = *b"0123456789.eE+-";
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(4096))]
+
+        /// Every short token over the number alphabet, as an array
+        /// element: the digits-only fast path accepts exactly what the
+        /// reference's `f64` check does.
+        #[test]
+        fn number_tokens_parse_like_the_reference(
+            picks in proptest::collection::vec(0..NUMBER_CHARS.len(), 1..8),
+        ) {
+            let token: String = picks.iter().map(|&i| char::from(NUMBER_CHARS[i])).collect();
+            let text = format!("[{token}]");
+            let tree = parse_json(&text).map(|t| to_reference(&t)).map_err(|e| e.to_string());
+            let expected = reference::parse_json(&text).map_err(|e| e.to_string());
+            proptest::prop_assert_eq!(tree, expected, "{:?}", text);
+        }
+    }
+
+    /// Hex digits of both cases, and bytes a hex word must not hold.
+    const HEX_ALPHABET: [char; 28] = [
+        '0',
+        '1',
+        '2',
+        '3',
+        '4',
+        '5',
+        '6',
+        '7',
+        '8',
+        '9',
+        'a',
+        'b',
+        'c',
+        'd',
+        'e',
+        'f',
+        'A',
+        'B',
+        'C',
+        'D',
+        'E',
+        'F',
+        '+',
+        '-',
+        'g',
+        ' ',
+        'é',
+        '\u{1f600}',
+    ];
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(2048))]
+
+        /// Valid blobs of either width, with up to three characters
+        /// replaced or inserted: both decoders return the same words or
+        /// the same error, except that a word with a leading `+`, which
+        /// `from_str_radix` accepts, is an error now.
+        #[test]
+        fn hex_decoder_agrees_with_the_reference_except_on_a_leading_plus(
+            wide in proptest::prelude::any::<bool>(),
+            words in proptest::collection::vec(proptest::prelude::any::<u64>(), 0..6),
+            upper in proptest::prelude::any::<bool>(),
+            edits in proptest::collection::vec(
+                (proptest::prelude::any::<bool>(), proptest::prelude::any::<usize>(), 0..HEX_ALPHABET.len()),
+                0..4,
+            ),
+        ) {
+            let digits = if wide { 16 } else { 8 };
+            let mut chars: Vec<char> = words
+                .iter()
+                .flat_map(|&w| {
+                    let w = if wide { w } else { w & 0xffff_ffff };
+                    format!("{w:0digits$x}").chars().collect::<Vec<_>>()
+                })
+                .map(|c| if upper { c.to_ascii_uppercase() } else { c })
+                .collect();
+            for (insert, at, pick) in edits {
+                let c = HEX_ALPHABET[pick];
+                let i = at % (chars.len() + 1);
+                if insert || i == chars.len() {
+                    chars.insert(i, c);
+                } else {
+                    chars[i] = c;
+                }
+            }
+            let hex: String = chars.into_iter().collect();
+            let shown = |r: Result<Vec<u64>>| r.map_err(|e| e.to_string());
+            let decoded = shown(if wide {
+                decode_hex::<16, _>(&hex, "coverage", |w| w)
+            } else {
+                decode_hex::<8, _>(&hex, "coverage", |w| w)
+            });
+            let expected = shown(reference::hex_to_words_width(&hex, digits, "coverage"));
+            if decoded != expected {
+                let plus = matches!(&decoded, Err(msg) if msg.contains("hex word `+"));
+                proptest::prop_assert!(plus, "{hex:?}: {decoded:?} against {expected:?}");
+            }
+        }
     }
 
     /// Three snapshots of the same campaign at growing budgets — a

@@ -12,6 +12,7 @@
 //! proper string escaping is the lighter dependency.
 
 use std::fmt::Write as _;
+use std::io::Write as _;
 
 use crate::campaign::CampaignReport;
 
@@ -198,21 +199,37 @@ fn render_json(report: &CampaignReport, include_wall: bool) -> String {
 /// Minimal JSON emitter: tracks comma placement, escapes strings, and
 /// renders floats round-trippably. Shared with [`crate::persist`], which
 /// serialises campaign snapshots through the same seam.
+///
+/// Everything lands in one byte buffer: integers through a digit buffer
+/// and hex blobs through a nibble table, with no `fmt` call and no
+/// intermediate `String` (floats keep `fmt`'s shortest round-trip form),
+/// so a snapshot of ~100 KiB of hex costs one pass. Only ASCII and whole
+/// `&str`s are ever pushed, so the buffer is UTF-8 whenever an element
+/// is complete.
 pub(crate) struct JsonWriter {
-    out: String,
+    out: Vec<u8>,
     /// Whether the current aggregate already has an element.
     needs_comma: Vec<bool>,
 }
 
+const HEX_DIGITS: &[u8; 16] = b"0123456789abcdef";
+
 impl JsonWriter {
     pub(crate) fn new() -> JsonWriter {
-        JsonWriter { out: String::new(), needs_comma: vec![false] }
+        JsonWriter::with_room(0)
+    }
+
+    /// A writer whose document starts with `room` placeholder bytes, for
+    /// a prefix that depends on what follows it;
+    /// [`JsonWriter::finish_with`] fills them in.
+    pub(crate) fn with_room(room: usize) -> JsonWriter {
+        JsonWriter { out: vec![b' '; room], needs_comma: vec![false] }
     }
 
     pub(crate) fn elem(&mut self) {
         if let Some(flag) = self.needs_comma.last_mut() {
             if *flag {
-                self.out.push(',');
+                self.out.push(b',');
             }
             *flag = true;
         }
@@ -220,19 +237,19 @@ impl JsonWriter {
 
     pub(crate) fn open(&mut self, bracket: char) {
         self.elem();
-        self.out.push(bracket);
+        self.push_char(bracket);
         self.needs_comma.push(false);
     }
 
     pub(crate) fn close(&mut self, bracket: char) {
         self.needs_comma.pop();
-        self.out.push(bracket);
+        self.push_char(bracket);
     }
 
     pub(crate) fn key(&mut self, key: &str) {
         self.elem();
         self.push_escaped(key);
-        self.out.push(':');
+        self.out.push(b':');
         // The upcoming value belongs to this key, not a new element.
         if let Some(flag) = self.needs_comma.last_mut() {
             *flag = false;
@@ -247,23 +264,31 @@ impl JsonWriter {
 
     pub(crate) fn field_u64(&mut self, key: &str, value: u64) {
         self.key(key);
-        let _ = write!(self.out, "{value}");
+        self.push_u64(value);
         self.mark_elem();
     }
 
     pub(crate) fn field_f64(&mut self, key: &str, value: f64) {
         self.key(key);
-        if value.is_finite() {
-            let _ = write!(self.out, "{value}");
-        } else {
-            self.out.push_str("null");
-        }
+        self.push_f64(value);
+        self.mark_elem();
+    }
+
+    /// A string field holding each word as `DIGITS` lowercase hex digits
+    /// (see [`JsonWriter::value_hex`]).
+    pub(crate) fn field_hex<const DIGITS: usize>(
+        &mut self,
+        key: &str,
+        words: impl ExactSizeIterator<Item = u64>,
+    ) {
+        self.key(key);
+        self.value_hex::<DIGITS>(words);
         self.mark_elem();
     }
 
     pub(crate) fn field_raw(&mut self, key: &str, raw: &str) {
         self.key(key);
-        self.out.push_str(raw);
+        self.out.extend_from_slice(raw.as_bytes());
         self.mark_elem();
     }
 
@@ -274,22 +299,39 @@ impl JsonWriter {
 
     pub(crate) fn value_u64(&mut self, value: u64) {
         self.elem();
-        let _ = write!(self.out, "{value}");
+        self.push_u64(value);
     }
 
     pub(crate) fn value_f64(&mut self, value: f64) {
         self.elem();
-        if value.is_finite() {
-            let _ = write!(self.out, "{value}");
-        } else {
-            self.out.push_str("null");
+        self.push_f64(value);
+    }
+
+    /// A string element holding each word as exactly `DIGITS` lowercase
+    /// hex digits, most significant first: the bytes of
+    /// `format!("{word:0DIGITS$x}")` for every word that fits in
+    /// `DIGITS` digits. The blob's bytes are sized once and filled in
+    /// place.
+    pub(crate) fn value_hex<const DIGITS: usize>(
+        &mut self,
+        words: impl ExactSizeIterator<Item = u64>,
+    ) {
+        self.elem();
+        self.out.push(b'"');
+        let start = self.out.len();
+        self.out.resize(start + words.len() * DIGITS, 0);
+        for (digits, word) in self.out[start..].chunks_exact_mut(DIGITS).zip(words) {
+            for (i, digit) in digits.iter_mut().enumerate() {
+                *digit = HEX_DIGITS[(word >> (4 * (DIGITS - 1 - i))) as usize & 0xf];
+            }
         }
+        self.out.push(b'"');
     }
 
     /// A raw array element (e.g. `null` for an absent optional entry).
     pub(crate) fn value_raw(&mut self, raw: &str) {
         self.elem();
-        self.out.push_str(raw);
+        self.out.extend_from_slice(raw.as_bytes());
     }
 
     pub(crate) fn mark_elem(&mut self) {
@@ -298,27 +340,67 @@ impl JsonWriter {
         }
     }
 
-    pub(crate) fn push_escaped(&mut self, s: &str) {
-        self.out.push('"');
-        for c in s.chars() {
-            match c {
-                '"' => self.out.push_str("\\\""),
-                '\\' => self.out.push_str("\\\\"),
-                '\n' => self.out.push_str("\\n"),
-                '\r' => self.out.push_str("\\r"),
-                '\t' => self.out.push_str("\\t"),
-                c if (c as u32) < 0x20 => {
-                    let _ = write!(self.out, "\\u{:04x}", c as u32);
-                }
-                c => self.out.push(c),
+    /// The decimal digits of `value`, the bytes `format!("{value}")` gives.
+    fn push_u64(&mut self, mut value: u64) {
+        let mut digits = [0u8; 20];
+        let mut at = digits.len();
+        loop {
+            at -= 1;
+            digits[at] = b'0' + (value % 10) as u8;
+            value /= 10;
+            if value == 0 {
+                break;
             }
         }
-        self.out.push('"');
+        self.out.extend_from_slice(&digits[at..]);
+    }
+
+    fn push_f64(&mut self, value: f64) {
+        if value.is_finite() {
+            let _ = write!(self.out, "{value}");
+        } else {
+            self.out.extend_from_slice(b"null");
+        }
+    }
+
+    fn push_char(&mut self, c: char) {
+        self.out.extend_from_slice(c.encode_utf8(&mut [0; 4]).as_bytes());
+    }
+
+    pub(crate) fn push_escaped(&mut self, s: &str) {
+        self.out.push(b'"');
+        if s.bytes().all(|b| b >= 0x20 && b != b'"' && b != b'\\') {
+            // Nothing to escape, the common case: one copy.
+            self.out.extend_from_slice(s.as_bytes());
+        } else {
+            for c in s.chars() {
+                match c {
+                    '"' => self.out.extend_from_slice(b"\\\""),
+                    '\\' => self.out.extend_from_slice(b"\\\\"),
+                    '\n' => self.out.extend_from_slice(b"\\n"),
+                    '\r' => self.out.extend_from_slice(b"\\r"),
+                    '\t' => self.out.extend_from_slice(b"\\t"),
+                    c if (c as u32) < 0x20 => {
+                        let _ = write!(self.out, "\\u{:04x}", c as u32);
+                    }
+                    c => self.push_char(c),
+                }
+            }
+        }
+        self.out.push(b'"');
     }
 
     pub(crate) fn finish(self) -> String {
         debug_assert_eq!(self.needs_comma.len(), 1, "unbalanced JSON aggregates");
-        self.out
+        String::from_utf8(self.out).expect("the writer pushes only ASCII and whole strs")
+    }
+
+    /// [`JsonWriter::finish`], after `splice` has overwritten the room
+    /// reserved by [`JsonWriter::with_room`] (it sees the whole document)
+    /// with ASCII.
+    pub(crate) fn finish_with(mut self, splice: impl FnOnce(&mut [u8])) -> String {
+        splice(&mut self.out);
+        self.finish()
     }
 }
 

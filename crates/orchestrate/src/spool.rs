@@ -32,7 +32,10 @@
 //! not load — stays in `claimed/` and is reported as a `lease_rejected`
 //! event on the worker's sink ([`SpoolWorker::telemetry`]), and the
 //! worker keeps serving; the orchestrator's heartbeat deadline then
-//! revokes and reissues the lease.
+//! revokes and reissues the lease. A result write is retried past
+//! transient io errors, like the campaign's auto-checkpoints; one that
+//! still fails is reported as a `lease_result_failed` event, and the
+//! lease is left to the same deadline.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -581,7 +584,8 @@ impl SpoolWorker {
     }
 
     /// Serves work orders until the shutdown marker appears. Returns the
-    /// number of leases completed; rejected orders do not count.
+    /// number of leases completed; rejected orders and results that could
+    /// not be written do not count.
     pub fn serve(&self) -> usize {
         let mut served = 0;
         loop {
@@ -625,10 +629,7 @@ impl SpoolWorker {
     fn serve_claimed(&self, claimed: &Path) -> bool {
         let order = std::fs::read_to_string(claimed).ok().and_then(|text| decode_flat(&text));
         match order.ok_or(OrderError::Malformed).and_then(|order| self.decode(&order)) {
-            Ok(order) => {
-                self.serve_order(order);
-                true
-            }
+            Ok(order) => self.serve_order(order),
             Err(error) => {
                 let sink = &self.telemetry;
                 if sink.is_enabled() {
@@ -681,8 +682,13 @@ impl SpoolWorker {
         Ok(decoded)
     }
 
-    /// Runs one decoded order to completion and publishes the result.
-    fn serve_order(&self, order: DecodedOrder<'_>) {
+    /// Runs one decoded order to completion and publishes the result,
+    /// retrying the write past transient io errors. Returns whether the
+    /// result was published. One that cannot be written is reported
+    /// through telemetry as `lease_result_failed`, and the worker keeps
+    /// serving; with no result, the orchestrator's heartbeat deadline
+    /// revokes and reissues the lease.
+    fn serve_order(&self, order: DecodedOrder<'_>) -> bool {
         let (lease, attempt, heartbeat) = (order.lease, order.attempt, order.heartbeat);
         let pid = std::process::id();
         let sink = &self.telemetry;
@@ -721,11 +727,24 @@ impl SpoolWorker {
         }
         let mut session = builder.build();
         session.run_until(&[order.stop]);
-        chatfuzz::save_snapshot(&order.assignment.out, &session.snapshot())
-            .expect("spool result snapshot writes");
+        let published =
+            chatfuzz::save_snapshot_retrying(&order.assignment.out, &session.snapshot(), 0);
+        if let Err(error) = &published {
+            if sink.is_enabled() {
+                sink.event(
+                    "lease_result_failed",
+                    vec![
+                        ("lease", lease.to_string().into()),
+                        ("attempt", attempt.into()),
+                        ("error", error.to_string().into()),
+                    ],
+                );
+            }
+        }
         // Drain this lease's timeline before the claim loop moves on —
         // the next order may retarget the trace to a different stem.
         let _ = sink.flush_trace();
+        published.is_ok()
     }
 }
 
@@ -942,6 +961,96 @@ mod tests {
             trace.lines().filter(|l| l.contains("\"kind\":\"lease_rejected\"")).collect();
         assert_eq!(rejected.len(), 1, "{trace}");
         assert!(rejected[0].contains("c0-g0-l0-a0.json"), "{}", rejected[0]);
+        drop(transport);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Names the role a re-spawned unit-test binary plays.
+    const ENV_ROLE: &str = "CHATFUZZ_SPOOL_TEST_ROLE";
+
+    /// Child role for `a_transient_error_on_the_result_write_is_retried`:
+    /// a spool worker under the `CHATFUZZ_FAULT_PLAN` its parent set,
+    /// with the plan's fired faults traced to `faults.trace.jsonl` in
+    /// the spool. Serves both of the parent's orders, then exits at the
+    /// stop marker. A no-op under a plain `cargo test`.
+    #[test]
+    fn role_faulted_worker() {
+        if std::env::var(ENV_ROLE).as_deref() != Ok("faulted_worker") {
+            return;
+        }
+        let dir = PathBuf::from(std::env::var_os(ENV_SPOOL_DIR).expect("spool dir"));
+        let sink = TelemetrySink::enabled();
+        sink.trace_to(&dir.join("faults.trace.jsonl")).expect("fault trace");
+        let plan = std::env::var(chatfuzz::faults::ENV_VAR).expect("the parent sets a plan");
+        let cfg = chatfuzz::faults::FaultConfig::parse(&plan).expect("the parent's plan parses");
+        assert!(chatfuzz::faults::install(cfg, sink), "nothing consulted the plan before");
+        assert_eq!(worker(&dir).serve(), 2, "both orders served");
+    }
+
+    /// The first seed of a 50 % transient-error plan whose draws fail
+    /// persist op 3 and pass ops 4 and 7. A lease of two batches with no
+    /// checkpoint writes two heartbeats and then its result, so op 3 is
+    /// the first lease's result write, op 4 its first retry, and op 7
+    /// the second lease's result write.
+    fn plan_failing_the_first_result_write(dir: &Path) -> chatfuzz::faults::FaultConfig {
+        use chatfuzz::faults::{FaultConfig, FaultPlan};
+        let (probe, tmp) = (dir.join("probe"), dir.join("probe.tmp"));
+        (0..)
+            .map(|seed| FaultConfig { io_error_per_myriad: 5000, ..FaultConfig::benign(seed) })
+            .find(|&cfg| {
+                let plan = FaultPlan::new(cfg);
+                let failed: Vec<bool> =
+                    (0..7).map(|_| plan.atomic_write(&probe, &tmp, b"").is_err()).collect();
+                failed[2] && !failed[3] && !failed[6]
+            })
+            .expect("some seed fails op 3 alone")
+    }
+
+    /// A worker whose result write draws an injected transient io error
+    /// retries it, publishes the result, and goes on to serve the next
+    /// order (the write used to `expect` success, so one `EINTR` killed
+    /// the worker process).
+    #[test]
+    fn a_transient_error_on_the_result_write_is_retried() {
+        let dir = std::env::temp_dir().join(format!("chatfuzz-spool-eintr-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut transport = SpoolTransport::new(&dir).expect("spool dirs");
+        let worker = worker(&dir);
+        let results = [dispatch(&mut transport, &worker, 0), dispatch(&mut transport, &worker, 1)];
+        let plan = plan_failing_the_first_result_write(&dir);
+        let mut child = Command::new(std::env::current_exe().expect("test binary path"))
+            .args(["spool::tests::role_faulted_worker", "--exact", "--nocapture"])
+            .env(ENV_ROLE, "faulted_worker")
+            .env(ENV_SPOOL_DIR, &dir)
+            .env(chatfuzz::faults::ENV_VAR, plan.env_value())
+            .stdout(Stdio::null())
+            .stderr(Stdio::null())
+            .spawn()
+            .expect("spawn the worker");
+        let deadline = std::time::Instant::now() + Duration::from_secs(120);
+        while !results.iter().all(|r| r.exists()) {
+            if let Some(status) = child.try_wait().expect("poll the worker") {
+                panic!("the worker exited ({status}) before publishing both results");
+            }
+            assert!(std::time::Instant::now() < deadline, "the results never appeared");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        transport.shutdown();
+        let status = child.wait().expect("the worker exits");
+        assert!(status.success(), "the worker served both orders and stopped cleanly: {status}");
+        let space = Rocket::new(RocketConfig::default()).space().clone();
+        for result in &results {
+            let snapshot = chatfuzz::load_snapshot(result, &space).expect("result loads");
+            assert_eq!(snapshot.tests_run(), 16);
+        }
+        // Not a vacuous pass: the plan did fail the first result write.
+        let trace = std::fs::read_to_string(dir.join("faults.trace.jsonl")).expect("fault trace");
+        let first = results[0].file_name().and_then(|n| n.to_str()).expect("result name");
+        let hit = trace
+            .lines()
+            .filter(|l| l.contains("\"fault\":\"io_error\""))
+            .any(|l| l.contains("\"op\":3") && l.contains(&format!("{OUTBOX}/{first}")));
+        assert!(hit, "op 3 was the first result write and drew the error:\n{trace}");
         drop(transport);
         let _ = std::fs::remove_dir_all(&dir);
     }
