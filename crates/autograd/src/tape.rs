@@ -34,7 +34,6 @@ enum Op {
     Sub { a: usize, b: usize },
     Mul { a: usize, b: usize },
     Scale { a: usize, c: f32 },
-    AddConst { a: usize },
     Gelu { a: usize },
     Tanh { a: usize },
     Exp { a: usize },
@@ -160,15 +159,6 @@ impl Tape {
         let mut out = self.nodes[a.0].value.clone();
         out.scale_assign(c);
         self.push(out, Op::Scale { a: a.0, c })
-    }
-
-    /// `a + c` for scalar `c`.
-    pub fn add_const(&mut self, a: Value, c: f32) -> Value {
-        let mut out = self.nodes[a.0].value.clone();
-        for x in out.data_mut() {
-            *x += c;
-        }
-        self.push(out, Op::AddConst { a: a.0 })
     }
 
     /// GELU activation (tanh approximation, as in GPT-2).
@@ -422,7 +412,6 @@ impl Tape {
                     da.scale_assign(c);
                     self.accum(a, da);
                 }
-                Op::AddConst { a } => self.accum(a, g),
                 Op::Gelu { a } => {
                     let da = elementwise(&g, &self.nodes[a].value, |gg, x| gg * gelu_bwd(x));
                     self.accum(a, da);

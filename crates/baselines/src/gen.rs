@@ -81,8 +81,8 @@ pub struct ModelSample {
     pub prompt_len: usize,
 }
 
-/// One rollout queued for the learner of an actor/learner LM arm: a
-/// completed, reward-stamped sample awaiting the next publish boundary.
+/// One rollout queued for the learner of an LM arm: a completed,
+/// reward-stamped sample awaiting the next publish boundary.
 /// Unlike a fully scored `Rollout`, only the (tokens, prompt boundary,
 /// reward) triple is kept — log-probabilities and values are recomputed
 /// deterministically from the policy weights when the learner consumes
@@ -127,17 +127,15 @@ pub struct ModelState {
     /// Samples produced by the last `next_batch` whose feedback has not
     /// arrived yet, grouped per input.
     pub pending: Vec<Vec<ModelSample>>,
-    /// Number of weight snapshots published so far by an actor/learner
-    /// arm (the actor's frozen-snapshot version); `0` for the serialized
-    /// in-line trainer, which publishes implicitly every batch.
+    /// Number of publish boundaries the learner has crossed: the weight
+    /// epoch.
     pub publish_epoch: u64,
     /// Observed batches since the last publish boundary — together with
     /// the (construction-time) publish cadence this pins exactly where in
-    /// the actor/learner cycle a resume lands.
+    /// the publish cycle a resume lands.
     pub batches_since_publish: u64,
     /// Reward-stamped rollouts the learner has accepted but not yet
-    /// trained on (drained at every publish boundary). Empty for the
-    /// serialized in-line trainer.
+    /// trained on (drained at every publish boundary).
     pub learner_queue: Vec<PendingRollout>,
 }
 
@@ -203,12 +201,11 @@ pub trait InputGenerator: Send {
         let _ = state;
     }
 
-    /// The published weight-snapshot version of an actor/learner arm
-    /// (how many times its learner has published new weights for the
-    /// actors to sample from). `None` for generators without a
-    /// versioned model — the default. Fleet dashboards surface this so
-    /// an orchestrated LM campaign shows how far training has advanced
-    /// across merges.
+    /// The published weight version of a model-backed arm (how many
+    /// times its learner has published new weights to sample from).
+    /// `None` for generators without a versioned model — the default.
+    /// Fleet dashboards surface this so an orchestrated LM campaign
+    /// shows how far training has advanced across merges.
     fn weight_epoch(&self) -> Option<u64> {
         None
     }

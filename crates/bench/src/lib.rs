@@ -19,7 +19,7 @@ use chatfuzz::pipeline::{train_chatfuzz, ChatFuzzModel, PipelineConfig, Pipeline
 use chatfuzz::report;
 use chatfuzz_baselines::InputGenerator;
 use chatfuzz_rl::PpoConfig;
-use chatfuzz_rtl::{Boom, BoomConfig, BugConfig, Dut, Rocket, RocketConfig};
+use chatfuzz_rtl::{Boom, BoomConfig, Dut, Rocket, RocketConfig};
 
 /// Experiment effort level, selected with the `CHATFUZZ_SCALE` env var
 /// (`quick` | `full`, default `quick`).
@@ -65,14 +65,6 @@ pub const TRAIN_SEED: u64 = 11;
 /// Builds a buggy-Rocket factory (the paper's RocketCore target).
 pub fn rocket_factory() -> DutFactory {
     Arc::new(|| Box::new(Rocket::new(RocketConfig::default())) as Box<dyn Dut>)
-}
-
-/// Builds a bug-free-Rocket factory (for sanity baselines).
-pub fn fixed_rocket_factory() -> DutFactory {
-    Arc::new(|| {
-        Box::new(Rocket::new(RocketConfig { bugs: BugConfig::all_off(), ..Default::default() }))
-            as Box<dyn Dut>
-    })
 }
 
 /// Builds a BOOM factory.

@@ -5,8 +5,8 @@
 //!
 //! * **fast** — sampling runs through the KV-cached incremental decoder
 //!   ([`chatfuzz_lm::KvCache`], `PpoConfig::sample_into`), token-pinned
-//!   equal to the naive path but `O(T)` per token, and the actor/learner
-//!   mode below amortises the PPO cost across a whole publish interval;
+//!   equal to the naive path but `O(T)` per token, and a publish cadence
+//!   above 1 amortises the PPO step across the interval (see below);
 //! * **durable** — `InputGenerator::export_state` captures the whole
 //!   accumulated state (tokenizer merges, policy weights, Adam moments,
 //!   refreshed prompt pool, pending rollouts, learner queue and publish
@@ -18,36 +18,28 @@
 //!   discovered rather than pre-built) on top of its static training
 //!   corpus.
 //!
-//! # Actor/learner split
+//! # One training loop
 //!
-//! With [`LmGeneratorConfig::publish_every`] `== 0` the arm is the
-//! original *serialized* generator: every `observe` scores the batch's
-//! rollouts and runs a PPO step in line, so sampling always sees the
-//! newest weights. That path is deliberately kept as the equality
-//! baseline (the PR-3/PR-5 pattern).
+//! The arm samples from its PPO trainer's policy and trains that policy
+//! only at deterministic publish boundaries. `observe` queues each
+//! generated sample with its input's reward; every
+//! [`LmGeneratorConfig::publish_every`] observed batches, the learner
+//! replays up to [`LmGeneratorConfig::learner_batch`] of the queued
+//! rollouts (selected by reward, ties broken by arrival) through one PPO
+//! step, clears the queue and bumps the publish epoch
+//! (`InputGenerator::weight_epoch`). The weights change nowhere else but
+//! in `import_state`, so every batch of an interval samples from the same
+//! policy. Sampling (`next_batch`) and training (`observe`) both run on
+//! the campaign thread, one after the other.
 //!
-//! With `publish_every >= 1` the arm splits into an **actor** and a
-//! **learner**:
-//!
-//! * the `LmActor` holds a *frozen, versioned copy* of the policy (the
-//!   published snapshot) and does all sampling from it — test execution
-//!   and rollout scoring still flow through the campaign's ordinary
-//!   worker channels (`image_pool`/`scratch_pool`), there is no side
-//!   loop;
-//! * the `LmLearner` consumes completed, reward-stamped rollouts into
-//!   a queue and trains **only at deterministic publish boundaries**
-//!   (every `publish_every` observed batches): it replays up to
-//!   [`LmGeneratorConfig::learner_batch`] of the queued rollouts —
-//!   selected by reward, ties broken by arrival — through one PPO step,
-//!   then publishes the new weights to the actor and bumps the epoch.
-//!
-//! Because the learner's policy only ever changes inside a publish, the
-//! actor snapshot and the learner policy are bit-identical *between*
-//! boundaries; with `publish_every == 1` and an unbounded learner batch
-//! the whole construction is token-identical to the serialized baseline
-//! under the same RNG (pinned by proptest in
-//! `tests/tests/it_actor_learner.rs`). The queue, the boundary counter,
-//! and the epoch ride in [`ModelState`] (persist schema v4), so the
+//! The default cadence of 1 with an unbounded replay batch trains on
+//! every batch's rollouts right after the batch: the paper's in-loop
+//! step-3 trainer, pinned token for token and weight for weight by
+//! `cadence_one_reproduces_the_pinned_trainer_table` in
+//! `tests/tests/it_actor_learner.rs`. A longer cadence amortises the PPO
+//! step over several batches. Rollouts a federated shard merge adds to
+//! the queue are replayed at the next boundary like any other. The queue,
+//! the boundary counter and the epoch ride in [`ModelState`], so the
 //! SIGKILL-resume bit-identity law holds at any point of the cycle.
 
 use chatfuzz_autograd::Tensor;
@@ -115,14 +107,13 @@ pub struct LmGeneratorConfig {
     /// a few windowed generations reaches that length without growing the
     /// transformer's context.
     pub samples_per_input: usize,
-    /// Publish cadence of the actor/learner split, in observed batches.
-    /// `0` keeps the serialized in-line trainer (score + PPO step every
-    /// batch — the equality baseline); `k >= 1` samples from the frozen
-    /// actor snapshot and trains/publishes only every `k` batches.
+    /// Publish cadence in observed batches: the learner runs one PPO step
+    /// and bumps the weight epoch every `publish_every` batches. Must be
+    /// at least 1; the default 1 trains after every batch.
     pub publish_every: usize,
     /// Maximum rollouts the learner replays per publish boundary,
-    /// selected by reward (ties broken by arrival order). `0` replays
-    /// everything queued. Only meaningful when `publish_every >= 1`.
+    /// selected by reward (ties broken by arrival order). `0`, the
+    /// default, replays everything queued.
     pub learner_batch: usize,
 }
 
@@ -136,26 +127,14 @@ impl Default for LmGeneratorConfig {
             reward: CoverageReward::default(),
             total_bins: 1,
             samples_per_input: 3,
-            publish_every: 0,
+            publish_every: 1,
             learner_batch: 0,
         }
     }
 }
 
-/// The sampling half of the actor/learner split: a frozen, versioned
-/// copy of the policy weights. Actors only ever read `policy`; the
-/// learner overwrites it (and bumps `epoch`) at publish boundaries.
-#[derive(Debug)]
-struct LmActor {
-    /// The published snapshot all sampling runs against.
-    policy: Gpt,
-    /// Snapshot version: number of publishes so far.
-    epoch: u64,
-}
-
-/// The training half of the actor/learner split: the PPO trainer plus
-/// the queue of completed, reward-stamped rollouts awaiting the next
-/// publish boundary.
+/// The PPO trainer, whose policy all sampling runs against, plus the
+/// queue of reward-stamped rollouts awaiting the next publish boundary.
 #[derive(Debug)]
 struct LmLearner {
     trainer: PpoTrainer,
@@ -163,21 +142,20 @@ struct LmLearner {
     queue: Vec<PendingRollout>,
     /// Observed batches since the last publish boundary.
     batches_since_publish: u64,
+    /// Publishes so far: the weight epoch.
+    epoch: u64,
 }
 
 /// The trained-model input generator: prompts with corpus prefixes,
 /// samples continuations through the KV-cached decoder, decodes them to
 /// instruction images, and (when online training is enabled) folds
-/// coverage feedback back into the policy with PPO — in line every batch
-/// (serialized baseline) or through the actor/learner split (see the
-/// module docs).
+/// coverage feedback back into the policy with PPO at publish boundaries
+/// (see the module docs).
 #[derive(Debug)]
 pub struct LmGenerator {
     tokenizer: Tokenizer,
-    /// The learner: PPO trainer + queued rollouts + boundary counter.
+    /// The learner: PPO trainer, queued rollouts, boundary counter, epoch.
     learner: LmLearner,
-    /// The actor: frozen published policy snapshot + epoch.
-    actor: LmActor,
     /// Static prompt programs from the training corpus (a construction
     /// parameter; rebuilt identically on resume).
     base_pool: Vec<Vec<u32>>,
@@ -201,7 +179,7 @@ impl LmGenerator {
     ///
     /// # Panics
     ///
-    /// Panics if `prompt_pool` is empty.
+    /// Panics if `prompt_pool` is empty or `cfg.publish_every == 0`.
     pub fn new(
         tokenizer: Tokenizer,
         policy: Gpt,
@@ -210,16 +188,16 @@ impl LmGenerator {
         cfg: LmGeneratorConfig,
     ) -> LmGenerator {
         assert!(!prompt_pool.is_empty(), "prompt pool must not be empty");
+        assert!(cfg.publish_every > 0, "publish cadence must be positive");
         let cache = KvCache::new(*policy.config());
-        let actor = LmActor { policy: policy.clone(), epoch: 0 };
         LmGenerator {
             tokenizer,
             learner: LmLearner {
                 trainer: PpoTrainer::new(policy, ppo),
                 queue: Vec::new(),
                 batches_since_publish: 0,
+                epoch: 0,
             },
-            actor,
             base_pool: prompt_pool,
             shared_pool: Vec::new(),
             cfg,
@@ -233,17 +211,6 @@ impl LmGenerator {
     /// Access to the underlying policy (for checkpointing / inspection).
     pub fn policy(&self) -> &Gpt {
         self.learner.trainer.policy()
-    }
-
-    /// The actor's published-snapshot version: how many publish
-    /// boundaries the learner has crossed. Stays `0` in serialized mode.
-    pub fn publish_epoch(&self) -> u64 {
-        self.actor.epoch
-    }
-
-    /// Rollouts currently queued for the learner's next publish.
-    pub fn queued_rollouts(&self) -> usize {
-        self.learner.queue.len()
     }
 
     /// Number of cross-arm programs currently in the prompt pool (on top
@@ -260,22 +227,11 @@ impl LmGenerator {
         (self.tokenizer, self.learner.trainer.into_policy(), self.base_pool)
     }
 
-    /// Copies the learner's current policy weights into the actor's
-    /// frozen snapshot (the publish itself; epoch bookkeeping is the
-    /// caller's).
-    fn sync_actor(&mut self) {
-        let src = self.learner.trainer.policy();
-        let mut dst = self.actor.policy.params_mut();
-        for (tensor, source) in dst.iter_mut().zip(src.params()) {
-            tensor.data_mut().copy_from_slice(source.data());
-        }
-    }
-
     /// A publish boundary: replay the reward-selected queued rollouts
     /// through one PPO step, drop the rest (they were sampled under the
-    /// now-superseded snapshot), publish the new weights to the actor
-    /// and bump the epoch. Runs entirely on the campaign thread at a
-    /// deterministic batch index, so resume bit-identity is preserved.
+    /// now-superseded weights) and bump the epoch. Runs on the campaign
+    /// thread at a deterministic batch index, so resume bit-identity is
+    /// preserved.
     fn publish(&mut self) {
         let max_seq = self.learner.trainer.policy().config().max_seq;
         let selected = select_replay(&self.learner.queue, self.cfg.learner_batch, max_seq);
@@ -291,8 +247,7 @@ impl LmGenerator {
         }
         self.learner.queue.clear();
         self.learner.batches_since_publish = 0;
-        self.actor.epoch += 1;
-        self.sync_actor();
+        self.learner.epoch += 1;
     }
 
     /// Builds a prompt from the first 2–5 instructions of a pool program
@@ -352,11 +307,6 @@ impl InputGenerator for LmGenerator {
 
     fn next_batch(&mut self, n: usize) -> Vec<Vec<u8>> {
         self.pending.clear();
-        let actor_mode = self.cfg.publish_every >= 1;
-        // Both paths sample under the trainer's clamp and differ only in
-        // the policy: the serialized path samples from the live trainer
-        // policy, the actor path from the frozen published snapshot
-        // (bit-identical between publishes).
         let ppo = *self.learner.trainer.config();
         (0..n)
             .map(|_| {
@@ -365,10 +315,8 @@ impl InputGenerator for LmGenerator {
                 for _ in 0..self.cfg.samples_per_input.max(1) {
                     let prompt = self.make_prompt();
                     let prompt_len = prompt.len();
-                    let policy =
-                        if actor_mode { &self.actor.policy } else { self.learner.trainer.policy() };
                     ppo.sample_into(
-                        policy,
+                        self.learner.trainer.policy(),
                         &prompt,
                         &mut self.rng,
                         &mut self.cache,
@@ -388,34 +336,13 @@ impl InputGenerator for LmGenerator {
             self.pending.clear();
             return;
         }
-        if self.cfg.publish_every == 0 {
-            // Serialized in-line trainer (the equality baseline): score
-            // the batch and run a PPO step right here, every batch.
-            let mut rollouts = Vec::new();
-            for (samples, fb) in self.pending.drain(..).zip(feedback) {
-                // All samples stitched into the input share its reward
-                // (coarse but unbiased credit assignment).
-                let reward = self.cfg.reward.reward(fb, self.cfg.total_bins);
-                for ModelSample { tokens, prompt_len } in samples {
-                    if tokens.len() <= prompt_len {
-                        continue; // nothing was generated; nothing to reinforce
-                    }
-                    rollouts.push(self.learner.trainer.score(tokens, prompt_len, reward));
-                }
-            }
-            if !rollouts.is_empty() {
-                self.learner.trainer.step(&rollouts);
-            }
-            return;
-        }
-        // Actor/learner: the scored feedback arrives here off the same
-        // worker channels every arm uses; the learner just queues the
-        // reward-stamped rollouts and defers training to the boundary.
         for (samples, fb) in self.pending.drain(..).zip(feedback) {
+            // All samples stitched into the input share its reward
+            // (coarse but unbiased credit assignment).
             let reward = self.cfg.reward.reward(fb, self.cfg.total_bins);
             for ModelSample { tokens, prompt_len } in samples {
                 if tokens.len() <= prompt_len {
-                    continue;
+                    continue; // nothing was generated; nothing to reinforce
                 }
                 self.learner.queue.push(PendingRollout { tokens, prompt_len, reward });
             }
@@ -429,9 +356,6 @@ impl InputGenerator for LmGenerator {
     fn export_state(&self) -> Option<GeneratorState> {
         let policy = self.learner.trainer.policy();
         let (m, v) = self.learner.trainer.optimizer().moments();
-        // The actor snapshot is not serialised separately: between
-        // publishes it is bit-identical to the learner policy (the
-        // learner only steps inside `publish`), so import re-derives it.
         let model = ModelState {
             bpe: self.tokenizer.kind() == TokenizerKind::Bpe,
             merges: self.tokenizer.merges().to_vec(),
@@ -441,7 +365,7 @@ impl InputGenerator for LmGenerator {
             opt_steps: self.learner.trainer.optimizer().steps(),
             prompt_pool: self.shared_pool.clone(),
             pending: self.pending.clone(),
-            publish_epoch: self.actor.epoch,
+            publish_epoch: self.learner.epoch,
             batches_since_publish: self.learner.batches_since_publish,
             learner_queue: self.learner.queue.clone(),
         };
@@ -508,15 +432,12 @@ impl InputGenerator for LmGenerator {
         self.pending = model.pending.clone();
         self.learner.queue = model.learner_queue.clone();
         self.learner.batches_since_publish = model.batches_since_publish;
-        self.actor.epoch = model.publish_epoch;
-        // Re-derive the actor snapshot: at rest it always equals the
-        // learner policy (see `export_state`).
-        self.sync_actor();
+        self.learner.epoch = model.publish_epoch;
         self.rng = ChaCha8Rng::from_words(&state.rng_words).expect("corrupt generator RNG state");
     }
 
     fn weight_epoch(&self) -> Option<u64> {
-        Some(self.actor.epoch)
+        Some(self.learner.epoch)
     }
 
     fn absorb_seeds(&mut self, seeds: &[Vec<u32>]) {
@@ -914,6 +835,48 @@ mod tests {
         // Refresh is wholesale: a smaller next exchange shrinks it again.
         with_seeds.absorb_seeds(&[vec![0x0010_0093; 2]]);
         assert_eq!(with_seeds.shared_prompt_count(), 1);
+    }
+
+    /// The default arm trains through the one loop: a replay rollout that
+    /// a federated merge left in the imported learner queue is trained on
+    /// the next observed batch, and every batch publishes a weight epoch.
+    #[test]
+    fn default_arm_trains_merged_replays_and_counts_epochs() {
+        let (tok, model, pool) = setup();
+        let ppo = PpoConfig { max_new_tokens: 8, lr: 1e-3, ..Default::default() };
+        let cfg = LmGeneratorConfig { total_bins: 100, ..Default::default() };
+        let replay =
+            PendingRollout { tokens: tok.encode(&pool[0][..2]), prompt_len: 1, reward: 1.0 };
+        let mut generator = LmGenerator::new(tok.clone(), model.clone(), ppo, pool.clone(), cfg);
+        let mut twin = LmGenerator::new(tok, model, ppo, pool, cfg);
+        let mut state = generator.export_state().expect("LM state");
+        state.model.as_mut().expect("model half").learner_queue.push(replay);
+        generator.import_state(&state);
+        let feedback = vec![Feedback { standalone: 3, incremental: 1, ..Default::default() }; 2];
+        for epoch in 1..=3 {
+            let batch = generator.next_batch(2);
+            generator.observe(&batch, &feedback);
+            let model = generator.export_state().and_then(|s| s.model).expect("model half");
+            assert!(model.learner_queue.is_empty(), "batch {epoch} left the queue undrained");
+            assert_eq!(generator.weight_epoch(), Some(epoch));
+            if epoch == 1 {
+                let twin_batch = twin.next_batch(2);
+                twin.observe(&twin_batch, &feedback);
+                assert_ne!(
+                    generator.policy().params()[0].data(),
+                    twin.policy().params()[0].data(),
+                    "the replay took part in the first step"
+                );
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "publish cadence must be positive")]
+    fn a_zero_publish_cadence_panics() {
+        let (tok, model, pool) = setup();
+        let cfg = LmGeneratorConfig { publish_every: 0, ..Default::default() };
+        LmGenerator::new(tok, model, PpoConfig::default(), pool, cfg);
     }
 
     #[test]

@@ -262,8 +262,8 @@ pub fn train_chatfuzz(
         total_bins,
         samples_per_input: 1,
         // The optimisation pipeline wants the training curve itself, so
-        // it keeps the serialized in-line trainer (train every batch).
-        publish_every: 0,
+        // it trains on every batch's rollouts, right after the batch.
+        publish_every: 1,
         learner_batch: 0,
     };
     let mut generator = LmGenerator::new(

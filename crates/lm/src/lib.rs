@@ -20,19 +20,18 @@
 //! * [`ngram::NgramLm`] — the generator ablation (A1 in DESIGN.md), with
 //!   [`NgramLm::absorb`] for online count updates.
 //!
-//! # Actor/learner contract (PR 7)
+//! # Publish contract
 //!
-//! Inside a campaign the [`Gpt`] plays two roles at once. The **actor**
-//! is a frozen clone of the weights, stamped with a monotonically
-//! increasing *publish epoch*; every batch is sampled from it on the
-//! worker pool, so sampling never observes a half-trained model. The
-//! **learner** (a `chatfuzz_rl::PpoTrainer` owned by the campaign's LM
-//! generator) queues scored rollouts and trains only at deterministic
-//! publish boundaries — every `publish_every` observed batches — then
-//! copies its weights over the actor and bumps the epoch. Between
-//! boundaries actor and learner weights are bit-identical, which is why
-//! checkpoints persist a single weight set plus the queue and epoch
-//! counters, and why a SIGKILL-resume replays to the same tokens.
+//! Inside a campaign one [`Gpt`] is both sampled and trained: the LM
+//! generator samples every batch from the policy of its
+//! `chatfuzz_rl::PpoTrainer` and trains it only at deterministic publish
+//! boundaries — every `publish_every` observed batches — stamping each
+//! publish with a monotonically increasing *publish epoch*. Sampling and
+//! training both run on the campaign thread, one after the other, so
+//! sampling never observes a half-trained model. Between boundaries the
+//! weights do not change, which is why checkpoints persist one weight
+//! set plus the rollout queue and epoch counters, and why a
+//! SIGKILL-resume replays to the same tokens.
 //!
 //! # Examples
 //!

@@ -147,11 +147,6 @@ impl Gpt {
         4 + 12 * self.blocks.len() + 2
     }
 
-    /// Total scalar parameter count.
-    pub fn scalar_params(&self) -> usize {
-        self.params().iter().map(|t| t.len()).sum()
-    }
-
     /// Parameter tensors in canonical order.
     pub fn params(&self) -> Vec<&Tensor> {
         let mut v: Vec<&Tensor> = vec![&self.wte, &self.wpe];

@@ -27,7 +27,7 @@ use std::fmt;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use chatfuzz::campaign::{CampaignBuilder, CampaignSnapshot, StopCondition};
+use chatfuzz::campaign::{CampaignBuilder, CampaignObserver, CampaignSnapshot, StopCondition};
 use chatfuzz::shard::ShardSpec;
 use chatfuzz_coverage::Space;
 use chatfuzz_telemetry::TelemetrySink;
@@ -137,6 +137,36 @@ impl fmt::Debug for WorkOrder {
             .field("stop", &self.stop)
             .field("checkpoint_every", &self.checkpoint_every)
             .finish()
+    }
+}
+
+impl WorkOrder {
+    /// Runs this attempt to its stop condition on the current thread, the
+    /// one lease runner of every transport: builds the campaign from the
+    /// tenant's template with the order's telemetry sink, auto-checkpoints
+    /// to `checkpoint`, reports every batch to `heartbeat`, continues from
+    /// the resume snapshot if there is one, and returns the final
+    /// snapshot.
+    ///
+    /// # Panics
+    ///
+    /// Panics where the campaign does, e.g. when an auto-checkpoint
+    /// cannot be written; transports catch it or let the worker die.
+    pub(crate) fn run(
+        self,
+        checkpoint: PathBuf,
+        heartbeat: impl CampaignObserver + 'static,
+    ) -> CampaignSnapshot {
+        let mut builder = (self.build)(self.spec)
+            .telemetry(self.telemetry)
+            .auto_checkpoint(checkpoint, self.checkpoint_every)
+            .observer(heartbeat);
+        if let Some(snapshot) = self.resume {
+            builder = builder.resume(snapshot);
+        }
+        let mut campaign = builder.build();
+        campaign.run_until(&[self.stop]);
+        campaign.snapshot()
     }
 }
 

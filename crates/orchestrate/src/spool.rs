@@ -11,7 +11,8 @@
 //!   inbox/<lease>.json     work orders, one flat-JSON file each
 //!   claimed/<lease>.json   a worker claims an order by renaming it here;
 //!                          losing the rename race means another worker won
-//!   hb/<lease>.json        heartbeats: {seq, tests, pid}, rewritten per batch
+//!   hb/<lease>.json        heartbeats: {seq, tests, pid}, rewritten per batch;
+//!                          one whose three fields do not all parse is not progress
 //!   ckpt/<lease>.ckpt.json attempt-scoped auto-checkpoints (persist format)
 //!   resume/<lease>.json    pooled snapshots a lease continues from
 //!   outbox/<lease>.json    final shard snapshots (persist format)
@@ -26,8 +27,10 @@
 //! and the result path) is encoded and decoded by one codec,
 //! `Assignment`.
 //!
-//! A worker decodes each claimed order once, into a checked order or a
-//! typed error. An order it cannot serve — a missing key, a garbled or
+//! A worker decodes each claimed order once, into a [`WorkOrder`] plus
+//! its checkpoint, heartbeat and result paths, or into a typed error,
+//! and runs it with `WorkOrder::run`, the lease runner the in-process
+//! pool uses too. An order it cannot serve — a missing key, a garbled or
 //! overflowing number, an unknown campaign, a resume snapshot that will
 //! not load — stays in `claimed/` and is reported as a `lease_rejected`
 //! event on the worker's sink ([`SpoolWorker::telemetry`]), and the
@@ -46,7 +49,7 @@ use std::str::FromStr;
 use std::sync::Arc;
 use std::time::Duration;
 
-use chatfuzz::campaign::{BatchOutcome, CampaignSnapshot, StopCondition};
+use chatfuzz::campaign::{BatchOutcome, StopCondition};
 use chatfuzz::persist::{PersistError, Recovery};
 use chatfuzz::shard::ShardSpec;
 use chatfuzz_coverage::Space;
@@ -190,7 +193,7 @@ fn decode_flat(text: &str) -> Option<BTreeMap<String, String>> {
 }
 
 // ---------------------------------------------------------------------------
-// Work orders: the raw map, its shard half, decode errors, the checked form.
+// Work orders and heartbeats: the raw map, its shard half, decode errors.
 // ---------------------------------------------------------------------------
 
 /// A work order as read from its lease file, before any field is checked.
@@ -266,18 +269,11 @@ impl Assignment {
     }
 }
 
-/// A claimed order whose every field checked out: serving it parses
-/// nothing further.
-struct DecodedOrder<'w> {
-    lease: LeaseId,
-    attempt: u32,
-    assignment: Assignment,
-    build: &'w LeaseBuilder,
-    stop: StopCondition,
-    checkpoint_every: usize,
-    checkpoint: PathBuf,
-    heartbeat: PathBuf,
-    resume: Option<CampaignSnapshot>,
+/// A heartbeat's `(seq, tests, pid)`, or `None` unless the file is a
+/// flat JSON object and all three parse.
+fn decode_heartbeat(text: &str) -> Option<(u64, usize, u64)> {
+    let beat = decode_flat(text)?;
+    Some((number(&beat, "seq").ok()?, number(&beat, "tests").ok()?, number(&beat, "pid").ok()?))
 }
 
 // ---------------------------------------------------------------------------
@@ -327,10 +323,11 @@ impl SpoolTransport {
         })
     }
 
-    /// Spawn `workers` copies of `program args…` (with [`ENV_SPOOL_DIR`] set
-    /// to the spool root) on first dispatch. Without this, the transport
-    /// assumes workers are started out of band — possibly on another
-    /// machine mounting the same directory.
+    /// Keeps `workers` copies of `program args…` (with [`ENV_SPOOL_DIR`]
+    /// set to the spool root) running: they are spawned on first dispatch,
+    /// and every dispatch replaces the ones that have exited. Without
+    /// this, the transport assumes workers are started out of band —
+    /// possibly on another machine mounting the same directory.
     pub fn spawn_workers(
         mut self,
         workers: usize,
@@ -349,6 +346,9 @@ impl SpoolTransport {
 
     fn ensure_workers(&mut self) -> Result<(), OrchestrateError> {
         let Some((program, args)) = &self.program else { return Ok(()) };
+        // A worker that died (SIGKILL, OOM, a panic) is replaced, or a
+        // reissued lease would wait in an inbox nobody serves.
+        self.children.retain_mut(|entry| matches!(entry.child.try_wait(), Ok(None)));
         while self.children.len() < self.worker_count {
             let child = Command::new(program)
                 .args(args)
@@ -431,15 +431,10 @@ impl Transport for SpoolTransport {
         let mut events = Vec::new();
         let mut still_inflight = Vec::new();
         for mut entry in self.inflight.drain(..) {
-            if let Some(hb) =
-                std::fs::read_to_string(&entry.heartbeat).ok().and_then(|text| decode_flat(&text))
-            {
-                let seq = hb.get("seq").and_then(|s| s.parse::<u64>().ok()).unwrap_or(0);
+            let beat = std::fs::read_to_string(&entry.heartbeat).ok();
+            if let Some((seq, tests_run, worker)) = beat.as_deref().and_then(decode_heartbeat) {
                 if seq > entry.last_seq {
                     entry.last_seq = seq;
-                    let worker = hb.get("pid").and_then(|s| s.parse::<u64>().ok()).unwrap_or(0);
-                    let tests_run =
-                        hb.get("tests").and_then(|s| s.parse::<usize>().ok()).unwrap_or(0);
                     self.serving.insert(worker, entry.lease);
                     events.push(TransportEvent::Heartbeat {
                         lease: entry.lease,
@@ -629,7 +624,9 @@ impl SpoolWorker {
     fn serve_claimed(&self, claimed: &Path) -> bool {
         let order = std::fs::read_to_string(claimed).ok().and_then(|text| decode_flat(&text));
         match order.ok_or(OrderError::Malformed).and_then(|order| self.decode(&order)) {
-            Ok(order) => self.serve_order(order),
+            Ok((order, checkpoint, heartbeat, result)) => {
+                self.serve_order(order, checkpoint, heartbeat, &result)
+            }
             Err(error) => {
                 let sink = &self.telemetry;
                 if sink.is_enabled() {
@@ -648,8 +645,9 @@ impl SpoolWorker {
     }
 
     /// Checks every field of a claimed order against this worker's
-    /// templates, loading the resume snapshot last.
-    fn decode(&self, order: &Order) -> Result<DecodedOrder<'_>, OrderError> {
+    /// templates, loading the resume snapshot last. Returns the work order
+    /// with its checkpoint, heartbeat and result paths.
+    fn decode(&self, order: &Order) -> Result<(WorkOrder, PathBuf, PathBuf, PathBuf), OrderError> {
         let campaign = text(order, "campaign")?;
         let (_, build, space) = self
             .templates
@@ -660,26 +658,30 @@ impl SpoolWorker {
             0 => return Err(OrderError::Invalid { key: "ckpt_every", value: "0".to_string() }),
             every => every,
         };
-        let mut decoded = DecodedOrder {
+        let Assignment { spec, out } = Assignment::decode(order)?;
+        let mut decoded = WorkOrder {
             lease: LeaseId {
                 campaign: number(order, "lease_campaign")?,
                 generation: number(order, "lease_generation")?,
                 index: number(order, "lease_index")?,
             },
             attempt: number(order, "attempt")?,
-            assignment: Assignment::decode(order)?,
-            build,
+            campaign: campaign.to_string(),
+            spec,
+            resume: None,
             stop: StopCondition::Tests(number(order, "stop_tests")?),
             checkpoint_every,
-            checkpoint: PathBuf::from(text(order, "ckpt_path")?),
-            heartbeat: PathBuf::from(text(order, "hb_path")?),
-            resume: None,
+            build: build.clone(),
+            space: space.clone(),
+            telemetry: self.telemetry.clone(),
         };
+        let checkpoint = PathBuf::from(text(order, "ckpt_path")?);
+        let heartbeat = PathBuf::from(text(order, "hb_path")?);
         if let Some(path) = order.get("resume_path") {
             let snapshot = chatfuzz::load_snapshot(Path::new(path), space);
             decoded.resume = Some(snapshot.map_err(OrderError::Resume)?);
         }
-        Ok(decoded)
+        Ok((decoded, checkpoint, heartbeat, out))
     }
 
     /// Runs one decoded order to completion and publishes the result,
@@ -688,8 +690,14 @@ impl SpoolWorker {
     /// through telemetry as `lease_result_failed`, and the worker keeps
     /// serving; with no result, the orchestrator's heartbeat deadline
     /// revokes and reissues the lease.
-    fn serve_order(&self, order: DecodedOrder<'_>) -> bool {
-        let (lease, attempt, heartbeat) = (order.lease, order.attempt, order.heartbeat);
+    fn serve_order(
+        &self,
+        order: WorkOrder,
+        checkpoint: PathBuf,
+        heartbeat: PathBuf,
+        result: &Path,
+    ) -> bool {
+        let (lease, attempt) = (order.lease, order.attempt);
         let pid = std::process::id();
         let sink = &self.telemetry;
         if sink.is_enabled() {
@@ -706,29 +714,20 @@ impl SpoolWorker {
             );
         }
         let mut seq: u64 = 0;
-        let mut builder = (order.build)(order.assignment.spec)
-            .telemetry(sink.clone())
-            .auto_checkpoint(order.checkpoint, order.checkpoint_every)
-            .observer(move |outcome: &BatchOutcome| {
-                seq += 1;
-                if chatfuzz::faults::active().is_some_and(|plan| plan.drop_heartbeat()) {
-                    return; // dropped: the next batch's rewrite supersedes it
-                }
-                let doc = encode_flat([
-                    ("seq", seq.to_string().as_str()),
-                    ("tests", outcome.tests_total.to_string().as_str()),
-                    ("pid", pid.to_string().as_str()),
-                    ("attempt", attempt.to_string().as_str()),
-                ]);
-                let _ = atomic_write(&heartbeat, &doc);
-            });
-        if let Some(snapshot) = order.resume {
-            builder = builder.resume(snapshot);
-        }
-        let mut session = builder.build();
-        session.run_until(&[order.stop]);
-        let published =
-            chatfuzz::save_snapshot_retrying(&order.assignment.out, &session.snapshot(), 0);
+        let beat = move |outcome: &BatchOutcome| {
+            seq += 1;
+            if chatfuzz::faults::active().is_some_and(|plan| plan.drop_heartbeat()) {
+                return; // dropped: the next batch's rewrite supersedes it
+            }
+            let doc = encode_flat([
+                ("seq", seq.to_string().as_str()),
+                ("tests", outcome.tests_total.to_string().as_str()),
+                ("pid", pid.to_string().as_str()),
+                ("attempt", attempt.to_string().as_str()),
+            ]);
+            let _ = atomic_write(&heartbeat, &doc);
+        };
+        let published = chatfuzz::save_snapshot_retrying(result, &order.run(checkpoint, beat), 0);
         if let Err(error) = &published {
             if sink.is_enabled() {
                 sink.event(
@@ -879,9 +878,9 @@ mod tests {
         let claimed = worker.claim_next().expect("claim the order");
         let text = std::fs::read_to_string(&claimed).expect("read the order");
         let valid = decode_flat(&text).expect("the encoder writes flat JSON");
-        let decoded = worker.decode(&valid).expect("a dispatched order decodes");
+        let (decoded, ..) = worker.decode(&valid).expect("a dispatched order decodes");
         assert_eq!(decoded.lease, LeaseId { campaign: 0, generation: 0, index: 0 });
-        assert_eq!(decoded.assignment.spec, ShardSpec { index: 0, shards: 2, seed: 7 });
+        assert_eq!(decoded.spec, ShardSpec { index: 0, shards: 2, seed: 7 });
         assert_eq!(decoded.stop, StopCondition::Tests(16));
 
         let rejects = |order: &Order, what: &str| {
@@ -920,6 +919,40 @@ mod tests {
         rejects(&with("campaign", "unknown"), "an unknown campaign");
         let missing = dir.join(RESUMES).join("missing.json");
         rejects(&with("resume_path", &missing.display().to_string()), "a missing resume snapshot");
+        drop(transport);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A heartbeat is progress only when its `seq`, `tests` and `pid` all
+    /// parse: a garbled one neither yields an event nor maps a worker to
+    /// the lease, and a well-formed one after it still does both.
+    #[test]
+    fn a_garbled_heartbeat_is_not_progress() {
+        let dir = std::env::temp_dir().join(format!("chatfuzz-spool-hb-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut transport = SpoolTransport::new(&dir).expect("spool dirs");
+        let worker = worker(&dir);
+        dispatch(&mut transport, &worker, 0);
+        let lease = LeaseId { campaign: 0, generation: 0, index: 0 };
+        let heartbeat = transport.stem_paths(lease, 0).1;
+        let beat = |seq: &str, tests: &str, pid: &str| {
+            let doc = encode_flat([("seq", seq), ("tests", tests), ("pid", pid), ("attempt", "0")]);
+            atomic_write(&heartbeat, &doc).expect("write the heartbeat");
+        };
+        let is_heartbeat = |e: &TransportEvent| matches!(e, TransportEvent::Heartbeat { .. });
+        for (seq, tests, pid) in [("1", "x", "4242"), ("2", "8", "y"), ("3", "-8", "4242")] {
+            beat(seq, tests, pid);
+            let events = transport.poll();
+            assert!(!events.iter().any(is_heartbeat), "seq {seq}: {events:?}");
+            assert!(transport.serving.is_empty(), "seq {seq} mapped a worker to the lease");
+        }
+        beat("4", "8", "4242");
+        let events = transport.poll();
+        assert!(
+            matches!(events[..], [TransportEvent::Heartbeat { tests_run: 8, worker: 4242, .. }]),
+            "{events:?}"
+        );
+        assert_eq!(transport.serving.get(&4242), Some(&lease));
         drop(transport);
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -7,7 +7,7 @@
 //! the machine-crossing stand-in.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
@@ -159,35 +159,17 @@ impl LocalPoolTransport {
 fn run_order(
     order: WorkOrder,
     worker: u64,
-    checkpoint_dir: &std::path::Path,
+    checkpoint_dir: &Path,
     event_tx: &Sender<TransportEvent>,
 ) -> TransportEvent {
-    let lease = order.lease;
-    let attempt = order.attempt;
+    let (lease, attempt) = (order.lease, order.attempt);
+    let checkpoint = checkpoint_path(checkpoint_dir, lease, attempt);
     let heartbeat_tx = event_tx.clone();
-    let outcome = catch_unwind(AssertUnwindSafe(move || {
-        let mut builder = (order.build)(order.spec)
-            .telemetry(order.telemetry)
-            .auto_checkpoint(
-                checkpoint_path(checkpoint_dir, lease, attempt),
-                order.checkpoint_every,
-            )
-            .observer(move |outcome: &BatchOutcome| {
-                let _ = heartbeat_tx.send(TransportEvent::Heartbeat {
-                    lease,
-                    attempt,
-                    tests_run: outcome.tests_total,
-                    worker,
-                });
-            });
-        if let Some(snapshot) = order.resume {
-            builder = builder.resume(snapshot);
-        }
-        let mut campaign = builder.build();
-        campaign.run_until(&[order.stop]);
-        campaign.snapshot()
-    }));
-    match outcome {
+    let heartbeat = move |outcome: &BatchOutcome| {
+        let tests_run = outcome.tests_total;
+        let _ = heartbeat_tx.send(TransportEvent::Heartbeat { lease, attempt, tests_run, worker });
+    };
+    match catch_unwind(AssertUnwindSafe(|| order.run(checkpoint, heartbeat))) {
         Ok(snapshot) => TransportEvent::Completed { lease, attempt, snapshot: Box::new(snapshot) },
         Err(panic) => {
             let detail = panic

@@ -7,18 +7,17 @@
 //! the [`PpoTrainer`] (clipped surrogate, value regression, entropy bonus,
 //! per-token KL penalty against a frozen reference policy, KL early stop).
 //!
-//! # Deterministic publish points (PR 7)
+//! # Deterministic publish points
 //!
-//! Under the campaign's actor/learner split the trainer is the
-//! **learner**: it never samples on the hot path. Rollouts accumulate in
-//! a queue and [`PpoTrainer::step`] runs only at publish boundaries —
-//! every `publish_every` observed batches, on a bounded, deterministic
-//! replay selection (top-reward, arrival-order ties) — after which the
-//! weights are copied to the frozen actor snapshot and the publish epoch
-//! increments. Because the boundary is a pure function of the batch
-//! count, a resumed campaign replays the same steps on the same rollouts
-//! and republishes bit-identical weights. `publish_every == 0` keeps the
-//! original serialized train-every-batch loop as the equality baseline.
+//! Inside a campaign the trainer is the LM arm's **learner**, and its
+//! policy is also the one the arm samples from. Rollouts accumulate in a
+//! queue and [`PpoTrainer::step`] runs only at publish boundaries —
+//! every `publish_every` observed batches (at least 1; 1 is the default
+//! and trains after every batch), on a bounded, deterministic replay
+//! selection (top-reward, arrival-order ties) — after which the publish
+//! epoch increments. Because the boundary is a pure function of the
+//! batch count, a resumed campaign replays the same steps on the same
+//! rollouts and republishes bit-identical weights.
 //!
 //! # Examples
 //!

@@ -186,12 +186,6 @@ impl PpoTrainer {
         &self.cfg
     }
 
-    /// Re-freezes the reference model to the current policy (used between
-    /// the paper's cleanup and coverage training phases).
-    pub fn refresh_reference(&mut self) {
-        self.reference = self.policy.clone();
-    }
-
     /// Samples one trajectory from the policy, through a fresh
     /// [`KvCache`] (see [`PpoConfig::sample_into`]).
     pub fn sample<R: Rng>(&self, prompt: &[u32], rng: &mut R) -> Vec<u32> {

@@ -373,14 +373,6 @@ impl TelemetrySink {
         self.inner.is_some()
     }
 
-    /// Microseconds since this sink was created (0 when disabled).
-    pub fn elapsed_us(&self) -> u64 {
-        match &self.inner {
-            Some(inner) => inner.epoch.elapsed().as_micros() as u64,
-            None => 0,
-        }
-    }
-
     /// `Some(Instant::now())` when enabled, `None` when disabled —
     /// the span-start half of [`observe_since`](Self::observe_since).
     /// Keeping the clock read behind the branch is what makes the

@@ -1,6 +1,7 @@
 //! Integration: the campaign orchestrator — fault injection (a spool
 //! worker SIGKILLed mid-lease is revoked, reassigned, and costs the
-//! fleet nothing observable), the determinism law (a 1-worker fleet
+//! fleet nothing observable, even when it was the only worker and the
+//! transport must respawn it), the determinism law (a 1-worker fleet
 //! with merge cadence = ∞ is canonically identical to a plain campaign),
 //! and the coverage laws of merge-then-continue (the merged result does
 //! not depend on the worker count, and it reaches the random plateau in
@@ -162,6 +163,60 @@ fn sigkilled_spool_worker_is_revoked_reassigned_and_costs_nothing() {
     );
 
     let _ = std::fs::remove_dir_all(&ckpt);
+    let _ = std::fs::remove_dir_all(&spool);
+}
+
+/// A one-worker spool fleet whose only worker is SIGKILLed after its
+/// first heartbeat: the transport replaces the dead worker on the
+/// reissue's dispatch, the replacement resumes from the lease's last
+/// checkpoint, and the result equals the loss-free fleet's.
+#[test]
+fn a_sigkilled_sole_spool_worker_is_replaced() {
+    let base_seed = 43;
+    let total = 1536;
+    let config = fleet_config(base_seed, 1, total, total);
+    let loss_free = local_fleet(config.clone(), 1, "sole-ref");
+    assert_eq!(loss_free.tests_run(), total);
+
+    let spool =
+        std::env::temp_dir().join(format!("chatfuzz-it-orch-sole-spool-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&spool);
+    let exe = std::env::current_exe().expect("test binary path");
+    let transport = SpoolTransport::new(&spool).expect("spool directories").spawn_workers(
+        1,
+        exe,
+        ["role_spool_worker", "--exact", "--nocapture"].map(String::from),
+    );
+    let mut orchestrator = Orchestrator::new(transport);
+    let campaign = orchestrator.register(config);
+    let mut killed = false;
+    let merged = run_fleet(&mut orchestrator, campaign, |orchestrator| {
+        if killed {
+            return;
+        }
+        let status = orchestrator.status();
+        if let Some(worker) = status.workers.iter().find(|w| w.alive && w.lease.is_some()) {
+            let killed_ok = Command::new("kill")
+                .args(["-9", &worker.id.to_string()])
+                .status()
+                .expect("spawn kill")
+                .success();
+            assert!(killed_ok, "SIGKILL delivered");
+            killed = true;
+        }
+    });
+    assert!(killed, "the worker heartbeated and was killed");
+    let status = orchestrator.status();
+    assert!(
+        status.campaigns[0].revoked_leases >= 1,
+        "the kill landed mid-lease (status: {:?})",
+        status.campaigns[0]
+    );
+    assert_eq!(
+        report::json_canonical(&merged.report()),
+        report::json_canonical(&loss_free.report()),
+        "the respawned fleet's report diverged from the loss-free fleet"
+    );
     let _ = std::fs::remove_dir_all(&spool);
 }
 
