@@ -72,9 +72,9 @@ pub fn boom_factory() -> DutFactory {
     Arc::new(|| Box::new(Boom::new(BoomConfig::default())) as Box<dyn Dut>)
 }
 
-/// The standard experiment session: 32-input batches on 10 workers (the
-/// paper's VCS instance count). Add generators/observers/scheduler and
-/// `build()`.
+/// The standard experiment session: 32-input batches on up to 10
+/// simulator lanes (the paper's VCS instance count, capped at the CPU
+/// count). Add generators/observers/scheduler and `build()`.
 pub fn session<'g>(factory: &DutFactory) -> CampaignBuilder<'g> {
     CampaignBuilder::from_factory(Arc::clone(factory)).batch_size(32).workers(10)
 }

@@ -6,9 +6,9 @@
 //!
 //! * [`CampaignBuilder`] assembles generators, the DUT factory, harness,
 //!   golden model, a [`Scheduler`] and any
-//!   [`CampaignObserver`]s, then [`CampaignBuilder::build`] spawns the
-//!   worker pool (the paper's "ten instances of VCS") once for the whole
-//!   session;
+//!   [`CampaignObserver`]s, then [`CampaignBuilder::build`] builds the
+//!   session's simulator lanes (the paper's "ten instances of VCS"): one
+//!   DUT each, with the golden model beside it;
 //! * [`Campaign::step_batch`] advances the loop one batch at a time and
 //!   returns the [`BatchOutcome`];
 //! * [`Campaign::run_until`] drives batches until any [`StopCondition`]
@@ -20,6 +20,11 @@
 //!   (round-robin, or the MABFuzz-style epsilon-greedy bandit rewarded
 //!   with incremental coverage per test).
 //!
+//! Each batch is cut into contiguous chunks, one per lane. Lane 0 runs
+//! its chunk on the caller's thread and the other lanes run on scoped
+//! threads for that batch only, so results land in batch order, and a
+//! DUT that panics panics the caller once every lane has stopped.
+//!
 //! Snapshots capture scheduler state ([`SchedulerState`]) alongside
 //! coverage and mismatch state, persist to disk via [`crate::persist`],
 //! and merge across shards via [`crate::shard::merge_snapshots`] (the
@@ -27,7 +32,6 @@
 
 use std::path::PathBuf;
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use chatfuzz_baselines::{
@@ -38,14 +42,13 @@ use chatfuzz_rtl::{Dut, DutRun};
 use chatfuzz_softcore::trace::Trace;
 use chatfuzz_softcore::{SoftCoreConfig, SoftCoreRunner};
 use chatfuzz_telemetry::TelemetrySink;
-use crossbeam::channel::{self, Receiver, Sender};
 
 use crate::harness::{HarnessConfig, PrecompiledHarness};
 use crate::mismatch::{diff_traces, KnownBug, MismatchLog, UniqueMismatch};
 
-/// A shared, thread-safe DUT constructor: one DUT is built per worker and
-/// lives for the whole session. All instances must elaborate identical
-/// coverage spaces (guaranteed for the deterministic cores in
+/// A shared, thread-safe DUT constructor: one DUT is built per simulator
+/// lane and lives for the whole session. All instances must elaborate
+/// identical coverage spaces (guaranteed for the deterministic cores in
 /// `chatfuzz-rtl`).
 pub type DutFactory = Arc<dyn Fn() -> Box<dyn Dut> + Send + Sync>;
 
@@ -58,7 +61,9 @@ const CHECKPOINT_LINEAGE: usize = 2;
 pub struct CampaignConfig {
     /// Inputs per batch (one Coverage-Calculator batch).
     pub batch_size: usize,
-    /// Parallel simulation workers (the paper's "ten instances of VCS").
+    /// Simulator lanes (the paper's "ten instances of VCS"), at most one
+    /// per CPU: lanes beyond the CPU count only wait for each other.
+    /// Lane 0 runs on the caller's thread, so `1` runs every test there.
     pub workers: usize,
     /// Harness wrapped around each input.
     pub harness: HarnessConfig,
@@ -369,35 +374,36 @@ impl CampaignSnapshot {
     }
 }
 
-/// Reusable per-test result buffers. Scratches travel with jobs to the
-/// workers, come back filled inside [`JobResult`], and are recycled into
-/// the next batch — in steady state the whole execute-and-collect loop
-/// allocates nothing per test.
+/// One test's result buffers, reused by the same batch position of every
+/// batch — in steady state the execute-and-collect loop allocates
+/// nothing per test.
 struct Scratch {
     run: DutRun,
+    /// The golden trace (only meaningful with mismatch detection on).
     golden: Trace,
 }
 
-impl Scratch {
-    fn new(space: &Arc<Space>) -> Scratch {
-        Scratch { run: DutRun::scratch(space), golden: Trace::scratch() }
+/// One simulator lane: a DUT and the golden model beside it.
+struct Lane {
+    dut: Box<dyn Dut>,
+    /// Built on the lane's first batch that diffs: its arena is 1 MiB,
+    /// and a campaign without mismatch detection never needs it.
+    golden: Option<SoftCoreRunner>,
+}
+
+impl Lane {
+    /// Runs `images` in order into `results`, with the golden model too
+    /// when `golden` carries its configuration.
+    fn run(&mut self, images: &[Vec<u8>], results: &mut [Scratch], golden: Option<SoftCoreConfig>) {
+        let mut golden =
+            golden.map(|cfg| self.golden.get_or_insert_with(|| SoftCoreRunner::new(cfg)));
+        for (image, out) in images.iter().zip(results) {
+            self.dut.run_into(image, &mut out.run);
+            if let Some(golden) = golden.as_mut() {
+                golden.run_into(image, &mut out.golden);
+            }
+        }
     }
-}
-
-struct Job {
-    index: usize,
-    image: Vec<u8>,
-    scratch: Scratch,
-}
-
-struct JobResult {
-    index: usize,
-    /// The job's image buffer, returned for recycling.
-    image: Vec<u8>,
-    run: DutRun,
-    /// The golden trace buffer (only meaningful when `ran_golden`).
-    golden: Trace,
-    ran_golden: bool,
 }
 
 /// Assembles a [`Campaign`].
@@ -461,7 +467,8 @@ impl<'g> CampaignBuilder<'g> {
         self
     }
 
-    /// Parallel simulation workers.
+    /// Simulator lanes, at most one per CPU (see
+    /// [`CampaignConfig::workers`]).
     pub fn workers(mut self, n: usize) -> Self {
         self.cfg.workers = n;
         self
@@ -551,8 +558,10 @@ impl<'g> CampaignBuilder<'g> {
         self
     }
 
-    /// Probes the DUT, restores or initialises state, and spawns the
-    /// worker pool.
+    /// Builds the DUT, restores or initialises state, and builds the
+    /// remaining simulator lanes: the first DUT, which elaborates the
+    /// coverage space, is lane 0. `workers(1)` gives one lane; any other
+    /// count is capped at the CPU count.
     ///
     /// # Panics
     ///
@@ -565,10 +574,9 @@ impl<'g> CampaignBuilder<'g> {
         assert!(!self.generators.is_empty(), "campaign needs at least one generator");
         assert!(self.cfg.workers > 0 && self.cfg.batch_size > 0, "degenerate campaign config");
 
-        let probe = (self.factory)();
-        let space = probe.space().clone();
-        let dut_name = probe.name().to_string();
-        drop(probe);
+        let dut = (self.factory)();
+        let space = dut.space().clone();
+        let dut_name = dut.name().to_string();
 
         let fresh_stats = || {
             self.generators
@@ -665,50 +673,25 @@ impl<'g> CampaignBuilder<'g> {
             ),
         };
 
-        let (job_tx, job_rx) = channel::unbounded::<Job>();
-        let (result_tx, result_rx) = channel::unbounded::<JobResult>();
-        let workers = (0..self.cfg.workers)
-            .map(|_| {
-                let factory = Arc::clone(&self.factory);
-                let job_rx = job_rx.clone();
-                let result_tx = result_tx.clone();
-                let golden_cfg = self.cfg.golden;
-                let detect = self.cfg.detect_mismatches;
-                std::thread::spawn(move || {
-                    let mut dut = factory();
-                    let mut golden = SoftCoreRunner::new(golden_cfg);
-                    while let Ok(Job { index, image, scratch }) = job_rx.recv() {
-                        let Scratch { mut run, golden: mut golden_trace } = scratch;
-                        dut.run_into(&image, &mut run);
-                        if detect {
-                            golden.run_into(&image, &mut golden_trace);
-                        }
-                        let result = JobResult {
-                            index,
-                            image,
-                            run,
-                            golden: golden_trace,
-                            ran_golden: detect,
-                        };
-                        if result_tx.send(result).is_err() {
-                            break;
-                        }
-                    }
-                })
-            })
+        // A one-lane campaign skips the CPU count query, which is not
+        // free in a CPU-pinned process.
+        let lanes = match self.cfg.workers {
+            1 => 1,
+            n => n.min(std::thread::available_parallelism().map_or(1, |cpus| cpus.get())),
+        };
+        let lanes = std::iter::once(dut)
+            .chain((1..lanes).map(|_| (self.factory)()))
+            .map(|dut| Lane { dut, golden: None })
             .collect();
-        // The workers own their clones; dropping ours means a dead pool
-        // surfaces as a recv error instead of a deadlock.
-        drop(result_tx);
-        drop(job_rx);
 
         let covered_last = calculator.total_covered();
 
         Campaign {
             harness: PrecompiledHarness::new(self.cfg.harness),
             space,
-            image_pool: Vec::new(),
-            scratch_pool: Vec::new(),
+            lanes,
+            images: Vec::new(),
+            results: Vec::new(),
             seed_pool: Vec::new(),
             seed_revisions: Vec::new(),
             auto_checkpoint: self.auto_checkpoint,
@@ -730,26 +713,26 @@ impl<'g> CampaignBuilder<'g> {
             wall_offset: wall,
             started: Instant::now(),
             stopped_by,
-            job_tx: Some(job_tx),
-            result_rx,
-            workers,
         }
     }
 }
 
-/// A live fuzzing session: owned worker pool, accumulated coverage and
-/// mismatch state, steppable batch by batch. Built by [`CampaignBuilder`];
-/// workers shut down on drop.
+/// A live fuzzing session: owned simulator lanes, accumulated coverage
+/// and mismatch state, steppable batch by batch. Built by
+/// [`CampaignBuilder`].
 pub struct Campaign<'g> {
     cfg: CampaignConfig,
     /// Prologue/epilogue assembled once for the whole session.
     harness: PrecompiledHarness,
-    /// The probed coverage space (scratch coverage maps are built over it).
+    /// The DUTs' coverage space (result coverage maps are built over it).
     space: Arc<Space>,
-    /// Recycled image buffers (filled by `PrecompiledHarness::build_into`).
-    image_pool: Vec<Vec<u8>>,
-    /// Recycled per-test result buffers.
-    scratch_pool: Vec<Scratch>,
+    /// The simulator lanes; lane 0 runs on the batch loop's thread.
+    lanes: Vec<Lane>,
+    /// Per-position image buffers (filled by
+    /// `PrecompiledHarness::build_into`), grown to the largest batch.
+    images: Vec<Vec<u8>>,
+    /// Per-position result buffers, grown to the largest batch.
+    results: Vec<Scratch>,
     /// Recycled cross-arm seed-exchange buffer.
     seed_pool: Vec<Vec<u32>>,
     /// Per-arm `seeds_revision` values at the last exchange — the change
@@ -777,9 +760,6 @@ pub struct Campaign<'g> {
     wall_offset: Duration,
     started: Instant,
     stopped_by: Option<StopCondition>,
-    job_tx: Option<Sender<Job>>,
-    result_rx: Receiver<JobResult>,
-    workers: Vec<JoinHandle<()>>,
 }
 
 impl<'g> Campaign<'g> {
@@ -822,7 +802,8 @@ impl<'g> Campaign<'g> {
     ///
     /// # Panics
     ///
-    /// Panics if `n == 0` or the worker pool died.
+    /// Panics if `n == 0`, or if a lane's DUT panics: the panic is raised
+    /// again here once every lane has stopped.
     pub fn step_batch_of(&mut self, n: usize) -> BatchOutcome {
         assert!(n > 0, "empty batch");
         let batch_span = self.telemetry.now();
@@ -841,21 +822,21 @@ impl<'g> Campaign<'g> {
 
         let batch = self.generators[arm].next_batch(n);
         assert_eq!(batch.len(), n, "generator returned a short batch");
-        let job_tx = self.job_tx.as_ref().expect("worker pool alive");
-        for (index, body) in batch.iter().enumerate() {
-            // Recycled buffers: the image is rebuilt from the precompiled
-            // prologue, the scratch is fully overwritten by the worker.
-            let mut image = self.image_pool.pop().unwrap_or_default();
-            self.harness.build_into(body, &mut image);
-            let scratch = self.scratch_pool.pop().unwrap_or_else(|| Scratch::new(&self.space));
-            job_tx.send(Job { index, image, scratch }).expect("workers alive");
+        // Reused buffers: each image is rebuilt from the precompiled
+        // prologue, each result is fully overwritten by its lane.
+        if self.results.len() < n {
+            let space = &self.space;
+            self.images.resize_with(n, Vec::new);
+            self.results.resize_with(n, || Scratch {
+                run: DutRun::scratch(space),
+                golden: Trace::scratch(),
+            });
         }
-
-        // Collect once, then restore submission order; worker scheduling
-        // cannot influence results after this point.
-        let mut results: Vec<JobResult> =
-            (0..n).map(|_| self.result_rx.recv().expect("workers alive")).collect();
-        results.sort_unstable_by_key(|r| r.index);
+        for (body, image) in batch.iter().zip(&mut self.images) {
+            self.harness.build_into(body, image);
+        }
+        self.simulate(n);
+        let results = &self.results[..n];
 
         let cycles_before = self.total_cycles;
         let raw_before = self.log.raw_count();
@@ -863,12 +844,12 @@ impl<'g> Campaign<'g> {
         let mut cycles_at: Vec<u64> = Vec::with_capacity(n);
         let mut fingerprints: Vec<u64> = Vec::with_capacity(n);
         let mut mismatched: Vec<bool> = Vec::with_capacity(n);
-        for JobResult { run, golden, ran_golden, .. } in &results {
+        for Scratch { run, golden } in results {
             self.total_cycles += run.cycles;
             cycles_at.push(self.total_cycles);
             mux.push(run.coverage.covered_bins_of_kind(PointKind::MuxSelect));
             fingerprints.push(run.coverage.content_hash());
-            if *ran_golden {
+            if self.cfg.detect_mismatches {
                 let diffs = diff_traces(golden, &run.trace);
                 mismatched.push(!diffs.is_empty());
                 self.log.record(diffs);
@@ -878,11 +859,6 @@ impl<'g> Campaign<'g> {
         }
 
         let scores = self.calculator.score_batch_iter(results.iter().map(|r| &r.run.coverage));
-        // Everything is scored and diffed: recycle every buffer.
-        for JobResult { image, run, golden, .. } in results {
-            self.image_pool.push(image);
-            self.scratch_pool.push(Scratch { run, golden });
-        }
         let feedback: Vec<Feedback> = scores
             .inputs
             .iter()
@@ -1023,6 +999,25 @@ impl<'g> Campaign<'g> {
             observer.on_batch(&outcome);
         }
         outcome
+    }
+
+    /// Runs the first `n` images on the lanes, one contiguous chunk per
+    /// lane, into the first `n` result buffers: lane 0 on this thread,
+    /// the others on scoped threads that end with the batch.
+    fn simulate(&mut self, n: usize) {
+        let golden = self.cfg.detect_mismatches.then_some(self.cfg.golden);
+        let chunk = n.div_ceil(self.lanes.len());
+        let mut lanes = self
+            .lanes
+            .iter_mut()
+            .zip(self.images[..n].chunks(chunk).zip(self.results[..n].chunks_mut(chunk)));
+        let (lane0, (images0, results0)) = lanes.next().expect("a campaign has a lane");
+        std::thread::scope(|scope| {
+            for (lane, (images, results)) in lanes {
+                scope.spawn(move || lane.run(images, results, golden));
+            }
+            lane0.run(images0, results0, golden);
+        });
     }
 
     /// Runs batches until any stop condition triggers, then returns the
@@ -1168,21 +1163,14 @@ impl<'g> Campaign<'g> {
     }
 }
 
-impl Drop for Campaign<'_> {
-    fn drop(&mut self) {
-        // Closing the job channel releases the workers.
-        drop(self.job_tx.take());
-        for worker in self.workers.drain(..) {
-            let _ = worker.join();
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use chatfuzz_baselines::{EpsilonGreedy, MutatorConfig, RandomRegression, TheHuzz};
     use chatfuzz_rtl::{BugConfig, Rocket, RocketConfig};
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Mutex;
+    use std::thread::ThreadId;
 
     fn rocket_factory(bugs: BugConfig) -> DutFactory {
         Arc::new(move || {
@@ -1254,6 +1242,99 @@ mod tests {
         let b = run(8);
         assert_eq!(a.final_coverage_pct, b.final_coverage_pct);
         assert_eq!(a.raw_mismatches, b.raw_mismatches);
+    }
+
+    /// The thread of every `run_into`, shared by every DUT of a factory.
+    type RunLog = Arc<Mutex<Vec<ThreadId>>>;
+
+    /// A Rocket that logs each `run_into` and panics on the log's
+    /// `panic_on`-th entry.
+    struct Watched {
+        inner: Rocket,
+        runs: RunLog,
+        panic_on: usize,
+    }
+
+    impl Dut for Watched {
+        fn name(&self) -> &str {
+            self.inner.name()
+        }
+
+        fn space(&self) -> &Arc<Space> {
+            self.inner.space()
+        }
+
+        fn run(&mut self, program: &[u8]) -> DutRun {
+            self.inner.run(program)
+        }
+
+        fn run_into(&mut self, program: &[u8], out: &mut DutRun) {
+            let run = {
+                let mut runs = self.runs.lock().unwrap();
+                runs.push(std::thread::current().id());
+                runs.len()
+            };
+            assert_ne!(run, self.panic_on, "injected DUT fault");
+            self.inner.run_into(program, out);
+        }
+    }
+
+    /// A factory of [`Watched`] DUTs, with its build count and run log.
+    fn watched_factory(panic_on: usize) -> (DutFactory, Arc<AtomicUsize>, RunLog) {
+        let builds = Arc::new(AtomicUsize::new(0));
+        let runs = RunLog::default();
+        let (b, r) = (Arc::clone(&builds), Arc::clone(&runs));
+        let factory: DutFactory = Arc::new(move || {
+            b.fetch_add(1, Ordering::Relaxed);
+            let inner = Rocket::new(RocketConfig::default());
+            Box::new(Watched { inner, runs: Arc::clone(&r), panic_on }) as Box<dyn Dut>
+        });
+        (factory, builds, runs)
+    }
+
+    /// One lane is the DUT `build` made first, run on the caller's thread.
+    #[test]
+    fn one_lane_builds_one_dut_and_runs_on_the_callers_thread() {
+        let (factory, builds, runs) = watched_factory(0);
+        let mut campaign = CampaignBuilder::from_factory(factory)
+            .batch_size(16)
+            .workers(1)
+            .generator(RandomRegression::new(5, 16))
+            .build();
+        campaign.run_until(&[StopCondition::Tests(32)]);
+        assert_eq!(builds.load(Ordering::Relaxed), 1, "the first DUT is lane 0");
+        let runs = runs.lock().unwrap();
+        assert_eq!(runs.len(), 32);
+        assert!(runs.iter().all(|&t| t == std::thread::current().id()), "a lane ran elsewhere");
+    }
+
+    /// A DUT's panic reaches the caller at any lane count (a one-CPU host
+    /// runs `workers(2)` on one lane). The step runs on a thread of its
+    /// own, so a step that hangs fails this test instead of the suite.
+    #[test]
+    fn a_panicking_dut_panics_step_batch() {
+        for workers in [1, 2] {
+            let (tx, rx) = std::sync::mpsc::channel();
+            let step =
+                std::thread::Builder::new().name(format!("step-{workers}")).spawn(move || {
+                    let (factory, ..) = watched_factory(6);
+                    let mut campaign = CampaignBuilder::from_factory(factory)
+                        .batch_size(16)
+                        .workers(workers)
+                        .generator(RandomRegression::new(5, 16))
+                        .build();
+                    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                        campaign.step_batch();
+                    }));
+                    let _ = tx.send(outcome.is_err());
+                });
+            let step = step.expect("spawn the step thread");
+            let panicked = rx
+                .recv_timeout(Duration::from_secs(30))
+                .unwrap_or_else(|e| panic!("workers({workers}): step_batch hung: {e}"));
+            assert!(panicked, "workers({workers}): the DUT's panic was swallowed");
+            step.join().expect("the step thread caught the panic");
+        }
     }
 
     #[test]

@@ -1,10 +1,9 @@
 //! Human- and machine-readable rendering of campaign results.
 //!
-//! The experiment harness and the examples both need the same few views of
-//! a [`CampaignReport`]: a coverage-over-time CSV, a markdown summary, a
-//! compact one-line digest for logs, and a machine-readable JSON document
-//! ([`json`]). Keeping them here (instead of in each binary) makes report
-//! formats part of the library contract.
+//! The experiment harness and the examples both need the same views of a
+//! [`CampaignReport`]: a markdown summary ([`markdown_summary`]) and a
+//! machine-readable JSON document ([`json`]). Keeping them here (instead
+//! of in each binary) makes report formats part of the library contract.
 //!
 //! JSON is emitted by a small writer in this module rather than serde:
 //! the workspace builds offline (see `vendor/README.md`), and the report
@@ -15,24 +14,6 @@ use std::fmt::Write as _;
 use std::io::Write as _;
 
 use crate::campaign::CampaignReport;
-
-/// Renders the coverage history as CSV
-/// (`tests,covered_bins,coverage_pct,sim_cycles,wall_s`).
-pub fn history_csv(report: &CampaignReport) -> String {
-    let mut out = String::from("tests,covered_bins,coverage_pct,sim_cycles,wall_s\n");
-    for p in &report.history {
-        let _ = writeln!(
-            out,
-            "{},{},{:.4},{},{:.3}",
-            p.tests,
-            p.covered_bins,
-            p.coverage_pct,
-            p.sim_cycles,
-            p.wall.as_secs_f64()
-        );
-    }
-    out
-}
 
 /// Renders a full markdown summary: headline, history table, unique
 /// mismatches and classified defects.
@@ -94,20 +75,6 @@ pub fn markdown_summary(report: &CampaignReport) -> String {
     out
 }
 
-/// One-line digest for progress logs.
-pub fn digest(report: &CampaignReport) -> String {
-    format!(
-        "{}@{}: {:.2}% in {} tests ({} raw / {} unique mismatches, {} defects)",
-        report.generator,
-        report.dut,
-        report.final_coverage_pct,
-        report.tests_run,
-        report.raw_mismatches,
-        report.unique_mismatches.len(),
-        report.bugs.len()
-    )
-}
-
 /// Serialises the whole report as a JSON document: headline numbers,
 /// exact coverage history, per-generator scheduling stats, and the
 /// clustered mismatch report. The single code path every bench binary
@@ -116,7 +83,7 @@ pub fn json(report: &CampaignReport) -> String {
     render_json(report, true)
 }
 
-/// [`json`] minus every wall-clock field — a canonical digest that is
+/// [`json`] minus every wall-clock field — a canonical form that is
 /// byte-identical across runs that did the same *work*, regardless of
 /// machine speed or scheduling. The cross-process resume and sharding
 /// tests compare campaigns with this.
@@ -422,22 +389,6 @@ mod tests {
     }
 
     #[test]
-    fn csv_has_header_and_one_row_per_point() {
-        let report = small_report();
-        let csv = history_csv(&report);
-        let lines: Vec<&str> = csv.lines().collect();
-        assert!(lines[0].starts_with("tests,covered_bins"));
-        assert_eq!(lines.len(), report.history.len() + 1);
-        // Every data row parses back.
-        for line in &lines[1..] {
-            let cols: Vec<&str> = line.split(',').collect();
-            assert_eq!(cols.len(), 5);
-            cols[0].parse::<usize>().unwrap();
-            cols[2].parse::<f64>().unwrap();
-        }
-    }
-
-    #[test]
     fn markdown_contains_headline_and_mismatch_sections() {
         let report = small_report();
         let md = markdown_summary(&report);
@@ -446,14 +397,6 @@ mod tests {
         if report.raw_mismatches > 0 {
             assert!(md.contains("## Unique mismatches"));
         }
-    }
-
-    #[test]
-    fn digest_is_single_line() {
-        let report = small_report();
-        let d = digest(&report);
-        assert!(!d.contains('\n'));
-        assert!(d.contains("thehuzz@rocket"));
     }
 
     #[test]

@@ -3,8 +3,8 @@
 //! One fuzzing campaign becomes N *shard* sub-campaigns that run the same
 //! DUT with disjoint input streams and merge their results — the TheHuzz
 //! scaling recipe ("many simulator instances, one coverage report")
-//! lifted above the single-process worker pool that
-//! [`Campaign`](crate::Campaign) already owns. Shards are embarrassingly
+//! lifted above the simulator lanes that [`Campaign`](crate::Campaign)
+//! already owns within one process. Shards are embarrassingly
 //! parallel: no coordination during the run, one deterministic merge at
 //! the end.
 //!

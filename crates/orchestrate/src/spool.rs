@@ -325,9 +325,11 @@ impl SpoolTransport {
 
     /// Keeps `workers` copies of `program args…` (with [`ENV_SPOOL_DIR`]
     /// set to the spool root) running: they are spawned on first dispatch,
-    /// and every dispatch replaces the ones that have exited. Without
-    /// this, the transport assumes workers are started out of band —
-    /// possibly on another machine mounting the same directory.
+    /// and every dispatch replaces the ones a poll saw exit. A lease whose
+    /// worker exited without a result is reported `Failed` by that poll,
+    /// so it is reissued without waiting for its heartbeat deadline.
+    /// Without this, the transport assumes workers are started out of
+    /// band — possibly on another machine mounting the same directory.
     pub fn spawn_workers(
         mut self,
         workers: usize,
@@ -346,10 +348,11 @@ impl SpoolTransport {
 
     fn ensure_workers(&mut self) -> Result<(), OrchestrateError> {
         let Some((program, args)) = &self.program else { return Ok(()) };
-        // A worker that died (SIGKILL, OOM, a panic) is replaced, or a
-        // reissued lease would wait in an inbox nobody serves.
-        self.children.retain_mut(|entry| matches!(entry.child.try_wait(), Ok(None)));
-        while self.children.len() < self.worker_count {
+        // A worker the last poll saw dead (SIGKILL, OOM, a panic) is
+        // replaced, or a reissued lease would wait in an inbox nobody
+        // serves.
+        let live = self.children.iter().filter(|entry| entry.alive).count();
+        for _ in live..self.worker_count {
             let child = Command::new(program)
                 .args(args)
                 .env(ENV_SPOOL_DIR, &self.root)
@@ -423,10 +426,11 @@ impl Transport for SpoolTransport {
     }
 
     fn poll(&mut self) -> Vec<TransportEvent> {
+        // A worker stays in the fleet view until the poll after the one
+        // that saw it dead, which failed its lease.
+        self.children.retain(|entry| entry.alive);
         for entry in &mut self.children {
-            if entry.alive {
-                entry.alive = matches!(entry.child.try_wait(), Ok(None));
-            }
+            entry.alive = matches!(entry.child.try_wait(), Ok(None));
         }
         let mut events = Vec::new();
         let mut still_inflight = Vec::new();
@@ -467,6 +471,20 @@ impl Transport for SpoolTransport {
             }
         }
         self.inflight = still_inflight;
+        // The lease of a worker that exited without a result is failed
+        // now, not at its heartbeat deadline. Exits were read before the
+        // results, so a worker that published and then died completed.
+        for entry in self.children.iter().filter(|entry| !entry.alive) {
+            let pid = u64::from(entry.child.id());
+            let Some(lease) = self.serving.remove(&pid) else { continue };
+            if let Some(inflight) = self.inflight.iter().find(|inflight| inflight.lease == lease) {
+                events.push(TransportEvent::Failed {
+                    lease,
+                    attempt: inflight.attempt,
+                    detail: format!("spool worker {pid} exited"),
+                });
+            }
+        }
         events
     }
 

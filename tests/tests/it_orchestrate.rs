@@ -23,6 +23,7 @@ use chatfuzz_orchestrate::{
     FleetConfig, LeaseBuilder, LeaseId, LocalPoolTransport, OrchestrateError, Orchestrator,
     SpoolTransport, SpoolWorker, Transport, TransportEvent, WorkOrder, WorkerStatus,
 };
+use chatfuzz_telemetry::{TelemetrySink, Value};
 use chatfuzz_tests::rocket_factory;
 
 const CAMPAIGN: &str = "rocket-evolve";
@@ -167,7 +168,8 @@ fn sigkilled_spool_worker_is_revoked_reassigned_and_costs_nothing() {
 }
 
 /// A one-worker spool fleet whose only worker is SIGKILLed after its
-/// first heartbeat: the transport replaces the dead worker on the
+/// first heartbeat: the transport fails the dead worker's lease at once
+/// (well inside the 30 s heartbeat deadline), replaces the worker on the
 /// reissue's dispatch, the replacement resumes from the lease's last
 /// checkpoint, and the result equals the loss-free fleet's.
 #[test]
@@ -177,6 +179,12 @@ fn a_sigkilled_sole_spool_worker_is_replaced() {
     let config = fleet_config(base_seed, 1, total, total);
     let loss_free = local_fleet(config.clone(), 1, "sole-ref");
     assert_eq!(loss_free.tests_run(), total);
+    let sink = TelemetrySink::enabled();
+    let config = FleetConfig {
+        heartbeat_deadline: Duration::from_secs(30),
+        telemetry: sink.clone(),
+        ..config
+    };
 
     let spool =
         std::env::temp_dir().join(format!("chatfuzz-it-orch-sole-spool-{}", std::process::id()));
@@ -189,9 +197,9 @@ fn a_sigkilled_sole_spool_worker_is_replaced() {
     );
     let mut orchestrator = Orchestrator::new(transport);
     let campaign = orchestrator.register(config);
-    let mut killed = false;
+    let mut killed = None;
     let merged = run_fleet(&mut orchestrator, campaign, |orchestrator| {
-        if killed {
+        if killed.is_some() {
             return;
         }
         let status = orchestrator.status();
@@ -202,15 +210,26 @@ fn a_sigkilled_sole_spool_worker_is_replaced() {
                 .expect("spawn kill")
                 .success();
             assert!(killed_ok, "SIGKILL delivered");
-            killed = true;
+            killed = Some(worker.id);
         }
     });
-    assert!(killed, "the worker heartbeated and was killed");
+    let pid = killed.expect("the worker heartbeated and was killed");
     let status = orchestrator.status();
     assert!(
         status.campaigns[0].revoked_leases >= 1,
         "the kill landed mid-lease (status: {:?})",
         status.campaigns[0]
+    );
+    let reasons: Vec<Value> = sink
+        .drain_events()
+        .into_iter()
+        .filter(|e| e.kind == "lease_revoked")
+        .flat_map(|e| e.fields.into_iter().filter(|(k, _)| *k == "reason").map(|(_, v)| v))
+        .collect();
+    assert_eq!(
+        reasons,
+        [Value::Str(format!("spool worker {pid} exited"))],
+        "the lease was revoked for its worker's exit, not at the heartbeat deadline"
     );
     assert_eq!(
         report::json_canonical(&merged.report()),
