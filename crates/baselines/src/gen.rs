@@ -40,7 +40,8 @@ impl Feedback {
 /// fields are integers so snapshots round-trip bit-exactly.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct CorpusSeedState {
-    /// Encoded instruction words (always individually decodable).
+    /// Encoded instruction words. Each decodes in the evolve arm's
+    /// corpus; the n-gram arm stores the raw programs it absorbed.
     pub words: Vec<u32>,
     /// Coverage fingerprint the seed was retained under
     /// ([`Feedback::cov_fingerprint`], or a byte hash when unknown).

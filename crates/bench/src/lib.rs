@@ -1,6 +1,6 @@
-//! Shared support for the experiment binaries (`src/bin/*`) and Criterion
-//! benches: standard configurations, a trained-generator factory, and
-//! CSV/markdown/JSON result writers.
+//! Shared support for the experiment binaries (`src/bin/*`): standard
+//! configurations, a trained-generator factory, and CSV/markdown/JSON
+//! result writers.
 //!
 //! Every experiment binary regenerates one table or figure of the paper's
 //! evaluation and writes its rows to stdout, to `results/<name>.csv`, and
@@ -199,15 +199,18 @@ pub fn completed_report(
 /// `--snapshot-path` the final state is persisted for the next
 /// invocation.
 ///
-/// On a mid-budget resume the rebuilt generator is fast-forwarded past
-/// the `snapshot.tests_run()` inputs the interrupted run already
-/// consumed. For feedback-free generators (random regression, corpus
-/// replay) that continues the exact input stream. Feedback-*driven*
-/// generators (TheHuzz's mutation pool, the ChatFuzz LM's online
-/// training) cannot be restored this way — their `observe` history died
-/// with the process — so their resumed tail explores from a reset
-/// feedback state: accumulated coverage is exact, the remaining inputs
-/// are a fresh exploration rather than a replay of the lost run's.
+/// On a mid-budget resume, a generator whose state the snapshot carries
+/// (the evolve arm's corpus; the ChatFuzz LM arm's weights, optimiser
+/// moments, queues and RNG stream) continues from that state. A
+/// generator that exports none is fast-forwarded past the
+/// `snapshot.tests_run()` inputs the interrupted run already consumed.
+/// For feedback-free generators (random regression, corpus replay) that
+/// continues the exact input stream. A feedback-*driven* generator that
+/// exports no state (TheHuzz's mutation pool) cannot be restored this
+/// way — its `observe` history died with the process — so its resumed
+/// tail explores from a reset feedback state: accumulated coverage is
+/// exact, the remaining inputs are a fresh exploration rather than a
+/// replay of the lost run's.
 pub fn run_budget_durable<'g>(
     factory: &DutFactory,
     mut generator: impl InputGenerator + 'g,
@@ -234,9 +237,12 @@ pub fn run_budget_durable<'g>(
                 snapshot.tests_run(),
                 snapshot.coverage_pct()
             );
-            // Skip the (possibly expensive) fast-forward when the budget
-            // is already met and no batch will run anyway.
-            if snapshot.tests_run() > 0 && snapshot.tests_run() < tests {
+            // Fast-forward only a generator the snapshot does not
+            // restore, and only when a batch will run.
+            if snapshot.generator_states().iter().all(Option::is_none)
+                && snapshot.tests_run() > 0
+                && snapshot.tests_run() < tests
+            {
                 let _ = generator.next_batch(snapshot.tests_run());
             }
             resume_from = Some(snapshot);
@@ -351,7 +357,8 @@ pub fn history_rows(report: &CampaignReport) -> Vec<Vec<String>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use chatfuzz_baselines::{MutatorConfig, TheHuzz};
+    use chatfuzz_baselines::{Feedback, GeneratorState, MutatorConfig, RandomRegression, TheHuzz};
+    use std::sync::Mutex;
 
     #[test]
     fn scale_env_defaults_to_quick() {
@@ -373,5 +380,64 @@ mod tests {
         let report = run_budget(&factory, TheHuzz::new(MutatorConfig::default()), 32);
         assert_eq!(report.tests_run, 32);
         assert!(report.final_coverage_pct > 0.0);
+    }
+
+    /// Random bodies that record every batch size asked for, exporting a
+    /// (contentless) state when `exports` is set.
+    struct Recording {
+        inner: RandomRegression,
+        exports: bool,
+        sizes: Arc<Mutex<Vec<usize>>>,
+    }
+
+    impl InputGenerator for Recording {
+        fn name(&self) -> &str {
+            "recording"
+        }
+
+        fn next_batch(&mut self, n: usize) -> Vec<Vec<u8>> {
+            self.sizes.lock().unwrap().push(n);
+            self.inner.next_batch(n)
+        }
+
+        fn observe(&mut self, batch: &[Vec<u8>], feedback: &[Feedback]) {
+            self.inner.observe(batch, feedback)
+        }
+
+        fn export_state(&self) -> Option<GeneratorState> {
+            self.exports.then(|| GeneratorState {
+                generator: self.name().to_string(),
+                ..Default::default()
+            })
+        }
+    }
+
+    #[test]
+    fn a_mid_budget_resume_fast_forwards_only_an_arm_without_state() {
+        let dir =
+            std::env::temp_dir().join(format!("chatfuzz-bench-resume-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        let factory = rocket_factory();
+        // Batch sizes a resume from 64 to 96 tests asks the arm for.
+        let resumed_sizes = |exports: bool| {
+            let name = if exports { "stateful" } else { "stateless" };
+            let args = |resume| SnapshotArgs { path: Some(dir.join("run.json")), resume };
+            let arm = |sizes: &Arc<Mutex<Vec<usize>>>| Recording {
+                inner: RandomRegression::new(5, 16),
+                exports,
+                sizes: Arc::clone(sizes),
+            };
+            let sizes = Arc::default();
+            run_budget_durable(&factory, arm(&sizes), 64, name, &args(false));
+            assert_eq!(*sizes.lock().unwrap(), [32, 32]);
+            let sizes = Arc::default();
+            let report = run_budget_durable(&factory, arm(&sizes), 96, name, &args(true));
+            assert_eq!(report.tests_run, 96);
+            let sizes = sizes.lock().unwrap().clone();
+            sizes
+        };
+        assert_eq!(resumed_sizes(true), [32], "the snapshot restores the arm");
+        assert_eq!(resumed_sizes(false), [64, 32], "the arm replays the consumed inputs");
+        let _ = fs::remove_dir_all(&dir);
     }
 }

@@ -263,6 +263,11 @@ impl CampaignReport {
 /// builder. The rebuilt generator line-up must match the snapshot's (same
 /// names, same order), and the rebuilt scheduler must be the same kind
 /// constructed with the same parameters.
+///
+/// A live [`Campaign`] keeps its accumulated state in one of these, with
+/// `wall` holding the time accumulated before the session and the
+/// scheduler and generator states left empty: the live scheduler and
+/// arms own those until [`Campaign::snapshot`] exports them.
 #[derive(Debug, Clone)]
 pub struct CampaignSnapshot {
     pub(crate) dut: String,
@@ -576,39 +581,19 @@ impl<'g> CampaignBuilder<'g> {
 
         let dut = (self.factory)();
         let space = dut.space().clone();
-        let dut_name = dut.name().to_string();
 
-        let fresh_stats = || {
-            self.generators
-                .iter()
-                .map(|g| GeneratorStats {
-                    name: g.name().to_string(),
-                    batches: 0,
-                    tests: 0,
-                    new_bins: 0,
-                    cycles: 0,
-                })
-                .collect::<Vec<_>>()
-        };
-        let (
-            calculator,
-            log,
-            history,
-            gen_stats,
-            tests_run,
-            batches_run,
-            total_cycles,
-            since_gain,
-            wall,
-            stopped_by,
-        ) = match self.resume_from {
-            Some(snapshot) => {
+        let state = match self.resume_from {
+            Some(mut snapshot) => {
                 assert_eq!(
                     snapshot.calculator.total().space().fingerprint(),
                     space.fingerprint(),
                     "resume snapshot was taken on a different coverage space"
                 );
-                assert_eq!(snapshot.dut, dut_name, "resume snapshot was taken on a different DUT");
+                assert_eq!(
+                    snapshot.dut,
+                    dut.name(),
+                    "resume snapshot was taken on a different DUT"
+                );
                 let names: Vec<&str> = self.generators.iter().map(|g| g.name()).collect();
                 let snapshot_names: Vec<&str> =
                     snapshot.gen_stats.iter().map(|s| s.name.as_str()).collect();
@@ -646,31 +631,36 @@ impl<'g> CampaignBuilder<'g> {
                         generator.import_state(state);
                     }
                 }
-                (
-                    snapshot.calculator,
-                    snapshot.log,
-                    snapshot.history,
-                    snapshot.gen_stats,
-                    snapshot.tests_run,
-                    snapshot.batches_run,
-                    snapshot.total_cycles,
-                    snapshot.batches_since_gain,
-                    snapshot.wall,
-                    snapshot.stopped_by,
-                )
+                // The live scheduler and arms own their state from here.
+                snapshot.scheduler = SchedulerState::default();
+                snapshot.gen_states = Vec::new();
+                snapshot
             }
-            None => (
-                Calculator::new(&space),
-                MismatchLog::new(),
-                Vec::new(),
-                fresh_stats(),
-                0,
-                0,
-                0,
-                0,
-                Duration::ZERO,
-                None,
-            ),
+            None => CampaignSnapshot {
+                dut: dut.name().to_string(),
+                calculator: Calculator::new(&space),
+                log: MismatchLog::new(),
+                history: Vec::new(),
+                gen_stats: self
+                    .generators
+                    .iter()
+                    .map(|g| GeneratorStats {
+                        name: g.name().to_string(),
+                        batches: 0,
+                        tests: 0,
+                        new_bins: 0,
+                        cycles: 0,
+                    })
+                    .collect(),
+                scheduler: SchedulerState::default(),
+                gen_states: Vec::new(),
+                tests_run: 0,
+                batches_run: 0,
+                total_cycles: 0,
+                batches_since_gain: 0,
+                wall: Duration::ZERO,
+                stopped_by: None,
+            },
         };
 
         // A one-lane campaign skips the CPU count query, which is not
@@ -684,8 +674,6 @@ impl<'g> CampaignBuilder<'g> {
             .map(|dut| Lane { dut, golden: None })
             .collect();
 
-        let covered_last = calculator.total_covered();
-
         Campaign {
             harness: PrecompiledHarness::new(self.cfg.harness),
             space,
@@ -697,22 +685,12 @@ impl<'g> CampaignBuilder<'g> {
             auto_checkpoint: self.auto_checkpoint,
             telemetry: self.telemetry,
             cfg: self.cfg,
-            dut_name,
             generators: self.generators,
-            gen_stats,
             scheduler: self.scheduler,
             observers: self.observers,
-            calculator,
-            log,
-            history,
-            covered_last,
-            tests_run,
-            batches_run,
-            total_cycles,
-            batches_since_gain: since_gain,
-            wall_offset: wall,
+            covered_last: state.calculator.total_covered(),
+            state,
             started: Instant::now(),
-            stopped_by,
         }
     }
 }
@@ -720,6 +698,11 @@ impl<'g> CampaignBuilder<'g> {
 /// A live fuzzing session: owned simulator lanes, accumulated coverage
 /// and mismatch state, steppable batch by batch. Built by
 /// [`CampaignBuilder`].
+///
+/// Everything the session accumulates (coverage, mismatch clusters,
+/// history, per-generator statistics, counters) lives in one
+/// [`CampaignSnapshot`]; the scheduler and the generators keep their
+/// own state, which [`Campaign::snapshot`] exports beside it.
 pub struct Campaign<'g> {
     cfg: CampaignConfig,
     /// Prologue/epilogue assembled once for the whole session.
@@ -742,55 +725,46 @@ pub struct Campaign<'g> {
     auto_checkpoint: Option<(PathBuf, usize)>,
     /// Observational instrumentation; never part of snapshots.
     telemetry: TelemetrySink,
-    dut_name: String,
     generators: Vec<Box<dyn InputGenerator + 'g>>,
-    gen_stats: Vec<GeneratorStats>,
     scheduler: Box<dyn Scheduler + 'g>,
     observers: Vec<Box<dyn CampaignObserver + 'g>>,
-    calculator: Calculator,
-    log: MismatchLog,
-    history: Vec<CoveragePoint>,
+    /// The accumulated state; `wall` is the time accumulated before this
+    /// session, and the scheduler and generator states stay empty.
+    state: CampaignSnapshot,
     /// Covered bins at the last recorded history point.
     covered_last: usize,
-    tests_run: usize,
-    batches_run: usize,
-    total_cycles: u64,
-    batches_since_gain: usize,
-    /// Wall time accumulated before this session (resume).
-    wall_offset: Duration,
     started: Instant,
-    stopped_by: Option<StopCondition>,
 }
 
 impl<'g> Campaign<'g> {
     /// Tests executed so far.
     pub fn tests_run(&self) -> usize {
-        self.tests_run
+        self.state.tests_run
     }
 
     /// Batches executed so far.
     pub fn batches_run(&self) -> usize {
-        self.batches_run
+        self.state.batches_run
     }
 
     /// Cumulative coverage percentage.
     pub fn coverage_pct(&self) -> f64 {
-        self.calculator.total_percent()
+        self.state.coverage_pct()
     }
 
     /// Total simulated DUT cycles so far.
     pub fn total_cycles(&self) -> u64 {
-        self.total_cycles
+        self.state.total_cycles
     }
 
     /// Wall-clock for the whole session, resume-aware.
     pub fn wall(&self) -> Duration {
-        self.wall_offset + self.started.elapsed()
+        self.state.wall + self.started.elapsed()
     }
 
     /// Per-generator statistics.
     pub fn generator_stats(&self) -> &[GeneratorStats] {
-        &self.gen_stats
+        &self.state.gen_stats
     }
 
     /// Runs one batch of `config.batch_size` tests.
@@ -816,7 +790,7 @@ impl<'g> Campaign<'g> {
         if self.telemetry.is_enabled() {
             self.telemetry.event(
                 "scheduler_pick",
-                vec![("arm", arm.into()), ("name", self.gen_stats[arm].name.as_str().into())],
+                vec![("arm", arm.into()), ("name", self.state.gen_stats[arm].name.as_str().into())],
             );
         }
 
@@ -838,27 +812,28 @@ impl<'g> Campaign<'g> {
         self.simulate(n);
         let results = &self.results[..n];
 
-        let cycles_before = self.total_cycles;
-        let raw_before = self.log.raw_count();
+        let cycles_before = self.state.total_cycles;
+        let raw_before = self.state.log.raw_count();
         let mut mux: Vec<usize> = Vec::with_capacity(n);
         let mut cycles_at: Vec<u64> = Vec::with_capacity(n);
         let mut fingerprints: Vec<u64> = Vec::with_capacity(n);
         let mut mismatched: Vec<bool> = Vec::with_capacity(n);
         for Scratch { run, golden } in results {
-            self.total_cycles += run.cycles;
-            cycles_at.push(self.total_cycles);
+            self.state.total_cycles += run.cycles;
+            cycles_at.push(self.state.total_cycles);
             mux.push(run.coverage.covered_bins_of_kind(PointKind::MuxSelect));
             fingerprints.push(run.coverage.content_hash());
             if self.cfg.detect_mismatches {
                 let diffs = diff_traces(golden, &run.trace);
                 mismatched.push(!diffs.is_empty());
-                self.log.record(diffs);
+                self.state.log.record(diffs);
             } else {
                 mismatched.push(false);
             }
         }
 
-        let scores = self.calculator.score_batch_iter(results.iter().map(|r| &r.run.coverage));
+        let scores =
+            self.state.calculator.score_batch_iter(results.iter().map(|r| &r.run.coverage));
         let feedback: Vec<Feedback> = scores
             .inputs
             .iter()
@@ -909,8 +884,8 @@ impl<'g> Campaign<'g> {
         for (i, (input, &sim_cycles)) in scores.inputs.iter().zip(&cycles_at).enumerate() {
             if input.total_after > self.covered_last {
                 self.covered_last = input.total_after;
-                self.history.push(CoveragePoint {
-                    tests: self.tests_run + i + 1,
+                self.state.history.push(CoveragePoint {
+                    tests: self.state.tests_run + i + 1,
                     covered_bins: input.total_after,
                     coverage_pct: input.total_percent(),
                     sim_cycles,
@@ -919,13 +894,13 @@ impl<'g> Campaign<'g> {
             }
         }
 
-        self.tests_run += n;
-        let batch_index = self.batches_run;
-        self.batches_run += 1;
+        self.state.tests_run += n;
+        let batch_index = self.state.batches_run;
+        self.state.batches_run += 1;
         if scores.batch_gain > 0 {
-            self.batches_since_gain = 0;
+            self.state.batches_since_gain = 0;
         } else {
-            self.batches_since_gain += 1;
+            self.state.batches_since_gain += 1;
         }
         // MABFuzz-style reward: incremental coverage per test, with the
         // batch's simulated-cycle cost attached for cost-normalising
@@ -933,7 +908,7 @@ impl<'g> Campaign<'g> {
         self.scheduler.update_costed(
             arm,
             scores.batch_gain as f64 / n as f64,
-            self.total_cycles - cycles_before,
+            self.state.total_cycles - cycles_before,
         );
         if self.telemetry.is_enabled() {
             self.telemetry.event(
@@ -941,29 +916,29 @@ impl<'g> Campaign<'g> {
                 vec![
                     ("arm", arm.into()),
                     ("reward", (scores.batch_gain as f64 / n as f64).into()),
-                    ("cost_cycles", (self.total_cycles - cycles_before).into()),
+                    ("cost_cycles", (self.state.total_cycles - cycles_before).into()),
                 ],
             );
         }
-        let stats = &mut self.gen_stats[arm];
+        let stats = &mut self.state.gen_stats[arm];
         stats.batches += 1;
         stats.tests += n;
         stats.new_bins += scores.batch_gain;
-        stats.cycles += self.total_cycles - cycles_before;
+        stats.cycles += self.state.total_cycles - cycles_before;
 
         let outcome = BatchOutcome {
             batch_index,
             generator_index: arm,
-            generator: self.gen_stats[arm].name.clone(),
+            generator: self.state.gen_stats[arm].name.clone(),
             tests: n,
-            tests_total: self.tests_run,
+            tests_total: self.state.tests_run,
             new_bins: scores.batch_gain,
             covered_bins: scores.total_after,
-            coverage_pct: self.calculator.total_percent(),
-            batch_cycles: self.total_cycles - cycles_before,
-            total_cycles: self.total_cycles,
-            new_mismatches: self.log.raw_count() - raw_before,
-            total_mismatches: self.log.raw_count(),
+            coverage_pct: self.state.calculator.total_percent(),
+            batch_cycles: self.state.total_cycles - cycles_before,
+            total_cycles: self.state.total_cycles,
+            new_mismatches: self.state.log.raw_count() - raw_before,
+            total_mismatches: self.state.log.raw_count(),
             feedback,
             wall,
         };
@@ -1039,7 +1014,7 @@ impl<'g> Campaign<'g> {
         );
         loop {
             if let Some(reason) = self.stop_reason(stops) {
-                self.stopped_by = Some(reason);
+                self.state.stopped_by = Some(reason);
                 break;
             }
             let n = self.next_batch_size(stops);
@@ -1049,7 +1024,7 @@ impl<'g> Campaign<'g> {
             // campaign continues from a mid-run state exactly like the
             // caller-driven `step_batch` + `snapshot` pattern.
             if let Some((path, every)) = &self.auto_checkpoint {
-                if self.batches_run.is_multiple_of(*every) {
+                if self.state.batches_run.is_multiple_of(*every) {
                     let snapshot = self.snapshot();
                     let write_span = self.telemetry.now();
                     // Transient io errors (EINTR and friends) are
@@ -1066,8 +1041,8 @@ impl<'g> Campaign<'g> {
                         self.telemetry.event(
                             "checkpoint_write",
                             vec![
-                                ("tests", self.tests_run.into()),
-                                ("batch", self.batches_run.into()),
+                                ("tests", self.state.tests_run.into()),
+                                ("batch", self.state.batches_run.into()),
                                 ("duration_us", write_us.into()),
                             ],
                         );
@@ -1082,11 +1057,13 @@ impl<'g> Campaign<'g> {
     /// The first stop condition currently satisfied, if any.
     pub fn stop_reason(&self, stops: &[StopCondition]) -> Option<StopCondition> {
         stops.iter().copied().find(|stop| match *stop {
-            StopCondition::Tests(budget) => self.tests_run >= budget,
-            StopCondition::SimCycles(budget) => self.total_cycles >= budget,
+            StopCondition::Tests(budget) => self.state.tests_run >= budget,
+            StopCondition::SimCycles(budget) => self.state.total_cycles >= budget,
             StopCondition::WallClock(deadline) => self.wall() >= deadline,
-            StopCondition::CoveragePct(pct) => self.calculator.total_percent() >= pct,
-            StopCondition::Plateau(batches) => batches > 0 && self.batches_since_gain >= batches,
+            StopCondition::CoveragePct(pct) => self.state.calculator.total_percent() >= pct,
+            StopCondition::Plateau(batches) => {
+                batches > 0 && self.state.batches_since_gain >= batches
+            }
         })
     }
 
@@ -1096,7 +1073,7 @@ impl<'g> Campaign<'g> {
         let mut n = self.cfg.batch_size;
         for stop in stops {
             if let StopCondition::Tests(budget) = stop {
-                n = n.min(budget.saturating_sub(self.tests_run));
+                n = n.min(budget.saturating_sub(self.state.tests_run));
             }
         }
         n.max(1)
@@ -1105,17 +1082,17 @@ impl<'g> Campaign<'g> {
     /// Records the session endpoint in the history (idempotent per test
     /// count; keeps `tests` strictly increasing).
     fn push_endpoint(&mut self) {
-        if self.tests_run == 0 {
+        if self.state.tests_run == 0 {
             return;
         }
-        if self.history.last().map(|p| p.tests) == Some(self.tests_run) {
+        if self.state.history.last().map(|p| p.tests) == Some(self.state.tests_run) {
             return;
         }
-        self.history.push(CoveragePoint {
-            tests: self.tests_run,
-            covered_bins: self.calculator.total_covered(),
-            coverage_pct: self.calculator.total_percent(),
-            sim_cycles: self.total_cycles,
+        self.state.history.push(CoveragePoint {
+            tests: self.state.tests_run,
+            covered_bins: self.state.calculator.total_covered(),
+            coverage_pct: self.state.calculator.total_percent(),
+            sim_cycles: self.state.total_cycles,
             wall: self.wall(),
         });
     }
@@ -1123,42 +1100,17 @@ impl<'g> Campaign<'g> {
     /// The report for everything accumulated so far (callable at any
     /// point of the session).
     pub fn report(&self) -> CampaignReport {
-        let generator =
-            self.gen_stats.iter().map(|s| s.name.as_str()).collect::<Vec<_>>().join("+");
-        CampaignReport {
-            generator,
-            dut: self.dut_name.clone(),
-            history: self.history.clone(),
-            final_coverage_pct: self.calculator.total_percent(),
-            tests_run: self.tests_run,
-            batches_run: self.batches_run,
-            raw_mismatches: self.log.raw_count(),
-            unique_mismatches: self.log.unique().into_iter().cloned().collect(),
-            bugs: self.log.bugs_found(),
-            total_cycles: self.total_cycles,
-            wall: self.wall(),
-            generator_stats: self.gen_stats.clone(),
-            stopped_by: self.stopped_by,
-        }
+        CampaignReport { wall: self.wall(), ..self.state.report() }
     }
 
     /// Checkpoints the campaign's accumulated state. Pair with
     /// [`CampaignBuilder::resume`] to continue in a later session.
     pub fn snapshot(&self) -> CampaignSnapshot {
         CampaignSnapshot {
-            dut: self.dut_name.clone(),
-            calculator: self.calculator.clone(),
-            log: self.log.clone(),
-            history: self.history.clone(),
-            gen_stats: self.gen_stats.clone(),
             scheduler: self.scheduler.export_state(),
             gen_states: self.generators.iter().map(|g| g.export_state()).collect(),
-            tests_run: self.tests_run,
-            batches_run: self.batches_run,
-            total_cycles: self.total_cycles,
-            batches_since_gain: self.batches_since_gain,
             wall: self.wall(),
-            stopped_by: self.stopped_by,
+            ..self.state.clone()
         }
     }
 }
@@ -1593,7 +1545,7 @@ mod tests {
             .auto_checkpoint(&path, 2)
             .build();
         campaign.run_until(&[StopCondition::Tests(6 * 16)]);
-        assert_eq!(campaign.batches_run, 6);
+        assert_eq!(campaign.batches_run(), 6);
         let checkpoints =
             sink.drain_events().iter().filter(|e| e.kind == "checkpoint_write").count();
         assert_eq!(checkpoints, 3);

@@ -89,6 +89,19 @@
 //! snapshot along with a [`Recovery`] record of everything it skipped —
 //! falling through to "no snapshot" (resume from the generation base)
 //! only when every entry is bad.
+//!
+//! # A document that parses resumes
+//!
+//! [`parse_snapshot`] also refuses values that are well-formed JSON but
+//! that the importers behind [`crate::campaign::CampaignBuilder::resume`]
+//! would panic on: a non-empty RNG word list `ChaCha8Rng::from_words`
+//! refuses (scheduler and generators), a scheduler epsilon outside
+//! `[0, 1]`, a generator state filed under another generator's name, a
+//! tokenizer merge that names a token id not yet defined, and, in an
+//! `evolve` corpus, a seed word `chatfuzz_isa::decode` rejects or a
+//! repeated seed fingerprint. Only the `evolve` arm's corpus is
+//! decodable and fingerprint-unique by construction: the n-gram arm
+//! exports the raw programs it absorbed, which may be neither.
 
 use std::borrow::Cow;
 use std::fmt;
@@ -103,7 +116,9 @@ use chatfuzz_baselines::{
 };
 use chatfuzz_coverage::{Calculator, CovMap, Space};
 use chatfuzz_isa::{Exception, PrivLevel, Reg};
+use chatfuzz_lm::tokenizer::BASE_VOCAB;
 use chatfuzz_softcore::trace::ExitReason;
+use rand_chacha::ChaCha8Rng;
 
 use crate::campaign::{CampaignSnapshot, CoveragePoint, GeneratorStats, StopCondition};
 use crate::mismatch::{classify, Mismatch, MismatchFilter, MismatchLog, UniqueMismatch};
@@ -1210,6 +1225,9 @@ pub fn parse_snapshot(text: &str, space: &Arc<Space>) -> Result<CampaignSnapshot
         rng_words,
         arms,
     };
+    if !(0.0..=1.0).contains(&scheduler.epsilon) {
+        return err(format!("scheduler.epsilon {} is outside [0, 1]", scheduler.epsilon));
+    }
 
     let gen_states = doc
         .get("generators")?
@@ -1223,6 +1241,14 @@ pub fn parse_snapshot(text: &str, space: &Arc<Space>) -> Result<CampaignSnapshot
             gen_states.len(),
             gen_stats.len()
         ));
+    }
+    for (state, stats) in gen_states.iter().zip(&gen_stats) {
+        if let Some(state) = state.as_ref().filter(|s| s.generator != stats.name) {
+            return err(format!(
+                "generator state of `{}` is filed under `{}`",
+                state.generator, stats.name
+            ));
+        }
     }
 
     let log_doc = doc.get("mismatch_log")?;
@@ -1284,28 +1310,52 @@ pub fn parse_snapshot(text: &str, space: &Arc<Space>) -> Result<CampaignSnapshot
     })
 }
 
+/// Reads an RNG word list: empty (no stream) or a ChaCha8 stream state.
 fn read_rng_words(value: &Json, what: &str) -> Result<Vec<u32>> {
-    value
+    let words = value
         .as_arr(what)?
         .iter()
         .map(|wrd| {
             let v = wrd.as_u64(what)?;
             u32::try_from(v).map_err(|_| PersistError::Parse(format!("{what}: {v} exceeds u32")))
         })
-        .collect()
+        .collect::<Result<Vec<_>>>()?;
+    if !words.is_empty() && ChaCha8Rng::from_words(&words).is_none() {
+        return err(format!("{what}: {} words are not a ChaCha8 stream state", words.len()));
+    }
+    Ok(words)
 }
 
 fn read_generator_state(value: &Json) -> Result<GeneratorState> {
+    let generator = value.get("generator")?.as_str("generators.generator")?.to_string();
     let corpus = value.get("corpus")?;
     let corpus = if *corpus == Json::Null { None } else { Some(read_corpus(corpus)?) };
+    if let Some(corpus) = corpus.as_ref().filter(|_| generator == "evolve") {
+        check_evolve_corpus(corpus)?;
+    }
     let model = value.get("model")?;
     let model = if *model == Json::Null { None } else { Some(read_model(model)?) };
     Ok(GeneratorState {
-        generator: value.get("generator")?.as_str("generators.generator")?.to_string(),
+        generator,
         rng_words: read_rng_words(value.get("rng_words")?, "generators.rng_words")?,
         corpus,
         model,
     })
+}
+
+/// The evolve arm's corpus holds decodable, fingerprint-unique seeds,
+/// and its import refuses anything else.
+fn check_evolve_corpus(corpus: &CorpusState) -> Result<()> {
+    let mut fingerprints = std::collections::HashSet::with_capacity(corpus.seeds.len());
+    for seed in &corpus.seeds {
+        if let Some(word) = seed.words.iter().find(|&&w| chatfuzz_isa::decode(w).is_err()) {
+            return err(format!("evolve corpus seed holds undecodable word {word:#010x}"));
+        }
+        if !fingerprints.insert(seed.fingerprint) {
+            return err(format!("evolve corpus repeats fingerprint {:#018x}", seed.fingerprint));
+        }
+    }
+    Ok(())
 }
 
 fn read_corpus(value: &Json) -> Result<CorpusState> {
@@ -1346,6 +1396,13 @@ fn read_model(value: &Json) -> Result<ModelState> {
         return err("model.merges holds an odd number of ids (pairs expected)");
     }
     let merges: Vec<(u32, u32)> = merge_ids.chunks_exact(2).map(|p| (p[0], p[1])).collect();
+    // Merge `i` defines token `BASE_VOCAB + i` from two earlier ones.
+    for (i, &(left, right)) in merges.iter().enumerate() {
+        let defined = u64::from(BASE_VOCAB) + i as u64;
+        if u64::from(left.max(right)) >= defined {
+            return err(format!("model.merges: merge ({left},{right}) names an undefined token"));
+        }
+    }
 
     let blob_list = |key: &str| -> Result<Vec<Vec<f32>>> {
         value.get(key)?.as_arr(key)?.iter().map(|b| hex_to_f32s(b.as_str(key)?)).collect()
@@ -2637,6 +2694,66 @@ mod tests {
         })
         .collect();
         assert_eq!(pin(&docs), 0x8d5c_663e_65a0_8358, "stop condition documents moved");
+    }
+
+    /// Values an importer behind `CampaignBuilder::resume` would panic on
+    /// are parse errors, although the writer gives each document a valid
+    /// checksum. The n-gram arm's corpus is raw absorbed programs, so the
+    /// evolve corpus defects parse under its name.
+    #[test]
+    fn checksum_valid_documents_that_cannot_resume_are_parse_errors() {
+        const UNDECODABLE: u32 = 0xffff_ffff;
+        assert!(chatfuzz_isa::decode(UNDECODABLE).is_err());
+        fn with_arm(
+            mut s: CampaignSnapshot,
+            edit: impl Fn(&mut GeneratorState),
+        ) -> CampaignSnapshot {
+            edit(s.gen_states[1].as_mut().expect("a stateful arm"));
+            s
+        }
+        fn undecodable(s: &mut GeneratorState) {
+            s.corpus.as_mut().expect("a corpus").seeds[0].words[0] = UNDECODABLE;
+        }
+        fn repeated(s: &mut GeneratorState) {
+            let seeds = &mut s.corpus.as_mut().expect("a corpus").seeds;
+            seeds[1].fingerprint = seeds[0].fingerprint;
+        }
+        let evolve = || evolve_snapshot().clone();
+        let mut scheduler_words = sample_snapshot();
+        scheduler_words.scheduler.rng_words.truncate(32);
+        let mut epsilon = sample_snapshot();
+        epsilon.scheduler.epsilon = 2.0;
+        let defects = [
+            ("generator RNG words cut to 32", with_arm(evolve(), |s| s.rng_words.truncate(32))),
+            (
+                "generator RNG cursor past its block",
+                with_arm(evolve(), |s| *s.rng_words.last_mut().expect("words") = 17),
+            ),
+            ("scheduler RNG words cut to 32", scheduler_words),
+            ("epsilon 2", epsilon),
+            ("state filed under another name", with_arm(evolve(), |s| s.generator.push('2'))),
+            ("undecodable evolve seed word", with_arm(evolve(), undecodable)),
+            ("repeated evolve seed fingerprint", with_arm(evolve(), repeated)),
+            (
+                "merge of an undefined token",
+                with_arm(lm_snapshot(), |s| s.model.as_mut().expect("a model").merges[0] = (25, 4)),
+            ),
+        ];
+        for (defect, snapshot) in defects {
+            match parse_snapshot(&snapshot_json(&snapshot), rocket_space()) {
+                Err(PersistError::Parse(_)) => {}
+                other => panic!("{defect}: expected a parse error, got {:?}", other.map(|_| ())),
+            }
+        }
+
+        for edit in [undecodable, repeated] {
+            let mut ngram = with_arm(evolve(), |s| {
+                s.generator = "chatfuzz-ngram".into();
+                edit(s);
+            });
+            ngram.gen_stats[1].name = "chatfuzz-ngram".into();
+            parse_snapshot(&snapshot_json(&ngram), rocket_space()).expect("n-gram corpus parses");
+        }
     }
 
     #[test]

@@ -226,6 +226,39 @@ impl Tenant {
         self.base.as_ref().map_or(0, CampaignSnapshot::tests_run)
     }
 
+    /// The work order for one attempt of a lease of the current
+    /// generation. It resumes from `checkpoint` when there is one, else
+    /// from the pooled base resplit onto the lease's seed (generation 0
+    /// starts fresh), and stops `lease_tests` past the base.
+    fn work_order(
+        &self,
+        lease: LeaseId,
+        attempt: u32,
+        checkpoint: Option<CampaignSnapshot>,
+    ) -> WorkOrder {
+        let config = &self.config;
+        let seed = lease_seed(config.base_seed, lease.generation, lease.index);
+        let (resume, stop) = match &self.base {
+            None => (checkpoint, StopCondition::Tests(config.lease_tests)),
+            Some(base) => (
+                checkpoint.or_else(|| Some(resplit_snapshot(base, seed))),
+                base.lease_stop(config.lease_tests),
+            ),
+        };
+        WorkOrder {
+            lease,
+            attempt,
+            campaign: config.name.clone(),
+            spec: ShardSpec { index: lease.index, shards: config.fan_out, seed },
+            resume,
+            stop,
+            checkpoint_every: config.checkpoint_every,
+            build: config.build.clone(),
+            space: config.space.clone(),
+            telemetry: config.telemetry.clone(),
+        }
+    }
+
     /// Merged tests plus heartbeat-reported in-flight progress. Each
     /// lease contributes the checkpoint prefix its current attempt
     /// retains beyond the base plus the attempt's own delta past its
@@ -551,32 +584,13 @@ impl<T: Transport> Orchestrator<T> {
         let sink = tenant.config.telemetry.clone();
         let dispatch_span = sink.now();
         let generation = tenant.generation;
-        let config = &tenant.config;
-        let base_tests = tenant.base.as_ref().map_or(0, CampaignSnapshot::tests_run);
-        let mut orders = Vec::with_capacity(config.fan_out);
-        let mut slots = Vec::with_capacity(config.fan_out);
-        for fan in 0..config.fan_out {
+        let fan_out = tenant.config.fan_out;
+        let base_tests = tenant.base_tests();
+        let mut orders = Vec::with_capacity(fan_out);
+        let mut slots = Vec::with_capacity(fan_out);
+        for fan in 0..fan_out {
             let id = LeaseId { campaign: index, generation, index: fan };
-            let seed = lease_seed(config.base_seed, generation, fan);
-            let spec = ShardSpec { index: fan, shards: config.fan_out, seed };
-            let (resume, stop) = match &tenant.base {
-                None => (None, StopCondition::Tests(config.lease_tests)),
-                Some(base) => {
-                    (Some(resplit_snapshot(base, seed)), base.lease_stop(config.lease_tests))
-                }
-            };
-            orders.push(WorkOrder {
-                lease: id,
-                attempt: 0,
-                campaign: config.name.clone(),
-                spec,
-                resume,
-                stop,
-                checkpoint_every: config.checkpoint_every,
-                build: config.build.clone(),
-                space: config.space.clone(),
-                telemetry: config.telemetry.clone(),
-            });
+            orders.push(tenant.work_order(id, 0, None));
             slots.push(LeaseSlot {
                 id,
                 attempt: 0,
@@ -603,18 +617,7 @@ impl<T: Transport> Orchestrator<T> {
             );
         }
         for order in orders {
-            if sink.is_enabled() {
-                sink.counter_add(names::FLEET_LEASES_ISSUED, 1);
-                sink.event(
-                    "lease_issued",
-                    vec![
-                        ("lease", order.lease.to_string().into()),
-                        ("attempt", order.attempt.into()),
-                        ("resume_tests", base_tests.into()),
-                    ],
-                );
-            }
-            self.dispatch_with_retry(order)?;
+            self.issue(order)?;
         }
         // The execute phase starts where dispatch ends, so the two
         // phase counters never count the same wall clock.
@@ -625,6 +628,24 @@ impl<T: Transport> Orchestrator<T> {
         }
         self.tenants[index].generation_started = Some(dispatched);
         Ok(())
+    }
+
+    /// Issues a lease attempt: counts and records it, then dispatches it.
+    fn issue(&mut self, order: WorkOrder) -> Result<(), OrchestrateError> {
+        let sink = &order.telemetry;
+        if sink.is_enabled() {
+            let resume_tests = order.resume.as_ref().map_or(0, CampaignSnapshot::tests_run);
+            sink.counter_add(names::FLEET_LEASES_ISSUED, 1);
+            sink.event(
+                "lease_issued",
+                vec![
+                    ("lease", order.lease.to_string().into()),
+                    ("attempt", order.attempt.into()),
+                    ("resume_tests", resume_tests.into()),
+                ],
+            );
+        }
+        self.dispatch_with_retry(order)
     }
 
     /// Dispatches a work order, retrying with backoff: transient
@@ -785,8 +806,8 @@ impl<T: Transport> Orchestrator<T> {
     /// [`OrchestrateError::LeaseExhausted`].
     fn reissue(&mut self, lease: LeaseId, detail: &str) -> Result<(), OrchestrateError> {
         let tenant = &mut self.tenants[lease.campaign];
-        let config = tenant.config.clone();
-        let base = tenant.base.clone();
+        let max_attempts = tenant.config.max_attempts;
+        let sink = tenant.config.telemetry.clone();
         let Some(slot) = tenant.leases.iter_mut().find(|slot| slot.id == lease) else {
             return Ok(());
         };
@@ -799,10 +820,9 @@ impl<T: Transport> Orchestrator<T> {
             if slot.tests_run > slot.resume_tests { 0 } else { slot.stalled_attempts + 1 };
         slot.stalled_attempts = stalled;
         slot.last_failure = Some(detail.to_string());
-        let sink = config.telemetry.clone();
         self.transport.revoke(lease, old_attempt);
-        if next_attempt >= config.max_attempts || stalled >= CRASH_LOOP_LIMIT {
-            let detail = if next_attempt >= config.max_attempts {
+        if next_attempt >= max_attempts || stalled >= CRASH_LOOP_LIMIT {
+            let detail = if next_attempt >= max_attempts {
                 detail.to_string()
             } else {
                 format!("crash loop: {stalled} consecutive attempts with no progress ({detail})")
@@ -849,31 +869,14 @@ impl<T: Transport> Orchestrator<T> {
         }
         // The freshest auto-checkpoint bounds the loss to one checkpoint
         // interval; with none, the lease replays from the pooled base.
-        let seed = lease_seed(config.base_seed, lease.generation, lease.index);
         let checkpoint = self.recover_checkpoint(lease, old_attempt).snapshot;
-        let resume = checkpoint.or_else(|| base.as_ref().map(|b| resplit_snapshot(b, seed)));
-        let stop = match &base {
-            Some(b) => b.lease_stop(config.lease_tests),
-            None => StopCondition::Tests(config.lease_tests),
-        };
-        let order = WorkOrder {
-            lease,
-            attempt: next_attempt,
-            campaign: config.name.clone(),
-            spec: ShardSpec { index: lease.index, shards: config.fan_out, seed },
-            resume,
-            stop,
-            checkpoint_every: config.checkpoint_every,
-            build: config.build.clone(),
-            space: config.space.clone(),
-            telemetry: config.telemetry.clone(),
-        };
+        let tenant = &mut self.tenants[lease.campaign];
+        let order = tenant.work_order(lease, next_attempt, checkpoint);
         // The new attempt starts over from its resume snapshot: reset
         // the progress counters to that point so the dead attempt's
         // high-water mark does not linger in the in-flight accounting
         // (heartbeats within one attempt still ratchet with `max`).
         let resume_tests = order.resume.as_ref().map_or(0, CampaignSnapshot::tests_run);
-        let tenant = &mut self.tenants[lease.campaign];
         if let Some(slot) = tenant.leases.iter_mut().find(|slot| slot.id == lease) {
             slot.attempt = next_attempt;
             slot.state = LeaseState::Issued;
@@ -881,18 +884,7 @@ impl<T: Transport> Orchestrator<T> {
             slot.tests_run = resume_tests;
             slot.resume_tests = resume_tests;
         }
-        if sink.is_enabled() {
-            sink.counter_add(names::FLEET_LEASES_ISSUED, 1);
-            sink.event(
-                "lease_issued",
-                vec![
-                    ("lease", lease.to_string().into()),
-                    ("attempt", next_attempt.into()),
-                    ("resume_tests", resume_tests.into()),
-                ],
-            );
-        }
-        self.dispatch_with_retry(order)
+        self.issue(order)
     }
 
     /// Merges a terminal generation — every lease completed or
