@@ -6,8 +6,9 @@
 //! transformer (matmul, layer-norm, causal softmax, GELU, embeddings,
 //! cross-entropy) plus the PPO loss surface (exp, clamp, elementwise min,
 //! per-row selection/weighting), and an [`Adam`] optimiser with global
-//! gradient-norm clipping. The matrix products run on the row
-//! [`kernels`], which tape-free inference paths call directly.
+//! gradient-norm clipping. The matrix products, layer norm, softmax,
+//! `tanh` and GELU run on the row [`kernels`], which tape-free inference
+//! paths call directly.
 //!
 //! Every op's backward pass is validated against central finite
 //! differences in `tests/gradcheck.rs`.
@@ -35,5 +36,5 @@ pub mod tape;
 pub mod tensor;
 
 pub use adam::{Adam, AdamConfig};
-pub use tape::{gelu_scalar, Tape, Value};
+pub use tape::{Tape, Value};
 pub use tensor::Tensor;

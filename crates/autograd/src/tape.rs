@@ -17,7 +17,7 @@
 //! assert_eq!(tape.grad(x).unwrap().data(), &[4.0]); // dy/dx = 2x
 //! ```
 
-use crate::kernels::{layer_norm_into, softmax_in_place};
+use crate::kernels::{gelu_grad_into, gelu_into, layer_norm_into, softmax_in_place, tanh_into};
 use crate::tensor::Tensor;
 
 /// Handle to a node on the tape.
@@ -161,19 +161,20 @@ impl Tape {
         self.push(out, Op::Scale { a: a.0, c })
     }
 
-    /// GELU activation (tanh approximation, as in GPT-2).
+    /// GELU activation (tanh approximation, as in GPT-2; see
+    /// [`kernels::gelu_into`](crate::kernels::gelu_into)).
     pub fn gelu(&mut self, a: Value) -> Value {
         let av = &self.nodes[a.0].value;
-        let data = av.data().iter().map(|&x| gelu_fwd(x)).collect();
-        let out = Tensor::new(av.rows(), av.cols(), data);
+        let mut out = Tensor::zeros(av.rows(), av.cols());
+        gelu_into(av.data(), out.data_mut());
         self.push(out, Op::Gelu { a: a.0 })
     }
 
-    /// Elementwise `tanh`.
+    /// Elementwise `tanh` ([`kernels::tanh`](crate::kernels::tanh)).
     pub fn tanh(&mut self, a: Value) -> Value {
         let av = &self.nodes[a.0].value;
-        let data = av.data().iter().map(|x| x.tanh()).collect();
-        let out = Tensor::new(av.rows(), av.cols(), data);
+        let mut out = Tensor::zeros(av.rows(), av.cols());
+        tanh_into(av.data(), out.data_mut());
         self.push(out, Op::Tanh { a: a.0 })
     }
 
@@ -413,7 +414,8 @@ impl Tape {
                     self.accum(a, da);
                 }
                 Op::Gelu { a } => {
-                    let da = elementwise(&g, &self.nodes[a].value, |gg, x| gg * gelu_bwd(x));
+                    let mut da = Tensor::zeros(g.rows(), g.cols());
+                    gelu_grad_into(g.data(), self.nodes[a].value.data(), da.data_mut());
                     self.accum(a, da);
                 }
                 Op::Tanh { a } => {
@@ -597,27 +599,6 @@ fn elementwise3(g: &Tensor, x: &Tensor, y: &Tensor, f: impl Fn(f32, f32, f32) ->
     let data =
         g.data().iter().zip(x.data()).zip(y.data()).map(|((a, b), c)| f(*a, *b, *c)).collect();
     Tensor::new(g.rows(), g.cols(), data)
-}
-
-const GELU_S: f32 = 0.797_884_6; // sqrt(2/pi)
-const GELU_C: f32 = 0.044_715;
-
-/// The scalar GELU forward (tanh approximation) the [`Tape::gelu`] op
-/// applies elementwise. Public so tape-free inference paths (the KV-cached
-/// decoder in `chatfuzz-lm`) compute bit-identical activations.
-pub fn gelu_scalar(x: f32) -> f32 {
-    gelu_fwd(x)
-}
-
-fn gelu_fwd(x: f32) -> f32 {
-    0.5 * x * (1.0 + (GELU_S * (x + GELU_C * x * x * x)).tanh())
-}
-
-fn gelu_bwd(x: f32) -> f32 {
-    let inner = GELU_S * (x + GELU_C * x * x * x);
-    let t = inner.tanh();
-    let dinner = GELU_S * (1.0 + 3.0 * GELU_C * x * x);
-    0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * dinner
 }
 
 #[cfg(test)]

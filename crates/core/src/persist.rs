@@ -1326,8 +1326,17 @@ fn read_rng_words(value: &Json, what: &str) -> Result<Vec<u32>> {
     Ok(words)
 }
 
+/// The arms whose import restores their ChaCha8 stream from `rng_words`.
+/// Each exports one, so an empty list in their state cannot resume; other
+/// arms may keep it empty.
+const STREAM_ARMS: [&str; 3] = ["evolve", "chatfuzz", "chatfuzz-ngram"];
+
 fn read_generator_state(value: &Json) -> Result<GeneratorState> {
     let generator = value.get("generator")?.as_str("generators.generator")?.to_string();
+    let rng_words = read_rng_words(value.get("rng_words")?, "generators.rng_words")?;
+    if rng_words.is_empty() && STREAM_ARMS.contains(&generator.as_str()) {
+        return err(format!("generators.rng_words: the {generator} arm's state has no RNG stream"));
+    }
     let corpus = value.get("corpus")?;
     let corpus = if *corpus == Json::Null { None } else { Some(read_corpus(corpus)?) };
     if let Some(corpus) = corpus.as_ref().filter(|_| generator == "evolve") {
@@ -1335,12 +1344,7 @@ fn read_generator_state(value: &Json) -> Result<GeneratorState> {
     }
     let model = value.get("model")?;
     let model = if *model == Json::Null { None } else { Some(read_model(model)?) };
-    Ok(GeneratorState {
-        generator,
-        rng_words: read_rng_words(value.get("rng_words")?, "generators.rng_words")?,
-        corpus,
-        model,
-    })
+    Ok(GeneratorState { generator, rng_words, corpus, model })
 }
 
 /// The evolve arm's corpus holds decodable, fingerprint-unique seeds,
@@ -2719,12 +2723,20 @@ mod tests {
             seeds[1].fingerprint = seeds[0].fingerprint;
         }
         let evolve = || evolve_snapshot().clone();
+        let mut ngram_without_stream = with_arm(evolve(), |s| {
+            s.generator = "chatfuzz-ngram".into();
+            s.rng_words.clear();
+        });
+        ngram_without_stream.gen_stats[1].name = "chatfuzz-ngram".into();
         let mut scheduler_words = sample_snapshot();
         scheduler_words.scheduler.rng_words.truncate(32);
         let mut epsilon = sample_snapshot();
         epsilon.scheduler.epsilon = 2.0;
         let defects = [
             ("generator RNG words cut to 32", with_arm(evolve(), |s| s.rng_words.truncate(32))),
+            ("evolve state without an RNG stream", with_arm(evolve(), |s| s.rng_words.clear())),
+            ("LM state without an RNG stream", with_arm(lm_snapshot(), |s| s.rng_words.clear())),
+            ("n-gram state without an RNG stream", ngram_without_stream),
             (
                 "generator RNG cursor past its block",
                 with_arm(evolve(), |s| *s.rng_words.last_mut().expect("words") = 17),

@@ -87,13 +87,8 @@ impl CovMap {
     /// (the DifuzzRTL-style control-register subset uses
     /// [`PointKind::MuxSelect`]).
     pub fn covered_bins_of_kind(&self, kind: PointKind) -> usize {
-        self.space
-            .iter()
-            .filter(|(_, _, k)| *k == kind)
-            .map(|(id, _, _)| {
-                usize::from(self.is_covered(id, false)) + usize::from(self.is_covered(id, true))
-            })
-            .sum()
+        let mask = self.space.bins_of_kind(kind);
+        self.words.iter().zip(mask).map(|(w, m)| (w & m).count_ones() as usize).sum()
     }
 
     /// Merges another worker's map into this one.
@@ -228,6 +223,7 @@ impl CovMap {
 mod tests {
     use super::*;
     use crate::space::SpaceBuilder;
+    use proptest::prelude::*;
 
     fn space3() -> Arc<Space> {
         let mut b = SpaceBuilder::new("t");
@@ -353,6 +349,43 @@ mod tests {
         let mut m1 = CovMap::new(&space3());
         let m2 = CovMap::new(&other);
         m1.merge_from(&m2);
+    }
+
+    /// The per-point loop [`CovMap::covered_bins_of_kind`] replaced, kept
+    /// verbatim as its reference.
+    fn covered_bins_of_kind_reference(m: &CovMap, kind: PointKind) -> usize {
+        m.space
+            .iter()
+            .filter(|(_, _, k)| *k == kind)
+            .map(|(id, _, _)| {
+                usize::from(m.is_covered(id, false)) + usize::from(m.is_covered(id, true))
+            })
+            .sum()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The mask count equals the per-point loop for both kinds, over
+        /// spaces of any size (partial last words included) and random hits.
+        #[test]
+        fn kind_counts_from_masks_equal_the_per_point_loop(
+            kinds in proptest::collection::vec(any::<bool>(), 0..200),
+            hits in proptest::collection::vec((0usize..200, any::<bool>()), 0..300),
+        ) {
+            let mut b = SpaceBuilder::new("random");
+            for (i, &mux) in kinds.iter().enumerate() {
+                b.register(format!("p{i}"), if mux { PointKind::MuxSelect } else { PointKind::Condition });
+            }
+            let space = b.build();
+            let mut m = CovMap::new(&space);
+            for &(id, outcome) in hits.iter().filter(|(id, _)| *id < kinds.len()) {
+                m.hit(CondId(id as u32), outcome);
+            }
+            for kind in [PointKind::Condition, PointKind::MuxSelect] {
+                prop_assert_eq!(m.covered_bins_of_kind(kind), covered_bins_of_kind_reference(&m, kind));
+            }
+        }
     }
 
     #[test]

@@ -43,6 +43,9 @@ pub struct Space {
     pub(crate) design: String,
     pub(crate) points: Vec<PointMeta>,
     pub(crate) fingerprint: u64,
+    /// Per [`PointKind`] (`Condition`, then `MuxSelect`): the bins of its
+    /// points, laid out as [`crate::CovMap::words`].
+    kind_bins: [Vec<u64>; 2],
 }
 
 impl Space {
@@ -102,6 +105,11 @@ impl Space {
     pub fn count_of_kind(&self, kind: PointKind) -> usize {
         self.points.iter().filter(|p| p.kind == kind).count()
     }
+
+    /// The bins of every point of `kind`, as a mask over a map's words.
+    pub(crate) fn bins_of_kind(&self, kind: PointKind) -> &[u64] {
+        &self.kind_bins[usize::from(kind == PointKind::MuxSelect)]
+    }
 }
 
 impl fmt::Display for Space {
@@ -146,7 +154,13 @@ impl SpaceBuilder {
             (p.kind == PointKind::MuxSelect).hash(&mut hasher);
         }
         let fingerprint = hasher.finish();
-        Arc::new(Space { design: self.design, points: self.points, fingerprint })
+        // Point `i` owns bins `2i` and `2i + 1`.
+        let words = (self.points.len() * 2).div_ceil(64);
+        let mut kind_bins = [vec![0u64; words], vec![0u64; words]];
+        for (i, p) in self.points.iter().enumerate() {
+            kind_bins[usize::from(p.kind == PointKind::MuxSelect)][i / 32] |= 0b11 << (i % 32 * 2);
+        }
+        Arc::new(Space { design: self.design, points: self.points, fingerprint, kind_bins })
     }
 }
 

@@ -16,18 +16,18 @@
 //! decoder over a reusable [`KvCache`] arena. Each step computes only the
 //! new token's row, attending over the cached per-layer K/V rows —
 //! `O(T)` work per token instead of `O(T²)`. It calls the tape's own row
-//! kernels ([`chatfuzz_autograd::kernels`]: matmul, layer norm, softmax)
-//! and shares its GELU scalar and [`sample_row`], so each row's
-//! arithmetic is the tape's, operation for operation, and given the same
-//! RNG it emits **token-identical** output to `generate` — a pinned
-//! invariant (`tests/tests/it_lm.rs`).
+//! kernels ([`chatfuzz_autograd::kernels`]: matmul, layer norm, softmax,
+//! GELU) and shares [`sample_row`], so each row's arithmetic is the
+//! tape's, operation for operation, and given the same RNG it emits
+//! **token-identical** output to `generate` — a pinned invariant
+//! (`tests/tests/it_lm.rs`).
 
 use chatfuzz_autograd::kernels::{
-    layer_norm_into, row_matmul_dense_into, row_matmul_into, softmax_in_place, transpose_into,
+    gelu_bias_in_place, layer_norm_into, row_matmul_dense_into, row_matmul_into, softmax_in_place,
+    transpose_into,
 };
-use chatfuzz_autograd::{gelu_scalar, Tape, Tensor, Value};
+use chatfuzz_autograd::{Tape, Tensor, Value};
 use rand::Rng;
-use std::cmp::Ordering;
 
 use crate::tokenizer::EOS;
 
@@ -453,9 +453,7 @@ impl Gpt {
                 &mut cache.h,
             );
             row_matmul_into(&cache.h, b.w1.data(), self.cfg.d_ff, &mut cache.ff);
-            for (a, bias) in cache.ff.iter_mut().zip(b.b1.row(0)) {
-                *a = gelu_scalar(*a + bias);
-            }
+            gelu_bias_in_place(&mut cache.ff, b.b1.row(0));
             row_matmul_into(&cache.ff, b.w2.data(), d, &mut cache.h);
             for ((x, a), bias) in cache.x.iter_mut().zip(&cache.h).zip(b.b2.row(0)) {
                 *x += a + bias;
@@ -554,34 +552,34 @@ impl KvCache {
 /// Temperature + top-k sampling from a logit row.
 ///
 /// Candidates rank by scaled logit, highest first, ties to the lower
-/// token id — the order a stable descending sort gives. The shortlist is
-/// selected in linear time and only its `top_k` survivors are sorted.
-/// NaN logits rank below every number and are never drawn while any
-/// number remains; a row with no number at all returns `EOS`, which ends
-/// the sequence.
+/// token id — the order a stable descending sort gives. One pass keeps
+/// the best `top_k` in a sorted shortlist: a candidate enters only if it
+/// ranks strictly above the last entry (or the list is not full yet),
+/// before the first entry strictly below it. NaN logits rank below every
+/// number and are never drawn while any number remains; a row with no
+/// number at all returns `EOS`, which ends the sequence.
 pub fn sample_row<R: Rng>(logits: &[f32], temperature: f32, top_k: usize, rng: &mut R) -> u32 {
     let temp = temperature.max(1e-4);
-    let mut ranked: Vec<(usize, f32)> = logits
-        .iter()
-        .enumerate()
-        .map(|(i, &l)| (i, l / temp))
-        .filter(|(_, l)| !l.is_nan())
-        .collect();
-    if ranked.is_empty() {
+    let k = top_k.max(1);
+    let mut shortlist: Vec<(usize, f32)> = Vec::with_capacity(k.min(logits.len()));
+    for (i, &l) in logits.iter().enumerate() {
+        let l = l / temp;
+        if l.is_nan() {
+            continue;
+        }
+        if shortlist.len() == k {
+            if l <= shortlist[k - 1].1 {
+                continue;
+            }
+            shortlist.pop();
+        }
+        // -0.0 ties with 0.0, as under `partial_cmp`.
+        let at = shortlist.partition_point(|&(_, s)| s >= l);
+        shortlist.insert(at, (i, l));
+    }
+    let Some(&(_, max)) = shortlist.first() else {
         return EOS;
-    }
-    // A total order on the NaN-free candidates (-0.0 ties with 0.0, as
-    // under `partial_cmp`).
-    let order = |a: &(usize, f32), b: &(usize, f32)| {
-        b.1.partial_cmp(&a.1).unwrap_or(Ordering::Equal).then(a.0.cmp(&b.0))
     };
-    let k = top_k.clamp(1, ranked.len());
-    if k < ranked.len() {
-        ranked.select_nth_unstable_by(k - 1, order);
-    }
-    let shortlist = &mut ranked[..k];
-    shortlist.sort_unstable_by(order);
-    let max = shortlist[0].1;
     let weights: Vec<f32> = shortlist.iter().map(|(_, l)| (l - max).exp()).collect();
     let total: f32 = weights.iter().sum();
     let mut draw = rng.gen_range(0.0..total.max(f32::MIN_POSITIVE));
@@ -591,7 +589,7 @@ pub fn sample_row<R: Rng>(logits: &[f32], temperature: f32, top_k: usize, rng: &
         }
         draw -= w;
     }
-    shortlist[k - 1].0 as u32
+    shortlist[shortlist.len() - 1].0 as u32
 }
 
 #[cfg(test)]
