@@ -32,12 +32,31 @@ pub enum Scale {
 }
 
 impl Scale {
-    /// Reads the scale from the environment.
-    pub fn from_env() -> Scale {
-        match std::env::var("CHATFUZZ_SCALE").as_deref() {
-            Ok("full") => Scale::Full,
-            _ => Scale::Quick,
+    /// Parses a `CHATFUZZ_SCALE` value: unset or `quick` is
+    /// [`Scale::Quick`], `full` is [`Scale::Full`].
+    ///
+    /// # Errors
+    ///
+    /// Any other value, named in the message beside the two accepted
+    /// words.
+    pub fn parse(value: Option<&str>) -> Result<Scale, String> {
+        match value {
+            None | Some("quick") => Ok(Scale::Quick),
+            Some("full") => Ok(Scale::Full),
+            Some(other) => Err(format!("unknown scale {other:?}: expected `quick` or `full`")),
         }
+    }
+
+    /// Reads the scale from the environment.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `CHATFUZZ_SCALE` holds a value [`Scale::parse`] refuses
+    /// (a non-UTF-8 value included), so a misspelt scale stops the
+    /// experiment before any work instead of running the other scale.
+    pub fn from_env() -> Scale {
+        let value = std::env::var_os("CHATFUZZ_SCALE").map(|v| v.to_string_lossy().into_owned());
+        Scale::parse(value.as_deref()).unwrap_or_else(|e| panic!("CHATFUZZ_SCALE: {e}"))
     }
 
     /// Total tests for campaign-style experiments.
@@ -364,6 +383,20 @@ mod tests {
     fn scale_env_defaults_to_quick() {
         assert_eq!(Scale::from_env(), Scale::Quick);
         assert!(Scale::Quick.campaign_tests() < Scale::Full.campaign_tests());
+    }
+
+    /// Only the two lower-case words (or no value) name a scale; every
+    /// near miss is an error that names it and both accepted words.
+    #[test]
+    fn scale_parse_accepts_two_words_and_names_every_other_value() {
+        assert_eq!(Scale::parse(None), Ok(Scale::Quick));
+        assert_eq!(Scale::parse(Some("quick")), Ok(Scale::Quick));
+        assert_eq!(Scale::parse(Some("full")), Ok(Scale::Full));
+        for bad in ["Full", "ful", "FULL", " full", "full ", "", "Quick", "slow", "\u{fffd}"] {
+            let err = Scale::parse(Some(bad)).expect_err(bad);
+            assert!(err.contains(&format!("{bad:?}")), "{err}");
+            assert!(err.contains("`quick`") && err.contains("`full`"), "{err}");
+        }
     }
 
     #[test]

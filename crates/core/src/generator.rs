@@ -5,8 +5,10 @@
 //!
 //! * **fast** — sampling runs through the KV-cached incremental decoder
 //!   ([`chatfuzz_lm::KvCache`], `PpoConfig::sample_into`), token-pinned
-//!   equal to the naive path but `O(T)` per token, and a publish cadence
-//!   above 1 amortises the PPO step across the interval (see below);
+//!   equal to the naive path but `O(T)` per token; between publishes the
+//!   cache keeps the rows a prompt shares with the previous sample, so
+//!   only the rest of it is prefilled; and a publish cadence above 1
+//!   amortises the PPO step across the interval (see below);
 //! * **durable** — `InputGenerator::export_state` captures the whole
 //!   accumulated state (tokenizer merges, policy weights, Adam moments,
 //!   refreshed prompt pool, pending rollouts, learner queue and publish
@@ -165,7 +167,9 @@ pub struct LmGenerator {
     shared_pool: Vec<Vec<u32>>,
     cfg: LmGeneratorConfig,
     rng: ChaCha8Rng,
-    /// Reusable KV arena for incremental sampling.
+    /// Reusable KV arena for incremental sampling. Its rows carry over
+    /// from one sample to the next until a publish or an import changes
+    /// the weights (`Gpt::params_mut` restamps them).
     cache: KvCache,
     /// Recycled sample buffer (`PpoConfig::sample_into` target).
     sample_buf: Vec<u32>,
@@ -179,7 +183,8 @@ impl LmGenerator {
     ///
     /// # Panics
     ///
-    /// Panics if `prompt_pool` is empty or `cfg.publish_every == 0`.
+    /// Panics if `prompt_pool` is empty, `cfg.publish_every == 0` or
+    /// `cfg.prompt_min > cfg.prompt_max`.
     pub fn new(
         tokenizer: Tokenizer,
         policy: Gpt,
@@ -189,6 +194,12 @@ impl LmGenerator {
     ) -> LmGenerator {
         assert!(!prompt_pool.is_empty(), "prompt pool must not be empty");
         assert!(cfg.publish_every > 0, "publish cadence must be positive");
+        assert!(
+            cfg.prompt_min <= cfg.prompt_max,
+            "empty prompt range: prompt_min {} > prompt_max {}",
+            cfg.prompt_min,
+            cfg.prompt_max
+        );
         let cache = KvCache::new(*policy.config());
         LmGenerator {
             tokenizer,
@@ -876,6 +887,16 @@ mod tests {
     fn a_zero_publish_cadence_panics() {
         let (tok, model, pool) = setup();
         let cfg = LmGeneratorConfig { publish_every: 0, ..Default::default() };
+        LmGenerator::new(tok, model, PpoConfig::default(), pool, cfg);
+    }
+
+    /// An empty prompt range fails at construction, not in the first
+    /// `next_batch` after the campaign's set-up.
+    #[test]
+    #[should_panic(expected = "empty prompt range: prompt_min 4 > prompt_max 3")]
+    fn an_empty_prompt_range_panics() {
+        let (tok, model, pool) = setup();
+        let cfg = LmGeneratorConfig { prompt_min: 4, prompt_max: 3, ..Default::default() };
         LmGenerator::new(tok, model, PpoConfig::default(), pool, cfg);
     }
 

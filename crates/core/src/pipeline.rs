@@ -181,10 +181,20 @@ pub struct PipelineReport {
 ///
 /// Returns the trained model plus training telemetry. Deterministic for a
 /// fixed configuration.
+///
+/// # Panics
+///
+/// Panics if `cfg.prompt_range` is empty (its first bound above its
+/// second), before any training runs.
 pub fn train_chatfuzz(
     cfg: &PipelineConfig,
     dut_factory: &DutFactory,
 ) -> (ChatFuzzModel, PipelineReport) {
+    let (prompt_min, prompt_max) = cfg.prompt_range;
+    assert!(
+        prompt_min <= prompt_max,
+        "empty prompt range: prompt_min {prompt_min} > prompt_max {prompt_max}"
+    );
     let mut rng = ChaCha8Rng::seed_from_u64(cfg.seed);
 
     // ---- Step 0: static data collection (corpus substitute). ----
@@ -354,5 +364,16 @@ mod tests {
         // Step 3 accumulated nonzero coverage.
         let final_cov = report.optimize_curve.last().unwrap().coverage_pct;
         assert!(final_cov > 10.0, "step-3 coverage is substantial: {final_cov:.1}%");
+    }
+
+    /// An empty prompt range fails before step 1, not in step 2's first
+    /// prompt after the language model has trained.
+    #[test]
+    #[should_panic(expected = "empty prompt range: prompt_min 5 > prompt_max 2")]
+    fn an_empty_prompt_range_panics_before_training() {
+        let factory: DutFactory =
+            Arc::new(|| Box::new(Rocket::new(RocketConfig::default())) as Box<dyn Dut>);
+        let cfg = PipelineConfig { prompt_range: (5, 2), ..PipelineConfig::quick(42) };
+        train_chatfuzz(&cfg, &factory);
     }
 }

@@ -31,7 +31,13 @@
 //! sampling never observes a half-trained model. Between boundaries the
 //! weights do not change, which is why checkpoints persist one weight
 //! set plus the rollout queue and epoch counters, and why a
-//! SIGKILL-resume replays to the same tokens.
+//! SIGKILL-resume replays to the same tokens. It is also why the arm's
+//! [`KvCache`] keeps its rows from one sample to the next: a publish
+//! writes the weights through [`Gpt::params_mut`], which gives them a
+//! new weight stamp, so the first sample after it prefills from row 0,
+//! and every sample until the next publish keeps the rows its prompt
+//! shares with the one before. A resumed arm starts with an empty cache
+//! and prefills once.
 //!
 //! # Examples
 //!

@@ -21,6 +21,18 @@
 //! tape's, operation for operation, and given the same RNG it emits
 //! **token-identical** output to `generate` — a pinned invariant
 //! (`tests/tests/it_lm.rs`).
+//!
+//! The cache also outlives a call. A row depends only on the weights
+//! and on the tokens up to it, so the next call keeps the rows its
+//! prompt opens with, as long as the weights that computed them are
+//! unchanged, and prefills only the rest. Every [`Gpt`] carries a weight
+//! stamp, taken in [`Gpt::new`] and again in each [`Gpt::params_mut`],
+//! the only way to change the weights; the cache records the stamp and
+//! the token of each row. Inside a campaign the weights change only at
+//! a publish, and the LM arm's prompts share their opening
+//! instructions, so most of each prompt is already cached.
+
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use chatfuzz_autograd::kernels::{
     gelu_bias_in_place, layer_norm_into, row_matmul_dense_into, row_matmul_into, softmax_in_place,
@@ -30,6 +42,18 @@ use chatfuzz_autograd::{Tape, Tensor, Value};
 use rand::Rng;
 
 use crate::tokenizer::EOS;
+
+/// Source of weight stamps: [`Gpt::new`] and every [`Gpt::params_mut`]
+/// take the next one, so two models share a stamp only when one is an
+/// unmodified clone of the other, and then they hold equal weights. 0 is
+/// never issued; a [`KvCache`] stamped 0 holds rows of mixed weights.
+static NEXT_STAMP: AtomicU64 = AtomicU64::new(1);
+
+/// The next weight stamp. `Relaxed` suffices: the stamp publishes no
+/// other data, and the read-modify-write alone makes every value unique.
+fn next_stamp() -> u64 {
+    NEXT_STAMP.fetch_add(1, Ordering::Relaxed)
+}
 
 /// Transformer hyper-parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -86,6 +110,9 @@ struct Block {
 #[derive(Debug, Clone)]
 pub struct Gpt {
     cfg: GptConfig,
+    /// Names this weight set (see [`next_stamp`]): a [`KvCache`] keeps
+    /// its rows for the next call only while the stamps agree.
+    stamp: u64,
     wte: Tensor,
     wpe: Tensor,
     blocks: Vec<Block>,
@@ -127,6 +154,7 @@ impl Gpt {
         };
         Gpt {
             cfg,
+            stamp: next_stamp(),
             wte: Tensor::randn(cfg.vocab, cfg.d_model, std, rng),
             wpe: Tensor::randn(cfg.max_seq, cfg.d_model, std, rng),
             blocks: (0..cfg.n_layer).map(|_| block(rng)).collect(),
@@ -161,7 +189,12 @@ impl Gpt {
     }
 
     /// Mutable parameter tensors in the same canonical order.
+    ///
+    /// This is the only way to change the weights, so it takes a fresh
+    /// weight stamp: rows a [`KvCache`] computed before the call are
+    /// never reused afterwards, even if no value changes.
     pub fn params_mut(&mut self) -> Vec<&mut Tensor> {
+        self.stamp = next_stamp();
         let mut v: Vec<&mut Tensor> = vec![&mut self.wte, &mut self.wpe];
         for b in &mut self.blocks {
             v.extend([
@@ -312,8 +345,15 @@ impl Gpt {
     /// [`Gpt::generate`] under the same RNG, but each step runs only the
     /// new token's row against the cached keys/values instead of
     /// re-running the whole window (see the module docs). `out` receives
-    /// prompt + continuation; the cache is reset on entry and reusable
-    /// across calls, models permitting ([`KvCache::new`] shape).
+    /// prompt + continuation. The cache is reusable across calls and
+    /// models of its shape ([`KvCache::new`]).
+    ///
+    /// Rows the cache holds from an earlier call are kept when this
+    /// model's weights computed them (same weight stamp) and the prompt
+    /// window opens with their tokens; only the rest of the prompt runs.
+    /// The prompt's last row always runs, since the first sample needs
+    /// its logits. A kept row is a function of the weights and the
+    /// tokens up to it alone, so it is the row a rerun would compute.
     ///
     /// While the sequence still fits the context window only new rows
     /// run; once it exceeds `max_seq` the window slides and the cache is
@@ -345,8 +385,8 @@ impl Gpt {
         if out.is_empty() {
             out.push(crate::tokenizer::BOS);
         }
-        cache.reset();
-        let mut window_start = 0usize;
+        let mut window_start = out.len().saturating_sub(self.cfg.max_seq);
+        cache.keep_prefix(self.stamp, &out[window_start..]);
         for _ in 0..max_new {
             let start = out.len().saturating_sub(self.cfg.max_seq);
             if start != window_start {
@@ -357,8 +397,8 @@ impl Gpt {
             }
             // Feed every not-yet-cached row of the current window; the
             // last row's logits drive the sample. On the first iteration
-            // this is the whole prompt (prefill), afterwards just the
-            // freshly appended token.
+            // this is the prompt past the kept rows (prefill), afterwards
+            // just the freshly appended token.
             for &token in &out[window_start + cache.len..] {
                 self.decode_step(cache, token);
             }
@@ -392,6 +432,14 @@ impl Gpt {
             // logits read `wte` transposed, rebuilt here so the table
             // always belongs to the model that fills the rows.
             transpose_into(self.wte.data(), vocab, d, &mut cache.wte_t);
+            cache.stamp = self.stamp;
+        } else if cache.stamp != self.stamp {
+            cache.stamp = 0;
+        }
+        cache.tokens[pos] = token;
+        #[cfg(test)]
+        {
+            cache.rows_run += 1;
         }
 
         // x = wte[token] + wpe[pos] (same add order as the tape).
@@ -475,15 +523,23 @@ impl Gpt {
 }
 
 /// Reusable arena for [`Gpt::generate_into`]: per-layer key/value rows of
-/// the current window, the transposed embedding table the logits read,
-/// and every scratch row the incremental decoder needs. Allocate once per
-/// model shape, reuse across sequences — steady state sampling is then
-/// allocation-free.
+/// the current window, the tokens and weight stamp they were computed
+/// from, the transposed embedding table the logits read, and every
+/// scratch row the incremental decoder needs. Allocate once per model
+/// shape, reuse across sequences — steady state sampling is then
+/// allocation-free. The rows outlive a call: the next call of the same
+/// weights keeps those its prompt opens with.
 #[derive(Debug)]
 pub struct KvCache {
     cfg: GptConfig,
     /// Cached rows (tokens fed so far within the current window).
     len: usize,
+    /// Weight stamp of the model whose rows these are: set by the row at
+    /// position 0, cleared to 0 by a row another model writes after it.
+    stamp: u64,
+    /// The token at each cached position (`max_seq` entries, the first
+    /// `len` valid).
+    tokens: Vec<u32>,
     /// Per layer: the cached keys transposed, `d_model × max_seq`
     /// row-major (column `j` is key row `j`), so each head's scores are
     /// one row-kernel call over a `head_dim × max_seq` block.
@@ -491,7 +547,8 @@ pub struct KvCache {
     /// Per layer: the cached values, per head a `max_seq × head_dim`
     /// row-major block, the operand of that head's `att · V` row.
     v: Vec<Vec<f32>>,
-    /// `wte` transposed (`d_model × vocab`), rebuilt when a window starts.
+    /// `wte` transposed (`d_model × vocab`), rebuilt when row 0 runs, so
+    /// it belongs to the model `stamp` names.
     wte_t: Vec<f32>,
     // Scratch rows, reused every step.
     x: Vec<f32>,
@@ -504,6 +561,9 @@ pub struct KvCache {
     att: Vec<f32>,
     /// Next-token logits of the last [`Gpt::decode_step`].
     logits: Vec<f32>,
+    /// Rows [`Gpt::decode_step`] ran, for the tests that show rows kept.
+    #[cfg(test)]
+    rows_run: usize,
 }
 
 impl KvCache {
@@ -513,6 +573,8 @@ impl KvCache {
         KvCache {
             cfg,
             len: 0,
+            stamp: 0,
+            tokens: vec![0; cfg.max_seq],
             kt: rows(),
             v: rows(),
             wte_t: vec![0.0; cfg.vocab * cfg.d_model],
@@ -525,6 +587,8 @@ impl KvCache {
             ff: vec![0.0; cfg.d_ff],
             att: vec![0.0; cfg.max_seq],
             logits: vec![0.0; cfg.vocab],
+            #[cfg(test)]
+            rows_run: 0,
         }
     }
 
@@ -541,6 +605,18 @@ impl KvCache {
     /// Discards the cached rows (keeps the allocations).
     pub fn reset(&mut self) {
         self.len = 0;
+    }
+
+    /// Keeps the cached rows `window` opens with, but not its last row,
+    /// whose logits the next sample needs; keeps none unless the weights
+    /// stamped `stamp` computed them.
+    fn keep_prefix(&mut self, stamp: u64, window: &[u32]) {
+        let open = &window[..window.len() - 1];
+        self.len = if self.stamp == stamp {
+            self.tokens[..self.len].iter().zip(open).take_while(|(a, b)| a == b).count()
+        } else {
+            0
+        };
     }
 
     /// The next-token logits left by the last [`Gpt::decode_step`].
@@ -762,6 +838,38 @@ mod tests {
             model.generate_into(&prompt, max_new, temp, top_k, &mut rng(), &mut cache, &mut out);
             assert_eq!(out, naive, "prompt_len={prompt_len} max_new={max_new} temp={temp}");
         }
+    }
+
+    /// Rows are really kept across calls, and only while the weights
+    /// that computed them are unchanged (`rows_run` counts the rows
+    /// `decode_step` ran; with one new token a call runs only prompt
+    /// rows).
+    #[test]
+    fn a_kept_cache_reruns_only_the_prompt_rows_it_does_not_hold() {
+        use crate::tokenizer::BOS;
+        let mut model = Gpt::new(GptConfig::tiny(20), &mut rng());
+        let other = Gpt::new(GptConfig::tiny(20), &mut StdRng::seed_from_u64(12));
+        let mut cache = KvCache::new(*model.config());
+        let mut out = Vec::new();
+        let mut prompt_rows = |model: &Gpt, prompt: &[u32], cache: &mut KvCache| {
+            let before = cache.rows_run;
+            model.generate_into(prompt, 1, 1.0, 4, &mut rng(), cache, &mut out);
+            cache.rows_run - before
+        };
+        let prompt = [BOS, 5, 6, 7, 8, 9];
+        assert_eq!(prompt_rows(&model, &prompt, &mut cache), 6, "empty cache");
+        assert_eq!(prompt_rows(&model, &prompt, &mut cache), 1, "same prompt");
+        assert_eq!(prompt_rows(&model, &[BOS, 5, 6, 7, 8, 9, 10, 11], &mut cache), 2, "extended");
+        assert_eq!(prompt_rows(&model, &[BOS, 5, 6, 7], &mut cache), 1, "shortened");
+        assert_eq!(prompt_rows(&model, &[BOS, 5, 4, 7], &mut cache), 2, "diverged");
+
+        let _ = model.params_mut(); // changes no value
+        assert_eq!(prompt_rows(&model, &prompt, &mut cache), 6, "after params_mut");
+        assert_eq!(prompt_rows(&other, &prompt, &mut cache), 6, "another model");
+        assert_eq!(prompt_rows(&model, &prompt, &mut cache), 6, "the first model again");
+        assert_eq!(prompt_rows(&model.clone(), &prompt, &mut cache), 1, "an unmodified clone");
+        other.decode_step(&mut cache, 3);
+        assert_eq!(prompt_rows(&model, &prompt, &mut cache), 6, "after a row of another model");
     }
 
     #[test]

@@ -3,7 +3,11 @@
 //! * Property tests: the KV-cached incremental sampler
 //!   (`Gpt::generate_into`) is **token-identical** to the naive
 //!   full-forward sampler across prompt lengths (including window
-//!   slides), temperatures, and top-k settings.
+//!   slides), temperatures, and top-k settings; and one cache carried
+//!   through many calls, which keeps the rows its weights already
+//!   computed, stays token-identical call for call as prompts repeat,
+//!   extend, shorten and diverge, weights change through `params_mut`,
+//!   and another model samples on the same cache.
 //! * Durability: an LM+evolve+random campaign snapshot — policy weights,
 //!   Adam moments, refreshed prompt pool, RNG streams — round-trips
 //!   byte-exactly through the persisted snapshot JSON, and the acceptance
@@ -25,11 +29,12 @@ use chatfuzz::report;
 use chatfuzz_baselines::{InputGenerator, RandomRegression, Ucb1};
 use chatfuzz_corpus::{CorpusConfig, CorpusGenerator};
 use chatfuzz_evolve::{EvolveConfig, EvolveGenerator};
+use chatfuzz_lm::tokenizer::BOS;
 use chatfuzz_lm::{Gpt, GptConfig, KvCache, Tokenizer};
 use chatfuzz_rl::PpoConfig;
 use chatfuzz_tests::rocket_factory;
 use proptest::prelude::*;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
 const SEED: u64 = 41;
@@ -306,5 +311,72 @@ proptest! {
             &mut ChaCha8Rng::seed_from_u64(seed ^ 0xdead), &mut cache, &mut cached,
         );
         prop_assert_eq!(cached, naive);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// The reuse law: one `KvCache` carried through a run of
+    /// `generate_into` calls gives, call for call, the naive sampler's
+    /// tokens under the same RNG seed. Prompts are cut from three base
+    /// sequences (the second opens like the first, then diverges; cuts
+    /// past 64 tokens slide the window, a cut of 0 is the BOS-only
+    /// prompt), so consecutive prompts repeat, extend, shorten and
+    /// diverge. Before a call, one weight of the main model may change
+    /// through `params_mut`, or a second model of the same shape, or a
+    /// fresh clone of the main one, samples on the same cache instead.
+    #[test]
+    fn one_cache_across_calls_samples_like_the_naive_path(
+        seed in 0u64..5_000,
+        temp in 0.05f32..2.0,
+        top_k in 1usize..24,
+        calls in proptest::collection::vec(
+            (0usize..3, 0usize..=70, 1usize..12, 0usize..6, any::<u64>()),
+            2..=12,
+        ),
+    ) {
+        let vocab = 24u32;
+        let mut init = ChaCha8Rng::seed_from_u64(seed);
+        let mut model = Gpt::new(GptConfig::tiny(vocab as usize), &mut init);
+        let other = Gpt::new(GptConfig::tiny(vocab as usize), &mut init);
+        let base = |init: &mut ChaCha8Rng| -> Vec<u32> {
+            std::iter::once(BOS).chain((1..70).map(|_| init.gen_range(0..vocab))).collect()
+        };
+        let first = base(&mut init);
+        let diverge_at = init.gen_range(2..20);
+        let second = [&first[..diverge_at], &base(&mut init)[diverge_at..]].concat();
+        let bases = [first, second, base(&mut init)];
+
+        let mut cache = KvCache::new(*model.config());
+        let mut cached = Vec::new();
+        for (i, &(which, cut, max_new, action, call_seed)) in calls.iter().enumerate() {
+            let prompt = &bases[which][..cut];
+            let clone;
+            let sampler = match action {
+                0 => {
+                    let mut params = model.params_mut();
+                    let count = params.len();
+                    let tensor = &mut params[call_seed as usize % count];
+                    let at = (call_seed >> 8) as usize % tensor.len();
+                    tensor.data_mut()[at] += 0.25;
+                    &model
+                }
+                1 => &other,
+                2 => {
+                    clone = model.clone();
+                    &clone
+                }
+                _ => &model,
+            };
+            let naive = sampler.generate(
+                prompt, max_new, temp, top_k, &mut ChaCha8Rng::seed_from_u64(call_seed),
+            );
+            sampler.generate_into(
+                prompt, max_new, temp, top_k,
+                &mut ChaCha8Rng::seed_from_u64(call_seed), &mut cache, &mut cached,
+            );
+            prop_assert_eq!(&cached, &naive, "call {} of {:?}", i, calls);
+        }
     }
 }
