@@ -295,8 +295,7 @@ fn main() {
     if let Some(path) = &args.trace_path {
         telemetry.trace_to(path).expect("opening --trace-path");
     }
-    if let Ok(plan) = std::env::var(faults::ENV_VAR) {
-        let cfg = FaultConfig::parse(&plan).unwrap_or_else(|e| panic!("{}: {e}", faults::ENV_VAR));
+    if let Some(cfg) = FaultConfig::from_env() {
         faults::install(cfg, telemetry.clone());
     }
     let space = rocket_factory()().space().clone();

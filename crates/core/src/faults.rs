@@ -33,12 +33,14 @@
 //! a fault schedule across the exec boundary to a spawned worker.
 //! Production code consults [`active`], which resolves the plan exactly
 //! once per process. A process that wants its fired faults on its own
-//! telemetry timeline decodes the variable itself and calls [`install`]
-//! with its sink before anything else consults the plan; otherwise
-//! [`active`] builds the plan with a disabled sink. With no plan, both
-//! choke points ([`atomic_write`], [`FaultPlan::drop_heartbeat`])
-//! collapse to the plain fast path.
+//! telemetry timeline reads the plan with [`FaultConfig::from_env`] and
+//! calls [`install`] with its sink before anything else consults the
+//! plan; otherwise [`active`] builds the plan with a disabled sink. Both
+//! routes stop the process on a malformed or non-UTF-8 value. With no
+//! plan, both choke points ([`atomic_write`],
+//! [`FaultPlan::drop_heartbeat`]) collapse to the plain fast path.
 
+use std::ffi::OsStr;
 use std::io;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -136,6 +138,29 @@ impl FaultConfig {
             }
         }
         Ok(cfg)
+    }
+
+    /// The plan in [`ENV_VAR`], or `None` when the variable is unset. The
+    /// one decoder of the variable: [`active`] and a process that
+    /// [`install`]s its own sink both read the plan through it.
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming the variable, on a value [`FaultConfig::parse`]
+    /// refuses or one that is not UTF-8, so a mistyped plan stops the
+    /// process before any work instead of running it fault-free.
+    pub fn from_env() -> Option<FaultConfig> {
+        FaultConfig::from_env_value(std::env::var_os(ENV_VAR).as_deref())
+            .unwrap_or_else(|e| panic!("{ENV_VAR}: {e}"))
+    }
+
+    /// [`FaultConfig::from_env`] on the variable's value.
+    fn from_env_value(value: Option<&OsStr>) -> Result<Option<FaultConfig>, String> {
+        let Some(value) = value else { return Ok(None) };
+        match value.to_str() {
+            Some(text) => FaultConfig::parse(text).map(Some),
+            None => Err(format!("fault plan: `{}` is not UTF-8", value.to_string_lossy())),
+        }
     }
 }
 
@@ -267,18 +292,10 @@ pub fn install(cfg: FaultConfig, sink: TelemetrySink) -> bool {
 
 /// The process's fault plan, if any: the one [`install`]ed, else one
 /// decoded from [`ENV_VAR`] with a disabled sink, else `None` (the
-/// common production case). A malformed env value aborts loudly — see
-/// [`FaultConfig::parse`].
+/// common production case). A malformed or non-UTF-8 env value aborts
+/// loudly — see [`FaultConfig::from_env`].
 pub fn active() -> Option<&'static FaultPlan> {
-    ACTIVE
-        .get_or_init(|| {
-            std::env::var(ENV_VAR).ok().map(|text| {
-                let cfg =
-                    FaultConfig::parse(&text).unwrap_or_else(|e| panic!("{ENV_VAR}={text}: {e}"));
-                FaultPlan::new(cfg)
-            })
-        })
-        .as_ref()
+    ACTIVE.get_or_init(|| FaultConfig::from_env().map(FaultPlan::new)).as_ref()
 }
 
 /// Atomic temp-file + rename write, routed through the process's fault
@@ -328,6 +345,24 @@ mod tests {
                 let text = format!("{key}={overflow}");
                 assert!(FaultConfig::parse(&text).is_err(), "`{text}` must be rejected");
             }
+        }
+    }
+
+    /// The variable's value decodes to no plan when unset, to the plan
+    /// it encodes, or to an error: a malformed value and one that is not
+    /// UTF-8 alike. Nothing here reads the process environment.
+    #[test]
+    fn env_values_decode_to_a_plan_or_an_error() {
+        let plan = FaultConfig { crash_at_boundary: 3, ..FaultConfig::benign(7) };
+        let encoded = plan.env_value();
+        assert_eq!(FaultConfig::from_env_value(None), Ok(None));
+        assert_eq!(FaultConfig::from_env_value(Some(OsStr::new(&encoded))), Ok(Some(plan)));
+        assert!(FaultConfig::from_env_value(Some(OsStr::new("seed=x"))).is_err());
+        #[cfg(unix)]
+        {
+            use std::os::unix::ffi::OsStrExt as _;
+            let invalid = FaultConfig::from_env_value(Some(OsStr::from_bytes(b"seed=\xff")));
+            assert!(invalid.as_ref().is_err_and(|e| e.contains("not UTF-8")), "{invalid:?}");
         }
     }
 

@@ -7,12 +7,27 @@
 //! hand-rolled JSON writer `crate::report` uses (the workspace builds
 //! offline — no serde), plus a minimal recursive-descent parser that
 //! preserves `u64` precision by keeping number tokens textual until a
-//! consumer asks for an integer or a float.
+//! consumer asks for an integer or a float. The orchestrator spool's
+//! flat lease and heartbeat files ride the same writer and parser
+//! ([`encode_flat`], [`decode_flat`]).
 //!
 //! # Codec contract
 //!
+//! Each persisted type is described once, and that description drives
+//! both directions. A private `Format` trait writes one JSON value and
+//! reads one back. Shared formats carry the shapes that repeat: scalars,
+//! `null`-able values, lists, 8-digit hex blobs, RNG word lists and
+//! tokenizer merges. A `record!` table lists a struct's fields as
+//! `"key": field as Format` lines, in document order, and a `tagged!`
+//! table lists an enum's variants under their `kind` tags. A table's
+//! reader builds its value with one literal that names every field, and
+//! the top level destructures and rebuilds [`CampaignSnapshot`] whole, so
+//! a field added to a persisted type does not compile until the codec
+//! carries it. Each resume check (see below) runs once, as a table's
+//! `check` or inside a format.
+//!
 //! Snapshots are saved and loaded many times per fleet generation, so
-//! the codec makes one pass over the bytes each way, and two laws keep
+//! the codec makes one pass over the bytes each way, and three laws keep
 //! that fast path honest:
 //!
 //! * **The writer's bytes are pinned.** [`snapshot_json`] formats
@@ -31,6 +46,11 @@
 //!   `from_str_radix` let through and the writer never emits, is a
 //!   parse error. A differential proptest holds it to that parser, kept
 //!   verbatim under `#[cfg(test)]`, on mutated documents.
+//! * **The reader's verdicts are pinned.** A unit test folds, over a
+//!   fixed range of mutant seeds, how far each mutated document got
+//!   through [`parse_snapshot`] and, for one it accepted, the document
+//!   the parsed snapshot writes. A change to what the reader accepts or
+//!   how it reads it moves the pin.
 //!
 //! # Schema (version [`SCHEMA_VERSION`])
 //!
@@ -104,8 +124,10 @@
 //! exports the raw programs it absorbed, which may be neither.
 
 use std::borrow::Cow;
+use std::collections::BTreeMap;
 use std::fmt;
 use std::io;
+use std::marker::PhantomData;
 use std::path::Path;
 use std::sync::Arc;
 use std::time::Duration;
@@ -295,122 +317,62 @@ fn payload_json(snapshot: &CampaignSnapshot) -> String {
     w.finish()
 }
 
+/// The document's top level. The snapshot is destructured, so a field
+/// added to [`CampaignSnapshot`] does not compile until it is written
+/// here, and [`parse_snapshot`] builds it with one literal.
 fn write_payload(w: &mut JsonWriter, snapshot: &CampaignSnapshot) {
+    let CampaignSnapshot {
+        dut,
+        calculator,
+        log,
+        history,
+        gen_stats,
+        scheduler,
+        gen_states,
+        tests_run,
+        batches_run,
+        total_cycles,
+        batches_since_gain,
+        wall,
+        stopped_by,
+    } = snapshot;
     w.open('{');
     w.field_u64("schema_version", SCHEMA_VERSION);
-    w.field_str("dut", &snapshot.dut);
-    w.field_u64("space_fingerprint", snapshot.coverage().space().fingerprint());
-    w.field_u64("tests_run", snapshot.tests_run as u64);
-    w.field_u64("batches_run", snapshot.batches_run as u64);
-    w.field_u64("total_cycles", snapshot.total_cycles);
-    w.field_u64("batches_since_gain", snapshot.batches_since_gain as u64);
-    w.field_u64("wall_nanos", snapshot.wall.as_nanos() as u64);
-    write_stop(w, "stopped_by", snapshot.stopped_by);
+    Plain::write_key(w, "dut", dut);
+    w.field_u64("space_fingerprint", calculator.total().space().fingerprint());
+    Plain::write_key(w, "tests_run", tests_run);
+    Plain::write_key(w, "batches_run", batches_run);
+    Plain::write_key(w, "total_cycles", total_cycles);
+    Plain::write_key(w, "batches_since_gain", batches_since_gain);
+    Plain::write_key(w, "wall_nanos", wall);
+    <Nullable<Table>>::write_key(w, "stopped_by", stopped_by);
 
     w.key("coverage");
     w.open('{');
-    w.field_hex::<16>("cumulative", snapshot.calculator.total().words().iter().copied());
+    w.field_hex::<16>("cumulative", calculator.total().words().iter().copied());
     w.field_hex::<16>(
         "previous_batch_total",
-        snapshot.calculator.previous_batch_total().words().iter().copied(),
+        calculator.previous_batch_total().words().iter().copied(),
     );
     w.close('}');
 
-    w.key("history");
-    w.open('[');
-    for p in &snapshot.history {
-        w.open('{');
-        w.field_u64("tests", p.tests as u64);
-        w.field_u64("covered_bins", p.covered_bins as u64);
-        w.field_f64("coverage_pct", p.coverage_pct);
-        w.field_u64("sim_cycles", p.sim_cycles);
-        w.field_u64("wall_nanos", p.wall.as_nanos() as u64);
-        w.close('}');
-    }
-    w.close(']');
+    <List<Table>>::write_key(w, "history", history);
+    <List<Table>>::write_key(w, "generator_stats", gen_stats);
+    Table::write_key(w, "scheduler", scheduler);
+    <List<Nullable<Table>>>::write_key(w, "generators", gen_states);
 
-    w.key("generator_stats");
-    w.open('[');
-    for s in &snapshot.gen_stats {
-        w.open('{');
-        w.field_str("name", &s.name);
-        w.field_u64("batches", s.batches as u64);
-        w.field_u64("tests", s.tests as u64);
-        w.field_u64("new_bins", s.new_bins as u64);
-        w.field_u64("cycles", s.cycles);
-        w.close('}');
-    }
-    w.close(']');
-
-    w.key("scheduler");
-    w.open('{');
-    w.field_str("name", &snapshot.scheduler.scheduler);
-    w.field_u64("cursor", snapshot.scheduler.cursor);
-    w.field_f64("epsilon", snapshot.scheduler.epsilon);
-    w.key("rng_words");
-    w.open('[');
-    for &word in &snapshot.scheduler.rng_words {
-        w.value_u64(u64::from(word));
-    }
-    w.close(']');
-    w.key("arms");
-    w.open('[');
-    for arm in &snapshot.scheduler.arms {
-        w.open('{');
-        w.field_u64("pulls", arm.pulls);
-        w.field_f64("total_reward", arm.total_reward);
-        w.field_u64("cycles", arm.cycles);
-        // The sliding reward window of windowed schedulers (empty
-        // otherwise). Rust's shortest-roundtrip float formatting keeps
-        // the f64 rewards exact through the decimal form.
-        w.key("recent_rewards");
-        w.open('[');
-        for &r in &arm.recent_rewards {
-            w.value_f64(r);
-        }
-        w.close(']');
-        w.key("recent_cycles");
-        w.open('[');
-        for &c in &arm.recent_cycles {
-            w.value_u64(c);
-        }
-        w.close(']');
-        w.close('}');
-    }
-    w.close(']');
-    w.close('}');
-
-    w.key("generators");
-    w.open('[');
-    for state in &snapshot.gen_states {
-        match state {
-            None => w.value_raw("null"),
-            Some(s) => write_generator_state(w, s),
-        }
-    }
-    w.close(']');
-
+    // Cluster signatures and classifications are recomputed on load, so
+    // a cluster keeps only its count and example.
     w.key("mismatch_log");
     w.open('{');
-    w.field_u64("raw_count", snapshot.log.raw_count() as u64);
-    let filter = snapshot.log.filter();
-    w.key("filter");
-    w.open('{');
-    w.field_raw("ignore_length", if filter.ignore_length { "true" } else { "false" });
-    w.key("ignore_regs");
-    w.open('[');
-    for reg in &filter.ignore_regs {
-        w.value_u64(reg.index() as u64);
-    }
-    w.close(']');
-    w.close('}');
+    Plain::write_key(w, "raw_count", &log.raw_count());
+    Table::write_key(w, "filter", log.filter());
     w.key("clusters");
     w.open('[');
-    for u in snapshot.log.unique() {
+    for cluster in log.unique() {
         w.open('{');
-        w.field_u64("count", u.count as u64);
-        w.key("example");
-        write_mismatch(w, &u.example);
+        Plain::write_key(w, "count", &cluster.count);
+        Table::write_key(w, "example", &cluster.example);
         w.close('}');
     }
     w.close(']');
@@ -470,268 +432,534 @@ fn verify_checksum(text: &str) -> Result<()> {
     Ok(())
 }
 
-fn write_generator_state(w: &mut JsonWriter, s: &GeneratorState) {
-    w.open('{');
-    w.field_str("generator", &s.generator);
-    w.key("rng_words");
-    w.open('[');
-    for &word in &s.rng_words {
-        w.value_u64(u64::from(word));
-    }
-    w.close(']');
-    match &s.corpus {
-        None => w.field_raw("corpus", "null"),
-        Some(c) => {
-            w.key("corpus");
-            write_corpus(w, c);
-        }
-    }
-    match &s.model {
-        None => w.field_raw("model", "null"),
-        Some(m) => {
-            w.key("model");
-            write_model(w, m);
-        }
-    }
-    w.close('}');
-}
+// ---------------------------------------------------------------------------
+// Formats: one description per persisted type drives both directions
+// ---------------------------------------------------------------------------
 
-fn write_corpus(w: &mut JsonWriter, c: &CorpusState) {
-    w.open('{');
-    w.field_u64("next_found_at", c.next_found_at);
-    w.key("seeds");
-    w.open('[');
-    for s in &c.seeds {
-        w.open('{');
-        w.field_hex::<8>("words", s.words.iter().map(|&word| u64::from(word)));
-        w.field_u64("fingerprint", s.fingerprint);
-        w.field_u64("new_bins", s.new_bins);
-        w.field_u64("mux_bins", s.mux_bins);
-        w.field_raw("mismatch", if s.mismatch { "true" } else { "false" });
-        w.field_u64("picks", s.picks);
-        w.field_u64("found_at", s.found_at);
-        w.close('}');
-    }
-    w.close(']');
-    w.close('}');
-}
+/// How values of type `T` are written to and read from a document.
+/// `write` emits one JSON value and `read` parses one, naming it `what`
+/// in any error. Each implementor describes one shape once, so the
+/// writer and the reader cannot disagree about it.
+trait Format<T> {
+    fn write(w: &mut JsonWriter, value: &T);
 
-fn write_model(w: &mut JsonWriter, m: &ModelState) {
-    w.open('{');
-    w.field_raw("bpe", if m.bpe { "true" } else { "false" });
-    // Merge pairs flattened: [l0, r0, l1, r1, …].
-    w.key("merges");
-    w.open('[');
-    for &(left, right) in &m.merges {
-        w.value_u64(u64::from(left));
-        w.value_u64(u64::from(right));
-    }
-    w.close(']');
-    let blob_list = |w: &mut JsonWriter, key: &str, blobs: &[Vec<f32>]| {
+    fn read(value: &Json, what: &str) -> Result<T>;
+
+    /// `"key":` and the value.
+    fn write_key(w: &mut JsonWriter, key: &str, value: &T) {
         w.key(key);
+        Self::write(w, value);
+    }
+
+    /// The value under `key` of the object `obj`.
+    fn read_key(obj: &Json, key: &str, what: &str) -> Result<T> {
+        Self::read(obj.get(key)?, what)
+    }
+}
+
+/// `Ok(())`, or a parse error with the message `msg` builds.
+fn ensure(ok: bool, msg: impl FnOnce() -> String) -> Result<()> {
+    if ok {
+        Ok(())
+    } else {
+        err(msg())
+    }
+}
+
+/// Scalars as JSON scalars: decimal integers (a `u32` range-checked),
+/// `true`/`false`, floats in their shortest round-trip form (`null` for
+/// a non-finite one), strings, `Duration`s in nanoseconds, registers by
+/// index and privilege levels by their encoding.
+struct Plain;
+
+impl Format<u64> for Plain {
+    fn write(w: &mut JsonWriter, value: &u64) {
+        w.value_u64(*value);
+    }
+
+    fn read(value: &Json, what: &str) -> Result<u64> {
+        value.as_u64(what)
+    }
+}
+
+impl Format<usize> for Plain {
+    fn write(w: &mut JsonWriter, value: &usize) {
+        w.value_u64(*value as u64);
+    }
+
+    fn read(value: &Json, what: &str) -> Result<usize> {
+        value.as_usize(what)
+    }
+}
+
+impl Format<u32> for Plain {
+    fn write(w: &mut JsonWriter, value: &u32) {
+        w.value_u64(u64::from(*value));
+    }
+
+    fn read(value: &Json, what: &str) -> Result<u32> {
+        let v = value.as_u64(what)?;
+        u32::try_from(v).map_err(|_| PersistError::Parse(format!("{what}: {v} exceeds u32")))
+    }
+}
+
+impl Format<bool> for Plain {
+    fn write(w: &mut JsonWriter, value: &bool) {
+        w.value_raw(if *value { "true" } else { "false" });
+    }
+
+    fn read(value: &Json, what: &str) -> Result<bool> {
+        value.as_bool(what)
+    }
+}
+
+impl Format<f64> for Plain {
+    fn write(w: &mut JsonWriter, value: &f64) {
+        w.value_f64(*value);
+    }
+
+    fn read(value: &Json, what: &str) -> Result<f64> {
+        value.as_f64(what)
+    }
+}
+
+impl Format<String> for Plain {
+    fn write(w: &mut JsonWriter, value: &String) {
+        w.value_str(value);
+    }
+
+    fn read(value: &Json, what: &str) -> Result<String> {
+        Ok(value.as_str(what)?.to_string())
+    }
+}
+
+impl Format<Duration> for Plain {
+    fn write(w: &mut JsonWriter, value: &Duration) {
+        w.value_u64(value.as_nanos() as u64);
+    }
+
+    fn read(value: &Json, what: &str) -> Result<Duration> {
+        Ok(Duration::from_nanos(value.as_u64(what)?))
+    }
+}
+
+impl Format<Reg> for Plain {
+    fn write(w: &mut JsonWriter, value: &Reg) {
+        w.value_u64(value.index() as u64);
+    }
+
+    fn read(value: &Json, what: &str) -> Result<Reg> {
+        let index = value.as_u64(what)?;
+        u8::try_from(index)
+            .ok()
+            .and_then(Reg::new)
+            .ok_or_else(|| PersistError::Parse(format!("{what}: bad register index {index}")))
+    }
+}
+
+impl Format<PrivLevel> for Plain {
+    fn write(w: &mut JsonWriter, value: &PrivLevel) {
+        w.value_u64(*value as u64);
+    }
+
+    fn read(value: &Json, what: &str) -> Result<PrivLevel> {
+        match value.as_u64(what)? {
+            0 => Ok(PrivLevel::User),
+            1 => Ok(PrivLevel::Supervisor),
+            3 => Ok(PrivLevel::Machine),
+            other => err(format!("{what}: bad privilege level {other}")),
+        }
+    }
+}
+
+/// `null` for `None`, else the value in format `F`.
+struct Nullable<F>(PhantomData<F>);
+
+impl<T, F: Format<T>> Format<Option<T>> for Nullable<F> {
+    fn write(w: &mut JsonWriter, value: &Option<T>) {
+        match value {
+            None => w.value_raw("null"),
+            Some(value) => F::write(w, value),
+        }
+    }
+
+    fn read(value: &Json, what: &str) -> Result<Option<T>> {
+        match value {
+            Json::Null => Ok(None),
+            value => F::read(value, what).map(Some),
+        }
+    }
+}
+
+/// An array of values in format `F`.
+struct List<F>(PhantomData<F>);
+
+impl<T, F: Format<T>> Format<Vec<T>> for List<F> {
+    fn write(w: &mut JsonWriter, values: &Vec<T>) {
         w.open('[');
-        for blob in blobs {
-            w.value_hex::<8>(blob.iter().map(|v| u64::from(v.to_bits())));
+        for value in values {
+            F::write(w, value);
         }
         w.close(']');
-    };
-    blob_list(w, "params", &m.params);
-    blob_list(w, "opt_m", &m.opt_m);
-    blob_list(w, "opt_v", &m.opt_v);
-    w.field_u64("opt_steps", m.opt_steps);
-    w.key("prompt_pool");
-    w.open('[');
-    for program in &m.prompt_pool {
-        w.value_hex::<8>(program.iter().map(|&word| u64::from(word)));
     }
-    w.close(']');
-    w.key("pending");
-    w.open('[');
-    for group in &m.pending {
+
+    fn read(value: &Json, what: &str) -> Result<Vec<T>> {
+        value.as_arr(what)?.iter().map(|item| F::read(item, what)).collect()
+    }
+}
+
+/// Words as one string of 8 hex digits each: instruction words, and
+/// `f32`s as their bit patterns. The round trip of an `f32` is
+/// `to_bits`/`from_bits`, so no value (NaNs, subnormals and signed zeros
+/// included) is disturbed by a decimal detour. A lone `f32` (a learner
+/// rollout's reward) is a blob of exactly one word.
+struct Hex8;
+
+impl Format<Vec<u32>> for Hex8 {
+    fn write(w: &mut JsonWriter, words: &Vec<u32>) {
+        w.value_hex::<8>(words.iter().map(|&word| u64::from(word)));
+    }
+
+    fn read(value: &Json, what: &str) -> Result<Vec<u32>> {
+        // 8 hex digits never exceed u32::MAX, so the narrowing is lossless.
+        decode_hex::<8, _>(value.as_str(what)?, what, |word| word as u32)
+    }
+}
+
+impl Format<Vec<f32>> for Hex8 {
+    fn write(w: &mut JsonWriter, values: &Vec<f32>) {
+        w.value_hex::<8>(values.iter().map(|v| u64::from(v.to_bits())));
+    }
+
+    fn read(value: &Json, what: &str) -> Result<Vec<f32>> {
+        decode_hex::<8, _>(value.as_str(what)?, what, |word| f32::from_bits(word as u32))
+    }
+}
+
+impl Format<f32> for Hex8 {
+    fn write(w: &mut JsonWriter, value: &f32) {
+        w.value_hex::<8>([u64::from(value.to_bits())].into_iter());
+    }
+
+    fn read(value: &Json, what: &str) -> Result<f32> {
+        match <Hex8 as Format<Vec<f32>>>::read(value, what)?[..] {
+            [one] => Ok(one),
+            _ => err(format!("{what} must hold exactly one f32")),
+        }
+    }
+}
+
+/// An RNG word list: empty (no stream) or a ChaCha8 stream state, the
+/// only lists `ChaCha8Rng::from_words` accepts.
+struct RngWords;
+
+impl Format<Vec<u32>> for RngWords {
+    fn write(w: &mut JsonWriter, words: &Vec<u32>) {
+        <List<Plain>>::write(w, words);
+    }
+
+    fn read(value: &Json, what: &str) -> Result<Vec<u32>> {
+        let words: Vec<u32> = <List<Plain>>::read(value, what)?;
+        let stream = words.is_empty() || ChaCha8Rng::from_words(&words).is_some();
+        ensure(stream, || format!("{what}: {} words are not a ChaCha8 stream state", words.len()))?;
+        Ok(words)
+    }
+}
+
+/// Tokenizer merges as their flattened pairs, `[l0, r0, l1, r1, …]`.
+/// Merge `i` defines token `BASE_VOCAB + i` from two earlier ones, so a
+/// merge that names a token not yet defined cannot be imported.
+struct Merges;
+
+impl Format<Vec<(u32, u32)>> for Merges {
+    fn write(w: &mut JsonWriter, merges: &Vec<(u32, u32)>) {
         w.open('[');
-        for sample in group {
-            w.open('{');
-            w.field_u64("prompt_len", sample.prompt_len as u64);
-            w.key("tokens");
-            w.open('[');
-            for &t in &sample.tokens {
-                w.value_u64(u64::from(t));
+        for &(left, right) in merges {
+            w.value_u64(u64::from(left));
+            w.value_u64(u64::from(right));
+        }
+        w.close(']');
+    }
+
+    fn read(value: &Json, what: &str) -> Result<Vec<(u32, u32)>> {
+        let ids: Vec<u32> = <List<Plain>>::read(value, what)?;
+        ensure(ids.len().is_multiple_of(2), || {
+            format!("{what} holds an odd number of ids (pairs expected)")
+        })?;
+        let merges: Vec<(u32, u32)> = ids.chunks_exact(2).map(|p| (p[0], p[1])).collect();
+        for (i, &(left, right)) in merges.iter().enumerate() {
+            let defined = u64::from(BASE_VOCAB) + i as u64;
+            ensure(u64::from(left.max(right)) < defined, || {
+                format!("{what}: merge ({left},{right}) names an undefined token")
+            })?;
+        }
+        Ok(merges)
+    }
+}
+
+/// The persisted structs and tagged enums, each described by one table
+/// of `record!` or `tagged!`.
+struct Table;
+
+/// Describes persisted structs: one `"key": field as Format` line per
+/// field, in document order, and an optional `check` that a value read
+/// must pass. The writer emits an object with those keys in that order.
+/// The reader builds the struct with one literal that names every
+/// field, so a field added to the struct does not compile until its
+/// table lists it. Errors name a field `path.key`.
+macro_rules! record {
+    ($($ty:ident as $path:literal {
+        $($key:literal: $field:ident as $fmt:ty,)*
+    } $(check $check:expr)?;)*) => {$(
+        impl Format<$ty> for Table {
+            fn write(w: &mut JsonWriter, value: &$ty) {
+                w.open('{');
+                $(<$fmt>::write_key(w, $key, &value.$field);)*
+                w.close('}');
             }
-            w.close(']');
-            w.close('}');
+
+            fn read(value: &Json, _: &str) -> Result<$ty> {
+                let record = $ty {
+                    $($field: <$fmt>::read_key(value, $key, concat!($path, ".", $key))?,)*
+                };
+                $(($check)(&record)?;)?
+                Ok(record)
+            }
         }
-        w.close(']');
-    }
-    w.close(']');
-    w.field_u64("publish_epoch", m.publish_epoch);
-    w.field_u64("batches_since_publish", m.batches_since_publish);
-    // The learner queue: like `pending`, but flat and reward-stamped;
-    // the reward rides as its f32 bit pattern so the queue round-trips
-    // bit-exactly.
-    w.key("learner_queue");
-    w.open('[');
-    for rollout in &m.learner_queue {
+    )*};
+}
+
+/// Describes persisted enums as objects tagged by a `kind` string: one
+/// `"kind" => Variant { field: key as Format, … }` line per variant.
+/// Unit and tuple variants are written in braces too (`Wfi {}`,
+/// `ToHost { 0: value as Plain }`), so one token list is both the
+/// writer's pattern and the reader's constructor, and a variant added to
+/// the enum does not compile until its table lists it. Errors name a
+/// field `kind.key`.
+macro_rules! tagged {
+    ($($ty:ident as $path:literal {
+        $($kind:literal => $variant:ident { $($field:tt: $key:ident as $fmt:ty),* },)*
+    };)*) => {$(
+        impl Format<$ty> for Table {
+            fn write(w: &mut JsonWriter, value: &$ty) {
+                w.open('{');
+                match value {
+                    $($ty::$variant { $($field: $key),* } => {
+                        w.field_str("kind", $kind);
+                        $(<$fmt>::write_key(w, stringify!($key), $key);)*
+                    })*
+                }
+                w.close('}');
+            }
+
+            fn read(value: &Json, _: &str) -> Result<$ty> {
+                Ok(match value.get("kind")?.as_str(concat!($path, ".kind"))? {
+                    $($kind => $ty::$variant {$(
+                        $field: <$fmt>::read_key(
+                            value,
+                            stringify!($key),
+                            concat!($kind, ".", stringify!($key)),
+                        )?,
+                    )*},)*
+                    other => return err(format!(concat!("unknown ", $path, " kind `{}`"), other)),
+                })
+            }
+        }
+    )*};
+}
+
+record! {
+    CoveragePoint as "history" {
+        "tests": tests as Plain,
+        "covered_bins": covered_bins as Plain,
+        "coverage_pct": coverage_pct as Plain,
+        "sim_cycles": sim_cycles as Plain,
+        "wall_nanos": wall as Plain,
+    };
+    GeneratorStats as "generator_stats" {
+        "name": name as Plain,
+        "batches": batches as Plain,
+        "tests": tests as Plain,
+        "new_bins": new_bins as Plain,
+        "cycles": cycles as Plain,
+    };
+    SchedulerState as "scheduler" {
+        "name": scheduler as Plain,
+        "cursor": cursor as Plain,
+        "epsilon": epsilon as Plain,
+        "rng_words": rng_words as RngWords,
+        "arms": arms as List<Table>,
+    } check |s: &SchedulerState| {
+        ensure((0.0..=1.0).contains(&s.epsilon), || {
+            format!("scheduler.epsilon {} is outside [0, 1]", s.epsilon)
+        })
+    };
+    // The sliding reward window of windowed schedulers (empty otherwise).
+    // Rust's shortest-roundtrip float formatting keeps the f64 rewards
+    // exact through the decimal form.
+    ArmState as "scheduler.arms" {
+        "pulls": pulls as Plain,
+        "total_reward": total_reward as Plain,
+        "cycles": cycles as Plain,
+        "recent_rewards": recent_rewards as List<Plain>,
+        "recent_cycles": recent_cycles as List<Plain>,
+    } check |arm: &ArmState| {
+        ensure(arm.recent_rewards.len() == arm.recent_cycles.len(), || {
+            "scheduler arm reward/cycle windows disagree in length".into()
+        })
+    };
+    GeneratorState as "generators" {
+        "generator": generator as Plain,
+        "rng_words": rng_words as RngWords,
+        "corpus": corpus as Nullable<Table>,
+        "model": model as Nullable<Table>,
+    } check check_generator_state;
+    CorpusState as "corpus" {
+        "next_found_at": next_found_at as Plain,
+        "seeds": seeds as List<Table>,
+    };
+    CorpusSeedState as "seeds" {
+        "words": words as Hex8,
+        "fingerprint": fingerprint as Plain,
+        "new_bins": new_bins as Plain,
+        "mux_bins": mux_bins as Plain,
+        "mismatch": mismatch as Plain,
+        "picks": picks as Plain,
+        "found_at": found_at as Plain,
+    };
+    ModelState as "model" {
+        "bpe": bpe as Plain,
+        "merges": merges as Merges,
+        "params": params as List<Hex8>,
+        "opt_m": opt_m as List<Hex8>,
+        "opt_v": opt_v as List<Hex8>,
+        "opt_steps": opt_steps as Plain,
+        "prompt_pool": prompt_pool as List<Hex8>,
+        "pending": pending as List<List<Table>>,
+        "publish_epoch": publish_epoch as Plain,
+        "batches_since_publish": batches_since_publish as Plain,
+        "learner_queue": learner_queue as List<Table>,
+    } check |m: &ModelState| {
+        ensure(m.opt_m.len() == m.opt_v.len(), || {
+            "model optimiser moment lists disagree in length".into()
+        })
+    };
+    ModelSample as "pending" {
+        "prompt_len": prompt_len as Plain,
+        "tokens": tokens as List<Plain>,
+    };
+    PendingRollout as "learner_queue" {
+        "prompt_len": prompt_len as Plain,
+        "reward": reward as Hex8,
+        "tokens": tokens as List<Plain>,
+    };
+    MismatchFilter as "mismatch_log.filter" {
+        "ignore_length": ignore_length as Plain,
+        "ignore_regs": ignore_regs as List<Plain>,
+    };
+}
+
+tagged! {
+    StopCondition as "stopped_by" {
+        "tests" => Tests { 0: value as Plain },
+        "sim_cycles" => SimCycles { 0: value as Plain },
+        "wall_clock" => WallClock { 0: value as Plain },
+        "coverage_pct" => CoveragePct { 0: value as Plain },
+        "plateau" => Plateau { 0: value as Plain },
+    };
+    Mismatch as "example" {
+        "exit" => ExitDivergence { golden: golden as Table, dut: dut as Table },
+        "length" => LengthDivergence { golden: golden as Plain, dut: dut as Plain },
+        "pc" => PcDivergence {
+            index: index as Plain,
+            golden_pc: golden_pc as Plain,
+            dut_pc: dut_pc as Plain
+        },
+        "word" => WordDivergence {
+            index: index as Plain,
+            pc: pc as Plain,
+            golden_word: golden_word as Plain,
+            dut_word: dut_word as Plain
+        },
+        "rd" => RdWriteDivergence {
+            index: index as Plain,
+            pc: pc as Plain,
+            word: word as Plain,
+            golden: golden as Nullable<Table>,
+            dut: dut as Nullable<Table>
+        },
+        "trap" => TrapDivergence {
+            index: index as Plain,
+            pc: pc as Plain,
+            golden_cause: golden_cause as Nullable<Plain>,
+            dut_cause: dut_cause as Nullable<Plain>
+        },
+        "mem" => MemDivergence { index: index as Plain, pc: pc as Plain },
+    };
+    ExitReason as "exit" {
+        "wfi" => Wfi {},
+        "tohost" => ToHost { 0: value as Plain },
+        "budget_exhausted" => BudgetExhausted {},
+        "trap_storm" => TrapStorm {},
+        "unhandled_trap" => UnhandledTrap { 0: exception as Table },
+    };
+    Exception as "exception" {
+        "instr_addr_misaligned" => InstrAddrMisaligned { addr: addr as Plain },
+        "instr_access_fault" => InstrAccessFault { addr: addr as Plain },
+        "breakpoint" => Breakpoint { addr: addr as Plain },
+        "load_addr_misaligned" => LoadAddrMisaligned { addr: addr as Plain },
+        "load_access_fault" => LoadAccessFault { addr: addr as Plain },
+        "store_addr_misaligned" => StoreAddrMisaligned { addr: addr as Plain },
+        "store_access_fault" => StoreAccessFault { addr: addr as Plain },
+        "illegal_instr" => IllegalInstr { word: word as Plain },
+        "ecall" => Ecall { from: from as Plain },
+    };
+}
+
+/// A register write, `{reg, value}`. A tuple has no struct literal for
+/// `record!` to build, so its one description is written out.
+impl Format<(Reg, u64)> for Table {
+    fn write(w: &mut JsonWriter, (reg, value): &(Reg, u64)) {
         w.open('{');
-        w.field_u64("prompt_len", rollout.prompt_len as u64);
-        w.field_hex::<8>("reward", [u64::from(rollout.reward.to_bits())].into_iter());
-        w.key("tokens");
-        w.open('[');
-        for &t in &rollout.tokens {
-            w.value_u64(u64::from(t));
-        }
-        w.close(']');
+        Plain::write_key(w, "reg", reg);
+        Plain::write_key(w, "value", value);
         w.close('}');
     }
-    w.close(']');
-    w.close('}');
-}
 
-fn write_stop(w: &mut JsonWriter, key: &str, stop: Option<StopCondition>) {
-    let Some(stop) = stop else {
-        w.field_raw(key, "null");
-        return;
-    };
-    w.key(key);
-    w.open('{');
-    match stop {
-        StopCondition::Tests(n) => {
-            w.field_str("kind", "tests");
-            w.field_u64("value", n as u64);
-        }
-        StopCondition::SimCycles(n) => {
-            w.field_str("kind", "sim_cycles");
-            w.field_u64("value", n);
-        }
-        StopCondition::WallClock(d) => {
-            w.field_str("kind", "wall_clock");
-            w.field_u64("value", d.as_nanos() as u64);
-        }
-        StopCondition::CoveragePct(pct) => {
-            w.field_str("kind", "coverage_pct");
-            w.field_f64("value", pct);
-        }
-        StopCondition::Plateau(n) => {
-            w.field_str("kind", "plateau");
-            w.field_u64("value", n as u64);
-        }
-    }
-    w.close('}');
-}
-
-fn write_mismatch(w: &mut JsonWriter, m: &Mismatch) {
-    w.open('{');
-    match m {
-        Mismatch::ExitDivergence { golden, dut } => {
-            w.field_str("kind", "exit");
-            w.key("golden");
-            write_exit(w, golden);
-            w.key("dut");
-            write_exit(w, dut);
-        }
-        Mismatch::LengthDivergence { golden, dut } => {
-            w.field_str("kind", "length");
-            w.field_u64("golden", *golden as u64);
-            w.field_u64("dut", *dut as u64);
-        }
-        Mismatch::PcDivergence { index, golden_pc, dut_pc } => {
-            w.field_str("kind", "pc");
-            w.field_u64("index", *index as u64);
-            w.field_u64("golden_pc", *golden_pc);
-            w.field_u64("dut_pc", *dut_pc);
-        }
-        Mismatch::WordDivergence { index, pc, golden_word, dut_word } => {
-            w.field_str("kind", "word");
-            w.field_u64("index", *index as u64);
-            w.field_u64("pc", *pc);
-            w.field_u64("golden_word", u64::from(*golden_word));
-            w.field_u64("dut_word", u64::from(*dut_word));
-        }
-        Mismatch::RdWriteDivergence { index, pc, word, golden, dut } => {
-            w.field_str("kind", "rd");
-            w.field_u64("index", *index as u64);
-            w.field_u64("pc", *pc);
-            w.field_u64("word", u64::from(*word));
-            write_rd_write(w, "golden", *golden);
-            write_rd_write(w, "dut", *dut);
-        }
-        Mismatch::TrapDivergence { index, pc, golden_cause, dut_cause } => {
-            w.field_str("kind", "trap");
-            w.field_u64("index", *index as u64);
-            w.field_u64("pc", *pc);
-            match golden_cause {
-                Some(c) => w.field_u64("golden_cause", *c),
-                None => w.field_raw("golden_cause", "null"),
-            }
-            match dut_cause {
-                Some(c) => w.field_u64("dut_cause", *c),
-                None => w.field_raw("dut_cause", "null"),
-            }
-        }
-        Mismatch::MemDivergence { index, pc } => {
-            w.field_str("kind", "mem");
-            w.field_u64("index", *index as u64);
-            w.field_u64("pc", *pc);
-        }
-    }
-    w.close('}');
-}
-
-fn write_rd_write(w: &mut JsonWriter, key: &str, rd: Option<(Reg, u64)>) {
-    match rd {
-        None => w.field_raw(key, "null"),
-        Some((reg, value)) => {
-            w.key(key);
-            w.open('{');
-            w.field_u64("reg", reg.index() as u64);
-            w.field_u64("value", value);
-            w.close('}');
-        }
+    fn read(value: &Json, _: &str) -> Result<(Reg, u64)> {
+        Ok((Plain::read_key(value, "reg", "rd.reg")?, Plain::read_key(value, "value", "rd.value")?))
     }
 }
 
-fn write_exit(w: &mut JsonWriter, exit: &ExitReason) {
-    w.open('{');
-    match exit {
-        ExitReason::Wfi => w.field_str("kind", "wfi"),
-        ExitReason::ToHost(v) => {
-            w.field_str("kind", "tohost");
-            w.field_u64("value", *v);
-        }
-        ExitReason::BudgetExhausted => w.field_str("kind", "budget_exhausted"),
-        ExitReason::TrapStorm => w.field_str("kind", "trap_storm"),
-        ExitReason::UnhandledTrap(e) => {
-            w.field_str("kind", "unhandled_trap");
-            w.key("exception");
-            write_exception(w, e);
-        }
+/// The arms whose import restores their ChaCha8 stream from `rng_words`.
+/// Each exports one, so an empty list in their state cannot resume; other
+/// arms may keep it empty.
+const STREAM_ARMS: [&str; 3] = ["evolve", "chatfuzz", "chatfuzz-ngram"];
+
+fn check_generator_state(state: &GeneratorState) -> Result<()> {
+    let GeneratorState { generator, rng_words, corpus, .. } = state;
+    ensure(!rng_words.is_empty() || !STREAM_ARMS.contains(&generator.as_str()), || {
+        format!("generators.rng_words: the {generator} arm's state has no RNG stream")
+    })?;
+    match corpus {
+        Some(corpus) if generator == "evolve" => check_evolve_corpus(corpus),
+        _ => Ok(()),
     }
-    w.close('}');
 }
 
-fn write_exception(w: &mut JsonWriter, e: &Exception) {
-    w.open('{');
-    let tagged_addr = |w: &mut JsonWriter, kind: &str, addr: u64| {
-        w.field_str("kind", kind);
-        w.field_u64("addr", addr);
-    };
-    match e {
-        Exception::InstrAddrMisaligned { addr } => tagged_addr(w, "instr_addr_misaligned", *addr),
-        Exception::InstrAccessFault { addr } => tagged_addr(w, "instr_access_fault", *addr),
-        Exception::Breakpoint { addr } => tagged_addr(w, "breakpoint", *addr),
-        Exception::LoadAddrMisaligned { addr } => tagged_addr(w, "load_addr_misaligned", *addr),
-        Exception::LoadAccessFault { addr } => tagged_addr(w, "load_access_fault", *addr),
-        Exception::StoreAddrMisaligned { addr } => tagged_addr(w, "store_addr_misaligned", *addr),
-        Exception::StoreAccessFault { addr } => tagged_addr(w, "store_access_fault", *addr),
-        Exception::IllegalInstr { word } => {
-            w.field_str("kind", "illegal_instr");
-            w.field_u64("word", u64::from(*word));
+/// The evolve arm's corpus holds decodable, fingerprint-unique seeds,
+/// and its import refuses anything else.
+fn check_evolve_corpus(corpus: &CorpusState) -> Result<()> {
+    let mut fingerprints = std::collections::HashSet::with_capacity(corpus.seeds.len());
+    for seed in &corpus.seeds {
+        if let Some(word) = seed.words.iter().find(|&&w| chatfuzz_isa::decode(w).is_err()) {
+            return err(format!("evolve corpus seed holds undecodable word {word:#010x}"));
         }
-        Exception::Ecall { from } => {
-            w.field_str("kind", "ecall");
-            w.field_u64("from", *from as u64);
+        if !fingerprints.insert(seed.fingerprint) {
+            return err(format!("evolve corpus repeats fingerprint {:#018x}", seed.fingerprint));
         }
     }
-    w.close('}');
+    Ok(())
 }
 
 /// Hex digit values by ASCII byte, either case; `0xff` marks a byte that
@@ -781,18 +1009,6 @@ fn decode_hex<const DIGITS: usize, T>(
 
 fn hex_to_words(hex: &str) -> Result<Vec<u64>> {
     decode_hex::<16, _>(hex, "coverage", |word| word)
-}
-
-fn hex_to_words32(hex: &str) -> Result<Vec<u32>> {
-    // 8 hex digits never exceed u32::MAX, so the narrowing is lossless.
-    decode_hex::<8, _>(hex, "instruction", |word| word as u32)
-}
-
-/// Model weights travel as the hex of each `f32`'s bit pattern — the
-/// round trip is `to_bits`/`from_bits`, so no value (including NaNs,
-/// subnormals, and signed zeros) is disturbed by a decimal detour.
-fn hex_to_f32s(hex: &str) -> Result<Vec<f32>> {
-    decode_hex::<8, _>(hex, "weight", |word| f32::from_bits(word as u32))
 }
 
 #[cfg(test)]
@@ -1139,109 +1355,40 @@ fn parse_json(text: &str) -> Result<Json<'_>> {
 /// any value in the document is trusted.
 pub fn parse_snapshot(text: &str, space: &Arc<Space>) -> Result<CampaignSnapshot> {
     let doc = parse_json(text)?;
-    let version = doc.get("schema_version")?.as_u64("schema_version")?;
+    let version = Plain::read_key(&doc, "schema_version", "schema_version")?;
     if version != SCHEMA_VERSION {
         return Err(PersistError::SchemaVersion { found: version, supported: SCHEMA_VERSION });
     }
     verify_checksum(text)?;
-    let found = doc.get("space_fingerprint")?.as_u64("space_fingerprint")?;
+    let found = Plain::read_key(&doc, "space_fingerprint", "space_fingerprint")?;
     if found != space.fingerprint() {
         return Err(PersistError::SpaceMismatch { found, expected: space.fingerprint() });
     }
 
     let coverage = doc.get("coverage")?;
-    let cumulative = read_map(coverage.get("cumulative")?, "coverage.cumulative", space)?;
-    let previous =
-        read_map(coverage.get("previous_batch_total")?, "coverage.previous_batch_total", space)?;
-    if !previous.is_subset_of(&cumulative) {
-        return err("previous-batch total covers bins the cumulative map does not");
-    }
-
-    let history = doc
-        .get("history")?
-        .as_arr("history")?
-        .iter()
-        .map(|p| {
-            Ok(CoveragePoint {
-                tests: p.get("tests")?.as_usize("history.tests")?,
-                covered_bins: p.get("covered_bins")?.as_usize("history.covered_bins")?,
-                coverage_pct: p.get("coverage_pct")?.as_f64("history.coverage_pct")?,
-                sim_cycles: p.get("sim_cycles")?.as_u64("history.sim_cycles")?,
-                wall: Duration::from_nanos(p.get("wall_nanos")?.as_u64("history.wall_nanos")?),
-            })
+    let map = |key: &str, what: &str| {
+        let words = hex_to_words(coverage.get(key)?.as_str(what)?)?;
+        CovMap::from_words(space, words).ok_or_else(|| {
+            PersistError::Parse(format!("{what}: bitmap does not fit the supplied coverage space"))
         })
-        .collect::<Result<Vec<_>>>()?;
-
-    let gen_stats = doc
-        .get("generator_stats")?
-        .as_arr("generator_stats")?
-        .iter()
-        .map(|s| {
-            Ok(GeneratorStats {
-                name: s.get("name")?.as_str("generator_stats.name")?.to_string(),
-                batches: s.get("batches")?.as_usize("generator_stats.batches")?,
-                tests: s.get("tests")?.as_usize("generator_stats.tests")?,
-                new_bins: s.get("new_bins")?.as_usize("generator_stats.new_bins")?,
-                cycles: s.get("cycles")?.as_u64("generator_stats.cycles")?,
-            })
-        })
-        .collect::<Result<Vec<_>>>()?;
-
-    let sched = doc.get("scheduler")?;
-    let rng_words = read_rng_words(sched.get("rng_words")?, "scheduler.rng_words")?;
-    let arms = sched
-        .get("arms")?
-        .as_arr("scheduler.arms")?
-        .iter()
-        .map(|a| {
-            let recent_rewards = a
-                .get("recent_rewards")?
-                .as_arr("scheduler.arms.recent_rewards")?
-                .iter()
-                .map(|r| r.as_f64("scheduler.arms.recent_rewards"))
-                .collect::<Result<Vec<_>>>()?;
-            let recent_cycles = a
-                .get("recent_cycles")?
-                .as_arr("scheduler.arms.recent_cycles")?
-                .iter()
-                .map(|c| c.as_u64("scheduler.arms.recent_cycles"))
-                .collect::<Result<Vec<_>>>()?;
-            if recent_rewards.len() != recent_cycles.len() {
-                return err("scheduler arm reward/cycle windows disagree in length");
-            }
-            Ok(ArmState {
-                pulls: a.get("pulls")?.as_u64("scheduler.arms.pulls")?,
-                total_reward: a.get("total_reward")?.as_f64("scheduler.arms.total_reward")?,
-                cycles: a.get("cycles")?.as_u64("scheduler.arms.cycles")?,
-                recent_rewards,
-                recent_cycles,
-            })
-        })
-        .collect::<Result<Vec<_>>>()?;
-    let scheduler = SchedulerState {
-        scheduler: sched.get("name")?.as_str("scheduler.name")?.to_string(),
-        cursor: sched.get("cursor")?.as_u64("scheduler.cursor")?,
-        epsilon: sched.get("epsilon")?.as_f64("scheduler.epsilon")?,
-        rng_words,
-        arms,
     };
-    if !(0.0..=1.0).contains(&scheduler.epsilon) {
-        return err(format!("scheduler.epsilon {} is outside [0, 1]", scheduler.epsilon));
-    }
+    let cumulative = map("cumulative", "coverage.cumulative")?;
+    let previous = map("previous_batch_total", "coverage.previous_batch_total")?;
+    ensure(previous.is_subset_of(&cumulative), || {
+        "previous-batch total covers bins the cumulative map does not".into()
+    })?;
 
-    let gen_states = doc
-        .get("generators")?
-        .as_arr("generators")?
-        .iter()
-        .map(|g| if *g == Json::Null { Ok(None) } else { read_generator_state(g).map(Some) })
-        .collect::<Result<Vec<_>>>()?;
-    if gen_states.len() != gen_stats.len() {
-        return err(format!(
+    let gen_stats: Vec<GeneratorStats> =
+        <List<Table>>::read_key(&doc, "generator_stats", "generator_stats")?;
+    let gen_states: Vec<Option<GeneratorState>> =
+        <List<Nullable<Table>>>::read_key(&doc, "generators", "generators")?;
+    ensure(gen_states.len() == gen_stats.len(), || {
+        format!(
             "generators carries {} entries for {} generator stats",
             gen_states.len(),
             gen_stats.len()
-        ));
-    }
+        )
+    })?;
     for (state, stats) in gen_states.iter().zip(&gen_stats) {
         if let Some(state) = state.as_ref().filter(|s| s.generator != stats.name) {
             return err(format!(
@@ -1251,389 +1398,79 @@ pub fn parse_snapshot(text: &str, space: &Arc<Space>) -> Result<CampaignSnapshot
         }
     }
 
-    let log_doc = doc.get("mismatch_log")?;
-    let filter_doc = log_doc.get("filter")?;
-    let ignore_regs = filter_doc
-        .get("ignore_regs")?
-        .as_arr("mismatch_log.filter.ignore_regs")?
-        .iter()
-        .map(|r| {
-            let index = r.as_u64("ignore_regs")?;
-            u8::try_from(index)
-                .ok()
-                .and_then(Reg::new)
-                .ok_or_else(|| PersistError::Parse(format!("bad register index {index}")))
-        })
-        .collect::<Result<Vec<_>>>()?;
-    let filter = MismatchFilter {
-        ignore_length: filter_doc.get("ignore_length")?.as_bool("filter.ignore_length")?,
-        ignore_regs,
-    };
-    let clusters = log_doc
+    let log = doc.get("mismatch_log")?;
+    let clusters = log
         .get("clusters")?
         .as_arr("mismatch_log.clusters")?
         .iter()
         .map(|c| {
-            let example = read_mismatch(c.get("example")?)?;
+            let example: Mismatch = Table::read_key(c, "example", "example")?;
             Ok(UniqueMismatch {
                 signature: example.signature(),
                 bug: classify(&example),
+                count: Plain::read_key(c, "count", "clusters.count")?,
                 example,
-                count: c.get("count")?.as_usize("clusters.count")?,
             })
         })
         .collect::<Result<Vec<_>>>()?;
-    let raw_count = log_doc.get("raw_count")?.as_usize("mismatch_log.raw_count")?;
+    let raw_count = Plain::read_key(log, "raw_count", "mismatch_log.raw_count")?;
     let Some(clustered) = clusters.iter().try_fold(0usize, |sum, c| sum.checked_add(c.count))
     else {
         return err("mismatch cluster counts overflow");
     };
-    if raw_count < clustered {
-        return err(format!("raw_count {raw_count} is below the {clustered} clustered mismatches"));
-    }
-    let log = MismatchLog::from_parts(raw_count, clusters, filter);
+    ensure(raw_count >= clustered, || {
+        format!("raw_count {raw_count} is below the {clustered} clustered mismatches")
+    })?;
 
     Ok(CampaignSnapshot {
-        dut: doc.get("dut")?.as_str("dut")?.to_string(),
+        dut: Plain::read_key(&doc, "dut", "dut")?,
         calculator: Calculator::from_parts(cumulative, previous),
-        log,
-        history,
+        log: MismatchLog::from_parts(
+            raw_count,
+            clusters,
+            Table::read_key(log, "filter", "mismatch_log.filter")?,
+        ),
+        history: <List<Table>>::read_key(&doc, "history", "history")?,
         gen_stats,
-        scheduler,
+        scheduler: Table::read_key(&doc, "scheduler", "scheduler")?,
         gen_states,
-        tests_run: doc.get("tests_run")?.as_usize("tests_run")?,
-        batches_run: doc.get("batches_run")?.as_usize("batches_run")?,
-        total_cycles: doc.get("total_cycles")?.as_u64("total_cycles")?,
-        batches_since_gain: doc.get("batches_since_gain")?.as_usize("batches_since_gain")?,
-        wall: Duration::from_nanos(doc.get("wall_nanos")?.as_u64("wall_nanos")?),
-        stopped_by: read_stop(doc.get("stopped_by")?)?,
+        tests_run: Plain::read_key(&doc, "tests_run", "tests_run")?,
+        batches_run: Plain::read_key(&doc, "batches_run", "batches_run")?,
+        total_cycles: Plain::read_key(&doc, "total_cycles", "total_cycles")?,
+        batches_since_gain: Plain::read_key(&doc, "batches_since_gain", "batches_since_gain")?,
+        wall: Plain::read_key(&doc, "wall_nanos", "wall_nanos")?,
+        stopped_by: <Nullable<Table>>::read_key(&doc, "stopped_by", "stopped_by")?,
     })
 }
 
-/// Reads an RNG word list: empty (no stream) or a ChaCha8 stream state.
-fn read_rng_words(value: &Json, what: &str) -> Result<Vec<u32>> {
-    let words = value
-        .as_arr(what)?
-        .iter()
-        .map(|wrd| {
-            let v = wrd.as_u64(what)?;
-            u32::try_from(v).map_err(|_| PersistError::Parse(format!("{what}: {v} exceeds u32")))
+/// Renders key/value pairs as one flat JSON object of strings, the form
+/// of the spool's lease and heartbeat files.
+pub fn encode_flat<'a>(pairs: impl IntoIterator<Item = (&'a str, &'a str)>) -> String {
+    let mut w = JsonWriter::new();
+    w.open('{');
+    for (key, value) in pairs {
+        w.field_str(key, value);
+    }
+    w.close('}');
+    w.finish()
+}
+
+/// Parses a flat JSON object of string values, as [`encode_flat`] writes
+/// them; `None` on anything else. A repeated key keeps its last value.
+/// The snapshot parser reads it, so a trailing comma before `}`, bytes
+/// after the closing brace and whitespace other than ASCII space, tab,
+/// CR and LF between tokens are refused, and a `\u` escape whose four
+/// characters are a `+` and three hex digits is accepted. No writer
+/// emits any of these.
+pub fn decode_flat(text: &str) -> Option<BTreeMap<String, String>> {
+    let Ok(Json::Obj(fields)) = parse_json(text) else { return None };
+    fields
+        .into_iter()
+        .map(|(key, value)| match value {
+            Json::Str(value) => Some((key.into_owned(), value.into_owned())),
+            _ => None,
         })
-        .collect::<Result<Vec<_>>>()?;
-    if !words.is_empty() && ChaCha8Rng::from_words(&words).is_none() {
-        return err(format!("{what}: {} words are not a ChaCha8 stream state", words.len()));
-    }
-    Ok(words)
-}
-
-/// The arms whose import restores their ChaCha8 stream from `rng_words`.
-/// Each exports one, so an empty list in their state cannot resume; other
-/// arms may keep it empty.
-const STREAM_ARMS: [&str; 3] = ["evolve", "chatfuzz", "chatfuzz-ngram"];
-
-fn read_generator_state(value: &Json) -> Result<GeneratorState> {
-    let generator = value.get("generator")?.as_str("generators.generator")?.to_string();
-    let rng_words = read_rng_words(value.get("rng_words")?, "generators.rng_words")?;
-    if rng_words.is_empty() && STREAM_ARMS.contains(&generator.as_str()) {
-        return err(format!("generators.rng_words: the {generator} arm's state has no RNG stream"));
-    }
-    let corpus = value.get("corpus")?;
-    let corpus = if *corpus == Json::Null { None } else { Some(read_corpus(corpus)?) };
-    if let Some(corpus) = corpus.as_ref().filter(|_| generator == "evolve") {
-        check_evolve_corpus(corpus)?;
-    }
-    let model = value.get("model")?;
-    let model = if *model == Json::Null { None } else { Some(read_model(model)?) };
-    Ok(GeneratorState { generator, rng_words, corpus, model })
-}
-
-/// The evolve arm's corpus holds decodable, fingerprint-unique seeds,
-/// and its import refuses anything else.
-fn check_evolve_corpus(corpus: &CorpusState) -> Result<()> {
-    let mut fingerprints = std::collections::HashSet::with_capacity(corpus.seeds.len());
-    for seed in &corpus.seeds {
-        if let Some(word) = seed.words.iter().find(|&&w| chatfuzz_isa::decode(w).is_err()) {
-            return err(format!("evolve corpus seed holds undecodable word {word:#010x}"));
-        }
-        if !fingerprints.insert(seed.fingerprint) {
-            return err(format!("evolve corpus repeats fingerprint {:#018x}", seed.fingerprint));
-        }
-    }
-    Ok(())
-}
-
-fn read_corpus(value: &Json) -> Result<CorpusState> {
-    let seeds = value
-        .get("seeds")?
-        .as_arr("corpus.seeds")?
-        .iter()
-        .map(|s| {
-            Ok(CorpusSeedState {
-                words: hex_to_words32(s.get("words")?.as_str("seeds.words")?)?,
-                fingerprint: s.get("fingerprint")?.as_u64("seeds.fingerprint")?,
-                new_bins: s.get("new_bins")?.as_u64("seeds.new_bins")?,
-                mux_bins: s.get("mux_bins")?.as_u64("seeds.mux_bins")?,
-                mismatch: s.get("mismatch")?.as_bool("seeds.mismatch")?,
-                picks: s.get("picks")?.as_u64("seeds.picks")?,
-                found_at: s.get("found_at")?.as_u64("seeds.found_at")?,
-            })
-        })
-        .collect::<Result<Vec<_>>>()?;
-    Ok(CorpusState {
-        next_found_at: value.get("next_found_at")?.as_u64("corpus.next_found_at")?,
-        seeds,
-    })
-}
-
-fn read_model(value: &Json) -> Result<ModelState> {
-    let merge_ids = value
-        .get("merges")?
-        .as_arr("model.merges")?
-        .iter()
-        .map(|m| {
-            let v = m.as_u64("model.merges")?;
-            u32::try_from(v)
-                .map_err(|_| PersistError::Parse(format!("model.merges: {v} exceeds u32")))
-        })
-        .collect::<Result<Vec<_>>>()?;
-    if !merge_ids.len().is_multiple_of(2) {
-        return err("model.merges holds an odd number of ids (pairs expected)");
-    }
-    let merges: Vec<(u32, u32)> = merge_ids.chunks_exact(2).map(|p| (p[0], p[1])).collect();
-    // Merge `i` defines token `BASE_VOCAB + i` from two earlier ones.
-    for (i, &(left, right)) in merges.iter().enumerate() {
-        let defined = u64::from(BASE_VOCAB) + i as u64;
-        if u64::from(left.max(right)) >= defined {
-            return err(format!("model.merges: merge ({left},{right}) names an undefined token"));
-        }
-    }
-
-    let blob_list = |key: &str| -> Result<Vec<Vec<f32>>> {
-        value.get(key)?.as_arr(key)?.iter().map(|b| hex_to_f32s(b.as_str(key)?)).collect()
-    };
-    let params = blob_list("params")?;
-    let opt_m = blob_list("opt_m")?;
-    let opt_v = blob_list("opt_v")?;
-    if opt_m.len() != opt_v.len() {
-        return err("model optimiser moment lists disagree in length");
-    }
-
-    let prompt_pool = value
-        .get("prompt_pool")?
-        .as_arr("model.prompt_pool")?
-        .iter()
-        .map(|p| hex_to_words32(p.as_str("model.prompt_pool")?))
-        .collect::<Result<Vec<_>>>()?;
-
-    let pending = value
-        .get("pending")?
-        .as_arr("model.pending")?
-        .iter()
-        .map(|group| {
-            group
-                .as_arr("model.pending")?
-                .iter()
-                .map(|s| {
-                    let tokens = s
-                        .get("tokens")?
-                        .as_arr("pending.tokens")?
-                        .iter()
-                        .map(|t| {
-                            let v = t.as_u64("pending.tokens")?;
-                            u32::try_from(v).map_err(|_| {
-                                PersistError::Parse(format!("pending.tokens: {v} exceeds u32"))
-                            })
-                        })
-                        .collect::<Result<Vec<_>>>()?;
-                    Ok(ModelSample {
-                        tokens,
-                        prompt_len: s.get("prompt_len")?.as_usize("pending.prompt_len")?,
-                    })
-                })
-                .collect::<Result<Vec<_>>>()
-        })
-        .collect::<Result<Vec<_>>>()?;
-
-    let read_tokens = |s: &Json, what: &str| -> Result<Vec<u32>> {
-        s.get("tokens")?
-            .as_arr(what)?
-            .iter()
-            .map(|t| {
-                let v = t.as_u64(what)?;
-                u32::try_from(v)
-                    .map_err(|_| PersistError::Parse(format!("{what}: {v} exceeds u32")))
-            })
-            .collect()
-    };
-    let learner_queue = value
-        .get("learner_queue")?
-        .as_arr("model.learner_queue")?
-        .iter()
-        .map(|s| {
-            let reward_bits = hex_to_f32s(s.get("reward")?.as_str("learner_queue.reward")?)?;
-            if reward_bits.len() != 1 {
-                return err("learner_queue.reward must hold exactly one f32");
-            }
-            Ok(PendingRollout {
-                tokens: read_tokens(s, "learner_queue.tokens")?,
-                prompt_len: s.get("prompt_len")?.as_usize("learner_queue.prompt_len")?,
-                reward: reward_bits[0],
-            })
-        })
-        .collect::<Result<Vec<_>>>()?;
-
-    Ok(ModelState {
-        bpe: value.get("bpe")?.as_bool("model.bpe")?,
-        merges,
-        params,
-        opt_m,
-        opt_v,
-        opt_steps: value.get("opt_steps")?.as_u64("model.opt_steps")?,
-        prompt_pool,
-        pending,
-        publish_epoch: value.get("publish_epoch")?.as_u64("model.publish_epoch")?,
-        batches_since_publish: value
-            .get("batches_since_publish")?
-            .as_u64("model.batches_since_publish")?,
-        learner_queue,
-    })
-}
-
-fn read_map(value: &Json, what: &str, space: &Arc<Space>) -> Result<CovMap> {
-    let words = hex_to_words(value.as_str(what)?)?;
-    match CovMap::from_words(space, words) {
-        Some(map) => Ok(map),
-        None => err(format!("{what}: bitmap does not fit the supplied coverage space")),
-    }
-}
-
-fn read_stop(value: &Json) -> Result<Option<StopCondition>> {
-    if *value == Json::Null {
-        return Ok(None);
-    }
-    let kind = value.get("kind")?.as_str("stopped_by.kind")?;
-    let v = value.get("value")?;
-    let stop = match kind {
-        "tests" => StopCondition::Tests(v.as_usize("stopped_by.value")?),
-        "sim_cycles" => StopCondition::SimCycles(v.as_u64("stopped_by.value")?),
-        "wall_clock" => {
-            StopCondition::WallClock(Duration::from_nanos(v.as_u64("stopped_by.value")?))
-        }
-        "coverage_pct" => StopCondition::CoveragePct(v.as_f64("stopped_by.value")?),
-        "plateau" => StopCondition::Plateau(v.as_usize("stopped_by.value")?),
-        other => return err(format!("unknown stop condition kind `{other}`")),
-    };
-    Ok(Some(stop))
-}
-
-fn read_mismatch(value: &Json) -> Result<Mismatch> {
-    let kind = value.get("kind")?.as_str("example.kind")?;
-    let m = match kind {
-        "exit" => Mismatch::ExitDivergence {
-            golden: read_exit(value.get("golden")?)?,
-            dut: read_exit(value.get("dut")?)?,
-        },
-        "length" => Mismatch::LengthDivergence {
-            golden: value.get("golden")?.as_usize("length.golden")?,
-            dut: value.get("dut")?.as_usize("length.dut")?,
-        },
-        "pc" => Mismatch::PcDivergence {
-            index: value.get("index")?.as_usize("pc.index")?,
-            golden_pc: value.get("golden_pc")?.as_u64("pc.golden_pc")?,
-            dut_pc: value.get("dut_pc")?.as_u64("pc.dut_pc")?,
-        },
-        "word" => Mismatch::WordDivergence {
-            index: value.get("index")?.as_usize("word.index")?,
-            pc: value.get("pc")?.as_u64("word.pc")?,
-            golden_word: read_u32(value.get("golden_word")?, "word.golden_word")?,
-            dut_word: read_u32(value.get("dut_word")?, "word.dut_word")?,
-        },
-        "rd" => Mismatch::RdWriteDivergence {
-            index: value.get("index")?.as_usize("rd.index")?,
-            pc: value.get("pc")?.as_u64("rd.pc")?,
-            word: read_u32(value.get("word")?, "rd.word")?,
-            golden: read_rd_write(value.get("golden")?)?,
-            dut: read_rd_write(value.get("dut")?)?,
-        },
-        "trap" => Mismatch::TrapDivergence {
-            index: value.get("index")?.as_usize("trap.index")?,
-            pc: value.get("pc")?.as_u64("trap.pc")?,
-            golden_cause: read_opt_u64(value.get("golden_cause")?, "trap.golden_cause")?,
-            dut_cause: read_opt_u64(value.get("dut_cause")?, "trap.dut_cause")?,
-        },
-        "mem" => Mismatch::MemDivergence {
-            index: value.get("index")?.as_usize("mem.index")?,
-            pc: value.get("pc")?.as_u64("mem.pc")?,
-        },
-        other => return err(format!("unknown mismatch kind `{other}`")),
-    };
-    Ok(m)
-}
-
-fn read_u32(value: &Json, what: &str) -> Result<u32> {
-    let v = value.as_u64(what)?;
-    u32::try_from(v).map_err(|_| PersistError::Parse(format!("{what}: {v} exceeds u32")))
-}
-
-fn read_opt_u64(value: &Json, what: &str) -> Result<Option<u64>> {
-    if *value == Json::Null {
-        Ok(None)
-    } else {
-        Ok(Some(value.as_u64(what)?))
-    }
-}
-
-fn read_rd_write(value: &Json) -> Result<Option<(Reg, u64)>> {
-    if *value == Json::Null {
-        return Ok(None);
-    }
-    let index = value.get("reg")?.as_u64("rd.reg")?;
-    let reg = u8::try_from(index)
-        .ok()
-        .and_then(Reg::new)
-        .ok_or_else(|| PersistError::Parse(format!("bad register index {index}")))?;
-    Ok(Some((reg, value.get("value")?.as_u64("rd.value")?)))
-}
-
-fn read_exit(value: &Json) -> Result<ExitReason> {
-    let kind = value.get("kind")?.as_str("exit.kind")?;
-    let exit = match kind {
-        "wfi" => ExitReason::Wfi,
-        "tohost" => ExitReason::ToHost(value.get("value")?.as_u64("tohost.value")?),
-        "budget_exhausted" => ExitReason::BudgetExhausted,
-        "trap_storm" => ExitReason::TrapStorm,
-        "unhandled_trap" => ExitReason::UnhandledTrap(read_exception(value.get("exception")?)?),
-        other => return err(format!("unknown exit kind `{other}`")),
-    };
-    Ok(exit)
-}
-
-fn read_exception(value: &Json) -> Result<Exception> {
-    let kind = value.get("kind")?.as_str("exception.kind")?;
-    let addr = |what: &str| -> Result<u64> { value.get("addr")?.as_u64(what) };
-    let e = match kind {
-        "instr_addr_misaligned" => Exception::InstrAddrMisaligned { addr: addr(kind)? },
-        "instr_access_fault" => Exception::InstrAccessFault { addr: addr(kind)? },
-        "breakpoint" => Exception::Breakpoint { addr: addr(kind)? },
-        "load_addr_misaligned" => Exception::LoadAddrMisaligned { addr: addr(kind)? },
-        "load_access_fault" => Exception::LoadAccessFault { addr: addr(kind)? },
-        "store_addr_misaligned" => Exception::StoreAddrMisaligned { addr: addr(kind)? },
-        "store_access_fault" => Exception::StoreAccessFault { addr: addr(kind)? },
-        "illegal_instr" => {
-            Exception::IllegalInstr { word: read_u32(value.get("word")?, "illegal_instr.word")? }
-        }
-        "ecall" => {
-            let from = match value.get("from")?.as_u64("ecall.from")? {
-                0 => PrivLevel::User,
-                1 => PrivLevel::Supervisor,
-                3 => PrivLevel::Machine,
-                other => return err(format!("bad privilege level {other}")),
-            };
-            Exception::Ecall { from }
-        }
-        other => return err(format!("unknown exception kind `{other}`")),
-    };
-    Ok(e)
+        .collect()
 }
 
 // ---------------------------------------------------------------------------
@@ -2357,7 +2194,7 @@ mod tests {
         let space = factory()().space().clone();
         let example = |m: &Mismatch| {
             let mut w = JsonWriter::new();
-            write_mismatch(&mut w, m);
+            Table::write(&mut w, m);
             w.finish()
         };
         // The mismatch log is the payload's last field: swap in two
@@ -2521,9 +2358,9 @@ mod tests {
         ];
         for m in samples {
             let mut w = JsonWriter::new();
-            write_mismatch(&mut w, &m);
+            Table::write(&mut w, &m);
             let doc = w.finish();
-            let parsed = read_mismatch(&parse_json(&doc).unwrap()).unwrap();
+            let parsed: Mismatch = Table::read(&parse_json(&doc).unwrap(), "example").unwrap();
             assert_eq!(parsed, m, "round trip of {doc}");
         }
     }
@@ -2540,10 +2377,12 @@ mod tests {
         ] {
             let mut w = JsonWriter::new();
             w.open('{');
-            write_stop(&mut w, "stopped_by", stop);
+            <Nullable<Table>>::write_key(&mut w, "stopped_by", &stop);
             w.close('}');
             let doc = w.finish();
-            let parsed = read_stop(parse_json(&doc).unwrap().get("stopped_by").unwrap()).unwrap();
+            let parsed: Option<StopCondition> =
+                <Nullable<Table>>::read_key(&parse_json(&doc).unwrap(), "stopped_by", "stopped_by")
+                    .unwrap();
             assert_eq!(parsed, stop, "round trip of {doc}");
         }
     }
@@ -2774,6 +2613,39 @@ mod tests {
         assert_eq!(snapshot_json(snapshot), attach_checksum(&payload_json(snapshot)));
     }
 
+    /// Each value check of the reader refuses one checksum-valid
+    /// document. The edit gives the first `"key":` a bad value and moves
+    /// its old value to a key no reader looks up.
+    #[test]
+    fn each_value_check_refuses_a_checksum_valid_document() {
+        let evolve = payload_json(evolve_snapshot());
+        let lm = payload_json(&lm_snapshot());
+        let defects = [
+            ("stopped_by", "{\"kind\":\"bogus\"}", &evolve),
+            ("raw_count", "0", &evolve),
+            ("ignore_length", "null", &evolve),
+            ("ignore_regs", "[32]", &evolve),
+            ("recent_cycles", "[]", &evolve),
+            ("model", "false", &evolve),
+            ("words", "\"0000001\"", &evolve),
+            ("merges", "[1]", &lm),
+            ("opt_v", "[]", &lm),
+            ("tokens", "[4294967296]", &lm),
+            ("reward", "\"0000000000000000\"", &lm),
+        ];
+        for (key, bad, payload) in defects {
+            let from = format!("\"{key}\":");
+            assert!(payload.contains(&from), "the document has no `{key}`");
+            let edited = payload.replacen(&from, &format!("{from}{bad},\"unread\":"), 1);
+            match parse_snapshot(&attach_checksum(&edited), rocket_space()) {
+                Err(PersistError::Parse(_)) => {}
+                other => {
+                    panic!("`{key}`: {bad}: expected a parse error, got {:?}", other.map(|_| ()))
+                }
+            }
+        }
+    }
+
     // -----------------------------------------------------------------
     // Differential proptests: the parser and the hex decoder against
     // the verbatim references in `reference`.
@@ -2798,9 +2670,10 @@ mod tests {
     }
 
     /// A snapshot whose strings need every kind of escape and hold
-    /// multi-byte text.
+    /// multi-byte text. Its wall clock is zeroed, so its document, and
+    /// every mutant of it, has the same bytes in every process.
     fn awkward_snapshot() -> CampaignSnapshot {
-        let mut awkward = sample_snapshot();
+        let mut awkward = without_wall_clock(sample_snapshot());
         awkward.dut = "rocket \"v2\"\\ctl\n\t\r\u{1}é".to_string();
         awkward.gen_stats[0].name = "the\\huzz\u{1f}€/".to_string();
         awkward.gen_stats[1].name = "back\\slash only".to_string();
@@ -2986,6 +2859,31 @@ mod tests {
             fates.into_iter().collect::<Vec<_>>(),
             [Fate::NotJson, Fate::Gated, Fate::Rejected, Fate::Accepted]
         );
+    }
+
+    /// The reader's verdicts are pinned: an FNV-1a-64 fold over seeds
+    /// 0..4096 of each mutant's fate and, for an accepted mutant, of the
+    /// document of the snapshot it parsed to. A reader that accepts,
+    /// rejects or reads one mutant differently moves it.
+    #[test]
+    fn mutant_verdicts_are_pinned() {
+        use rand::{Rng as _, SeedableRng as _};
+        let mut counts = [0usize; 4];
+        let mut parts: Vec<Vec<u8>> = Vec::new();
+        for seed in 0..4096u64 {
+            let fate = check_mutant(seed).unwrap_or_else(|e| panic!("mutant seed {seed:#x}: {e}"));
+            counts[fate as usize] += 1;
+            parts.push(vec![fate as u8]);
+            if fate == Fate::Accepted {
+                let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+                let docs = valid_documents();
+                let text = mutant(&docs[rng.gen_range(0..docs.len())], &mut rng);
+                let parsed = parse_snapshot(&text, rocket_space()).expect("an accepted mutant");
+                parts.push(snapshot_json(&parsed).into_bytes());
+            }
+        }
+        let verdicts = fnv1a64(&parts.iter().map(Vec::as_slice).collect::<Vec<_>>());
+        assert_eq!(verdicts, 0x5702_f1db_86f7_8af7, "verdicts moved; fate counts {counts:?}");
     }
 
     /// Pieces of JSON that steer a parser: structure, number syntax,

@@ -164,8 +164,9 @@ fn render_json(report: &CampaignReport, include_wall: bool) -> String {
 }
 
 /// Minimal JSON emitter: tracks comma placement, escapes strings, and
-/// renders floats round-trippably. Shared with [`crate::persist`], which
-/// serialises campaign snapshots through the same seam.
+/// renders floats round-trippably. It has three users: campaign reports,
+/// [`crate::persist`]'s campaign snapshots, and the orchestrator spool's
+/// flat lease and heartbeat files ([`crate::persist::encode_flat`]).
 ///
 /// Everything lands in one byte buffer: integers through a digit buffer
 /// and hex blobs through a nibble table, with no `fmt` call and no

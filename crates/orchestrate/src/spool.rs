@@ -50,7 +50,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use chatfuzz::campaign::{BatchOutcome, StopCondition};
-use chatfuzz::persist::{PersistError, Recovery};
+use chatfuzz::persist::{decode_flat, encode_flat, PersistError, Recovery};
 use chatfuzz::shard::ShardSpec;
 use chatfuzz_coverage::Space;
 use chatfuzz_telemetry::TelemetrySink;
@@ -81,115 +81,6 @@ fn atomic_write(path: &Path, contents: &str) -> io::Result<()> {
     }
     let tmp = path.with_extension(format!("tmp.{}", std::process::id()));
     chatfuzz::faults::atomic_write(path, &tmp, contents.as_bytes())
-}
-
-// ---------------------------------------------------------------------------
-// Flat JSON: string-to-string maps, the only shape the spool protocol needs.
-// ---------------------------------------------------------------------------
-
-fn escape_into(out: &mut String, s: &str) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-}
-
-/// Renders key/value pairs as a one-line JSON object.
-fn encode_flat<'a>(pairs: impl IntoIterator<Item = (&'a str, &'a str)>) -> String {
-    let mut out = String::from("{");
-    for (i, (key, value)) in pairs.into_iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push('"');
-        escape_into(&mut out, key);
-        out.push_str("\":\"");
-        escape_into(&mut out, value);
-        out.push('"');
-    }
-    out.push('}');
-    out
-}
-
-fn read_string(chars: &mut std::iter::Peekable<std::str::Chars>) -> Option<String> {
-    let mut out = String::new();
-    loop {
-        match chars.next()? {
-            '"' => return Some(out),
-            '\\' => match chars.next()? {
-                '"' => out.push('"'),
-                '\\' => out.push('\\'),
-                '/' => out.push('/'),
-                'n' => out.push('\n'),
-                'r' => out.push('\r'),
-                't' => out.push('\t'),
-                'b' => out.push('\u{8}'),
-                'f' => out.push('\u{c}'),
-                'u' => {
-                    let mut code = 0u32;
-                    for _ in 0..4 {
-                        code = code * 16 + chars.next()?.to_digit(16)?;
-                    }
-                    out.push(char::from_u32(code)?);
-                }
-                _ => return None,
-            },
-            c => out.push(c),
-        }
-    }
-}
-
-/// Parses a one-line JSON object of string values. `None` on any malformation.
-fn decode_flat(text: &str) -> Option<BTreeMap<String, String>> {
-    let mut chars = text.chars().peekable();
-    let mut map = BTreeMap::new();
-    while chars.peek()?.is_whitespace() {
-        chars.next();
-    }
-    if chars.next()? != '{' {
-        return None;
-    }
-    loop {
-        while chars.peek()?.is_whitespace() {
-            chars.next();
-        }
-        match chars.next()? {
-            '}' => return Some(map),
-            '"' => {
-                let key = read_string(&mut chars)?;
-                while chars.peek()?.is_whitespace() {
-                    chars.next();
-                }
-                if chars.next()? != ':' {
-                    return None;
-                }
-                while chars.peek()?.is_whitespace() {
-                    chars.next();
-                }
-                if chars.next()? != '"' {
-                    return None;
-                }
-                let value = read_string(&mut chars)?;
-                map.insert(key, value);
-                while chars.peek()?.is_whitespace() {
-                    chars.next();
-                }
-                match chars.next()? {
-                    ',' => continue,
-                    '}' => return Some(map),
-                    _ => return None,
-                }
-            }
-            _ => return None,
-        }
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -781,6 +672,10 @@ mod tests {
             ("control", "\u{1}\u{1f}".to_string()),
         ];
         let doc = encode_flat(pairs.iter().map(|(k, v)| (*k, v.as_str())));
+        assert_eq!(
+            doc,
+            r#"{"plain":"value","path":"/tmp/a b/c\\d","quoted":"say \"hi\"\n\tdone","control":"\u0001\u001f"}"#
+        );
         let map = decode_flat(&doc).expect("encoder output decodes");
         assert_eq!(map.len(), pairs.len());
         for (k, v) in &pairs {
