@@ -8,6 +8,10 @@
 //! * a [`Space`] enumerates every condition point a design registers at
 //!   construction time (fixed denominator, like an RTL elaboration);
 //! * a [`CovMap`] is one run's bitmap over the space's bins;
+//! * a [`Bins`] holds the bins of one block of consecutively registered
+//!   conditions (at most 32) in one word, so a unit can record while a
+//!   run is in flight without touching the run's map, and OR the block
+//!   into it once, when the run ends;
 //! * a [`Calculator`] implements the paper's Coverage Calculator, computing
 //!   **stand-alone**, **incremental** and **total** coverage per generated
 //!   input, batch by batch (§IV-B of the paper).
@@ -34,11 +38,13 @@ pub mod map;
 pub mod space;
 
 pub use calculator::{BatchScores, Calculator, InputCoverage};
-pub use map::CovMap;
+pub use map::{Bins, CovMap};
 pub use space::{CondId, PointKind, Space, SpaceBuilder};
 
 /// Records the boolean `$cond` into `$map` under `$id` and evaluates to the
-/// condition's value, so instrumentation can wrap `if` expressions in place:
+/// condition's value, so instrumentation can wrap `if` expressions in place.
+/// `$map` is anything with a `hit(CondId, bool)` method: a [`CovMap`] or a
+/// unit's [`Bins`].
 ///
 /// ```
 /// use chatfuzz_coverage::{cover, CovMap, PointKind, SpaceBuilder};

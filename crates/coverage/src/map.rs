@@ -1,8 +1,108 @@
-//! Per-run coverage bitmaps.
+//! Per-run coverage bitmaps, and the one-word bin blocks a design unit
+//! fills while a run is in flight.
 
 use std::sync::Arc;
 
 use crate::space::{CondId, PointKind, Space};
+
+/// The bins of one block of consecutively registered conditions, at most
+/// [`Bins::MAX_CONDITIONS`], kept in one word.
+///
+/// A design unit registers its conditions one after another, keeps one
+/// `Bins` over them, and records into it with [`Bins::hit`] (or
+/// [`cover!`](crate::cover)) while a run is in flight: one OR into a
+/// word it owns, where [`CovMap::hit`] reads, bounds-checks and writes
+/// the run's map. [`Bins::drain_into`] then ORs the block into the map
+/// once, when the run ends. A map is a set of bins, so hitting through a
+/// block and draining it leaves the map exactly as hitting the map
+/// directly does.
+///
+/// # Examples
+///
+/// ```
+/// use chatfuzz_coverage::{cover, Bins, CovMap, PointKind, SpaceBuilder};
+///
+/// let mut b = SpaceBuilder::new("demo");
+/// let hit = b.register("fetch.hit", PointKind::Condition);
+/// let refill = b.register("fetch.refill", PointKind::Condition);
+/// let space = b.build();
+///
+/// let mut bins = Bins::new(hit, refill);
+/// cover!(bins, hit, true);
+/// bins.hit(refill, false);
+/// let mut map = CovMap::new(&space);
+/// bins.drain_into(&mut map);
+/// assert!(map.is_covered(hit, true) && map.is_covered(refill, false));
+/// assert_eq!(map.covered_bins(), 2);
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Bins {
+    /// Index of the block's first condition.
+    first: u32,
+    /// Conditions in the block, `1..=MAX_CONDITIONS`.
+    len: u32,
+    /// The block's bins: bin `2 * (id - first) + outcome` at the bit of
+    /// that index.
+    bits: u64,
+}
+
+impl Bins {
+    /// Most conditions one block holds: two bins each fill one word.
+    pub const MAX_CONDITIONS: usize = 32;
+
+    /// An empty block over the conditions `first..=last`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `last` comes before `first`, or if the block holds more
+    /// than [`Bins::MAX_CONDITIONS`] conditions.
+    pub fn new(first: CondId, last: CondId) -> Bins {
+        assert!(first.0 <= last.0, "Bins::new: last condition {} before first {}", last.0, first.0);
+        let len = last.0 - first.0 + 1;
+        assert!(
+            len as usize <= Bins::MAX_CONDITIONS,
+            "Bins::new: a block of {len} conditions exceeds {}",
+            Bins::MAX_CONDITIONS
+        );
+        Bins { first: first.0, len, bits: 0 }
+    }
+
+    /// Records one observation of the condition with the given outcome.
+    ///
+    /// `id` must lie in the block. Debug builds panic otherwise; release
+    /// builds do not check, so such a hit records a wrong bin of the block
+    /// or none, but never a bin outside it.
+    #[inline]
+    pub fn hit(&mut self, id: CondId, outcome: bool) {
+        let i = id.0.wrapping_sub(self.first);
+        debug_assert!(i < self.len, "Bins::hit: condition {} outside its block", id.0);
+        self.bits |= 1 << ((2 * i + u32::from(outcome)) & 63);
+    }
+
+    /// ORs the recorded bins into `map`, which must be over the space the
+    /// block's conditions were registered in, and empties the block.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the block lies beyond the end of `map`.
+    pub fn drain_into(&mut self, map: &mut CovMap) {
+        let bits = std::mem::take(&mut self.bits) & (u64::MAX >> (64 - 2 * self.len));
+        if bits == 0 {
+            return;
+        }
+        let bin = 2 * self.first as usize;
+        let (word, shift) = (bin / 64, bin % 64);
+        map.words[word] |= bits << shift;
+        if shift != 0 && bits >> (64 - shift) != 0 {
+            map.words[word + 1] |= bits >> (64 - shift);
+        }
+    }
+
+    /// Empties the block without recording anything.
+    pub fn clear(&mut self) {
+        self.bits = 0;
+    }
+}
 
 /// A bitmap over one space's coverage bins (two bins per condition:
 /// observed-true and observed-false).
@@ -386,6 +486,101 @@ mod tests {
                 prop_assert_eq!(m.covered_bins_of_kind(kind), covered_bins_of_kind_reference(&m, kind));
             }
         }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The `Bins` law: hits recorded through a block and drained leave
+        /// the words direct `CovMap::hit`s leave, over spaces of any size
+        /// (partial last words included) and blocks that start anywhere,
+        /// straddling a word boundary or not; a second drain adds nothing.
+        #[test]
+        fn hits_through_a_block_drain_to_the_words_direct_hits_leave(
+            points in 0usize..200,
+            start in any::<usize>(),
+            len in 1usize..=32,
+            hits in proptest::collection::vec((any::<usize>(), any::<bool>()), 0..80),
+            elsewhere in proptest::collection::vec((any::<usize>(), any::<bool>()), 0..8),
+        ) {
+            let mut b = SpaceBuilder::new("random");
+            let ids: Vec<CondId> =
+                (0..points).map(|i| b.register(format!("p{i}"), PointKind::Condition)).collect();
+            let space = b.build();
+            if points == 0 {
+                return Ok(());
+            }
+            let len = len.min(points);
+            let first = start % (points - len + 1);
+            let mut bins = Bins::new(ids[first], ids[first + len - 1]);
+            let (mut direct, mut drained) = (CovMap::new(&space), CovMap::new(&space));
+            for &(k, outcome) in &elsewhere {
+                direct.hit(ids[k % points], outcome);
+                drained.hit(ids[k % points], outcome);
+            }
+            for &(k, outcome) in &hits {
+                let id = ids[first + k % len];
+                bins.hit(id, outcome);
+                direct.hit(id, outcome);
+            }
+            bins.drain_into(&mut drained);
+            prop_assert_eq!(drained.words(), direct.words());
+            bins.drain_into(&mut drained);
+            prop_assert_eq!(drained.words(), direct.words(), "a second drain adds nothing");
+        }
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "outside its block")]
+    fn a_hit_outside_the_block_panics_in_debug_builds() {
+        let mut bins = Bins::new(CondId(1), CondId(2));
+        bins.hit(CondId(3), true);
+    }
+
+    #[test]
+    #[cfg(not(debug_assertions))]
+    fn a_hit_outside_the_block_lands_inside_it_or_nowhere_in_release_builds() {
+        let space = {
+            let mut b = SpaceBuilder::new("t");
+            b.register_array("p", 100, PointKind::Condition);
+            b.build()
+        };
+        // Three conditions, whose six bins straddle the first word boundary.
+        let block = 31..=33;
+        let mut bins = Bins::new(CondId(31), CondId(33));
+        for i in (0..100).filter(|i| !block.contains(i)) {
+            bins.hit(CondId(i), false);
+            bins.hit(CondId(i), true);
+        }
+        let mut map = CovMap::new(&space);
+        bins.drain_into(&mut map);
+        for i in (0..100).filter(|i| !block.contains(i)) {
+            assert!(!map.is_covered(CondId(i), false) && !map.is_covered(CondId(i), true), "{i}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "a block of 33 conditions exceeds 32")]
+    fn a_block_of_33_conditions_is_refused() {
+        Bins::new(CondId(7), CondId(39));
+    }
+
+    #[test]
+    fn a_block_of_32_conditions_fills_its_word() {
+        let space = {
+            let mut b = SpaceBuilder::new("t");
+            b.register_array("p", 40, PointKind::Condition);
+            b.build()
+        };
+        let mut bins = Bins::new(CondId(8), CondId(39));
+        for i in 8..40 {
+            bins.hit(CondId(i), false);
+            bins.hit(CondId(i), true);
+        }
+        let mut map = CovMap::new(&space);
+        bins.drain_into(&mut map);
+        assert_eq!(map.words(), [0xffff_ffff_ffff_0000, 0xffff]);
     }
 
     #[test]

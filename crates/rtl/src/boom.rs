@@ -14,7 +14,7 @@
 
 use std::sync::Arc;
 
-use chatfuzz_coverage::{cover, CondId, CovMap, PointKind, Space, SpaceBuilder};
+use chatfuzz_coverage::{cover, Bins, CondId, PointKind, Space, SpaceBuilder};
 use chatfuzz_isa::{Instr, Reg};
 use chatfuzz_softcore::arch::ArchExec;
 use chatfuzz_softcore::mem::{DEFAULT_RAM_BASE, DEFAULT_RAM_SIZE};
@@ -165,22 +165,34 @@ struct OutOfOrder {
     recent_len: usize,
     lsq_occ: usize,
     shadow_until: u64,
+    /// This run's bins of the conditions above.
+    bins: Bins,
 }
 
 impl OutOfOrder {
     fn register(cfg: &BoomConfig, b: &mut SpaceBuilder) -> OutOfOrder {
         let mut c = |n: &str| b.register(format!("boom.ooo.{n}"), PointKind::Condition);
+        let dual_issue = c("dual_issue");
+        let issue_dep_stall = c("issue_dep_stall");
+        let rob_half_full = c("rob_half_full");
+        let rob_full = c("rob_full");
+        let freelist_low = c("freelist_low");
+        let rename_realias = c("rename_realias");
+        let lsq_forward = c("lsq_forward");
+        let lsq_full = c("lsq_full");
+        let flush_recovery = c("flush_recovery");
+        let long_latency_shadow = c("long_latency_shadow");
         OutOfOrder {
-            dual_issue: c("dual_issue"),
-            issue_dep_stall: c("issue_dep_stall"),
-            rob_half_full: c("rob_half_full"),
-            rob_full: c("rob_full"),
-            freelist_low: c("freelist_low"),
-            rename_realias: c("rename_realias"),
-            lsq_forward: c("lsq_forward"),
-            lsq_full: c("lsq_full"),
-            flush_recovery: c("flush_recovery"),
-            long_latency_shadow: c("long_latency_shadow"),
+            dual_issue,
+            issue_dep_stall,
+            rob_half_full,
+            rob_full,
+            freelist_low,
+            rename_realias,
+            lsq_forward,
+            lsq_full,
+            flush_recovery,
+            long_latency_shadow,
             rob_entries: cfg.rob_entries,
             phys_regs: cfg.phys_regs,
             lsq_entries: cfg.lsq_entries,
@@ -192,12 +204,13 @@ impl OutOfOrder {
             recent_len: 0,
             lsq_occ: 0,
             shadow_until: 0,
+            bins: Bins::new(dual_issue, long_latency_shadow),
         }
     }
 
     /// Mispredict, xret and trap recovery: the ROB drains.
-    fn flush(&mut self, cov: &mut CovMap) {
-        cov.hit(self.flush_recovery, true);
+    fn flush(&mut self) {
+        self.bins.hit(self.flush_recovery, true);
         self.rob_occ = 0;
     }
 }
@@ -207,28 +220,28 @@ impl Backend for OutOfOrder {
     const SLOT_CYCLES: u64 = 0;
     const TRAPS: TrapRules = BOOM_TRAPS;
 
-    fn dispatch(&mut self, instr: &Instr, _arch: &ArchExec, now: u64, cov: &mut CovMap) -> u64 {
+    fn dispatch(&mut self, instr: &Instr, _arch: &ArchExec, now: u64) -> u64 {
         let dep_on_last = self.last_rd.is_some_and(|r| instr.sources().contains(&r));
-        cover!(cov, self.issue_dep_stall, dep_on_last);
+        cover!(self.bins, self.issue_dep_stall, dep_on_last);
         let pair =
             !dep_on_last && !self.last_was_paired && !instr.is_mem() && !instr.is_control_flow();
         // The second slot of a pair issues for free.
-        let mut stall = u64::from(!cover!(cov, self.dual_issue, pair));
+        let mut stall = u64::from(!cover!(self.bins, self.dual_issue, pair));
         self.last_was_paired = pair;
         if let Some(rd) = instr.rd() {
             let epoch = &mut self.rename_epoch[rd.index()];
-            cover!(cov, self.rename_realias, *epoch > 0);
+            cover!(self.bins, self.rename_realias, *epoch > 0);
             *epoch = epoch.wrapping_add(1);
         }
         self.rob_occ = (self.rob_occ + 1).min(self.rob_entries);
-        cover!(cov, self.rob_half_full, self.rob_occ >= self.rob_entries / 2);
-        if cover!(cov, self.rob_full, self.rob_occ >= self.rob_entries) {
+        cover!(self.bins, self.rob_half_full, self.rob_occ >= self.rob_entries / 2);
+        if cover!(self.bins, self.rob_full, self.rob_occ >= self.rob_entries) {
             stall += 1;
             self.rob_occ = self.rob_entries / 2; // drain burst
         }
         let free = self.phys_regs.saturating_sub(32 + self.rob_occ);
-        cover!(cov, self.freelist_low, free < 4);
-        cover!(cov, self.long_latency_shadow, now + stall < self.shadow_until);
+        cover!(self.bins, self.freelist_low, free < 4);
+        cover!(self.bins, self.long_latency_shadow, now + stall < self.shadow_until);
         stall
     }
 
@@ -240,13 +253,13 @@ impl Backend for OutOfOrder {
         latency / 4
     }
 
-    fn data_access(&mut self, mem: &MemEffect, access: DCacheAccess, cov: &mut CovMap) -> u64 {
+    fn data_access(&mut self, mem: &MemEffect, access: DCacheAccess) -> u64 {
         let mut cycles = access.cycles / 2; // partially hidden by OoO
         if !access.hit {
             self.rob_occ = (self.rob_occ + 3).min(self.rob_entries);
         }
         self.lsq_occ = (self.lsq_occ + 1).min(self.lsq_entries + 1);
-        if cover!(cov, self.lsq_full, self.lsq_occ > self.lsq_entries) {
+        if cover!(self.bins, self.lsq_full, self.lsq_occ > self.lsq_entries) {
             cycles += 1;
             self.lsq_occ = self.lsq_entries / 2;
         }
@@ -260,7 +273,7 @@ impl Backend for OutOfOrder {
             }
         } else {
             let forwarded = self.recent_stores[..self.recent_len].contains(&mem.addr);
-            cover!(cov, self.lsq_forward, forwarded);
+            cover!(self.bins, self.lsq_forward, forwarded);
         }
         cycles
     }
@@ -269,16 +282,20 @@ impl Backend for OutOfOrder {
         self.lsq_occ = self.lsq_occ.saturating_sub(1);
     }
 
-    fn redirect(&mut self, redirect: Redirect, cov: &mut CovMap) {
+    fn redirect(&mut self, redirect: Redirect) {
         if redirect != Redirect::Straight {
-            self.flush(cov);
+            self.flush();
         }
     }
 
-    fn trap(&mut self, cov: &mut CovMap) {
-        self.flush(cov);
+    fn trap(&mut self) {
+        self.flush();
         self.lsq_occ = 0;
         self.last_rd = None;
+    }
+
+    fn bins(&mut self) -> &mut Bins {
+        &mut self.bins
     }
 
     fn retire(&mut self, instr: &Instr) {

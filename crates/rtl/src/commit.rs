@@ -13,6 +13,21 @@
 //! [`ArchExec::trap`], the datapath the golden model's hart runs too; the
 //! loop adds only coverage, timing and backend effects around them.
 //!
+//! Each slot's commit record is written once. `execute` appends a retired
+//! instruction's record to the run's trace, and the loop then works on it
+//! in place (`records.last_mut()`): unit timing, retire coverage, deep
+//! state, the backend's write-back view and the tracer, which edits it. A
+//! taken trap's record is appended once and handed to the tracer in place.
+//!
+//! Each coverage bin is written into the run's map once. Decode-stage
+//! coverage goes straight into the map (through the [`DecodeMemo`] on the
+//! hot path), and so does the dead block, once per run. Every other
+//! condition belongs to a unit that keeps its bins in a [`Bins`] word of
+//! its own: the I-cache, the D-cache, the predictor, mul/div, the tracer,
+//! the backend, [`CoreIds`] (two blocks) and [`DeepState`]. Their resets
+//! at the start of a run empty them, and [`Core::run_inner`] drains them
+//! into the run's map once `commit` returns.
+//!
 //! A core is a [`Core`] over its [`Backend`], which supplies only what
 //! differs: the per-slot base cost, the dispatch conditions, how much
 //! mul/div and D-cache latency it hides, what a mispredict, an xret or a
@@ -22,7 +37,7 @@
 
 use std::sync::Arc;
 
-use chatfuzz_coverage::{CovMap, Space, SpaceBuilder};
+use chatfuzz_coverage::{Bins, CovMap, Space, SpaceBuilder};
 use chatfuzz_isa::{Exception, Instr, PrivLevel, Reg, SystemOp};
 use chatfuzz_softcore::arch::{ArchExec, ArchOutcome};
 use chatfuzz_softcore::mem::Memory;
@@ -85,7 +100,7 @@ pub(crate) enum Redirect {
 
 /// What a core adds to the shared commit loop. A backend's value at
 /// elaboration is its power-on state: the loop copies it back before each
-/// run.
+/// run, which also empties the [`Bins`] its hooks record into.
 pub(crate) trait Backend: Copy {
     /// Cycles every slot costs before its fetch, fetch faults included.
     const SLOT_CYCLES: u64;
@@ -94,24 +109,27 @@ pub(crate) trait Backend: Copy {
 
     /// Covers the dispatch conditions of `instr`, about to execute on
     /// `arch` at cycle `now`; returns the stall cycles.
-    fn dispatch(&mut self, instr: &Instr, arch: &ArchExec, now: u64, cov: &mut CovMap) -> u64;
+    fn dispatch(&mut self, instr: &Instr, arch: &ArchExec, now: u64) -> u64;
 
     /// Cycles a mul/div of `latency` issued at `now` costs the core.
     fn muldiv(&mut self, latency: u64, now: u64) -> u64;
 
     /// Cycles an in-RAM access `mem` costs the core, given the D-cache's
     /// answer.
-    fn data_access(&mut self, mem: &MemEffect, access: DCacheAccess, cov: &mut CovMap) -> u64;
+    fn data_access(&mut self, mem: &MemEffect, access: DCacheAccess) -> u64;
 
     /// A retired slot that accessed no memory.
     fn no_data_access(&mut self) {}
 
     /// Called once per retired slot, except correctly predicted branches
     /// and jumps and every `jal`.
-    fn redirect(&mut self, redirect: Redirect, cov: &mut CovMap);
+    fn redirect(&mut self, redirect: Redirect);
 
     /// A taken trap raised at one of [`Backend::TRAPS`]' `flushes` stages.
-    fn trap(&mut self, cov: &mut CovMap);
+    fn trap(&mut self);
+
+    /// The bins the hooks above record into, for the loop to drain.
+    fn bins(&mut self) -> &mut Bins;
 
     /// Bookkeeping after `instr` retired.
     fn retire(&mut self, instr: &Instr);
@@ -193,6 +211,7 @@ impl<B: Backend> Core<B> {
         let tracer = Tracer::new(params.tracer, &format!("{name}.tracer"), &mut b);
         let ids = CoreIds::register(name, params.dead_conds, &mut b);
         let deep = DeepIds::register(name, &mut b);
+        let deep_state = DeepState::new(&deep);
         let backend = backend(&mut b);
         Core {
             params,
@@ -206,7 +225,7 @@ impl<B: Backend> Core<B> {
             tracer,
             backend,
             power_on: backend,
-            deep_state: DeepState::new(),
+            deep_state,
             memo: None,
             arena: None,
         }
@@ -251,25 +270,37 @@ impl<B: Backend> Core<B> {
         &program[..program.len().min(self.params.ram_size as usize)]
     }
 
-    /// Resets the units and runs the commit loop. `arch` must be reset
-    /// with the program image loaded; `out` must be empty (scratch or
-    /// `reset_for`). The memo is observationally transparent, so passing
-    /// one only selects which *performance* profile runs.
+    /// Resets the units, which empties their bins, runs the commit loop,
+    /// and drains every unit's bins into the run's map. `arch` must be
+    /// reset with the program image loaded; `out` must be empty (scratch
+    /// or `reset_for`). The memo is observationally transparent, so
+    /// passing one only selects which *performance* profile runs.
     fn run_inner(&mut self, arch: &mut ArchExec, out: &mut DutRun, memo: Option<&mut DecodeMemo>) {
         self.icache.reset();
         self.dcache.reset();
         self.predictor.reset();
         self.muldiv.reset();
         self.tracer.reset();
+        self.ids.reset();
         self.backend = self.power_on;
         self.deep_state.clear();
         let DutRun { trace, coverage, cycles } = out;
         (trace.exit, *cycles) = self.commit(arch, &mut trace.records, coverage, memo);
+        self.icache.drain_into(coverage);
+        self.dcache.drain_into(coverage);
+        self.predictor.drain_into(coverage);
+        self.muldiv.drain_into(coverage);
+        self.tracer.drain_into(coverage);
+        self.ids.drain_into(coverage);
+        self.deep_state.drain_into(coverage);
+        self.backend.bins().drain_into(coverage);
     }
 
     /// The commit loop: one iteration per committed slot, retired
-    /// instruction or taken trap. Returns the exit reason and the cycles
-    /// spent.
+    /// instruction or taken trap, each appending its record to `records`.
+    /// Records decode-stage coverage and the dead block into `cov`, and
+    /// everything else into the units' bins. Returns the exit reason and
+    /// the cycles spent.
     fn commit(
         &mut self,
         arch: &mut ArchExec,
@@ -300,8 +331,8 @@ impl<B: Backend> Core<B> {
                 if !arch.mem.in_ram(pc, 4) {
                     break 'slot (Exception::InstrAccessFault { addr: pc }, 0, Stage::Fetch);
                 }
-                let predicted = self.predictor.predict(pc, cov);
-                let (word, ic_cycles) = self.icache.fetch(pc, &arch.mem, cov);
+                let predicted = self.predictor.predict(pc);
+                let (word, ic_cycles) = self.icache.fetch(pc, &arch.mem);
                 cycles += ic_cycles;
 
                 // ---- Decode ----
@@ -314,7 +345,7 @@ impl<B: Backend> Core<B> {
                 };
 
                 // ---- Dispatch ----
-                cycles += self.backend.dispatch(&instr, arch, cycles, cov);
+                cycles += self.backend.dispatch(&instr, arch, cycles);
                 let muldiv_ops = match instr {
                     Instr::MulDiv { op, rs1, rs2, word: w, .. } => {
                         Some((op, w, arch.reg(rs1), arch.reg(rs2)))
@@ -324,17 +355,17 @@ impl<B: Backend> Core<B> {
                 let from_priv = arch.csrs.priv_level;
 
                 // ---- Execute ----
-                let (next_pc, record, halt) = match arch.execute(instr, pc, word) {
-                    ArchOutcome::Next(record) => (pc.wrapping_add(4), record, None),
-                    ArchOutcome::Jump { target, record } => (target, record, None),
-                    ArchOutcome::Halt(reason, record) => (pc.wrapping_add(4), record, Some(reason)),
+                let (next_pc, halt) = match arch.execute(instr, pc, word, records) {
+                    ArchOutcome::Next => (pc.wrapping_add(4), None),
+                    ArchOutcome::Jump(target) => (target, None),
+                    ArchOutcome::Halt(reason) => (pc.wrapping_add(4), Some(reason)),
                     ArchOutcome::Trap(e) => {
                         // CSR/xret illegality conditions.
                         if matches!(e, Exception::IllegalInstr { .. }) {
                             match instr {
-                                Instr::Csr { .. } => self.ids.cover_illegal_system(true, cov),
+                                Instr::Csr { .. } => self.ids.cover_illegal_system(true),
                                 Instr::System(SystemOp::Mret | SystemOp::Sret) => {
-                                    self.ids.cover_illegal_system(false, cov)
+                                    self.ids.cover_illegal_system(false)
                                 }
                                 _ => {}
                             }
@@ -343,73 +374,72 @@ impl<B: Backend> Core<B> {
                     }
                 };
                 arch.csrs.tick_instret();
+                let record = appended(records);
 
                 // ---- Unit timing ----
                 if let Some((op, w, a, b)) = muldiv_ops {
-                    let latency = self.muldiv.issue(op, w, a, b, cycles, cov);
+                    let latency = self.muldiv.issue(op, w, a, b, cycles);
                     cycles += self.backend.muldiv(latency, cycles);
                 }
                 match record.mem {
                     Some(mem) => {
                         if arch.mem.in_ram(mem.addr, u64::from(mem.bytes)) {
                             let is_amo = matches!(instr, Instr::Amo { .. });
-                            let access = self.dcache.access(mem.addr, mem.is_store, is_amo, cov);
-                            cycles += self.backend.data_access(&mem, access, cov);
+                            let access = self.dcache.access(mem.addr, mem.is_store, is_amo);
+                            cycles += self.backend.data_access(&mem, access);
                         }
                         if mem.is_store {
-                            self.icache.on_store(mem.addr, u64::from(mem.bytes), cov);
+                            self.icache.on_store(mem.addr, u64::from(mem.bytes));
                         }
                     }
                     None => self.backend.no_data_access(),
                 }
                 if matches!(instr, Instr::FenceI) {
-                    cycles += self.icache.flush(cov);
+                    cycles += self.icache.flush();
                 }
 
                 // ---- Frontend resolution ----
                 let taken = next_pc != pc.wrapping_add(4);
                 match instr {
                     Instr::Branch { .. } => {
-                        let res = self.predictor.resolve_branch(pc, taken, next_pc, predicted, cov);
+                        let res = self.predictor.resolve_branch(pc, taken, next_pc, predicted);
                         if res.mispredicted {
-                            self.backend.redirect(Redirect::Mispredict, cov);
+                            self.backend.redirect(Redirect::Mispredict);
                         }
                         cycles += res.cycles;
                     }
                     Instr::Jal { rd, .. } => {
                         let link = rd == Reg::RA;
-                        let res =
-                            self.predictor.resolve_jump(pc, next_pc, link, false, predicted, cov);
+                        let res = self.predictor.resolve_jump(pc, next_pc, link, false, predicted);
                         cycles += res.cycles;
                     }
                     Instr::Jalr { rd, rs1, .. } => {
                         let (link, is_ret) = (rd == Reg::RA, rs1 == Reg::RA && rd == Reg::X0);
-                        let res =
-                            self.predictor.resolve_jump(pc, next_pc, link, is_ret, predicted, cov);
+                        let res = self.predictor.resolve_jump(pc, next_pc, link, is_ret, predicted);
                         if res.mispredicted {
-                            self.backend.redirect(Redirect::Mispredict, cov);
+                            self.backend.redirect(Redirect::Mispredict);
                         }
                         cycles += res.cycles;
                     }
                     Instr::System(SystemOp::Mret | SystemOp::Sret) => {
-                        self.ids.cover_xret(from_priv, arch.csrs.priv_level, cov);
-                        self.backend.redirect(Redirect::Xret, cov);
+                        self.ids.cover_xret(from_priv, arch.csrs.priv_level);
+                        self.backend.redirect(Redirect::Xret);
                         cycles += trap_penalty;
                     }
-                    _ => self.backend.redirect(Redirect::Straight, cov),
+                    _ => self.backend.redirect(Redirect::Straight),
                 }
 
                 // ---- Retire ----
                 let armed = arch.reservation.is_some();
-                self.ids.cover_retire(&instr, &record, next_pc, armed, &arch.mem, cov);
+                self.ids.cover_retire(&instr, record, next_pc, armed, &arch.mem);
                 let backward = match instr {
                     Instr::Branch { offset, .. } if offset < 0 && taken => Some(pc),
                     _ => None,
                 };
                 let mem_line = record.mem.map(|m| m.addr / 64);
-                deep.on_retire(&self.deep, &instr, record.priv_level, backward, mem_line, cov);
-                let raw_wb = self.backend.trace_writeback(&instr, &record, arch);
-                records.push(self.tracer.emit(record, Some(&instr), raw_wb, cov));
+                deep.on_retire(&self.deep, &instr, record.priv_level, backward, mem_line);
+                let raw_wb = self.backend.trace_writeback(&instr, record, arch);
+                self.tracer.emit(record, Some(&instr), raw_wb);
                 self.backend.retire(&instr);
 
                 if let Some(reason) = halt {
@@ -421,18 +451,19 @@ impl<B: Backend> Core<B> {
 
             // ---- Trap ----
             let entry = arch.trap(e, pc);
-            self.ids.cover_trap(&e, entry.from, entry.delegated, entry.taken.is_none(), cov);
+            self.ids.cover_trap(&e, entry.from, entry.delegated, entry.taken.is_none());
             let Some(trap) = entry.taken else {
                 return (ExitReason::UnhandledTrap(e), cycles);
             };
             cycles += trap_penalty;
             if B::TRAPS.ends_streak.contains(&stage) {
-                deep.on_trap(&self.deep, trap.to == PrivLevel::Supervisor, cov);
+                deep.on_trap(&self.deep, trap.to == PrivLevel::Supervisor);
             }
             if B::TRAPS.flushes.contains(&stage) {
-                self.backend.trap(cov);
+                self.backend.trap();
             }
-            records.push(self.tracer.emit(CommitRecord::trapped(pc, word, trap), None, None, cov));
+            records.push(CommitRecord::trapped(pc, word, trap));
+            self.tracer.emit(appended(records), None, None);
             traps += 1;
             if traps > max_traps {
                 return (ExitReason::TrapStorm, cycles);
@@ -441,6 +472,13 @@ impl<B: Backend> Core<B> {
         }
         (ExitReason::BudgetExhausted, cycles)
     }
+}
+
+/// The record the current slot just appended to `records`, to work on in
+/// place.
+#[inline]
+fn appended(records: &mut [CommitRecord]) -> &mut CommitRecord {
+    records.last_mut().expect("a committed slot appends its record")
 }
 
 #[cfg(test)]

@@ -1,6 +1,6 @@
 //! Multi-cycle multiply/divide unit (timing + condition coverage).
 
-use chatfuzz_coverage::{cover, CondId, CovMap, PointKind, SpaceBuilder};
+use chatfuzz_coverage::{cover, Bins, CondId, CovMap, PointKind, SpaceBuilder};
 use chatfuzz_isa::MulDivOp;
 
 /// Latency parameters of the mul/div unit.
@@ -38,6 +38,8 @@ pub struct MulDiv {
     cfg: MulDivConfig,
     busy_until: u64,
     ids: Ids,
+    /// This run's bins of `ids`, drained into the run's map when it ends.
+    bins: Bins,
 }
 
 impl MulDiv {
@@ -52,53 +54,52 @@ impl MulDiv {
             busy_stall: b.register(format!("{prefix}.busy_stall"), PointKind::Condition),
             high_half: b.register(format!("{prefix}.high_half"), PointKind::MuxSelect),
         };
-        MulDiv { cfg, busy_until: 0, ids }
+        MulDiv { cfg, busy_until: 0, bins: Bins::new(ids.is_div, ids.high_half), ids }
     }
 
-    /// Power-on reset (coverage registration is preserved).
+    /// Power-on reset: idles the unit and empties this run's bins
+    /// (coverage registration is preserved).
     pub fn reset(&mut self) {
         self.busy_until = 0;
+        self.bins.clear();
+    }
+
+    /// ORs this run's bins into `cov` and empties them.
+    pub(crate) fn drain_into(&mut self, cov: &mut CovMap) {
+        self.bins.drain_into(cov);
     }
 
     /// Issues an operation at absolute cycle `now`; returns the stall +
     /// execution cycles charged.
-    pub fn issue(
-        &mut self,
-        op: MulDivOp,
-        word: bool,
-        a: u64,
-        b: u64,
-        now: u64,
-        cov: &mut CovMap,
-    ) -> u64 {
-        let stall = if cover!(cov, self.ids.busy_stall, now < self.busy_until) {
+    pub fn issue(&mut self, op: MulDivOp, word: bool, a: u64, b: u64, now: u64) -> u64 {
+        let stall = if cover!(self.bins, self.ids.busy_stall, now < self.busy_until) {
             self.busy_until - now
         } else {
             0
         };
-        cover!(cov, self.ids.word_op, word);
+        cover!(self.bins, self.ids.word_op, word);
         cover!(
-            cov,
+            self.bins,
             self.ids.high_half,
             matches!(op, MulDivOp::Mulh | MulDivOp::Mulhsu | MulDivOp::Mulhu)
         );
-        let latency = if cover!(cov, self.ids.is_div, op.is_div_rem()) {
+        let latency = if cover!(self.bins, self.ids.is_div, op.is_div_rem()) {
             let divisor = if word { u64::from(b as u32) } else { b };
             let dividend = if word { u64::from(a as u32) } else { a };
-            cover!(cov, self.ids.div_by_zero, divisor == 0);
+            cover!(self.bins, self.ids.div_by_zero, divisor == 0);
             let overflow = if word {
                 a as u32 as i32 == i32::MIN && b as u32 as i32 == -1
             } else {
                 a as i64 == i64::MIN && b as i64 == -1
             };
-            cover!(cov, self.ids.signed_overflow, overflow);
-            if cover!(cov, self.ids.early_out, dividend < 0x1_0000 && divisor != 0) {
+            cover!(self.bins, self.ids.signed_overflow, overflow);
+            if cover!(self.bins, self.ids.early_out, dividend < 0x1_0000 && divisor != 0) {
                 self.cfg.div_early_latency
             } else {
                 self.cfg.div_latency
             }
         } else {
-            cov.hit(self.ids.div_by_zero, false);
+            self.bins.hit(self.ids.div_by_zero, false);
             self.cfg.mul_latency
         };
         self.busy_until = now + stall + latency;
@@ -118,18 +119,19 @@ mod tests {
 
     #[test]
     fn mul_is_fast_div_is_slow() {
-        let (mut md, mut cov) = setup();
-        let mul = md.issue(MulDivOp::Mul, false, 3, 4, 0, &mut cov);
-        let div = md.issue(MulDivOp::Div, false, u64::MAX / 2, 3, 1000, &mut cov);
+        let (mut md, _) = setup();
+        let mul = md.issue(MulDivOp::Mul, false, 3, 4, 0);
+        let div = md.issue(MulDivOp::Div, false, u64::MAX / 2, 3, 1000);
         assert!(mul < div);
     }
 
     #[test]
     fn early_out_for_small_dividend() {
         let (mut md, mut cov) = setup();
-        let fast = md.issue(MulDivOp::Divu, false, 100, 3, 0, &mut cov);
-        let slow = md.issue(MulDivOp::Divu, false, u64::MAX, 3, 1000, &mut cov);
+        let fast = md.issue(MulDivOp::Divu, false, 100, 3, 0);
+        let slow = md.issue(MulDivOp::Divu, false, u64::MAX, 3, 1000);
         assert!(fast < slow);
+        md.drain_into(&mut cov);
         assert!(cov.is_covered(md.ids.early_out, true));
         assert!(cov.is_covered(md.ids.early_out, false));
     }
@@ -137,9 +139,11 @@ mod tests {
     #[test]
     fn back_to_back_divs_stall() {
         let (mut md, mut cov) = setup();
-        let first = md.issue(MulDivOp::Div, false, u64::MAX / 2, 3, 0, &mut cov);
+        let first = md.issue(MulDivOp::Div, false, u64::MAX / 2, 3, 0);
+        md.drain_into(&mut cov);
         assert!(!cov.is_covered(md.ids.busy_stall, true));
-        let second = md.issue(MulDivOp::Div, false, u64::MAX / 2, 3, 1, &mut cov);
+        let second = md.issue(MulDivOp::Div, false, u64::MAX / 2, 3, 1);
+        md.drain_into(&mut cov);
         assert!(cov.is_covered(md.ids.busy_stall, true));
         assert!(second > first - 1, "second op pays the structural stall");
     }
@@ -147,7 +151,8 @@ mod tests {
     #[test]
     fn overflow_condition_detected() {
         let (mut md, mut cov) = setup();
-        md.issue(MulDivOp::Div, false, i64::MIN as u64, u64::MAX, 0, &mut cov);
+        md.issue(MulDivOp::Div, false, i64::MIN as u64, u64::MAX, 0);
+        md.drain_into(&mut cov);
         assert!(cov.is_covered(md.ids.signed_overflow, true));
     }
 
@@ -155,7 +160,8 @@ mod tests {
     fn word_div_by_zero_detected_on_low_half() {
         let (mut md, mut cov) = setup();
         // Divisor has non-zero high bits but zero low 32 bits.
-        md.issue(MulDivOp::Divu, true, 5, 0xffff_ffff_0000_0000, 0, &mut cov);
+        md.issue(MulDivOp::Divu, true, 5, 0xffff_ffff_0000_0000, 0);
+        md.drain_into(&mut cov);
         assert!(cov.is_covered(md.ids.div_by_zero, true));
     }
 }

@@ -1,6 +1,6 @@
 //! Frontend branch prediction: BTB + 2-bit BHT + return-address stack.
 
-use chatfuzz_coverage::{cover, CondId, CovMap, PointKind, SpaceBuilder};
+use chatfuzz_coverage::{cover, Bins, CondId, CovMap, PointKind, SpaceBuilder};
 
 /// Predictor sizing.
 #[derive(Debug, Clone, Copy)]
@@ -52,12 +52,19 @@ pub struct Predictor {
     bht: Vec<u8>,                 // 2-bit counters
     ras: Vec<u64>,
     ids: Ids,
+    /// This run's bins of `ids`, drained into the run's map when it ends.
+    bins: Bins,
 }
 
 impl Predictor {
     /// Builds the predictor and registers its coverage points.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the sizing cannot run.
     pub fn new(cfg: PredictorConfig, prefix: &str, b: &mut SpaceBuilder) -> Predictor {
         assert!(cfg.btb_entries.is_power_of_two() && cfg.bht_entries.is_power_of_two());
+        assert!(cfg.ras_depth >= 1, "PredictorConfig::ras_depth must be at least 1");
         let ids = Ids {
             btb_hit: b.register(format!("{prefix}.btb_hit"), PointKind::Condition),
             btb_evict: b.register(format!("{prefix}.btb_evict"), PointKind::Condition),
@@ -79,15 +86,23 @@ impl Predictor {
             btb: vec![None; cfg.btb_entries],
             bht: vec![1; cfg.bht_entries], // weakly not-taken
             ras: Vec::new(),
+            bins: Bins::new(ids.btb_hit, ids.ras_correct),
             ids,
         }
     }
 
-    /// Power-on reset (coverage registration is preserved).
+    /// Power-on reset: empties the tables and this run's bins (coverage
+    /// registration is preserved).
     pub fn reset(&mut self) {
         self.btb.fill(None);
         self.bht.fill(1);
         self.ras.clear();
+        self.bins.clear();
+    }
+
+    /// ORs this run's bins into `cov` and empties them.
+    pub(crate) fn drain_into(&mut self, cov: &mut CovMap) {
+        self.bins.drain_into(cov);
     }
 
     fn btb_index(&self, pc: u64) -> usize {
@@ -99,18 +114,18 @@ impl Predictor {
     }
 
     /// Frontend guess for the next PC after `pc`.
-    pub fn predict(&mut self, pc: u64, cov: &mut CovMap) -> Option<u64> {
+    pub fn predict(&mut self, pc: u64) -> Option<u64> {
         let entry = self.btb[self.btb_index(pc)];
         let hit = matches!(entry, Some((tag, _)) if tag == pc);
-        cover!(cov, self.ids.btb_hit, hit);
+        cover!(self.bins, self.ids.btb_hit, hit);
         if !hit {
             return None;
         }
         let (_, target) = entry.unwrap();
         let counter = self.bht[self.bht_index(pc)];
-        cover!(cov, self.ids.bht_sat_hi, counter == 3);
-        cover!(cov, self.ids.bht_sat_lo, counter == 0);
-        if cover!(cov, self.ids.bht_predict_taken, counter >= 2) {
+        cover!(self.bins, self.ids.bht_sat_hi, counter == 3);
+        cover!(self.bins, self.ids.bht_sat_lo, counter == 0);
+        if cover!(self.bins, self.ids.bht_predict_taken, counter >= 2) {
             Some(target)
         } else {
             None
@@ -125,12 +140,11 @@ impl Predictor {
         taken: bool,
         target: u64,
         predicted: Option<u64>,
-        cov: &mut CovMap,
     ) -> Resolution {
         let predicted_taken = predicted.is_some();
-        let dir_wrong = cover!(cov, self.ids.mispredict_dir, predicted_taken != taken);
+        let dir_wrong = cover!(self.bins, self.ids.mispredict_dir, predicted_taken != taken);
         let target_wrong = cover!(
-            cov,
+            self.bins,
             self.ids.mispredict_target,
             taken && predicted_taken && predicted != Some(target)
         );
@@ -143,7 +157,7 @@ impl Predictor {
         }
         // BTB update on taken.
         if taken {
-            self.update_btb(pc, target, cov);
+            self.update_btb(pc, target);
         }
         let mispredicted = dir_wrong || target_wrong;
         Resolution {
@@ -161,36 +175,35 @@ impl Predictor {
         is_call: bool,
         is_ret: bool,
         predicted: Option<u64>,
-        cov: &mut CovMap,
     ) -> Resolution {
         let mut guess = predicted;
         if is_ret {
             let empty = self.ras.is_empty();
-            cover!(cov, self.ids.ras_pop_empty, empty);
+            cover!(self.bins, self.ids.ras_pop_empty, empty);
             if let Some(top) = self.ras.pop() {
-                cover!(cov, self.ids.ras_correct, top == target);
+                cover!(self.bins, self.ids.ras_correct, top == target);
                 guess = Some(top);
             }
         }
         if is_call {
             let overflow = self.ras.len() >= self.cfg.ras_depth;
-            if cover!(cov, self.ids.ras_push_overflow, overflow) {
+            if cover!(self.bins, self.ids.ras_push_overflow, overflow) {
                 self.ras.remove(0);
             }
             self.ras.push(pc.wrapping_add(4));
         }
-        let wrong = cover!(cov, self.ids.mispredict_target, guess != Some(target));
-        self.update_btb(pc, target, cov);
+        let wrong = cover!(self.bins, self.ids.mispredict_target, guess != Some(target));
+        self.update_btb(pc, target);
         Resolution {
             mispredicted: wrong,
             cycles: if wrong { self.cfg.mispredict_penalty } else { 0 },
         }
     }
 
-    fn update_btb(&mut self, pc: u64, target: u64, cov: &mut CovMap) {
+    fn update_btb(&mut self, pc: u64, target: u64) {
         let idx = self.btb_index(pc);
         let evicting = matches!(self.btb[idx], Some((tag, _)) if tag != pc);
-        cover!(cov, self.ids.btb_evict, evicting);
+        cover!(self.bins, self.ids.btb_evict, evicting);
         self.btb[idx] = Some((pc, target));
     }
 }
@@ -208,41 +221,48 @@ mod tests {
 
     #[test]
     fn cold_predict_returns_none() {
-        let (mut p, mut cov) = setup();
-        assert_eq!(p.predict(0x8000_0000, &mut cov), None);
+        let (mut p, _) = setup();
+        assert_eq!(p.predict(0x8000_0000), None);
     }
 
     #[test]
     fn repeated_taken_branch_becomes_predicted() {
-        let (mut p, mut cov) = setup();
+        let (mut p, _) = setup();
         let pc = 0x8000_0010;
         let target = 0x8000_0000;
         // First resolution installs the BTB entry and bumps the counter.
-        let r1 = p.resolve_branch(pc, true, target, None, &mut cov);
+        let r1 = p.resolve_branch(pc, true, target, None);
         assert!(r1.mispredicted);
-        let guess = p.predict(pc, &mut cov);
-        let _ = p.resolve_branch(pc, true, target, guess, &mut cov);
+        let guess = p.predict(pc);
+        let _ = p.resolve_branch(pc, true, target, guess);
         // After two taken outcomes the counter is ≥2 and the BTB hits.
-        let guess = p.predict(pc, &mut cov);
+        let guess = p.predict(pc);
         assert_eq!(guess, Some(target));
-        let r3 = p.resolve_branch(pc, true, target, guess, &mut cov);
+        let r3 = p.resolve_branch(pc, true, target, guess);
         assert!(!r3.mispredicted);
         assert_eq!(r3.cycles, 0);
     }
 
     #[test]
     fn direction_flip_mispredicts() {
-        let (mut p, mut cov) = setup();
+        let (mut p, _) = setup();
         let pc = 0x8000_0010;
         for _ in 0..3 {
-            let guess = p.predict(pc, &mut cov);
-            p.resolve_branch(pc, true, 0x8000_0000, guess, &mut cov);
+            let guess = p.predict(pc);
+            p.resolve_branch(pc, true, 0x8000_0000, guess);
         }
-        let guess = p.predict(pc, &mut cov);
+        let guess = p.predict(pc);
         assert!(guess.is_some());
-        let r = p.resolve_branch(pc, false, 0x8000_0000, guess, &mut cov);
+        let r = p.resolve_branch(pc, false, 0x8000_0000, guess);
         assert!(r.mispredicted);
         assert!(r.cycles > 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "PredictorConfig::ras_depth must be at least 1")]
+    fn a_predictor_without_a_return_stack_is_refused() {
+        let cfg = PredictorConfig { ras_depth: 0, ..Default::default() };
+        Predictor::new(cfg, "bp", &mut SpaceBuilder::new("pred-test"));
     }
 
     #[test]
@@ -251,10 +271,11 @@ mod tests {
         let call_pc = 0x8000_0100;
         let callee = 0x8000_0200;
         // call: jal ra, callee
-        p.resolve_jump(call_pc, callee, true, false, None, &mut cov);
+        p.resolve_jump(call_pc, callee, true, false, None);
         // ret: jalr x0, 0(ra) -> target = call_pc + 4
-        let r = p.resolve_jump(callee + 0x10, call_pc + 4, false, true, None, &mut cov);
+        let r = p.resolve_jump(callee + 0x10, call_pc + 4, false, true, None);
         assert!(!r.mispredicted, "RAS should predict the return");
+        p.drain_into(&mut cov);
         assert!(cov.is_covered(p.ids.ras_correct, true));
     }
 
@@ -262,13 +283,15 @@ mod tests {
     fn ras_overflow_and_underflow_conditions() {
         let (mut p, mut cov) = setup();
         for i in 0..4u64 {
-            p.resolve_jump(0x8000_0000 + i * 8, 0x8000_1000, true, false, None, &mut cov);
+            p.resolve_jump(0x8000_0000 + i * 8, 0x8000_1000, true, false, None);
         }
+        p.drain_into(&mut cov);
         assert!(cov.is_covered(p.ids.ras_push_overflow, true));
         // Drain plus one extra pop.
         for i in 0..3u64 {
-            p.resolve_jump(0x8000_2000 + i * 8, 0x8000_0004, false, true, None, &mut cov);
+            p.resolve_jump(0x8000_2000 + i * 8, 0x8000_0004, false, true, None);
         }
+        p.drain_into(&mut cov);
         assert!(cov.is_covered(p.ids.ras_pop_empty, true));
     }
 }

@@ -25,7 +25,7 @@
 
 use std::sync::Arc;
 
-use chatfuzz_coverage::{cover, CondId, CovMap, PointKind, Space, SpaceBuilder};
+use chatfuzz_coverage::{cover, Bins, CondId, PointKind, Space, SpaceBuilder};
 use chatfuzz_isa::semantics::{alu, extend_loaded};
 use chatfuzz_isa::{Instr, Reg};
 use chatfuzz_softcore::arch::ArchExec;
@@ -187,20 +187,26 @@ struct InOrder {
     /// The old memory value of the dispatched AMO with `rd = x0`, for the
     /// tracer's Finding-2 port.
     amo_x0_old: Option<(Reg, u64)>,
+    /// This run's bins of the conditions above.
+    bins: Bins,
 }
 
 impl InOrder {
     fn register(b: &mut SpaceBuilder) -> InOrder {
+        let [load_use_stall, bypass_ex_ex, bypass_mem_ex, csr_serialize, flush_on_xret] =
+            ["load_use_stall", "bypass_ex_ex", "bypass_mem_ex", "csr_serialize", "flush_on_xret"]
+                .map(|n| b.register(format!("rocket.pipe.{n}"), PointKind::Condition));
         InOrder {
-            load_use_stall: b.register("rocket.pipe.load_use_stall", PointKind::Condition),
-            bypass_ex_ex: b.register("rocket.pipe.bypass_ex_ex", PointKind::Condition),
-            bypass_mem_ex: b.register("rocket.pipe.bypass_mem_ex", PointKind::Condition),
-            csr_serialize: b.register("rocket.pipe.csr_serialize", PointKind::Condition),
-            flush_on_xret: b.register("rocket.pipe.flush_on_xret", PointKind::Condition),
+            load_use_stall,
+            bypass_ex_ex,
+            bypass_mem_ex,
+            csr_serialize,
+            flush_on_xret,
             prev_alu_rd: None,
             prev_prev_rd: None,
             prev_load_rd: None,
             amo_x0_old: None,
+            bins: Bins::new(load_use_stall, flush_on_xret),
         }
     }
 }
@@ -212,16 +218,16 @@ impl Backend for InOrder {
 
     /// Hazards and CSR serialisation; also captures what an AMO into `x0`
     /// loads, before it executes.
-    fn dispatch(&mut self, instr: &Instr, arch: &ArchExec, _now: u64, cov: &mut CovMap) -> u64 {
+    fn dispatch(&mut self, instr: &Instr, arch: &ArchExec, _now: u64) -> u64 {
         let sources = instr.sources();
         let reads = |rd: Option<Reg>| rd.is_some_and(|r| sources.contains(&r));
         let mut stall = 0;
-        if cover!(cov, self.load_use_stall, reads(self.prev_load_rd)) {
+        if cover!(self.bins, self.load_use_stall, reads(self.prev_load_rd)) {
             stall += 1;
         }
-        cover!(cov, self.bypass_ex_ex, reads(self.prev_alu_rd));
-        cover!(cov, self.bypass_mem_ex, reads(self.prev_prev_rd));
-        if cover!(cov, self.csr_serialize, matches!(instr, Instr::Csr { .. })) {
+        cover!(self.bins, self.bypass_ex_ex, reads(self.prev_alu_rd));
+        cover!(self.bins, self.bypass_mem_ex, reads(self.prev_prev_rd));
+        if cover!(self.bins, self.csr_serialize, matches!(instr, Instr::Csr { .. })) {
             stall += 2;
         }
         self.amo_x0_old = match *instr {
@@ -240,20 +246,24 @@ impl Backend for InOrder {
         latency
     }
 
-    fn data_access(&mut self, _mem: &MemEffect, access: DCacheAccess, _cov: &mut CovMap) -> u64 {
+    fn data_access(&mut self, _mem: &MemEffect, access: DCacheAccess) -> u64 {
         access.cycles
     }
 
-    fn redirect(&mut self, redirect: Redirect, cov: &mut CovMap) {
+    fn redirect(&mut self, redirect: Redirect) {
         if redirect != Redirect::Mispredict {
-            cov.hit(self.flush_on_xret, redirect == Redirect::Xret);
+            self.bins.hit(self.flush_on_xret, redirect == Redirect::Xret);
         }
     }
 
     /// Clears the hazard registers (not `prev_prev_rd`).
-    fn trap(&mut self, _cov: &mut CovMap) {
+    fn trap(&mut self) {
         self.prev_alu_rd = None;
         self.prev_load_rd = None;
+    }
+
+    fn bins(&mut self) -> &mut Bins {
+        &mut self.bins
     }
 
     fn retire(&mut self, instr: &Instr) {

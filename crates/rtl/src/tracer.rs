@@ -13,7 +13,7 @@
 //! All three are *trace-only*: architectural state is unaffected, exactly as
 //! the paper describes.
 
-use chatfuzz_coverage::{cover, CondId, CovMap, PointKind, SpaceBuilder};
+use chatfuzz_coverage::{cover, Bins, CondId, CovMap, PointKind, SpaceBuilder};
 use chatfuzz_isa::{Instr, Reg};
 use chatfuzz_softcore::trace::CommitRecord;
 
@@ -55,6 +55,8 @@ pub struct Tracer {
     /// Destination of the previous ALU-class instruction (for Finding 3).
     prev_alu_rd: Option<Reg>,
     ids: Ids,
+    /// This run's bins of `ids`, drained into the run's map when it ends.
+    bins: Bins,
 }
 
 impl Tracer {
@@ -68,44 +70,54 @@ impl Tracer {
                 .register(format!("{prefix}.bypass_x0_emitted"), PointKind::Condition),
             trap_slot: b.register(format!("{prefix}.trap_slot"), PointKind::Condition),
         };
-        Tracer { bugs, prev_alu_rd: None, ids }
+        Tracer {
+            bugs,
+            prev_alu_rd: None,
+            bins: Bins::new(ids.muldiv_suppressed, ids.trap_slot),
+            ids,
+        }
     }
 
-    /// Clears sequence-tracking state (new program).
+    /// Clears sequence-tracking state and this run's bins (new program).
     pub fn reset(&mut self) {
         self.prev_alu_rd = None;
+        self.bins.clear();
     }
 
-    /// Transforms the architecturally-correct record into what RocketCore's
-    /// tracer actually logs. `instr` is the decoded instruction (`None` when
-    /// the fetch/decode itself trapped); `raw_wb` is the write-back value
-    /// including suppressed-`x0` destinations.
+    /// ORs this run's bins into `cov` and empties them.
+    pub(crate) fn drain_into(&mut self, cov: &mut CovMap) {
+        self.bins.drain_into(cov);
+    }
+
+    /// Turns the architecturally-correct record, in place on the trace,
+    /// into what RocketCore's tracer actually logs. `instr` is the decoded
+    /// instruction (`None` when the fetch/decode itself trapped); `raw_wb`
+    /// is the write-back value including suppressed-`x0` destinations.
     pub fn emit(
         &mut self,
-        mut record: CommitRecord,
+        record: &mut CommitRecord,
         instr: Option<&Instr>,
         raw_wb: Option<(Reg, u64)>,
-        cov: &mut CovMap,
-    ) -> CommitRecord {
-        cover!(cov, self.ids.trap_slot, record.trap.is_some());
+    ) {
+        cover!(self.bins, self.ids.trap_slot, record.trap.is_some());
         let Some(instr) = instr else {
             self.prev_alu_rd = None;
-            return record;
+            return;
         };
         if record.trap.is_some() {
             self.prev_alu_rd = None;
-            return record;
+            return;
         }
         // BUG2: mul/div write-backs never reach the trace port.
         if let Instr::MulDiv { .. } = instr {
-            if cover!(cov, self.ids.muldiv_suppressed, self.bugs.bug2_muldiv_omit) {
+            if cover!(self.bins, self.ids.muldiv_suppressed, self.bugs.bug2_muldiv_omit) {
                 record.rd_write = None;
             }
         }
         // Finding 2: AMO with rd = x0 logs the loaded value anyway.
         if let Instr::Amo { rd, .. } = instr {
             let fires = self.bugs.f2_amo_x0 && rd.is_zero();
-            if cover!(cov, self.ids.amo_x0_emitted, fires) {
+            if cover!(self.bins, self.ids.amo_x0_emitted, fires) {
                 if let Some((r, v)) = raw_wb {
                     record.rd_write = Some((r, v));
                 }
@@ -122,7 +134,7 @@ impl Tracer {
                 && rd.is_zero()
                 && !rs1.is_zero()
                 && self.prev_alu_rd == Some(rs1);
-            if cover!(cov, self.ids.bypass_x0_emitted, fires) {
+            if cover!(self.bins, self.ids.bypass_x0_emitted, fires) {
                 if let Some((r, v)) = raw_wb {
                     record.rd_write = Some((r, v));
                 }
@@ -131,7 +143,6 @@ impl Tracer {
         } else {
             self.prev_alu_rd = None;
         }
-        record
     }
 }
 
@@ -160,20 +171,22 @@ mod tests {
 
     #[test]
     fn bug2_suppresses_muldiv_writeback() {
-        let (mut t, mut cov) = setup(TracerBugs::all_on());
+        let (mut t, _) = setup(TracerBugs::all_on());
         let a0 = Reg::new(10).unwrap();
         let instr = Instr::MulDiv { op: MulDivOp::Mul, rd: a0, rs1: a0, rs2: a0, word: false };
-        let out = t.emit(record(Some((a0, 42))), Some(&instr), Some((a0, 42)), &mut cov);
+        let mut out = record(Some((a0, 42)));
+        t.emit(&mut out, Some(&instr), Some((a0, 42)));
         assert_eq!(out.rd_write, None);
 
-        let (mut t, mut cov) = setup(TracerBugs::all_off());
-        let out = t.emit(record(Some((a0, 42))), Some(&instr), Some((a0, 42)), &mut cov);
+        let (mut t, _) = setup(TracerBugs::all_off());
+        let mut out = record(Some((a0, 42)));
+        t.emit(&mut out, Some(&instr), Some((a0, 42)));
         assert_eq!(out.rd_write, Some((a0, 42)));
     }
 
     #[test]
     fn f2_emits_x0_write_for_amo() {
-        let (mut t, mut cov) = setup(TracerBugs::all_on());
+        let (mut t, _) = setup(TracerBugs::all_on());
         let a0 = Reg::new(10).unwrap();
         let instr = Instr::Amo {
             op: AmoOp::Or,
@@ -185,30 +198,34 @@ mod tests {
             rl: false,
         };
         // Architecturally rd_write is None (x0), but the tracer leaks it.
-        let out = t.emit(record(None), Some(&instr), Some((Reg::X0, 0x77)), &mut cov);
+        let mut out = record(None);
+        t.emit(&mut out, Some(&instr), Some((Reg::X0, 0x77)));
         assert_eq!(out.rd_write, Some((Reg::X0, 0x77)));
     }
 
     #[test]
     fn f3_emits_x0_write_only_for_dependent_sequences() {
-        let (mut t, mut cov) = setup(TracerBugs::all_on());
+        let (mut t, _) = setup(TracerBugs::all_on());
         let a1 = Reg::new(11).unwrap();
         let producer = Instr::OpImm { op: AluOp::Add, rd: a1, rs1: a1, imm: 1, word: false };
         let consumer = Instr::Op { op: AluOp::Add, rd: Reg::X0, rs1: a1, rs2: a1, word: false };
-        let out = t.emit(record(Some((a1, 5))), Some(&producer), Some((a1, 5)), &mut cov);
+        let mut out = record(Some((a1, 5)));
+        t.emit(&mut out, Some(&producer), Some((a1, 5)));
         assert_eq!(out.rd_write, Some((a1, 5)));
-        let out = t.emit(record(None), Some(&consumer), Some((Reg::X0, 10)), &mut cov);
+        let mut out = record(None);
+        t.emit(&mut out, Some(&consumer), Some((Reg::X0, 10)));
         assert_eq!(out.rd_write, Some((Reg::X0, 10)), "dependent x0 write leaks");
         // Without the dependency (prev rd != rs1) no leak.
         t.reset();
         let indep = Instr::Op { op: AluOp::Add, rd: Reg::X0, rs1: a1, rs2: a1, word: false };
-        let out = t.emit(record(None), Some(&indep), Some((Reg::X0, 10)), &mut cov);
+        let mut out = record(None);
+        t.emit(&mut out, Some(&indep), Some((Reg::X0, 10)));
         assert_eq!(out.rd_write, None);
     }
 
     #[test]
     fn trap_slots_pass_through_untouched() {
-        let (mut t, mut cov) = setup(TracerBugs::all_on());
+        let (mut t, _) = setup(TracerBugs::all_on());
         let mut r = record(None);
         r.trap = Some(chatfuzz_softcore::trace::TrapRecord {
             exception: chatfuzz_isa::Exception::IllegalInstr { word: 0 },
@@ -216,7 +233,8 @@ mod tests {
             to: PrivLevel::Machine,
             handler_pc: 0x100,
         });
-        let out = t.emit(r.clone(), None, None, &mut cov);
+        let mut out = r.clone();
+        t.emit(&mut out, None, None);
         assert_eq!(out, r);
     }
 }

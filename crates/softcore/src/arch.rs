@@ -11,6 +11,14 @@
 //! order (the paper's Finding 1), which the golden model leaves off;
 //! everything else that sets a buggy core apart (stale instruction fetch,
 //! tracer omissions) is injected by the core models around it.
+//!
+//! [`ArchExec::execute`] writes each committed slot's [`CommitRecord`]
+//! once, straight onto the trace its caller passes in, and returns an
+//! [`ArchOutcome`] without a payload. The caller then reads and edits
+//! that record in place (`records.last_mut()`): the golden hart leaves it
+//! as it is, and the cores' commit loop covers it, times it and hands it
+//! to their tracer. A slot that traps appends nothing here; its record
+//! is the taken trap's, appended by the caller.
 
 use chatfuzz_isa::semantics::{alu, amo, branch_taken, extend_loaded, muldiv};
 use chatfuzz_isa::{CsrSrc, Exception, Instr, MemWidth, PrivLevel, Reg, SystemOp};
@@ -19,22 +27,23 @@ use crate::csr::CsrFile;
 use crate::mem::Memory;
 use crate::trace::{CommitRecord, ExitReason, MemEffect, TrapRecord};
 
-/// Result of executing one decoded instruction architecturally.
-#[derive(Debug, Clone)]
+/// What executing one decoded instruction did.
+///
+/// An instruction that commits has already appended its [`CommitRecord`]
+/// to the trace [`ArchExec::execute`] was given, so the outcome carries
+/// only where control goes next; one that raises an exception appends
+/// nothing.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ArchOutcome {
-    /// Fall through to `pc + 4`.
-    Next(CommitRecord),
-    /// Control transfer to `target` (branch taken, jump, xret).
-    Jump {
-        /// The new PC.
-        target: u64,
-        /// The commit record.
-        record: CommitRecord,
-    },
+    /// Committed; fall through to `pc + 4`.
+    Next,
+    /// Committed; control transfers to this target (branch taken, jump,
+    /// xret).
+    Jump(u64),
     /// The instruction raised a synchronous exception (not yet taken).
     Trap(Exception),
-    /// The run must halt after committing this record.
-    Halt(ExitReason, CommitRecord),
+    /// Committed; the run must halt.
+    Halt(ExitReason),
 }
 
 /// A synchronous trap as [`ArchExec::trap`] entered it.
@@ -151,101 +160,112 @@ impl ArchExec {
         }
     }
 
-    /// Executes one decoded instruction fetched from `pc` as `word`.
+    /// Executes one decoded instruction fetched from `pc` as `word`, and
+    /// appends its commit record to `records` if it commits.
     ///
     /// The caller is responsible for the fetch itself — including any
     /// stale-instruction-cache behaviour — and for entering the trap
     /// ([`ArchExec::trap`]) if `ArchOutcome::Trap` is returned.
     #[inline]
-    pub fn execute(&mut self, instr: Instr, pc: u64, word: u32) -> ArchOutcome {
+    pub fn execute(
+        &mut self,
+        instr: Instr,
+        pc: u64,
+        word: u32,
+        records: &mut Vec<CommitRecord>,
+    ) -> ArchOutcome {
+        use ArchOutcome::{Halt, Jump, Next, Trap};
         let priv_level = self.csrs.priv_level;
-        let record =
-            |rd_write, mem| CommitRecord { pc, word, priv_level, rd_write, mem, trap: None };
         // The trace never reports x0 as a destination.
         let vis = |rd: Reg, v: u64| (!rd.is_zero()).then_some((rd, v));
+        let mut commit = |rd_write, mem, outcome| {
+            records.push(CommitRecord { pc, word, priv_level, rd_write, mem, trap: None });
+            outcome
+        };
         match instr {
             Instr::Lui { rd, imm } => {
                 self.set_reg(rd, imm as u64);
-                ArchOutcome::Next(record(vis(rd, imm as u64), None))
+                commit(vis(rd, imm as u64), None, Next)
             }
             Instr::Auipc { rd, imm } => {
                 let v = pc.wrapping_add(imm as u64);
                 self.set_reg(rd, v);
-                ArchOutcome::Next(record(vis(rd, v), None))
+                commit(vis(rd, v), None, Next)
             }
             Instr::Jal { rd, offset } => {
                 let target = pc.wrapping_add(offset as u64);
                 if !target.is_multiple_of(4) {
-                    return ArchOutcome::Trap(Exception::InstrAddrMisaligned { addr: target });
+                    return Trap(Exception::InstrAddrMisaligned { addr: target });
                 }
                 let link = pc.wrapping_add(4);
                 self.set_reg(rd, link);
-                ArchOutcome::Jump { target, record: record(vis(rd, link), None) }
+                commit(vis(rd, link), None, Jump(target))
             }
             Instr::Jalr { rd, rs1, offset } => {
                 let target = self.reg(rs1).wrapping_add(offset as u64) & !1;
                 if !target.is_multiple_of(4) {
-                    return ArchOutcome::Trap(Exception::InstrAddrMisaligned { addr: target });
+                    return Trap(Exception::InstrAddrMisaligned { addr: target });
                 }
                 let link = pc.wrapping_add(4);
                 self.set_reg(rd, link);
-                ArchOutcome::Jump { target, record: record(vis(rd, link), None) }
+                commit(vis(rd, link), None, Jump(target))
             }
             Instr::Branch { cond, rs1, rs2, offset } => {
                 if branch_taken(cond, self.reg(rs1), self.reg(rs2)) {
                     let target = pc.wrapping_add(offset as u64);
                     if !target.is_multiple_of(4) {
-                        return ArchOutcome::Trap(Exception::InstrAddrMisaligned { addr: target });
+                        return Trap(Exception::InstrAddrMisaligned { addr: target });
                     }
-                    ArchOutcome::Jump { target, record: record(None, None) }
+                    commit(None, None, Jump(target))
                 } else {
-                    ArchOutcome::Next(record(None, None))
+                    commit(None, None, Next)
                 }
             }
             Instr::Load { width, signed, rd, rs1, offset } => {
                 let addr = self.reg(rs1).wrapping_add(offset as u64);
                 if let Err(e) = self.check_data_addr(addr, width, Access::Load) {
-                    return ArchOutcome::Trap(e);
+                    return Trap(e);
                 }
                 let v = extend_loaded(self.mem.read_raw(addr, width.bytes()), width, signed);
                 self.set_reg(rd, v);
                 let mem = MemEffect { addr, bytes: width.bytes() as u8, is_store: false, value: v };
-                ArchOutcome::Next(record(vis(rd, v), Some(mem)))
+                commit(vis(rd, v), Some(mem), Next)
             }
             Instr::Store { width, rs2, rs1, offset } => {
                 let addr = self.reg(rs1).wrapping_add(offset as u64);
                 if let Err(e) = self.check_data_addr(addr, width, Access::Store) {
-                    return ArchOutcome::Trap(e);
+                    return Trap(e);
                 }
                 let value = self.reg(rs2);
                 self.reservation = None;
                 let mem =
                     Some(MemEffect { addr, bytes: width.bytes() as u8, is_store: true, value });
                 if self.mem.is_tohost(addr) {
-                    return ArchOutcome::Halt(ExitReason::ToHost(value), record(None, mem));
+                    commit(None, mem, Halt(ExitReason::ToHost(value)))
+                } else {
+                    self.mem.write_raw(addr, width.bytes(), value);
+                    commit(None, mem, Next)
                 }
-                self.mem.write_raw(addr, width.bytes(), value);
-                ArchOutcome::Next(record(None, mem))
             }
             Instr::OpImm { op, rd, rs1, imm, word: w } => {
                 let v = alu(op, self.reg(rs1), imm as u64, w);
                 self.set_reg(rd, v);
-                ArchOutcome::Next(record(vis(rd, v), None))
+                commit(vis(rd, v), None, Next)
             }
             Instr::Op { op, rd, rs1, rs2, word: w } => {
                 let v = alu(op, self.reg(rs1), self.reg(rs2), w);
                 self.set_reg(rd, v);
-                ArchOutcome::Next(record(vis(rd, v), None))
+                commit(vis(rd, v), None, Next)
             }
             Instr::MulDiv { op, rd, rs1, rs2, word: w } => {
                 let v = muldiv(op, self.reg(rs1), self.reg(rs2), w);
                 self.set_reg(rd, v);
-                ArchOutcome::Next(record(vis(rd, v), None))
+                commit(vis(rd, v), None, Next)
             }
             Instr::Amo { op, width, rd, rs1, rs2, .. } => {
                 let addr = self.reg(rs1);
                 if let Err(e) = self.check_data_addr(addr, width, Access::Amo) {
-                    return ArchOutcome::Trap(e);
+                    return Trap(e);
                 }
                 let old_raw = self.mem.read_raw(addr, width.bytes());
                 let old = extend_loaded(old_raw, width, true);
@@ -255,23 +275,23 @@ impl ArchExec {
                 self.set_reg(rd, old);
                 let mem =
                     MemEffect { addr, bytes: width.bytes() as u8, is_store: true, value: new };
-                ArchOutcome::Next(record(vis(rd, old), Some(mem)))
+                commit(vis(rd, old), Some(mem), Next)
             }
             Instr::LoadReserved { width, rd, rs1, .. } => {
                 let addr = self.reg(rs1);
                 if let Err(e) = self.check_data_addr(addr, width, Access::Load) {
-                    return ArchOutcome::Trap(e);
+                    return Trap(e);
                 }
                 let v = extend_loaded(self.mem.read_raw(addr, width.bytes()), width, true);
                 self.reservation = Some(addr);
                 self.set_reg(rd, v);
                 let mem = MemEffect { addr, bytes: width.bytes() as u8, is_store: false, value: v };
-                ArchOutcome::Next(record(vis(rd, v), Some(mem)))
+                commit(vis(rd, v), Some(mem), Next)
             }
             Instr::StoreConditional { width, rd, rs1, rs2, .. } => {
                 let addr = self.reg(rs1);
                 if let Err(e) = self.check_data_addr(addr, width, Access::Amo) {
-                    return ArchOutcome::Trap(e);
+                    return Trap(e);
                 }
                 let success = self.reservation == Some(addr);
                 self.reservation = None;
@@ -282,7 +302,7 @@ impl ArchExec {
                     self.mem.write_raw(addr, width.bytes(), value);
                     MemEffect { addr, bytes: width.bytes() as u8, is_store: true, value }
                 });
-                ArchOutcome::Next(record(vis(rd, result), mem))
+                commit(vis(rd, result), mem, Next)
             }
             Instr::Csr { op, rd, csr, src } => {
                 let (src_value, src_is_zero_arg) = match src {
@@ -292,51 +312,47 @@ impl ArchExec {
                 match self.csrs.execute(op, csr, src_value, src_is_zero_arg) {
                     Ok(old) => {
                         self.set_reg(rd, old);
-                        ArchOutcome::Next(record(vis(rd, old), None))
+                        commit(vis(rd, old), None, Next)
                     }
-                    Err(_) => ArchOutcome::Trap(Exception::IllegalInstr { word }),
+                    Err(_) => Trap(Exception::IllegalInstr { word }),
                 }
             }
-            Instr::Fence { .. } => ArchOutcome::Next(record(None, None)),
+            Instr::Fence { .. } => commit(None, None, Next),
             // Memory is coherent here, so fence.i is architecturally a
             // no-op. (The Rocket model's I-cache is NOT coherent without
             // it — that is injected BUG1.)
             Instr::FenceI => {
                 self.reservation = None;
-                ArchOutcome::Next(record(None, None))
+                commit(None, None, Next)
             }
-            Instr::System(SystemOp::Ecall) => {
-                ArchOutcome::Trap(Exception::Ecall { from: self.csrs.priv_level })
-            }
-            Instr::System(SystemOp::Ebreak) => {
-                ArchOutcome::Trap(Exception::Breakpoint { addr: pc })
-            }
+            Instr::System(SystemOp::Ecall) => Trap(Exception::Ecall { from: self.csrs.priv_level }),
+            Instr::System(SystemOp::Ebreak) => Trap(Exception::Breakpoint { addr: pc }),
             Instr::System(SystemOp::Mret) => match self.csrs.mret() {
                 Ok(target) => {
                     self.reservation = None;
-                    ArchOutcome::Jump { target, record: record(None, None) }
+                    commit(None, None, Jump(target))
                 }
-                Err(_) => ArchOutcome::Trap(Exception::IllegalInstr { word }),
+                Err(_) => Trap(Exception::IllegalInstr { word }),
             },
             Instr::System(SystemOp::Sret) => match self.csrs.sret() {
                 Ok(target) => {
                     self.reservation = None;
-                    ArchOutcome::Jump { target, record: record(None, None) }
+                    commit(None, None, Jump(target))
                 }
-                Err(_) => ArchOutcome::Trap(Exception::IllegalInstr { word }),
+                Err(_) => Trap(Exception::IllegalInstr { word }),
             },
             Instr::System(SystemOp::Wfi) => {
                 if self.csrs.wfi_is_illegal() {
-                    ArchOutcome::Trap(Exception::IllegalInstr { word })
+                    Trap(Exception::IllegalInstr { word })
                 } else {
-                    ArchOutcome::Halt(ExitReason::Wfi, record(None, None))
+                    commit(None, None, Halt(ExitReason::Wfi))
                 }
             }
             Instr::SfenceVma { .. } => {
                 if self.csrs.sfence_is_illegal() {
-                    ArchOutcome::Trap(Exception::IllegalInstr { word })
+                    Trap(Exception::IllegalInstr { word })
                 } else {
-                    ArchOutcome::Next(record(None, None))
+                    commit(None, None, Next)
                 }
             }
         }
@@ -362,14 +378,14 @@ mod tests {
         // Address 0x3: misaligned AND outside RAM.
         let mut spec = exec(false);
         spec.set_reg(t0, 3);
-        match spec.execute(load, DEFAULT_RAM_BASE, 0) {
+        match spec.execute(load, DEFAULT_RAM_BASE, 0, &mut Vec::new()) {
             ArchOutcome::Trap(Exception::LoadAddrMisaligned { addr: 3 }) => {}
             other => panic!("spec order: expected misaligned, got {other:?}"),
         }
 
         let mut rocket = exec(true);
         rocket.set_reg(t0, 3);
-        match rocket.execute(load, DEFAULT_RAM_BASE, 0) {
+        match rocket.execute(load, DEFAULT_RAM_BASE, 0, &mut Vec::new()) {
             ArchOutcome::Trap(Exception::LoadAccessFault { addr: 3 }) => {}
             other => panic!("rocket order: expected access fault, got {other:?}"),
         }
@@ -384,7 +400,7 @@ mod tests {
         for pma_first in [false, true] {
             let mut e = exec(pma_first);
             e.set_reg(t0, DEFAULT_RAM_BASE + 1);
-            match e.execute(load, DEFAULT_RAM_BASE, 0) {
+            match e.execute(load, DEFAULT_RAM_BASE, 0, &mut Vec::new()) {
                 ArchOutcome::Trap(Exception::LoadAddrMisaligned { .. }) => {}
                 other => panic!("expected misaligned, got {other:?}"),
             }
@@ -406,7 +422,7 @@ mod tests {
         };
         let mut e = exec(false);
         e.set_reg(t0, DEFAULT_RAM_BASE + 4); // aligned to 4, not 8
-        match e.execute(amo_instr, DEFAULT_RAM_BASE, 0) {
+        match e.execute(amo_instr, DEFAULT_RAM_BASE, 0, &mut Vec::new()) {
             ArchOutcome::Trap(Exception::StoreAddrMisaligned { .. }) => {}
             other => panic!("expected store-misaligned, got {other:?}"),
         }
@@ -474,9 +490,9 @@ mod tests {
                 arch.set_reg(t0, addr);
                 arch.set_reg(a0, 0x1234);
                 let case = format!("{name} at {addr:#x}, pma_before_align {pma_before_align}");
-                let got = match arch.execute(instr, DEFAULT_RAM_BASE, 0) {
+                let got = match arch.execute(instr, DEFAULT_RAM_BASE, 0, &mut Vec::new()) {
                     ArchOutcome::Trap(e) => Some(e),
-                    ArchOutcome::Halt(ExitReason::ToHost(0x1234), _) => None,
+                    ArchOutcome::Halt(ExitReason::ToHost(0x1234)) => None,
                     other => panic!("{case}: {other:?}"),
                 };
                 assert_eq!(got, want, "{case}");

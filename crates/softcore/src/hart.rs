@@ -6,13 +6,17 @@ use crate::arch::{ArchExec, ArchOutcome};
 use crate::mem::Memory;
 use crate::trace::{CommitRecord, ExitReason};
 
-/// Outcome of one [`Hart::step`].
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// Outcome of one [`Hart::step`]. The slot's record, if it has one, is
+/// already on the trace the step was given.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StepResult {
-    /// The slot committed (possibly as a taken trap) and execution continues.
-    Committed(CommitRecord),
-    /// The simulation must halt; the final record (if any) is included.
-    Halt(ExitReason, Option<CommitRecord>),
+    /// The slot committed an instruction and execution continues.
+    Committed,
+    /// The slot took a trap and execution continues at its handler.
+    Trapped,
+    /// The simulation must halt. A halting instruction's record was
+    /// appended; an unhandled trap appends none.
+    Halt(ExitReason),
 }
 
 /// One hart: a program counter and a decode cache around the
@@ -46,9 +50,11 @@ impl Hart {
         self.pc = reset_pc;
     }
 
-    /// Executes one instruction slot. A trap with an unset vector halts
-    /// the hart (unhandled trap).
-    pub fn step(&mut self) -> StepResult {
+    /// Executes one instruction slot and appends its record to
+    /// `records`: the committed instruction's, or the taken trap's. A trap
+    /// with an unset vector halts the hart (unhandled trap) and appends
+    /// nothing.
+    pub fn step(&mut self, records: &mut Vec<CommitRecord>) -> StepResult {
         let pc = self.pc;
         self.arch.csrs.tick_cycle(1);
         let (e, word) = 'slot: {
@@ -59,25 +65,26 @@ impl Hart {
             let Ok(instr) = self.decode.decode(pc, word) else {
                 break 'slot (Exception::IllegalInstr { word }, word);
             };
-            let (next_pc, record) = match self.arch.execute(instr, pc, word) {
-                ArchOutcome::Next(record) => (pc.wrapping_add(4), record),
-                ArchOutcome::Jump { target, record } => (target, record),
+            let next_pc = match self.arch.execute(instr, pc, word, records) {
+                ArchOutcome::Next => pc.wrapping_add(4),
+                ArchOutcome::Jump(target) => target,
                 ArchOutcome::Trap(e) => break 'slot (e, word),
-                ArchOutcome::Halt(reason, record) => {
+                ArchOutcome::Halt(reason) => {
                     self.arch.csrs.tick_instret();
-                    return StepResult::Halt(reason, Some(record));
+                    return StepResult::Halt(reason);
                 }
             };
             self.arch.csrs.tick_instret();
             self.pc = next_pc;
-            return StepResult::Committed(record);
+            return StepResult::Committed;
         };
         match self.arch.trap(e, pc).taken {
             Some(trap) => {
                 self.pc = trap.handler_pc;
-                StepResult::Committed(CommitRecord::trapped(pc, word, trap))
+                records.push(CommitRecord::trapped(pc, word, trap));
+                StepResult::Trapped
             }
-            None => StepResult::Halt(ExitReason::UnhandledTrap(e), None),
+            None => StepResult::Halt(ExitReason::UnhandledTrap(e)),
         }
     }
 }
@@ -105,8 +112,9 @@ mod tests {
         asm.li(a0(), 20);
         asm.push(Instr::OpImm { op: AluOp::Add, rd: a0(), rs1: a0(), imm: 22, word: false });
         let mut h = hart_with(&asm);
+        let mut records = Vec::new();
         for _ in 0..asm.len() {
-            assert!(matches!(h.step(), StepResult::Committed(_)));
+            assert!(matches!(h.step(&mut records), StepResult::Committed));
         }
         assert_eq!(h.arch.reg(a0()), 42);
     }
@@ -120,7 +128,7 @@ mod tests {
         asm.branch_to(BranchCond::Ne, a0(), Reg::X0, "loop");
         let mut h = hart_with(&asm);
         for _ in 0..32 {
-            h.step();
+            h.step(&mut Vec::new());
         }
         assert_eq!(h.arch.reg(a0()), 0);
     }
@@ -130,7 +138,9 @@ mod tests {
         let mut asm = Assembler::new();
         asm.push(Instr::System(SystemOp::Wfi));
         let mut h = hart_with(&asm);
-        assert!(matches!(h.step(), StepResult::Halt(ExitReason::Wfi, Some(_))));
+        let mut records = Vec::new();
+        assert!(matches!(h.step(&mut records), StepResult::Halt(ExitReason::Wfi)));
+        assert_eq!(records.len(), 1, "the wfi's record");
     }
 
     #[test]
@@ -143,12 +153,12 @@ mod tests {
         let mut h = hart_with(&asm);
         let mut last = None;
         for _ in 0..16 {
-            match h.step() {
-                StepResult::Halt(reason, _) => {
+            match h.step(&mut Vec::new()) {
+                StepResult::Halt(reason) => {
                     last = Some(reason);
                     break;
                 }
-                StepResult::Committed(_) => {}
+                StepResult::Committed | StepResult::Trapped => {}
             }
         }
         assert_eq!(last, Some(ExitReason::ToHost(0x1234)));
@@ -159,8 +169,9 @@ mod tests {
         let mut asm = Assembler::new();
         asm.push(Instr::System(SystemOp::Ecall));
         let mut h = hart_with(&asm);
-        match h.step() {
-            StepResult::Halt(ExitReason::UnhandledTrap(e), None) => {
+        let mut records = Vec::new();
+        match h.step(&mut records) {
+            StepResult::Halt(ExitReason::UnhandledTrap(e)) if records.is_empty() => {
                 assert_eq!(e.cause(), 11);
             }
             other => panic!("expected unhandled trap, got {other:?}"),
@@ -206,10 +217,13 @@ mod tests {
         let mut h = hart_with(&asm);
         let mut exit = None;
         let mut saw_trap = false;
+        let mut records = Vec::new();
         for _ in 0..32 {
-            match h.step() {
-                StepResult::Committed(r) => saw_trap |= r.trap.is_some(),
-                StepResult::Halt(reason, _) => {
+            match h.step(&mut records) {
+                StepResult::Committed | StepResult::Trapped => {
+                    saw_trap |= records.last().unwrap().trap.is_some()
+                }
+                StepResult::Halt(reason) => {
                     exit = Some(reason);
                     break;
                 }
@@ -252,7 +266,7 @@ mod tests {
         });
         let mut h = hart_with(&asm);
         for _ in 0..asm.len() {
-            h.step();
+            h.step(&mut Vec::new());
         }
         assert_eq!(h.arch.reg(t1), 0, "first sc succeeds");
         assert_eq!(h.arch.reg(a0()), 1, "second sc fails");
@@ -264,8 +278,9 @@ mod tests {
         let mut asm = Assembler::new();
         asm.push(Instr::OpImm { op: AluOp::Add, rd: Reg::X0, rs1: Reg::X0, imm: 7, word: false });
         let mut h = hart_with(&asm);
-        match h.step() {
-            StepResult::Committed(r) => assert_eq!(r.rd_write, None),
+        let mut records = Vec::new();
+        match h.step(&mut records) {
+            StepResult::Committed => assert_eq!(records[0].rd_write, None),
             other => panic!("unexpected {other:?}"),
         }
         assert_eq!(h.arch.reg(Reg::X0), 0);
@@ -281,7 +296,7 @@ mod tests {
         let mut h = hart_with(&asm);
         let mut result = None;
         for _ in 0..8 {
-            if let StepResult::Halt(reason, _) = h.step() {
+            if let StepResult::Halt(reason) = h.step(&mut Vec::new()) {
                 result = Some(reason);
                 break;
             }
@@ -297,8 +312,8 @@ mod tests {
         let mut mem = Memory::new(DEFAULT_RAM_BASE, 4096);
         mem.load_image(DEFAULT_RAM_BASE, &0xffff_ffffu32.to_le_bytes());
         let mut h = Hart::new(mem, DEFAULT_RAM_BASE);
-        match h.step() {
-            StepResult::Halt(ExitReason::UnhandledTrap(e), _) => {
+        match h.step(&mut Vec::new()) {
+            StepResult::Halt(ExitReason::UnhandledTrap(e)) => {
                 assert_eq!(e.cause(), 2);
             }
             other => panic!("unexpected {other:?}"),
@@ -313,8 +328,8 @@ mod tests {
         asm.push(Instr::Jalr { rd: Reg::X0, rs1: t0, offset: 9 }); // target base+9 -> &!1 = +8
         asm.push(Instr::System(SystemOp::Wfi)); // at +8
         let mut h = hart_with(&asm);
-        h.step();
-        h.step();
+        h.step(&mut Vec::new());
+        h.step(&mut Vec::new());
         assert_eq!(h.pc, DEFAULT_RAM_BASE + 8);
     }
 }

@@ -127,31 +127,69 @@ impl Memory {
         self.mark_dirty(off, image.len());
     }
 
-    /// Raw little-endian read without PMA/alignment checks.
+    /// The `N` bytes at byte offset `off`.
     ///
     /// # Panics
     ///
-    /// Panics if the range is outside RAM; callers must check first.
-    pub fn read_raw(&self, addr: u64, len: u64) -> u64 {
-        let off = (addr - self.base) as usize;
-        let mut value = 0u64;
-        for i in (0..len as usize).rev() {
-            value = (value << 8) | u64::from(self.ram[off + i]);
-        }
-        value
+    /// Panics if they leave RAM.
+    #[inline]
+    fn bytes<const N: usize>(&self, off: usize) -> [u8; N] {
+        self.ram[off..off + N].try_into().expect("a slice of N bytes")
     }
 
-    /// Raw little-endian write without PMA/alignment checks.
+    /// Raw little-endian read of `len` bytes without PMA/alignment checks.
+    /// A 1-, 2-, 4- or 8-byte read (every access width) is one slice move.
     ///
     /// # Panics
     ///
     /// Panics if the range is outside RAM; callers must check first.
+    #[inline(always)]
+    pub fn read_raw(&self, addr: u64, len: u64) -> u64 {
+        let off = (addr - self.base) as usize;
+        match len {
+            1 => u64::from(self.ram[off]),
+            2 => u64::from(u16::from_le_bytes(self.bytes(off))),
+            4 => u64::from(u32::from_le_bytes(self.bytes(off))),
+            8 => u64::from_le_bytes(self.bytes(off)),
+            _ => self.read_bytes(off, len as usize),
+        }
+    }
+
+    /// [`Memory::read_raw`] of any other length, byte by byte.
+    #[cold]
+    #[inline(never)]
+    fn read_bytes(&self, off: usize, len: usize) -> u64 {
+        self.ram[off..off + len].iter().rev().fold(0, |value, &byte| (value << 8) | u64::from(byte))
+    }
+
+    /// Raw little-endian write of the low `len` bytes of `value` without
+    /// PMA/alignment checks. A 1-, 2-, 4- or 8-byte write (every access
+    /// width) is one slice move.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the range is outside RAM; callers must check first.
+    #[inline(always)]
     pub fn write_raw(&mut self, addr: u64, len: u64, value: u64) {
         let off = (addr - self.base) as usize;
-        for i in 0..len as usize {
-            self.ram[off + i] = (value >> (8 * i)) as u8;
+        let len = len as usize;
+        match len {
+            1 => self.ram[off] = value as u8,
+            2 => self.ram[off..off + 2].copy_from_slice(&(value as u16).to_le_bytes()),
+            4 => self.ram[off..off + 4].copy_from_slice(&(value as u32).to_le_bytes()),
+            8 => self.ram[off..off + 8].copy_from_slice(&value.to_le_bytes()),
+            _ => self.write_bytes(off, len, value),
         }
-        self.mark_dirty(off, len as usize);
+        self.mark_dirty(off, len);
+    }
+
+    /// [`Memory::write_raw`] of any other length, byte by byte.
+    #[cold]
+    #[inline(never)]
+    fn write_bytes(&mut self, off: usize, len: usize, value: u64) {
+        for (i, byte) in self.ram[off..off + len].iter_mut().enumerate() {
+            *byte = (value >> (8 * i)) as u8;
+        }
     }
 
     /// Checked instruction fetch of one 32-bit word.
@@ -198,6 +236,44 @@ mod tests {
         m.write_raw(a, 8, u64::MAX);
         m.write_raw(a + 2, 2, 0);
         assert_eq!(m.read_raw(a, 8), 0xffff_ffff_0000_ffff);
+    }
+
+    #[test]
+    fn raw_accesses_of_every_length_are_little_endian_byte_moves() {
+        let mut m = mem();
+        let a = DEFAULT_RAM_BASE + 32;
+        for len in 1..=8u64 {
+            m.write_raw(a, 8, u64::MAX);
+            m.write_raw(a + 8, 8, 0);
+            m.write_raw(a, len, 0x0807_0605_0403_0201);
+            let bytes: Vec<u64> = (0..10).map(|i| m.read_raw(a + i, 1)).collect();
+            let want: Vec<u64> = (0..10)
+                .map(|i| {
+                    if i < len {
+                        i + 1
+                    } else if i < 8 {
+                        0xff
+                    } else {
+                        0
+                    }
+                })
+                .collect();
+            assert_eq!(bytes, want, "write of {len} bytes");
+            let low = if len == 8 { u64::MAX } else { (1 << (8 * len)) - 1 };
+            assert_eq!(m.read_raw(a, len), 0x0807_0605_0403_0201 & low, "read of {len} bytes");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn a_raw_read_that_leaves_ram_panics() {
+        mem().read_raw(DEFAULT_RAM_BASE + 4092, 8);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn a_raw_write_that_leaves_ram_panics() {
+        mem().write_raw(DEFAULT_RAM_BASE + 4095, 2, 0);
     }
 
     #[test]

@@ -83,19 +83,16 @@ impl SoftCore {
         trace.records.clear();
         let mut traps = 0usize;
         for _ in 0..self.config.max_steps {
-            match hart.step() {
-                StepResult::Committed(record) => {
-                    if record.trap.is_some() {
-                        traps += 1;
-                    }
-                    trace.records.push(record);
+            match hart.step(&mut trace.records) {
+                StepResult::Committed => {}
+                StepResult::Trapped => {
+                    traps += 1;
                     if traps > self.config.max_traps {
                         trace.exit = ExitReason::TrapStorm;
                         return;
                     }
                 }
-                StepResult::Halt(exit, record) => {
-                    trace.records.extend(record);
+                StepResult::Halt(exit) => {
                     trace.exit = exit;
                     return;
                 }
