@@ -5,6 +5,7 @@
 //! holes each leaves, to calibrate the coverage space.
 
 use chatfuzz::campaign::{DutFactory, StopCondition};
+use chatfuzz::harness::{HarnessConfig, PrecompiledHarness};
 use chatfuzz_baselines::{Feedback, InputGenerator, MutatorConfig, RandomRegression, TheHuzz};
 use chatfuzz_bench::{rocket_factory, session};
 use chatfuzz_corpus::{CorpusConfig, CorpusGenerator};
@@ -61,12 +62,12 @@ fn main() {
     // Union-map hole dump for corpus replay and TheHuzz.
     let mut dut = Rocket::new(RocketConfig::default());
     let space = dut.space().clone();
+    let harness = PrecompiledHarness::new(HarnessConfig::from(dut.machine()));
     let dump = |label: &str, generator: &mut dyn InputGenerator, dut: &mut Rocket| {
         let mut union = CovMap::new(&space);
         for _ in 0..8 {
             for body in generator.next_batch(32) {
-                let image = chatfuzz::harness::wrap(&body, Default::default());
-                union.merge_from(&dut.run(&image).coverage);
+                union.merge_from(&dut.run(&harness.wrap(&body)).coverage);
             }
         }
         let holes: Vec<&str> = union.holes().collect();

@@ -32,7 +32,7 @@ use std::time::{Duration, Instant};
 
 use chatfuzz::campaign::{CampaignBuilder, CampaignSnapshot};
 use chatfuzz::faults::{self, FaultConfig};
-use chatfuzz::harness::{wrap, HarnessConfig};
+use chatfuzz::harness::{HarnessConfig, PrecompiledHarness};
 use chatfuzz::report;
 use chatfuzz::shard::ShardSpec;
 use chatfuzz_baselines::{RandomRegression, Ucb1};
@@ -158,7 +158,8 @@ fn lease_template() -> chatfuzz_orchestrate::LeaseBuilder {
 }
 
 /// The merge-time corpus minimiser: re-executes every retained seed of
-/// every pooled corpus standalone on a fresh DUT and lets
+/// every pooled corpus standalone on a fresh DUT, in the harness of the
+/// DUT's machine as a campaign does, and lets
 /// [`Corpus::distill`] drop the seeds whose coverage is subsumed, so
 /// the re-split fan-out inherits the smallest corpus with the same
 /// pooled union.
@@ -166,6 +167,7 @@ fn distill_hook() -> DistillHook {
     let factory = rocket_factory();
     Arc::new(move |snapshot: &mut CampaignSnapshot| {
         let mut dut = factory();
+        let harness = PrecompiledHarness::new(HarnessConfig::from(dut.machine()));
         for state in snapshot.generator_states_mut() {
             let Some(state) = state else { continue };
             let Some(corpus_state) = state.corpus.as_mut() else { continue };
@@ -180,7 +182,7 @@ fn distill_hook() -> DistillHook {
                 .map(|seed| {
                     let body: Vec<u8> =
                         seed.state.words.iter().flat_map(|w| w.to_le_bytes()).collect();
-                    dut.run(&wrap(&body, HarnessConfig::default())).coverage
+                    dut.run(&harness.wrap(&body)).coverage
                 })
                 .collect();
             if corpus.distill(&standalone) > 0 {

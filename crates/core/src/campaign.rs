@@ -4,11 +4,13 @@
 //! batching, history sampling, and the stop check by hand. This module
 //! replaces it with a session API:
 //!
-//! * [`CampaignBuilder`] assembles generators, the DUT factory, harness,
-//!   golden model, a [`Scheduler`] and any
-//!   [`CampaignObserver`]s, then [`CampaignBuilder::build`] builds the
-//!   session's simulator lanes (the paper's "ten instances of VCS"): one
-//!   DUT each, with the golden model beside it;
+//! * [`CampaignBuilder`] assembles generators, the DUT factory, a
+//!   [`Scheduler`] and any [`CampaignObserver`]s, then
+//!   [`CampaignBuilder::build`] builds the session's simulator lanes (the
+//!   paper's "ten instances of VCS"): one DUT each, with the golden model
+//!   beside it. The builder takes no harness or golden model: both are
+//!   built from the DUT's own machine ([`Dut::machine`]), so the three
+//!   agree on the memory map and the budgets by construction;
 //! * [`Campaign::step_batch`] advances the loop one batch at a time and
 //!   returns the [`BatchOutcome`];
 //! * [`Campaign::run_until`] drives batches until any [`StopCondition`]
@@ -48,42 +50,12 @@ use crate::mismatch::{diff_traces, KnownBug, MismatchLog, UniqueMismatch};
 
 /// A shared, thread-safe DUT constructor: one DUT is built per simulator
 /// lane and lives for the whole session. All instances must elaborate
-/// identical coverage spaces (guaranteed for the deterministic cores in
-/// `chatfuzz-rtl`).
+/// identical coverage spaces and run on the same machine (guaranteed for
+/// the deterministic cores in `chatfuzz-rtl`).
 pub type DutFactory = Arc<dyn Fn() -> Box<dyn Dut> + Send + Sync>;
 
 /// Rotated checkpoints an auto-checkpoint keeps behind its live file.
 const CHECKPOINT_LINEAGE: usize = 2;
-
-/// Campaign parameters (everything except *when to stop*, which
-/// [`Campaign::run_until`] takes per call).
-#[derive(Debug, Clone, Copy)]
-pub struct CampaignConfig {
-    /// Inputs per batch (one Coverage-Calculator batch).
-    pub batch_size: usize,
-    /// Simulator lanes (the paper's "ten instances of VCS"), at most one
-    /// per CPU: lanes beyond the CPU count only wait for each other.
-    /// Lane 0 runs on the caller's thread, so `1` runs every test there.
-    pub workers: usize,
-    /// Harness wrapped around each input.
-    pub harness: HarnessConfig,
-    /// Golden-model configuration (budgets must match the DUT's).
-    pub golden: SoftCoreConfig,
-    /// Run the golden model + mismatch detector.
-    pub detect_mismatches: bool,
-}
-
-impl Default for CampaignConfig {
-    fn default() -> Self {
-        CampaignConfig {
-            batch_size: 32,
-            workers: 10,
-            harness: HarnessConfig::default(),
-            golden: SoftCoreConfig::default(),
-            detect_mismatches: true,
-        }
-    }
-}
 
 /// When a campaign should stop (checked before every batch, in the order
 /// given to [`Campaign::run_until`]).
@@ -431,7 +403,9 @@ impl Lane {
 /// ```
 pub struct CampaignBuilder<'g> {
     factory: DutFactory,
-    cfg: CampaignConfig,
+    batch_size: usize,
+    workers: usize,
+    detect_mismatches: bool,
     generators: Vec<Box<dyn InputGenerator + 'g>>,
     scheduler: Box<dyn Scheduler + 'g>,
     observers: Vec<Box<dyn CampaignObserver + 'g>>,
@@ -450,7 +424,9 @@ impl<'g> CampaignBuilder<'g> {
     pub fn from_factory(factory: DutFactory) -> CampaignBuilder<'g> {
         CampaignBuilder {
             factory,
-            cfg: CampaignConfig::default(),
+            batch_size: 32,
+            workers: 10,
+            detect_mismatches: true,
             generators: Vec::new(),
             scheduler: Box::new(RoundRobin::new()),
             observers: Vec::new(),
@@ -460,40 +436,25 @@ impl<'g> CampaignBuilder<'g> {
         }
     }
 
-    /// Replaces the whole parameter block at once.
-    pub fn config(mut self, cfg: CampaignConfig) -> Self {
-        self.cfg = cfg;
-        self
-    }
-
-    /// Inputs per batch.
+    /// Inputs per batch, one Coverage-Calculator batch (default 32).
     pub fn batch_size(mut self, n: usize) -> Self {
-        self.cfg.batch_size = n;
+        self.batch_size = n;
         self
     }
 
-    /// Simulator lanes, at most one per CPU (see
-    /// [`CampaignConfig::workers`]).
+    /// Simulator lanes (the paper's "ten instances of VCS"; default 10),
+    /// at most one per CPU: lanes beyond the CPU count only wait for each
+    /// other. Lane 0 runs on the caller's thread, so `1` runs every test
+    /// there.
     pub fn workers(mut self, n: usize) -> Self {
-        self.cfg.workers = n;
+        self.workers = n;
         self
     }
 
-    /// Enables or disables the golden model + mismatch detector.
+    /// Enables or disables the golden model + mismatch detector (default
+    /// on).
     pub fn detect_mismatches(mut self, on: bool) -> Self {
-        self.cfg.detect_mismatches = on;
-        self
-    }
-
-    /// Harness wrapped around every input.
-    pub fn harness(mut self, harness: HarnessConfig) -> Self {
-        self.cfg.harness = harness;
-        self
-    }
-
-    /// Golden-model configuration.
-    pub fn golden(mut self, golden: SoftCoreConfig) -> Self {
-        self.cfg.golden = golden;
+        self.detect_mismatches = on;
         self
     }
 
@@ -566,7 +527,8 @@ impl<'g> CampaignBuilder<'g> {
     /// Builds the DUT, restores or initialises state, and builds the
     /// remaining simulator lanes: the first DUT, which elaborates the
     /// coverage space, is lane 0. `workers(1)` gives one lane; any other
-    /// count is capped at the CPU count.
+    /// count is capped at the CPU count. The harness and every lane's
+    /// golden model are built from lane 0's [`Dut::machine`].
     ///
     /// # Panics
     ///
@@ -577,10 +539,11 @@ impl<'g> CampaignBuilder<'g> {
     /// scheduler arm statistics for more arms than there are generators.
     pub fn build(mut self) -> Campaign<'g> {
         assert!(!self.generators.is_empty(), "campaign needs at least one generator");
-        assert!(self.cfg.workers > 0 && self.cfg.batch_size > 0, "degenerate campaign config");
+        assert!(self.workers > 0 && self.batch_size > 0, "degenerate campaign config");
 
         let dut = (self.factory)();
         let space = dut.space().clone();
+        let machine = dut.machine();
 
         let state = match self.resume_from {
             Some(mut snapshot) => {
@@ -665,7 +628,7 @@ impl<'g> CampaignBuilder<'g> {
 
         // A one-lane campaign skips the CPU count query, which is not
         // free in a CPU-pinned process.
-        let lanes = match self.cfg.workers {
+        let lanes = match self.workers {
             1 => 1,
             n => n.min(std::thread::available_parallelism().map_or(1, |cpus| cpus.get())),
         };
@@ -675,7 +638,9 @@ impl<'g> CampaignBuilder<'g> {
             .collect();
 
         Campaign {
-            harness: PrecompiledHarness::new(self.cfg.harness),
+            batch_size: self.batch_size,
+            golden: self.detect_mismatches.then_some(machine),
+            harness: PrecompiledHarness::new(HarnessConfig::from(machine)),
             space,
             lanes,
             images: Vec::new(),
@@ -684,7 +649,6 @@ impl<'g> CampaignBuilder<'g> {
             seed_revisions: Vec::new(),
             auto_checkpoint: self.auto_checkpoint,
             telemetry: self.telemetry,
-            cfg: self.cfg,
             generators: self.generators,
             scheduler: self.scheduler,
             observers: self.observers,
@@ -704,8 +668,13 @@ impl<'g> CampaignBuilder<'g> {
 /// [`CampaignSnapshot`]; the scheduler and the generators keep their
 /// own state, which [`Campaign::snapshot`] exports beside it.
 pub struct Campaign<'g> {
-    cfg: CampaignConfig,
-    /// Prologue/epilogue assembled once for the whole session.
+    /// Tests per [`Campaign::step_batch`].
+    batch_size: usize,
+    /// The machine every lane's golden model runs, lane 0's
+    /// [`Dut::machine`]; `None` without mismatch detection.
+    golden: Option<SoftCoreConfig>,
+    /// Prologue/epilogue assembled once for the whole session, for lane
+    /// 0's [`Dut::machine`].
     harness: PrecompiledHarness,
     /// The DUTs' coverage space (result coverage maps are built over it).
     space: Arc<Space>,
@@ -767,9 +736,9 @@ impl<'g> Campaign<'g> {
         &self.state.gen_stats
     }
 
-    /// Runs one batch of `config.batch_size` tests.
+    /// Runs one batch of [`CampaignBuilder::batch_size`] tests.
     pub fn step_batch(&mut self) -> BatchOutcome {
-        self.step_batch_of(self.cfg.batch_size)
+        self.step_batch_of(self.batch_size)
     }
 
     /// Runs one batch of exactly `n` tests.
@@ -823,7 +792,7 @@ impl<'g> Campaign<'g> {
             cycles_at.push(self.state.total_cycles);
             mux.push(run.coverage.covered_bins_of_kind(PointKind::MuxSelect));
             fingerprints.push(run.coverage.content_hash());
-            if self.cfg.detect_mismatches {
+            if self.golden.is_some() {
                 let diffs = diff_traces(golden, &run.trace);
                 mismatched.push(!diffs.is_empty());
                 self.state.log.record(diffs);
@@ -980,7 +949,7 @@ impl<'g> Campaign<'g> {
     /// lane, into the first `n` result buffers: lane 0 on this thread,
     /// the others on scoped threads that end with the batch.
     fn simulate(&mut self, n: usize) {
-        let golden = self.cfg.detect_mismatches.then_some(self.cfg.golden);
+        let golden = self.golden;
         let chunk = n.div_ceil(self.lanes.len());
         let mut lanes = self
             .lanes
@@ -1070,7 +1039,7 @@ impl<'g> Campaign<'g> {
     /// Batch size for the next step, clamped so a test budget is hit
     /// exactly.
     fn next_batch_size(&self, stops: &[StopCondition]) -> usize {
-        let mut n = self.cfg.batch_size;
+        let mut n = self.batch_size;
         for stop in stops {
             if let StopCondition::Tests(budget) = stop {
                 n = n.min(budget.saturating_sub(self.state.tests_run));

@@ -9,9 +9,11 @@
 
 use chatfuzz_isa::asm::Assembler;
 use chatfuzz_isa::{AluOp, Csr, CsrOp, CsrSrc, Instr, Reg, SystemOp};
-use chatfuzz_softcore::mem::{DEFAULT_RAM_BASE, DEFAULT_RAM_SIZE};
+use chatfuzz_softcore::SoftCoreConfig;
 
-/// Harness layout parameters.
+/// Harness layout parameters: the RAM half of a machine. A campaign takes
+/// them from its DUT's machine (`Dut::machine`) with `HarnessConfig::from`;
+/// the default is the default machine's.
 #[derive(Debug, Clone, Copy)]
 pub struct HarnessConfig {
     /// RAM base (= reset PC).
@@ -22,7 +24,13 @@ pub struct HarnessConfig {
 
 impl Default for HarnessConfig {
     fn default() -> Self {
-        HarnessConfig { ram_base: DEFAULT_RAM_BASE, ram_size: DEFAULT_RAM_SIZE }
+        HarnessConfig::from(SoftCoreConfig::default())
+    }
+}
+
+impl From<SoftCoreConfig> for HarnessConfig {
+    fn from(machine: SoftCoreConfig) -> Self {
+        HarnessConfig { ram_base: machine.ram_base, ram_size: machine.ram_size }
     }
 }
 

@@ -110,8 +110,8 @@ pub mod report;
 pub mod shard;
 
 pub use campaign::{
-    BatchOutcome, Campaign, CampaignBuilder, CampaignConfig, CampaignObserver, CampaignReport,
-    CampaignSnapshot, CoveragePoint, DutFactory, GeneratorStats, StopCondition,
+    BatchOutcome, Campaign, CampaignBuilder, CampaignObserver, CampaignReport, CampaignSnapshot,
+    CoveragePoint, DutFactory, GeneratorStats, StopCondition,
 };
 pub use faults::{FaultConfig, FaultPlan};
 pub use generator::{CoverageReward, LmGenerator, LmGeneratorConfig, NgramGenerator};

@@ -20,7 +20,6 @@ use rand_chacha::ChaCha8Rng;
 
 use crate::campaign::{BatchOutcome, CampaignBuilder, DutFactory, StopCondition};
 use crate::generator::{CoverageReward, LmGenerator, LmGeneratorConfig};
-use crate::harness::HarnessConfig;
 
 /// Scale of the transformer used by the pipeline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -77,8 +76,6 @@ pub struct PipelineConfig {
     /// Use the learned nibble-BPE tokenizer instead of the default
     /// fixed-byte parcels (ablation; see `chatfuzz_lm::TokenizerKind`).
     pub use_bpe: bool,
-    /// Harness wrapped around step-3 simulation inputs.
-    pub harness: HarnessConfig,
 }
 
 impl PipelineConfig {
@@ -113,7 +110,6 @@ impl PipelineConfig {
             reward: CoverageReward::default(),
             prompt_range: (2, 4),
             use_bpe: false,
-            harness: HarnessConfig::default(),
         }
     }
 
@@ -290,7 +286,6 @@ pub fn train_chatfuzz(
         let mut campaign = CampaignBuilder::from_factory(Arc::clone(dut_factory))
             .batch_size(cfg.optimize_batch)
             .workers(1) // sequential, like the in-loop PPO of the paper
-            .harness(cfg.harness)
             .detect_mismatches(false)
             .generator(&mut generator)
             .observer(move |outcome: &BatchOutcome| {

@@ -17,8 +17,8 @@ use std::sync::Arc;
 use chatfuzz_coverage::{cover, Bins, CondId, PointKind, Space, SpaceBuilder};
 use chatfuzz_isa::{Instr, Reg};
 use chatfuzz_softcore::arch::ArchExec;
-use chatfuzz_softcore::mem::{DEFAULT_RAM_BASE, DEFAULT_RAM_SIZE};
 use chatfuzz_softcore::trace::MemEffect;
+use chatfuzz_softcore::SoftCoreConfig;
 
 use crate::commit::{Backend, Core, Params, Redirect, TrapRules, BOOM_TRAPS};
 use crate::dcache::{DCacheAccess, DCacheConfig};
@@ -28,7 +28,8 @@ use crate::muldiv::MulDivConfig;
 use crate::predictor::PredictorConfig;
 use crate::tracer::TracerBugs;
 
-/// BOOM model configuration.
+/// BOOM model configuration: the microarchitecture and the machine the
+/// core runs its tests on.
 #[derive(Debug, Clone, Copy)]
 pub struct BoomConfig {
     /// I-cache geometry (always coherent on BOOM).
@@ -45,14 +46,10 @@ pub struct BoomConfig {
     pub phys_regs: u32,
     /// Load/store queue entries.
     pub lsq_entries: usize,
-    /// RAM base (= reset PC).
-    pub ram_base: u64,
-    /// RAM size.
-    pub ram_size: u64,
-    /// Committed-slot budget.
-    pub max_steps: usize,
-    /// Trap budget.
-    pub max_traps: usize,
+    /// The machine: RAM base (= reset PC), RAM size, and the committed-slot
+    /// and trap budgets. [`Dut::machine`] reports it, and a campaign runs
+    /// its golden model on it and lays out its harness in its RAM.
+    pub machine: SoftCoreConfig,
     /// Flush cycles per trap or mispredict recovery.
     pub flush_penalty: u64,
     /// Structurally unreachable conditions to elaborate.
@@ -74,10 +71,7 @@ impl Default for BoomConfig {
             rob_entries: 16,
             phys_regs: 48,
             lsq_entries: 4,
-            ram_base: DEFAULT_RAM_BASE,
-            ram_size: DEFAULT_RAM_SIZE,
-            max_steps: 4096,
-            max_traps: 64,
+            machine: SoftCoreConfig::default(),
             flush_penalty: 7,
             dead_conds: 2,
         }
@@ -87,7 +81,6 @@ impl Default for BoomConfig {
 /// The BOOM-like DUT.
 #[derive(Debug)]
 pub struct Boom {
-    cfg: BoomConfig,
     core: Core<OutOfOrder>,
 }
 
@@ -102,19 +95,11 @@ impl Boom {
             muldiv: cfg.muldiv,
             tracer: TracerBugs::all_off(),
             dead_conds: cfg.dead_conds,
-            ram_base: cfg.ram_base,
-            ram_size: cfg.ram_size,
-            max_steps: cfg.max_steps,
-            max_traps: cfg.max_traps,
+            machine: cfg.machine,
             trap_penalty: cfg.flush_penalty,
             pma_before_align: false,
         };
-        Boom { cfg, core: Core::new(params, |b| OutOfOrder::register(&cfg, b)) }
-    }
-
-    /// The configuration this core was elaborated with.
-    pub fn config(&self) -> &BoomConfig {
-        &self.cfg
+        Boom { core: Core::new(params, |b| OutOfOrder::register(&cfg, b)) }
     }
 }
 
@@ -125,6 +110,10 @@ impl Dut for Boom {
 
     fn space(&self) -> &Arc<Space> {
         self.core.space()
+    }
+
+    fn machine(&self) -> SoftCoreConfig {
+        self.core.machine()
     }
 
     /// The one-shot reference path: a fresh arena and a fresh [`DutRun`]
@@ -380,7 +369,10 @@ mod tests {
         asm.push(Instr::Store { width: chatfuzz_isa::MemWidth::W, rs2: t0, rs1: t0, offset: 64 });
         asm.push(Instr::System(SystemOp::Wfi));
         let bytes = asm.assemble_bytes().unwrap();
-        let mut boom = Boom::new(BoomConfig { ram_base: 0x1000_0000, ..Default::default() });
+        let mut boom = Boom::new(BoomConfig {
+            machine: SoftCoreConfig { ram_base: 0x1000_0000, ..Default::default() },
+            ..Default::default()
+        });
         let id = boom.space().iter().find(|(_, n, _)| *n == "boom.mem.tohost_write").unwrap().0;
         let mut hot = DutRun::scratch(boom.space());
         boom.run_into(&bytes, &mut hot);

@@ -42,6 +42,7 @@ use chatfuzz_isa::{Exception, Instr, PrivLevel, Reg, SystemOp};
 use chatfuzz_softcore::arch::{ArchExec, ArchOutcome};
 use chatfuzz_softcore::mem::Memory;
 use chatfuzz_softcore::trace::{CommitRecord, ExitReason, MemEffect};
+use chatfuzz_softcore::SoftCoreConfig;
 
 use crate::core_ids::{CoreIds, DecodeMemo, DeepIds, DeepState};
 use crate::dcache::{DCache, DCacheAccess, DCacheConfig};
@@ -156,13 +157,8 @@ pub(crate) struct Params {
     pub(crate) muldiv: MulDivConfig,
     pub(crate) tracer: TracerBugs,
     pub(crate) dead_conds: usize,
-    /// RAM base (= reset PC).
-    pub(crate) ram_base: u64,
-    pub(crate) ram_size: u64,
-    /// Committed-slot budget.
-    pub(crate) max_steps: usize,
-    /// Trap budget before `TrapStorm`.
-    pub(crate) max_traps: usize,
+    /// The memory map and the step and trap budgets.
+    pub(crate) machine: SoftCoreConfig,
     /// Flush cycles per taken trap and per retired xret.
     pub(crate) trap_penalty: u64,
     /// Finding 1 in the memory stage (see [`ArchExec::new`]).
@@ -235,14 +231,19 @@ impl<B: Backend> Core<B> {
         &self.space
     }
 
+    pub(crate) fn machine(&self) -> SoftCoreConfig {
+        self.params.machine
+    }
+
     /// The one-shot reference path: a fresh arena and a fresh [`DutRun`]
     /// per call, and every fetched word decoded and covered again (no
     /// decode or decode-coverage memo). For casual use, and the baseline
     /// that `run_into` is tested against.
     pub(crate) fn run(&mut self, program: &[u8]) -> DutRun {
         let mut out = DutRun::scratch(&self.space);
-        let mut mem = Memory::new(self.params.ram_base, self.params.ram_size);
-        mem.load_image(self.params.ram_base, self.image(program));
+        let SoftCoreConfig { ram_base, ram_size, .. } = self.params.machine;
+        let mut mem = Memory::new(ram_base, ram_size);
+        mem.load_image(ram_base, self.image(program));
         let mut arch = ArchExec::new(mem, self.params.pma_before_align);
         self.run_inner(&mut arch, &mut out, None);
         out
@@ -252,7 +253,8 @@ impl<B: Backend> Core<B> {
     /// run to run.
     pub(crate) fn run_into(&mut self, program: &[u8], out: &mut DutRun) {
         out.reset_for(&self.space);
-        let Params { ram_base, ram_size, pma_before_align, .. } = self.params;
+        let Params { machine: SoftCoreConfig { ram_base, ram_size, .. }, pma_before_align, .. } =
+            self.params;
         let mut arch = self
             .arena
             .take()
@@ -267,7 +269,7 @@ impl<B: Backend> Core<B> {
 
     /// The part of `program` that fits in RAM.
     fn image<'a>(&self, program: &'a [u8]) -> &'a [u8] {
-        &program[..program.len().min(self.params.ram_size as usize)]
+        &program[..program.len().min(self.params.machine.ram_size as usize)]
     }
 
     /// Resets the units, which empties their bins, runs the commit loop,
@@ -308,7 +310,8 @@ impl<B: Backend> Core<B> {
         cov: &mut CovMap,
         mut memo: Option<&mut DecodeMemo>,
     ) -> (ExitReason, u64) {
-        let Params { ram_base, max_steps, max_traps, trap_penalty, .. } = self.params;
+        let SoftCoreConfig { ram_base, max_steps, max_traps, .. } = self.params.machine;
+        let trap_penalty = self.params.trap_penalty;
         let deep = &mut self.deep_state;
         let mut pc = ram_base;
         let mut cycles: u64 = 0;

@@ -4,6 +4,7 @@ use std::sync::Arc;
 
 use chatfuzz_coverage::{CovMap, Space};
 use chatfuzz_softcore::trace::Trace;
+use chatfuzz_softcore::SoftCoreConfig;
 
 /// Result of simulating one test input on a DUT.
 #[derive(Debug, Clone)]
@@ -41,12 +42,25 @@ impl DutRun {
 ///
 /// Implemented by the Rocket-like and BOOM-like cores; the fuzzing loop
 /// holds DUTs as trait objects so campaigns are generic over the target.
+///
+/// A DUT describes the machine its tests run on, [`Dut::machine`], and a
+/// campaign builds what must agree with it from that one description: the
+/// harness's memory layout and the golden model. A DUT that wraps another
+/// must forward `machine`, as it forwards `name` and `space`.
 pub trait Dut: Send {
     /// Human-readable design name (`"rocket"`, `"boom"`).
     fn name(&self) -> &str;
 
     /// The design's elaborated coverage space.
     fn space(&self) -> &Arc<Space>;
+
+    /// The machine a test runs on: the RAM base (the reset PC), the RAM
+    /// size, and the step and trap budgets. The in-tree cores report their
+    /// config's `machine`. The default, [`SoftCoreConfig::default`], is the
+    /// machine of a DUT built on the default memory map and budgets.
+    fn machine(&self) -> SoftCoreConfig {
+        SoftCoreConfig::default()
+    }
 
     /// Resets the design and runs one program image (loaded at the RAM
     /// base), returning trace + coverage + timing.

@@ -29,8 +29,8 @@ use chatfuzz_coverage::{cover, Bins, CondId, PointKind, Space, SpaceBuilder};
 use chatfuzz_isa::semantics::{alu, extend_loaded};
 use chatfuzz_isa::{Instr, Reg};
 use chatfuzz_softcore::arch::ArchExec;
-use chatfuzz_softcore::mem::{DEFAULT_RAM_BASE, DEFAULT_RAM_SIZE};
 use chatfuzz_softcore::trace::{CommitRecord, MemEffect};
+use chatfuzz_softcore::SoftCoreConfig;
 
 use crate::commit::{Backend, Core, Params, Redirect, TrapRules, ROCKET_TRAPS};
 use crate::dcache::{DCacheAccess, DCacheConfig};
@@ -71,7 +71,8 @@ impl BugConfig {
     }
 }
 
-/// Full Rocket model configuration.
+/// Full Rocket model configuration: the microarchitecture, the injected
+/// defects, and the machine the core runs its tests on.
 #[derive(Debug, Clone, Copy)]
 pub struct RocketConfig {
     /// I-cache geometry (coherence is overridden by `bugs`).
@@ -84,15 +85,10 @@ pub struct RocketConfig {
     pub muldiv: MulDivConfig,
     /// Injected defects.
     pub bugs: BugConfig,
-    /// RAM base (= reset PC).
-    pub ram_base: u64,
-    /// RAM size in bytes.
-    pub ram_size: u64,
-    /// Committed-slot budget (must match the golden model's for
-    /// differential runs).
-    pub max_steps: usize,
-    /// Trap budget before `TrapStorm`.
-    pub max_traps: usize,
+    /// The machine: RAM base (= reset PC), RAM size, and the committed-slot
+    /// and trap budgets. [`Dut::machine`] reports it, and a campaign runs
+    /// its golden model on it and lays out its harness in its RAM.
+    pub machine: SoftCoreConfig,
     /// Pipeline-flush cycles charged per taken trap.
     pub trap_penalty: u64,
     /// Number of structurally unreachable conditions to elaborate.
@@ -107,10 +103,7 @@ impl Default for RocketConfig {
             predictor: PredictorConfig::default(),
             muldiv: MulDivConfig::default(),
             bugs: BugConfig::all_on(),
-            ram_base: DEFAULT_RAM_BASE,
-            ram_size: DEFAULT_RAM_SIZE,
-            max_steps: 4096,
-            max_traps: 64,
+            machine: SoftCoreConfig::default(),
             trap_penalty: 5,
             dead_conds: 24,
         }
@@ -120,7 +113,6 @@ impl Default for RocketConfig {
 /// The RocketCore-like DUT.
 #[derive(Debug)]
 pub struct Rocket {
-    cfg: RocketConfig,
     core: Core<InOrder>,
 }
 
@@ -135,19 +127,11 @@ impl Rocket {
             muldiv: cfg.muldiv,
             tracer: cfg.bugs.tracer,
             dead_conds: cfg.dead_conds,
-            ram_base: cfg.ram_base,
-            ram_size: cfg.ram_size,
-            max_steps: cfg.max_steps,
-            max_traps: cfg.max_traps,
+            machine: cfg.machine,
             trap_penalty: cfg.trap_penalty,
             pma_before_align: cfg.bugs.f1_pma_before_align,
         };
-        Rocket { cfg, core: Core::new(params, InOrder::register) }
-    }
-
-    /// The configuration this core was elaborated with.
-    pub fn config(&self) -> &RocketConfig {
-        &self.cfg
+        Rocket { core: Core::new(params, InOrder::register) }
     }
 }
 
@@ -158,6 +142,10 @@ impl Dut for Rocket {
 
     fn space(&self) -> &Arc<Space> {
         self.core.space()
+    }
+
+    fn machine(&self) -> SoftCoreConfig {
+        self.core.machine()
     }
 
     /// The one-shot reference path: a fresh arena and a fresh [`DutRun`]
@@ -461,7 +449,10 @@ mod tests {
         asm.push(Instr::Store { width: MemWidth::W, rs2: t0, rs1: t0, offset: 64 });
         asm.push(Instr::System(SystemOp::Wfi));
         let bytes = asm.assemble_bytes().unwrap();
-        let mut core = Rocket::new(RocketConfig { ram_base: 0x1000_0000, ..Default::default() });
+        let mut core = Rocket::new(RocketConfig {
+            machine: SoftCoreConfig { ram_base: 0x1000_0000, ..Default::default() },
+            ..Default::default()
+        });
         let id = core.space().iter().find(|(_, n, _)| *n == "rocket.mem.tohost_write").unwrap().0;
         let mut hot = DutRun::scratch(core.space());
         core.run_into(&bytes, &mut hot);

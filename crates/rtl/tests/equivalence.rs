@@ -1,7 +1,9 @@
 //! The central soundness property of the reproduction: with every injected
 //! defect disabled, both microarchitectural cores are **trace-equivalent**
-//! to the golden model on arbitrary programs. Any mismatch the fuzzer later
-//! reports is therefore attributable to the injected RocketCore bugs alone.
+//! to the golden model on arbitrary programs, on the default machine and off
+//! it, when the golden model runs the machine the core reports. Any mismatch
+//! the fuzzer later reports is therefore attributable to the injected
+//! RocketCore bugs alone.
 
 use chatfuzz_isa::{encode_program, AluOp, BranchCond, Instr, MemWidth, MulDivOp, Reg, SystemOp};
 use chatfuzz_rtl::dut::Dut;
@@ -84,6 +86,17 @@ fn interesting_instr() -> impl Strategy<Value = Instr> {
     ]
 }
 
+/// The machines the cores ≡ golden properties run on: the default, one with
+/// its RAM moved and a smaller step budget, and one with 2 MiB of RAM and a
+/// smaller trap budget.
+fn machine() -> impl Strategy<Value = SoftCoreConfig> {
+    prop_oneof![
+        Just(SoftCoreConfig::default()),
+        Just(SoftCoreConfig { ram_base: 0x1000_0000, max_steps: 1024, ..Default::default() }),
+        Just(SoftCoreConfig { ram_size: 2 << 20, max_traps: 16, ..Default::default() }),
+    ]
+}
+
 fn program() -> impl Strategy<Value = Vec<Instr>> {
     proptest::collection::vec(interesting_instr(), 1..48).prop_map(|mut v| {
         v.push(Instr::System(SystemOp::Wfi));
@@ -94,25 +107,29 @@ fn program() -> impl Strategy<Value = Vec<Instr>> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(192))]
 
-    /// Bug-free Rocket == golden model, on arbitrary bounded programs.
+    /// Bug-free Rocket == golden model on the machine Rocket reports, on
+    /// arbitrary bounded programs.
     #[test]
-    fn bugfree_rocket_trace_equals_golden(instrs in program()) {
+    fn bugfree_rocket_trace_equals_golden(instrs in program(), machine in machine()) {
         let bytes = encode_program(&instrs).unwrap();
-        let golden = SoftCore::new(SoftCoreConfig::default()).run(&bytes);
         let mut rocket = Rocket::new(RocketConfig {
             bugs: BugConfig::all_off(),
+            machine,
             ..Default::default()
         });
+        prop_assert_eq!(rocket.machine(), machine);
+        let golden = SoftCore::new(rocket.machine()).run(&bytes);
         let run = rocket.run(&bytes);
         prop_assert_eq!(run.trace, golden);
     }
 
-    /// BOOM (never buggy) == golden model.
+    /// BOOM (never buggy) == golden model on the machine BOOM reports.
     #[test]
-    fn boom_trace_equals_golden(instrs in program()) {
+    fn boom_trace_equals_golden(instrs in program(), machine in machine()) {
         let bytes = encode_program(&instrs).unwrap();
-        let golden = SoftCore::new(SoftCoreConfig::default()).run(&bytes);
-        let mut boom = Boom::new(BoomConfig::default());
+        let mut boom = Boom::new(BoomConfig { machine, ..Default::default() });
+        prop_assert_eq!(boom.machine(), machine);
+        let golden = SoftCore::new(boom.machine()).run(&bytes);
         let run = boom.run(&bytes);
         prop_assert_eq!(run.trace, golden);
     }

@@ -4,7 +4,14 @@ use crate::hart::{Hart, StepResult};
 use crate::mem::{Memory, DEFAULT_RAM_BASE, DEFAULT_RAM_SIZE};
 use crate::trace::{ExitReason, Trace};
 
-/// Configuration of a golden-model run.
+/// A program's machine: the memory map (RAM base and size) and the budgets
+/// (committed slots, taken traps) a test runs under.
+///
+/// The golden model runs on it, and it is more than the golden model's
+/// setting: the cores in `chatfuzz-rtl` hold one in their configs and
+/// report it through `Dut::machine`, and a campaign lays out its harness in
+/// its RAM and runs its golden model on it. So the DUT, the harness and the
+/// golden model of a campaign share one description of the machine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SoftCoreConfig {
     /// RAM base address (also the reset PC).

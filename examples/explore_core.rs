@@ -12,12 +12,12 @@ use chatfuzz_examples::banner;
 use chatfuzz_isa::asm::Assembler;
 use chatfuzz_isa::{AluOp, AmoOp, Instr, MemWidth, MulDivOp, Reg, SystemOp};
 use chatfuzz_rtl::{Dut, Rocket, RocketConfig};
-use chatfuzz_softcore::{SoftCore, SoftCoreConfig};
+use chatfuzz_softcore::SoftCore;
 
 fn show(name: &str, body: Vec<u8>, rocket: &mut Rocket) {
     banner(name);
-    let image = wrap(&body, HarnessConfig::default());
-    let golden = SoftCore::new(SoftCoreConfig::default()).run(&image);
+    let image = wrap(&body, HarnessConfig::from(rocket.machine()));
+    let golden = SoftCore::new(rocket.machine()).run(&image);
     let run = rocket.run(&image);
     let mismatches = diff_traces(&golden, &run.trace);
     if mismatches.is_empty() {

@@ -11,7 +11,7 @@ use chatfuzz_examples::banner;
 use chatfuzz_isa::asm::Assembler;
 use chatfuzz_isa::{AluOp, BranchCond, Instr, MulDivOp, Reg, SystemOp};
 use chatfuzz_rtl::{Dut, Rocket, RocketConfig};
-use chatfuzz_softcore::{SoftCore, SoftCoreConfig};
+use chatfuzz_softcore::SoftCore;
 
 fn main() {
     banner("1. Assemble a small program");
@@ -33,12 +33,16 @@ fn main() {
         println!("  {line}");
     }
 
+    // The core states the machine once; the harness and the golden model
+    // follow it.
+    let mut rocket = Rocket::new(RocketConfig::default());
+
     banner("2. Wrap it in the fuzzing harness (trap handler + stack)");
-    let image = wrap(&body, HarnessConfig::default());
+    let image = wrap(&body, HarnessConfig::from(rocket.machine()));
     println!("  harness+body image: {} bytes", image.len());
 
     banner("3. Run on the golden model (Spike substitute)");
-    let golden = SoftCore::new(SoftCoreConfig::default()).run(&image);
+    let golden = SoftCore::new(rocket.machine()).run(&image);
     println!("  exit: {}  ({} committed slots)", golden.exit, golden.len());
     let result = golden
         .records
@@ -49,7 +53,6 @@ fn main() {
     println!("  a0 = {result:?} (expect Some(45): (5+4+3+2+1)*3)");
 
     banner("4. Run on the RocketCore model (bugs injected)");
-    let mut rocket = Rocket::new(RocketConfig::default());
     let run = rocket.run(&image);
     println!("  exit: {}  cycles: {}", run.trace.exit, run.cycles);
     println!(

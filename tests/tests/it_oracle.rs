@@ -1,14 +1,17 @@
 //! Integration: the mismatch oracle reports no false positives.
 //!
 //! With every injected defect off, Rocket and BOOM are trace-equivalent to
-//! the golden model, so any mismatch on them is a bug in a core or in the
-//! golden model. This sweep runs seeded campaigns of every arm on both
-//! cores and requires zero raw mismatches. The arms are random, TheHuzz,
-//! DifuzzLite, evolve beside random under a cost-normalised UCB1, and the
-//! actor/learner LM arm on an untrained tiny model. A campaign takes the
-//! fuzzing path: each test goes through `Dut::run_into` and the golden
-//! model's `SoftCoreRunner`. A failure names the core, the arm and the
-//! seed that replays it.
+//! the golden model, so any mismatch on them is a bug in a core, in the
+//! golden model, or in how the campaign set the two up. This sweep runs
+//! seeded campaigns of every arm on both cores and requires zero raw
+//! mismatches. Each core runs on the default machine and on one off it
+//! (another RAM base or size, smaller budgets), which the campaign must
+//! carry over to its harness and golden model. The arms are random,
+//! TheHuzz, DifuzzLite, evolve beside random under a cost-normalised UCB1,
+//! and the actor/learner LM arm on an untrained tiny model. A campaign
+//! takes the fuzzing path: each test goes through `Dut::run_into` and the
+//! golden model's `SoftCoreRunner`. A failure names the core, the arm and
+//! the seed that replays it.
 
 use std::sync::Arc;
 
@@ -19,7 +22,8 @@ use chatfuzz_corpus::{CorpusConfig, CorpusGenerator};
 use chatfuzz_evolve::{EvolveConfig, EvolveGenerator};
 use chatfuzz_lm::{Gpt, GptConfig, Tokenizer};
 use chatfuzz_rl::PpoConfig;
-use chatfuzz_rtl::{BugConfig, Dut, Rocket, RocketConfig};
+use chatfuzz_rtl::{Boom, BoomConfig, BugConfig, Dut, Rocket, RocketConfig};
+use chatfuzz_softcore::SoftCoreConfig;
 use chatfuzz_tests::boom_factory;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -32,12 +36,27 @@ const SEEDS: [u64; 3] = [1, 2, 3];
 const LM_TESTS: usize = 256;
 const LM_SEEDS: [u64; 2] = [1, 2];
 
-fn cores() -> [(&'static str, DutFactory); 2] {
+fn cores() -> [(&'static str, DutFactory); 4] {
     let fixed_rocket: DutFactory = Arc::new(|| {
         let cfg = RocketConfig { bugs: BugConfig::all_off(), ..Default::default() };
         Box::new(Rocket::new(cfg)) as Box<dyn Dut>
     });
-    [("rocket (all bugs off)", fixed_rocket), ("boom", boom_factory())]
+    let moved_rocket: DutFactory = Arc::new(|| {
+        let machine =
+            SoftCoreConfig { ram_base: 0x1000_0000, max_steps: 1024, ..Default::default() };
+        let cfg = RocketConfig { bugs: BugConfig::all_off(), machine, ..Default::default() };
+        Box::new(Rocket::new(cfg)) as Box<dyn Dut>
+    });
+    let small_boom: DutFactory = Arc::new(|| {
+        let machine = SoftCoreConfig { ram_size: 2 << 20, max_traps: 16, ..Default::default() };
+        Box::new(Boom::new(BoomConfig { machine, ..Default::default() })) as Box<dyn Dut>
+    });
+    [
+        ("rocket (all bugs off)", fixed_rocket),
+        ("rocket (all bugs off, RAM at 0x1000_0000, 1024 steps)", moved_rocket),
+        ("boom", boom_factory()),
+        ("boom (2 MiB RAM, 16 traps)", small_boom),
+    ]
 }
 
 /// Runs `arm` on both cores for every seed, and asserts each campaign saw
